@@ -198,7 +198,7 @@ class AdtSpec:
         raise AdtError(self.kind)
 
     def net_transition(self, name: str) -> PetriTransition:
-        t = _transition_map(self).get(name)
+        t = self._transition_map.get(name)
         if t is None:
             raise AdtError(f"unknown net transition: {name}")
         return t
@@ -239,18 +239,17 @@ class AdtSpec:
         return tuple(ops)
 
     def validate_op(self, op: AdtOp) -> None:
-        if op not in _op_set(self):
+        if op not in self._op_set:
             raise AdtError(f"operation '{op}' not valid for adt {self.kind}")
 
+    # built once per instance, on first use
+    @functools.cached_property
+    def _op_set(self) -> frozenset:
+        return frozenset(self.op_universe())
 
-@functools.lru_cache(maxsize=None)
-def _op_set(spec: AdtSpec) -> frozenset:
-    return frozenset(spec.op_universe())
-
-
-@functools.lru_cache(maxsize=None)
-def _transition_map(spec: AdtSpec) -> dict[str, PetriTransition]:
-    return {t.name: t for t in spec.transitions}
+    @functools.cached_property
+    def _transition_map(self) -> dict[str, PetriTransition]:
+        return {t.name: t for t in self.transitions}
 
 
 def trivial_spec() -> AdtSpec:

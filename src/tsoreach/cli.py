@@ -158,6 +158,10 @@ def _build_parser() -> _Parser:
     return p
 
 
+# what a bad input file raises while it is read, parsed or translated
+_INPUT_ERRORS = (dsl.DslError, AdtError, ModelError, OSError, UnicodeDecodeError)
+
+
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
@@ -173,8 +177,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load(path: str, adt_override: str | None):
     """Returns ('program', Program) | ('machine', rm) | ('cover', rm)."""
-    text = _read(path)
     try:
+        text = _read(path)
         kind_line = next(
             (ln.split()[0] for _, ln in dsl._lines(text)
              if ln.split()[0] in ("process", "machine", "cover")),
@@ -184,7 +188,7 @@ def _load(path: str, adt_override: str | None):
             inst = dsl.parse_coverability(text)
             return "cover", encode_coverability_to_rm(inst)
         obj = dsl.parse_input(text)
-    except (dsl.DslError, AdtError, ModelError, FileNotFoundError) as e:
+    except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT_ERROR)
     if adt_override is not None:
@@ -338,11 +342,15 @@ def cmd_gen(cfg: RunConfig, args) -> int:
             chunks.append(dsl.print_coverability(gen.random_net(rng)))
         else:  # intersection
             if args.automata:
-                pdas, fsas = dsl.parse_automata(_read(args.automata))
-                if len(pdas) != 1:
-                    print("error: need exactly one pda section", file=sys.stderr)
+                try:
+                    pdas, fsas = dsl.parse_automata(_read(args.automata))
+                    if len(pdas) != 1:
+                        print("error: need exactly one pda section", file=sys.stderr)
+                        return EXIT_INPUT_ERROR
+                    rm = encode_intersection(pdas[0], tuple(fsas))
+                except _INPUT_ERRORS as e:
+                    print(f"error: {e}", file=sys.stderr)
                     return EXIT_INPUT_ERROR
-                rm = encode_intersection(pdas[0], tuple(fsas))
             else:
                 fixtures = gen.intersection_fixtures()
                 idx = args.fixture if args.fixture is not None else 0

@@ -12,12 +12,20 @@ attached data type.  Register actions come in three tiers:
 Solvers interpret all tiers directly; ``lower_tier3_to_tier2`` and
 ``lower_tier2_to_tier1`` are reachability-preserving rewritings down to
 the smaller instruction sets.
+
+A machine's indexes (register positions, edges by state) and its decoded
+actions are built once per instance, on first use, so no step of a search
+rehashes or rescans the machine.  ``apply_action`` is the one definition of
+the register semantics; ``rm_step`` and the solvers read the same decoded
+table.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 from .adt import AdtOp, AdtSpec, AdtValue, step_unchecked
 
@@ -235,7 +243,30 @@ class RegisterMachine:
         )
 
     def register_index(self, r: str) -> int:
-        return _register_indices(self)[r]
+        return self.register_indices[r]
+
+    @functools.cached_property
+    def register_indices(self) -> dict[str, int]:
+        return {r: i for i, r in enumerate(self.registers)}
+
+    @functools.cached_property
+    def actions(self) -> dict[RegisterAction, ActionStep]:
+        """Decoded register actions of delta, each a function of the registers."""
+        return {
+            act: _decode_action(act, self.register_indices, self.bound)
+            for _, act, _ in self.delta
+            if isinstance(act, RegisterAction)
+        }
+
+    @functools.cached_property
+    def edges_by_state(self) -> dict[str, tuple[tuple[RmEdge, ActionStep | None], ...]]:
+        """Outgoing edges per state in delta order, each with its decoded
+        action (None for a data-type operation)."""
+        actions = self.actions
+        by_state: dict[str, list] = {q: [] for q in self.states}
+        for edge in self.delta:
+            by_state[edge[0]].append((edge, actions.get(edge[1])))
+        return {q: tuple(es) for q, es in by_state.items()}
 
 
 @dataclass(frozen=True)
@@ -247,75 +278,77 @@ class RmConfiguration:
     value: AdtValue
 
 
-@functools.lru_cache(maxsize=None)
-def _register_indices(rm: RegisterMachine) -> dict[str, int]:
-    return {r: i for i, r in enumerate(rm.registers)}
-
-
-@functools.lru_cache(maxsize=None)
-def _edges_by_state(rm: RegisterMachine) -> dict[str, tuple[RmEdge, ...]]:
-    by_state: dict[str, list[RmEdge]] = {q: [] for q in rm.states}
-    for edge in rm.delta:
-        by_state[edge[0]].append(edge)
-    return {q: tuple(es) for q, es in by_state.items()}
-
-
-def _operand_value(regs: tuple[int, ...], idx: dict[str, int], o: str | int) -> int:
-    return regs[idx[o]] if isinstance(o, str) else o
-
+# A decoded action: the successor register assignment, or None if disabled.
+ActionStep = Callable[[tuple[int, ...]], "tuple[int, ...] | None"]
 
 _COMPARE = {
-    "cke": lambda a, b: a == b,
-    "ckne": lambda a, b: a != b,
-    "ckl": lambda a, b: a < b,
-    "ckg": lambda a, b: a > b,
-    "ckle": lambda a, b: a <= b,
-    "ckge": lambda a, b: a >= b,
+    "cke": operator.eq,
+    "ckne": operator.ne,
+    "ckl": operator.lt,
+    "ckg": operator.gt,
+    "ckle": operator.le,
+    "ckge": operator.ge,
 }
+
+
+def _decode_action(act: RegisterAction, idx: dict[str, int], bound: int) -> ActionStep:
+    """act as a function of the register assignment, operands resolved."""
+    kind, x, y = act.kind, act.x, act.y
+    # read, ckz and write are cke and set against a literal
+    if kind == "read":
+        kind = "cke"
+    elif kind == "ckz":
+        kind, y = "cke", 0
+    elif kind == "write":
+        kind = "set"
+    if kind == "skp":
+        return lambda regs: regs
+    if kind in _COMPARE:
+        test = _COMPARE[kind]
+        if isinstance(x, str) and isinstance(y, str):
+            i, j = idx[x], idx[y]
+            return lambda regs: regs if test(regs[i], regs[j]) else None
+        if isinstance(x, str):
+            i = idx[x]
+            return lambda regs: regs if test(regs[i], y) else None
+        if isinstance(y, str):
+            j = idx[y]
+            return lambda regs: regs if test(x, regs[j]) else None
+        holds = test(x, y)
+        return lambda regs: regs if holds else None
+    if kind not in ("set", "inc", "dec"):
+        raise ModelError(f"unknown action kind {act.kind}")
+    i = idx[x]
+    if kind == "set":
+        if isinstance(y, str):
+            j = idx[y]
+            return lambda regs: regs[:i] + (regs[j],) + regs[i + 1 :]
+        return lambda regs: regs[:i] + (y,) + regs[i + 1 :]
+    if kind == "inc":
+        return lambda regs: regs[:i] + (regs[i] + 1,) + regs[i + 1 :] if regs[i] < bound else None
+    return lambda regs: regs[:i] + (regs[i] - 1,) + regs[i + 1 :] if regs[i] > 0 else None
+
+
+def apply_action(
+    rm: RegisterMachine, regs: tuple[int, ...], act: RegisterAction
+) -> tuple[int, ...] | None:
+    """Successor register assignment under act, an action of rm, or None
+    when act is disabled."""
+    return rm.actions[act](regs)
 
 
 def rm_step(rm: RegisterMachine, c: RmConfiguration) -> list[tuple[RmEdge, RmConfiguration]]:
     """All enabled transitions from c; disabled ones are simply absent."""
-    idx = _register_indices(rm)
     out: list[tuple[RmEdge, RmConfiguration]] = []
-    for edge in _edges_by_state(rm).get(c.state, ()):
-        _, act, q2 = edge
-        if isinstance(act, AdtOp):
-            for v2 in sorted(step_unchecked(rm.adt, c.value, act), key=repr):
-                out.append((edge, RmConfiguration(q2, c.regs, v2)))
+    regs, value = c.regs, c.value
+    for edge, step in rm.edges_by_state.get(c.state, ()):
+        if step is None:
+            for v2 in sorted(step_unchecked(rm.adt, value, edge[1]), key=repr):
+                out.append((edge, RmConfiguration(edge[2], regs, v2)))
             continue
-        kind = act.kind
-        if kind == "skp":
-            out.append((edge, RmConfiguration(q2, c.regs, c.value)))
-        elif kind == "write":
-            i = idx[act.x]
-            regs = c.regs[:i] + (act.y,) + c.regs[i + 1 :]
-            out.append((edge, RmConfiguration(q2, regs, c.value)))
-        elif kind == "read":
-            if c.regs[idx[act.x]] == act.y:
-                out.append((edge, RmConfiguration(q2, c.regs, c.value)))
-        elif kind == "inc":
-            i = idx[act.x]
-            if c.regs[i] < rm.bound:
-                regs = c.regs[:i] + (c.regs[i] + 1,) + c.regs[i + 1 :]
-                out.append((edge, RmConfiguration(q2, regs, c.value)))
-        elif kind == "dec":
-            i = idx[act.x]
-            if c.regs[i] > 0:
-                regs = c.regs[:i] + (c.regs[i] - 1,) + c.regs[i + 1 :]
-                out.append((edge, RmConfiguration(q2, regs, c.value)))
-        elif kind == "ckz":
-            if c.regs[idx[act.x]] == 0:
-                out.append((edge, RmConfiguration(q2, c.regs, c.value)))
-        elif kind == "set":
-            i = idx[act.x]
-            regs = c.regs[:i] + (_operand_value(c.regs, idx, act.y),) + c.regs[i + 1 :]
-            out.append((edge, RmConfiguration(q2, regs, c.value)))
-        else:
-            a = _operand_value(c.regs, idx, act.x)
-            b = _operand_value(c.regs, idx, act.y)
-            if _COMPARE[kind](a, b):
-                out.append((edge, RmConfiguration(q2, c.regs, c.value)))
+        regs2 = step(regs)
+        if regs2 is not None:
+            out.append((edge, RmConfiguration(edge[2], regs2, value)))
     return out
 
 

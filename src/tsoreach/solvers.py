@@ -36,6 +36,7 @@ from .model import (
     RegisterMachine,
     RmEdge,
     _Gensym,
+    apply_action,
     read,
     rm_step,
     write,
@@ -277,46 +278,13 @@ def binarize_counter(rm: RegisterMachine, bound: int) -> RegisterMachine:
 # Stack: flatten registers into control states, then saturate
 
 
-def _apply_action(
-    rm: RegisterMachine, regs: tuple[int, ...], act: RegisterAction
-) -> tuple[int, ...] | None:
-    """Successor register assignment under act, or None when disabled."""
-    from .model import _COMPARE, _operand_value
-
-    idx = {r: i for i, r in enumerate(rm.registers)}
-    kind = act.kind
-    if kind == "skp":
-        return regs
-    if kind == "write":
-        i = idx[act.x]
-        return regs[:i] + (act.y,) + regs[i + 1 :]
-    if kind == "read":
-        return regs if regs[idx[act.x]] == act.y else None
-    if kind == "inc":
-        i = idx[act.x]
-        return regs[:i] + (regs[i] + 1,) + regs[i + 1 :] if regs[i] < rm.bound else None
-    if kind == "dec":
-        i = idx[act.x]
-        return regs[:i] + (regs[i] - 1,) + regs[i + 1 :] if regs[i] > 0 else None
-    if kind == "ckz":
-        return regs if regs[idx[act.x]] == 0 else None
-    if kind == "set":
-        i = idx[act.x]
-        return regs[:i] + (_operand_value(regs, idx, act.y),) + regs[i + 1 :]
-    a = _operand_value(regs, idx, act.x)
-    b = _operand_value(regs, idx, act.y)
-    return regs if _COMPARE[kind](a, b) else None
-
-
 def _control_closure(rm: RegisterMachine):
     """Forward closure of (state, registers), treating data ops as free.
 
     Overapproximates the truly reachable pairs, which is all the pushdown
     construction needs.
     """
-    by_state: dict[str, list] = {q: [] for q in rm.states}
-    for edge in rm.delta:
-        by_state[edge[0]].append(edge)
+    by_state = rm.edges_by_state
     init = (rm.q_init, (0,) * len(rm.registers))
     seen = {init}
     queue = [init]
@@ -324,14 +292,10 @@ def _control_closure(rm: RegisterMachine):
     while queue:
         q, regs = queue.pop()
         outs = []
-        for edge in by_state[q]:
-            _, act, dst = edge
-            if isinstance(act, AdtOp):
-                outs.append((edge, (dst, regs)))
-            else:
-                regs2 = _apply_action(rm, regs, act)
-                if regs2 is not None:
-                    outs.append((edge, (dst, regs2)))
+        for edge, step in by_state[q]:
+            regs2 = regs if step is None else step(regs)
+            if regs2 is not None:
+                outs.append((edge, (edge[2], regs2)))
         edges_from[(q, regs)] = outs
         for _, c in outs:
             if c not in seen:
@@ -490,47 +454,19 @@ def petri_backward_history(rm: RegisterMachine) -> list:
 # Generic well-structured backend
 
 
+_WRITING_KINDS = ("write", "inc", "dec", "set")
+
+
 def _register_preimages(
     rm: RegisterMachine, act: RegisterAction, regs: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
     """All register assignments that step to regs under act."""
-    idx = {r: i for i, r in enumerate(rm.registers)}
-    domain = range(rm.bound + 1)
-
-    def subst(i, d):
-        return regs[:i] + (d,) + regs[i + 1 :]
-
-    kind = act.kind
-    if kind == "skp":
-        return [regs]
-    if kind == "write":
-        i = idx[act.x]
-        return [subst(i, d) for d in domain] if regs[i] == act.y else []
-    if kind == "read":
-        return [regs] if regs[idx[act.x]] == act.y else []
-    if kind == "inc":
-        i = idx[act.x]
-        return [subst(i, regs[i] - 1)] if regs[i] >= 1 else []
-    if kind == "dec":
-        i = idx[act.x]
-        return [subst(i, regs[i] + 1)] if regs[i] + 1 <= rm.bound else []
-    if kind == "ckz":
-        return [regs] if regs[idx[act.x]] == 0 else []
-    if kind == "set":
-        i = idx[act.x]
-        if isinstance(act.y, str):
-            if act.y == act.x:
-                return [regs]
-            if regs[i] != regs[idx[act.y]]:
-                return []
-            return [subst(i, d) for d in domain]
-        return [subst(i, d) for d in domain] if regs[i] == act.y else []
-    # comparisons leave registers unchanged
-    from .model import _COMPARE, _operand_value
-
-    a = _operand_value(regs, idx, act.x)
-    b = _operand_value(regs, idx, act.y)
-    return [regs] if _COMPARE[kind](a, b) else []
+    candidates = [regs]
+    if act.kind in _WRITING_KINDS:
+        # only the written register can differ from regs
+        i = rm.register_index(act.x)
+        candidates = [regs[:i] + (d,) + regs[i + 1 :] for d in range(rm.bound + 1)]
+    return [c for c in candidates if apply_action(rm, c, act) == regs]
 
 
 def _wsts_backward(

@@ -273,3 +273,41 @@ def test_out_flag_writes_file(tmp_path, capsys):
     code, out, _ = _run(capsys, "check", path, "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text().startswith("verdict: reachable")
+
+
+def _write_bytes(tmp_path, name, data):
+    p = tmp_path / name
+    p.write_bytes(data)
+    return str(p)
+
+
+@pytest.mark.parametrize("make_path", [
+    lambda tmp_path: str(tmp_path / "missing.tso"),
+    lambda tmp_path: str(tmp_path),
+    lambda tmp_path: _write_bytes(tmp_path, "bad.tso", b"memory vars x domain 0..1\n\xff\xfe\n"),
+], ids=["missing", "directory", "undecodable"])
+def test_unreadable_input_exit_three(tmp_path, capsys, make_path):
+    code, out, err = _run(capsys, "check", make_path(tmp_path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ")
+
+
+AUTOMATA_UNDECLARED_STACK_SYMBOL = """\
+pda K alphabet a stack Z
+state s init accept
+trans s a [-/B] -> s
+fsa F alphabet a
+state u init accept
+trans u a -> u
+"""
+
+
+@pytest.mark.parametrize("make_path", [
+    lambda tmp_path: str(tmp_path / "missing.aut"),
+    lambda tmp_path: _write(tmp_path, "bad.aut", AUTOMATA_UNDECLARED_STACK_SYMBOL),
+], ids=["missing", "undeclared-stack-symbol"])
+def test_gen_bad_automata_exit_three(tmp_path, capsys, make_path):
+    code, out, err = _run(capsys, "gen", "--kind", "intersection",
+                          "--automata", make_path(tmp_path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ")

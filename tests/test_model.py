@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import rm_reachable_brute
 from tsoreach.adt import AdtOp, AdtSpec, trivial_spec
@@ -12,6 +15,7 @@ from tsoreach.model import (
     RegisterAction,
     RegisterMachine,
     RmConfiguration,
+    apply_action,
     lower_tier2_to_tier1,
     lower_tier3_to_tier2,
     read,
@@ -20,6 +24,7 @@ from tsoreach.model import (
     skp,
     write,
 )
+from tsoreach.solvers import _control_closure, _register_preimages
 
 
 def mk(states, delta, regs=("r",), bound=2, adt=None, target=None):
@@ -220,3 +225,24 @@ def test_machine_print_parse_roundtrip(seed):
     rm2 = parse_machine(text)
     assert rm2 == rm
     assert print_machine(rm2) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False), bound=st.integers(0, 2),
+       n_regs=st.integers(0, 3))
+def test_register_semantics_agree(rng, bound, n_regs):
+    """apply_action, its preimages, the control closure and rm_step all
+    describe the same register steps."""
+    rm = random_machine(rng, n_states=4, n_regs=n_regs, bound=bound, tier=3)
+    assignments = list(itertools.product(range(bound + 1), repeat=n_regs))
+    for act in {act for _, act, _ in rm.delta}:
+        for regs2 in assignments:
+            pre = _register_preimages(rm, act, regs2)
+            for regs in assignments:
+                assert (apply_action(rm, regs, act) == regs2) == (regs in pre)
+
+    # the machines carry no data-type operations: every edge is a register edge
+    _, _, edges_from = _control_closure(rm)
+    for (q, regs), outs in edges_from.items():
+        c = RmConfiguration(q, regs, rm.adt.initial_value())
+        assert outs == [(edge, (c2.state, c2.regs)) for edge, c2 in rm_step(rm, c)]

@@ -375,3 +375,77 @@ def test_solve_auto_dispatch():
     assert solve_auto(rm2).outcome == "reachable"
     with pytest.raises(ModelError):
         solve_auto(rm, backend="nosuch")
+
+
+PETRI_GROWTH = """\
+memory vars x,y domain 0..1
+adt petri places p,q,r transitions t: p -> p,q; u: q -> p; v: r -> r initial p
+process P
+state q0 init
+state q1
+state qf target
+trans q0 -> q0 : op t
+trans q0 -> q1 : op u
+trans q1 -> q0 : wr x 1
+trans q0 -> q0 : wr y 1
+trans q1 -> q1 : rd y 1
+trans q1 -> qf : op v
+"""
+
+
+def _count_hashes(monkeypatch):
+    """Count every hash of a RegisterMachine or an AdtSpec from now on."""
+    counts = {"calls": 0}
+    for cls in (RegisterMachine, AdtSpec):
+        original = cls.__hash__
+
+        def counting(self, original=original):
+            counts["calls"] += 1
+            return original(self)
+
+        monkeypatch.setattr(cls, "__hash__", counting)
+    return counts
+
+
+def _hashes_per_search(monkeypatch, search, sizes):
+    """(explored, machine and data-type hashes) of search(size) per size."""
+    counts = _count_hashes(monkeypatch)
+    out = []
+    for size in sizes:
+        counts["calls"] = 0
+        v = search(size)
+        out.append((v.stats.explored, counts["calls"]))
+    return out
+
+
+# hashing a machine or a data type costs time in its size, so a search
+# may hash either only a bounded number of times, however far it gets
+HASHES_PER_SEARCH = 5
+
+
+def test_finite_search_hashes_no_machine_per_step(monkeypatch):
+    from tsoreach.gen import random_program
+    from tsoreach.translate import build_register_machine
+
+    def search(budget):
+        mem, adt, proc = random_program(random.Random(0), n_states=4, n_vars=3, d_max=1)
+        return solve_finite(build_register_machine(proc, mem, adt), budget=budget)
+
+    (small, h_small), (large, h_large) = _hashes_per_search(
+        monkeypatch, search, (1_000, 4_000))
+    assert small >= 1_000 and large > small
+    assert h_small == h_large <= HASHES_PER_SEARCH
+
+
+def test_petri_pivot_search_hashes_no_spec_per_step(monkeypatch):
+    from tsoreach.dsl import parse_program
+    from tsoreach.pivot import pivot_reach
+
+    def search(value_bound):
+        prog = parse_program(PETRI_GROWTH)
+        return pivot_reach(prog.proc, prog.mem, prog.adt, value_bound=value_bound)
+
+    (small, h_small), (large, h_large) = _hashes_per_search(
+        monkeypatch, search, (8, 16))
+    assert large > small > 0
+    assert h_small == h_large <= HASHES_PER_SEARCH
