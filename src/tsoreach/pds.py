@@ -6,12 +6,39 @@ automaton; saturation adds an automaton transition for every way a rule can
 reach an accepted configuration, so acceptance of the initial configuration
 decides reachability.  Each added transition remembers the rule and the
 automaton path that justified it, which lets us unwind an actual run.
+
+Saturation is the worklist algorithm of Esparza, Hansel, Rossmanith and
+Schwoon, "Efficient algorithms for model checking pushdown systems"
+(CAV 2000; also Schwoon's 2002 thesis), in O(|P|^2 |rules|) time.  Rules
+are indexed once by (p2, push[0]).  A pop rule (p, g) -> (q, ()) adds
+(p, g, q) up front; every new transition t = (q, a, q1) then meets only
+what it can complete:
+
+- a rule (p, g) -> (q, (a,)) adds (p, g, q1);
+- a rule (p, g) -> (q, (a, b)) becomes a pending push under (q1, b) and
+  adds (p, g, q2) for every transition (q1, b, q2), present or later;
+- a pending push waiting under (q, a) adds its (p, g, q1).
+
+The successors of each (state, symbol) are kept as one bitmask over the
+states a transition can end in (the sink and the controls pop rules move
+to), and the worklist holds (state, symbol) keys rather than single
+transitions: a key waits with all the successor bits it gained since it
+last left the worklist, and a single bitmask operation passes them all on.
+
+Without a stop, saturation runs to the (unique) fixpoint.  A stop
+configuration (c, (s,)) ends it as soon as a transition (c, s, f) with f
+accepting arrives: from then on the partial automaton accepts the stop
+configuration and its provenance unwinds exactly like the fixpoint's.  A
+budget bounds the transitions saturation adds; a result cut short by it is
+marked exhausted and proves nothing about rejected configurations.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Set
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -44,80 +71,173 @@ class PushdownSystem:
                 raise ValueError("normalize rules to |push| <= 2 first")
 
 
-def _saturate(pds: PushdownSystem, targets):
-    """Saturate the target automaton; returns (transitions, provenance, order).
+class _Accepted(Exception):
+    """The stop configuration is accepted."""
 
-    Automaton states are the controls plus one accepting sink; a transition
-    is (state, symbol, state).  The initial automaton accepts every stack
-    word from every target control (the sink loops over the full alphabet
-    and target controls are accepting, covering the empty stack).
-    provenance maps a saturation-added transition to (rule, path) where
-    path lists the transitions that matched the rule's push word.
-    """
-    any_state = ("__any__",)
 
-    trans: set = set()
-    order: dict = {}
-    prov: dict = {}
+class _OutOfBudget(Exception):
+    """Saturation would add more transitions than its budget."""
 
-    def add(t, why=None) -> bool:
-        if t in trans:
+
+def _bits(x: int):
+    """Indices of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+class _Transitions(Set):
+    """The automaton's transitions (state, symbol, state), read from post."""
+
+    def __init__(self, post: dict, ends: tuple, index: dict) -> None:
+        self._post, self._ends, self._index = post, ends, index
+        self._count = sum(succ.bit_count() for succ in post.values())
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        for (q, a), succ in self._post.items():
+            for i in _bits(succ):
+                yield (q, a, self._ends[i])
+
+    def __contains__(self, t) -> bool:
+        q, a, q2 = t
+        if q2 not in self._index:
             return False
-        trans.add(t)
-        order[t] = len(order)
-        if why is not None:
-            prov[t] = why
-        return True
+        return bool(self._post.get((q, a), 0) >> self._index[q2] & 1)
 
-    for p_t in targets:
-        for g in pds.alphabet:
-            add((p_t, g, any_state))
-    for g in pds.alphabet:
-        add((any_state, g, any_state))
 
-    by_source: dict = {}
+def _saturate(pds: PushdownSystem, targets, stop, budget):
+    """Saturate the target automaton.
 
-    def index(t):
-        by_source.setdefault((t[0], t[1]), []).append(t)
+    Returns (post, ends, index, provenance, exhausted).  Automaton states
+    are the controls plus one accepting sink.  A transition can only end in
+    the sink or in a control some pop rule moves to; these are ends, with
+    the sink first, and index maps each to its position.  post maps
+    (state, symbol) to the bitmask of its successors, bit i standing for
+    ends[i].  The initial automaton accepts every stack word from every
+    target control (the sink loops over the full alphabet and target
+    controls are accepting, covering the empty stack).  provenance maps
+    (state, symbol) to the records (bits, rule, prefix, via) of the
+    saturation steps that added its successor bits, in order; see
+    PreStarResult.justification.
 
-    for t in sorted(trans, key=repr):
-        index(t)
+    The worklist holds (state, symbol) keys whose successor bits grew since
+    the key was last taken; taking it passes all those new bits on at once,
+    so one bitmask operation stands for one transition per bit.
+    """
+    sink = ("__any__",)
+    ends = tuple(dict.fromkeys([sink] + [r.p2 for r in pds.rules if not r.push]))
+    index = {q: i for i, q in enumerate(ends)}
+    final = 1  # the sink
+    for q in targets:
+        if q in index:
+            final |= 1 << index[q]
+    post: dict = {}
+    prov: dict = {}
+    fresh: dict = {}  # key -> bits added since it last left the worklist
+    worklist: deque = deque()
+    added = 0
 
-    rules = sorted(pds.rules, key=repr)
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            if len(rule.push) == 0:
-                t = (rule.p, rule.gamma, rule.p2)
-                if add(t, (rule, ())):
-                    index(t)
-                    changed = True
-            elif len(rule.push) == 1:
-                for t1 in list(by_source.get((rule.p2, rule.push[0]), [])):
-                    t = (rule.p, rule.gamma, t1[2])
-                    if add(t, (rule, (t1,))):
-                        index(t)
-                        changed = True
-            else:
-                for t1 in list(by_source.get((rule.p2, rule.push[0]), [])):
-                    for t2 in list(by_source.get((t1[2], rule.push[1]), [])):
-                        t = (rule.p, rule.gamma, t2[2])
-                        if add(t, (rule, (t1, t2))):
-                            index(t)
-                            changed = True
-    return trans, prov, order, by_source, any_state
+    def add(key, bits, rule=None, prefix=(), via=None) -> None:
+        """Add (key[0], key[1], ends[i]) for every bit i of bits.
+
+        A transition added by rule is justified by the path prefix,
+        followed by the transition (via[0], via[1], ends[i]) when via is
+        given; one record holds that for all the new bits.
+        """
+        nonlocal added
+        old = post.get(key, 0)
+        new = bits & ~old
+        if not new:
+            return
+        if rule is not None:
+            added += new.bit_count()
+            if budget is not None and added > budget:
+                raise _OutOfBudget
+            prov.setdefault(key, []).append((new, rule, prefix, via))
+        post[key] = old | new
+        if key in fresh:
+            fresh[key] |= new
+        else:
+            fresh[key] = new
+            worklist.append(key)
+        if key == stop and new & final:
+            raise _Accepted
+
+    by_head: dict = {}  # (p2, push[0]) -> rules
+    for rule in pds.rules:
+        if rule.push:
+            by_head.setdefault((rule.p2, rule.push[0]), []).append(rule)
+    pending: dict = {}  # (q1, push[1]) -> [(rule, first transition)]
+    derived: set = set()  # ((p, gamma), (q1, push[1])) of every pending push
+
+    exhausted = False
+    try:
+        for q in (*targets, sink):
+            for g in pds.alphabet:
+                add((q, g), 1)
+        for rule in pds.rules:
+            if not rule.push:
+                add((rule.p, rule.gamma), 1 << index[rule.p2], rule)
+        while worklist:
+            key = worklist.popleft()
+            q, a = key
+            new = fresh.pop(key)
+            for rule in by_head.get(key, ()):
+                head = (rule.p, rule.gamma)
+                if len(rule.push) == 1:
+                    add(head, new, rule, (), key)
+                    continue
+                for i in _bits(new):
+                    key2 = (ends[i], rule.push[1])
+                    if (head, key2) in derived:
+                        continue
+                    derived.add((head, key2))
+                    t1 = (q, a, ends[i])
+                    pending.setdefault(key2, []).append((rule, t1))
+                    add(head, post.get(key2, 0), rule, (t1,), key2)
+            for rule, t1 in pending.get(key, ()):
+                add((rule.p, rule.gamma), new, rule, (t1,), key)
+    except _Accepted:
+        pass
+    except _OutOfBudget:
+        exhausted = True
+    return post, ends, index, prov, exhausted
 
 
 @dataclass
 class PreStarResult:
     pds: PushdownSystem
     targets: tuple
-    transitions: set
-    provenance: dict
-    order: dict
-    by_source: dict
-    sink: object
+    post: dict  # (state, symbol) -> bitmask over ends
+    ends: tuple  # the states a transition can end in; ends[0] is the sink
+    index: dict  # end state -> its bit in post
+    provenance: dict  # (state, symbol) -> [(bits, rule, prefix, via)]
+    exhausted: bool = False  # the budget ended saturation early
+
+    @property
+    def sink(self):
+        return self.ends[0]
+
+    @cached_property
+    def transitions(self) -> _Transitions:
+        return _Transitions(self.post, self.ends, self.index)
+
+    def justification(self, t):
+        """(rule, path) for a saturation-added transition t, else None.
+
+        path lists the transitions that matched the rule's push word; each
+        was added before t.
+        """
+        q, a, q2 = t
+        bit = 1 << self.index[q2]
+        for bits, rule, prefix, via in self.provenance.get((q, a), ()):
+            if bits & bit:
+                return rule, prefix if via is None else prefix + ((*via, q2),)
+        return None
 
     def _accepting_path(self, control, word):
         """One accepting run of the automaton on (control, word), or None.
@@ -142,7 +262,8 @@ class PreStarResult:
                     path.reverse()
                     return path
                 continue
-            for t in self.by_source.get((state, word[i]), []):
+            for j in _bits(self.post.get((state, word[i]), 0)):
+                t = (state, word[i], self.ends[j])
                 nxt = (t[2], i + 1)
                 if nxt not in parents:
                     parents[nxt] = ((state, i), t)
@@ -170,7 +291,7 @@ class PreStarResult:
             if p in target_set:
                 return tags
             first = path[0]
-            why = self.provenance.get(first)
+            why = self.justification(first)
             if why is None:
                 # initial automaton transition from a non-target control
                 raise AssertionError("dangling provenance")
@@ -181,15 +302,22 @@ class PreStarResult:
             path = list(subpath) + path[1:]
 
 
-def pre_star(pds: PushdownSystem, targets) -> PreStarResult:
-    """Saturate backwards from { <p, w> : p in targets, any w }."""
-    trans, prov, order, by_source, sink = _saturate(pds, tuple(targets))
-    return PreStarResult(
-        pds=pds,
-        targets=tuple(targets),
-        transitions=trans,
-        provenance=prov,
-        order=order,
-        by_source=by_source,
-        sink=sink,
-    )
+def pre_star(
+    pds: PushdownSystem, targets, stop=None, budget: int | None = None
+) -> PreStarResult:
+    """Saturate backwards from { <p, w> : p in targets, any w }.
+
+    stop is an optional configuration (control, (symbol,)): saturation ends
+    as soon as it is accepted.  budget bounds the transitions saturation
+    adds; past it the result is marked exhausted.
+    """
+    targets = tuple(targets)
+    if not set(targets) <= set(pds.controls):
+        raise ValueError("targets must be controls of the system")
+    stop_key = None
+    if stop is not None:
+        control, word = stop
+        if len(word) != 1:
+            raise ValueError("a stop configuration has a one-symbol stack word")
+        stop_key = (control, word[0])
+    return PreStarResult(pds, targets, *_saturate(pds, targets, stop_key, budget))

@@ -38,6 +38,7 @@ from .model import (
     _Gensym,
     apply_action,
     read,
+    replay_rm,
     rm_step,
     write,
 )
@@ -278,18 +279,19 @@ def binarize_counter(rm: RegisterMachine, bound: int) -> RegisterMachine:
 # Stack: flatten registers into control states, then saturate
 
 
-def _control_closure(rm: RegisterMachine):
+def _control_closure(rm: RegisterMachine, budget: int = DEFAULT_BUDGET):
     """Forward closure of (state, registers), treating data ops as free.
 
     Overapproximates the truly reachable pairs, which is all the pushdown
-    construction needs.
+    construction needs.  The search stops once it has seen more than budget
+    pairs, so a caller finding more than budget controls has no closure.
     """
     by_state = rm.edges_by_state
     init = (rm.q_init, (0,) * len(rm.registers))
     seen = {init}
     queue = [init]
     edges_from: dict = {}
-    while queue:
+    while queue and len(seen) <= budget:
         q, regs = queue.pop()
         outs = []
         for edge, step in by_state[q]:
@@ -304,12 +306,28 @@ def _control_closure(rm: RegisterMachine):
     return init, seen, edges_from
 
 
-def solve_stack(rm: RegisterMachine) -> Verdict:
-    """Exact reachability for stack machines via pre*-saturation."""
+def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Exact reachability for stack machines via pre*-saturation.
+
+    Registers are flattened into control states by a forward closure, whose
+    size is stats.explored.  pre* then saturates from the target controls
+    and stops as soon as the initial configuration is accepted;
+    stats.iterations counts the automaton transitions it holds at the end,
+    the initial ones included: at the fixpoint for unreachable verdicts, at
+    the stop for reachable ones.  budget bounds both the closure size and
+    the transitions saturation adds; hitting it is inconclusive.  A
+    reachable witness is replayed under rm_step before it is returned.
+    """
     if rm.adt.kind != "stack":
         raise ModelError("solve_stack needs a stack machine")
     t0 = time.monotonic()
-    init, controls, edges_from = _control_closure(rm)
+    init, controls, edges_from = _control_closure(rm, budget)
+
+    def stats(iterations=0):
+        return Stats(len(controls), iterations, int((time.monotonic() - t0) * 1000))
+
+    if len(controls) > budget:
+        return Verdict(INCONCLUSIVE, stats=stats(), closed=False)
     bottom = "_btm"
     while bottom in rm.adt.alphabet:
         bottom += "_"
@@ -344,25 +362,28 @@ def solve_stack(rm: RegisterMachine) -> Verdict:
                     rules.append(PdsRule(control, g, control2, (g,), label))
 
     targets = sorted((c for c in controls if c[0] == rm.q_target), key=repr)
-    explored = len(controls)
     if not targets:
-        return Verdict(
-            UNREACHABLE,
-            stats=Stats(explored, 0, int((time.monotonic() - t0) * 1000)),
-        )
+        return Verdict(UNREACHABLE, stats=stats())
     pds = PushdownSystem(
         controls=tuple(sorted(controls, key=repr)) + tuple(reset_controls),
         alphabet=alphabet,
         rules=tuple(rules),
     )
-    result = pre_star(pds, targets)
-    millis = int((time.monotonic() - t0) * 1000)
-    stats = Stats(explored, len(result.transitions), millis)
-    if not result.accepts(init, (bottom,)):
-        return Verdict(UNREACHABLE, stats=stats)
-    labels = result.witness(init, (bottom,))
+    start = (init, (bottom,))
+    result = pre_star(pds, targets, stop=start, budget=budget)
+    iterations = len(result.transitions)
+    if result.exhausted:
+        return Verdict(INCONCLUSIVE, stats=stats(iterations), closed=False)
+    if not result.accepts(*start):
+        return Verdict(UNREACHABLE, stats=stats(iterations))
+    labels = result.witness(*start)
+    final = replay_rm(rm, labels)
+    if final.state != rm.q_target:
+        raise ModelError(f"stack witness ends in {final.state}, not the target")
     return Verdict(
-        REACHABLE, witness=tuple(format_rm_label(l) for l in labels), stats=stats
+        REACHABLE,
+        witness=tuple(format_rm_label(l) for l in labels),
+        stats=stats(iterations),
     )
 
 
@@ -595,7 +616,7 @@ def solve_auto(
     if backend == "counter":
         return solve_counter(rm, cap=cap, budget=budget)
     if backend == "stack":
-        return solve_stack(rm)
+        return solve_stack(rm, budget=budget)
     if backend == "petri":
         return solve_petri(rm, budget=budget)
     if backend == "wsts":

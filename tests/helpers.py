@@ -134,3 +134,25 @@ def product_assignments(registers, bound):
         dict(zip(registers, vals))
         for vals in itertools.product(range(bound + 1), repeat=len(registers))
     ]
+
+
+def pre_star_fixpoint(pds, targets, sink):
+    """The pre* transition set, re-scanning every rule until a pass adds nothing.
+
+    Automaton states are the controls plus sink; the initial automaton has
+    (p, g, sink) for every target control and the sink itself, and every
+    symbol g.
+    """
+    trans = {(p, g, sink) for p in (*targets, sink) for g in pds.alphabet}
+    changed = True
+    while changed:
+        changed = False
+        for rule in pds.rules:
+            ends = {rule.p2}
+            for symbol in rule.push:
+                ends = {q2 for q, a, q2 in trans if q in ends and a == symbol}
+            new = {(rule.p, rule.gamma, q) for q in ends}
+            if not new <= trans:
+                trans |= new
+                changed = True
+    return trans

@@ -1,6 +1,15 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import tsoreach
 from tsoreach.cli import main
+from tsoreach.dsl import print_machine
+from tsoreach.gen import random_stack_machine
 
 HANDSHAKE = """\
 memory vars x domain 0..1
@@ -311,3 +320,22 @@ def test_gen_bad_automata_exit_three(tmp_path, capsys, make_path):
                           "--automata", make_path(tmp_path))
     assert code == 3 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("seed,verdict", [(10, "reachable"), (0, "unreachable")])
+def test_stack_check_output_independent_of_hash_seed(tmp_path, seed, verdict):
+    # string hashing differs per process; the pre* saturation order must not
+    path = _write(tmp_path, "stack.rm",
+                  print_machine(random_stack_machine(random.Random(seed), 40)))
+    src = str(Path(tsoreach.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsoreach", "check", path, "--format", "lines"],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == (0 if verdict == "reachable" else 1)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(f"verdict: {verdict}\n".encode())

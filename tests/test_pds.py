@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import pre_star_fixpoint
 from tsoreach.pds import PdsRule, PushdownSystem, pre_star
 
 
@@ -83,13 +84,12 @@ def _forward_reachable_controls(pds, init_control, init_word, depth_bound):
     return {p for p, _ in seen}, closed
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_pre_star_matches_forward_search_randomized(seed):
+def _random_pds(seed, n_controls=3, max_rules=7):
     rng = random.Random(seed)
-    controls = tuple(f"p{i}" for i in range(3))
+    controls = tuple(f"p{i}" for i in range(n_controls))
     alphabet = ("a", "b", "_btm")
     rules = []
-    for _ in range(rng.randrange(2, 8)):
+    for _ in range(rng.randrange(2, max_rules + 1)):
         p, p2 = rng.choice(controls), rng.choice(controls)
         g = rng.choice(alphabet)
         push = tuple(
@@ -98,25 +98,76 @@ def test_pre_star_matches_forward_search_randomized(seed):
         if g == "_btm" and rng.random() < 0.7:
             push = push[:1] + ("_btm",)  # usually keep the marker in place
         rules.append(PdsRule(p, g, p2, push, tag=len(rules)))
-    pds = _pds(rules, controls=controls, alphabet=alphabet)
+    return _pds(rules, controls=controls, alphabet=alphabet)
+
+
+def _replay(pds, cfg, trace):
+    """The configuration the rules tagged in trace drive cfg to."""
+    for tag in trace:
+        rule = pds.rules[tag]
+        assert cfg[0] == rule.p and cfg[1][0] == rule.gamma
+        cfg = (rule.p2, rule.push + cfg[1][1:])
+    return cfg
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_pre_star_matches_forward_search_randomized(seed):
+    pds = _random_pds(seed)
     init = ("p0", ("_btm",))
     forward, fwd_closed = _forward_reachable_controls(pds, *init, depth_bound=7)
-    for target in controls:
+    for target in pds.controls:
         res = pre_star(pds, [target])
         claimed = res.accepts(*init)
         if claimed:
             # the witness trace must drive the forward semantics to target
-            trace = res.witness(*init)
-            cfg = init
-            for tag in trace:
-                rule = pds.rules[tag]
-                assert cfg[0] == rule.p and cfg[1][0] == rule.gamma
-                cfg = (rule.p2, rule.push + cfg[1][1:])
-            assert cfg[0] == target
+            assert _replay(pds, init, res.witness(*init))[0] == target
             if fwd_closed:
                 assert target in forward
         elif fwd_closed:
             assert target not in forward
+
+
+@pytest.mark.parametrize(
+    "seed,n_controls,max_rules",
+    [(s, 3, 7) for s in range(25)] + [(s, 8, 30) for s in range(25)],
+)
+def test_worklist_matches_rescan_fixpoint(seed, n_controls, max_rules):
+    pds = _random_pds(seed, n_controls, max_rules)
+    init = ("p0", ("_btm",))
+    for target in pds.controls:
+        res = pre_star(pds, [target])
+        ref = pre_star_fixpoint(pds, [target], res.sink)
+        assert set(res.transitions) == ref
+        assert len(res.transitions) == len(ref)
+        assert not res.exhausted
+        # stopping early decides the initial configuration the same way
+        stopped = pre_star(pds, [target], stop=init)
+        accepted = any(
+            t[:2] == ("p0", "_btm") and t[2] in (target, res.sink) for t in ref
+        )
+        assert stopped.accepts(*init) == accepted
+        assert set(stopped.transitions) <= ref
+        if accepted:
+            assert _replay(pds, init, stopped.witness(*init))[0] == target
+        else:
+            assert set(stopped.transitions) == ref
+
+
+def test_pre_star_budget_marks_exhausted():
+    rules = [
+        PdsRule("p", "a", "q", (), tag="pop_a"),
+        PdsRule("q", "_btm", "t", ("_btm",), tag="check"),
+    ]
+    full = pre_star(_pds(rules), ["t"])
+    assert full.accepts("p", ("a", "_btm")) and not full.exhausted
+    cut = pre_star(_pds(rules), ["t"], budget=1)
+    assert cut.exhausted and len(cut.transitions) == len(full.transitions) - 1
+    assert not cut.accepts("p", ("a", "_btm"))
+
+
+def test_pre_star_stop_needs_one_symbol():
+    with pytest.raises(ValueError):
+        pre_star(_pds([]), ["t"], stop=("p", ("a", "_btm")))
 
 
 def test_witness_terminates_on_recursive_rules():

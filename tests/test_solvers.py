@@ -30,8 +30,10 @@ from tsoreach.solvers import (
     solve_wsts,
     wsts_backward_history,
 )
+from tsoreach.pds import PreStarResult
 from tsoreach.translate import encode_coverability_to_rm
-from tsoreach.dsl import parse_action
+from tsoreach.cli import main
+from tsoreach.dsl import parse_action, print_machine
 
 
 def _parse_witness_labels(rm, witness):
@@ -237,6 +239,40 @@ def test_stack_backend_matches_bounded_closure(seed):
     assert v.outcome == eb.outcome
     if v.outcome == "reachable":
         _assert_witness_replays(rm, v)
+
+
+def test_solve_stack_budget_is_inconclusive(tmp_path, capsys):
+    rm = random_stack_machine(random.Random(1), 40)
+    full = solve_stack(rm)
+    assert full.outcome == "reachable"
+    _assert_witness_replays(rm, full)
+    closure = full.stats.explored
+    # the control closure alone outgrows the budget
+    v = solve_stack(rm, budget=closure - 1)
+    assert (v.outcome, v.closed, v.stats.iterations) == ("inconclusive", False, 0)
+    assert v.stats.explored == closure
+    # the closure fits, saturation does not
+    v = solve_stack(rm, budget=closure)
+    assert (v.outcome, v.closed, v.stats.explored) == ("inconclusive", False, closure)
+    assert v.stats.iterations < full.stats.iterations
+    assert solve_auto(rm, budget=closure).outcome == "inconclusive"
+    path = tmp_path / "stack.rm"
+    path.write_text(print_machine(rm))
+    assert main(["check", str(path), "--budget", str(closure)]) == 2
+    assert capsys.readouterr().out.startswith("verdict: inconclusive")
+    assert main(["check", str(path)]) == 0
+
+
+def test_solve_stack_rejects_a_witness_that_fails_replay(tmp_path, capsys, monkeypatch):
+    rm = random_stack_machine(random.Random(1), 40)
+    monkeypatch.setattr(PreStarResult, "witness", lambda self, control, word: [])
+    with pytest.raises(ModelError):
+        solve_stack(rm)
+    path = tmp_path / "stack.rm"
+    path.write_text(print_machine(rm))
+    assert main(["check", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("seed", range(20))
