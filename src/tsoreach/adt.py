@@ -14,9 +14,8 @@ data-type value.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # A marking is a canonical multiset over place names: sorted, zero-free.
 Marking = tuple[tuple[str, int], ...]
@@ -441,65 +440,6 @@ def _ho_size(v: tuple, level: int) -> int:
     return len(v) + sum(_ho_size(e, level - 1) for e in v)
 
 
-def enumerate_values(spec: AdtSpec, max_size: int) -> list:
-    """All well-formed values of size <= max_size (test oracle helper)."""
-    kind = spec.kind
-    if kind == "trivial":
-        return [()]
-    if kind in ("counter", "weak-counter"):
-        return list(range(max_size + 1))
-    if kind == "stack":
-        return [
-            w
-            for n in range(max_size + 1)
-            for w in itertools.product(spec.alphabet, repeat=n)
-        ]
-    if kind == "petri":
-        out = []
-        places = spec.places
-        for counts in itertools.product(range(max_size + 1), repeat=len(places)):
-            if sum(counts) <= max_size:
-                out.append(mk_marking(dict(zip(places, counts))))
-        return sorted(set(out))
-    if kind == "multi-stack":
-        words = [
-            w
-            for n in range(max_size + 1)
-            for w in itertools.product(spec.alphabet, repeat=n)
-        ]
-        return [
-            v
-            for v in itertools.product(words, repeat=spec.count)
-            if sum(len(s) for s in v) <= max_size
-        ]
-    if kind in ("ho-stack", "ho-counter", "ho-weak-counter"):
-        return _enumerate_ho(spec.effective_alphabet, spec.level, max_size)
-    raise AdtError(kind)
-
-
-def _enumerate_ho(alphabet: tuple[str, ...], level: int, max_size: int) -> list:
-    if level == 1:
-        return [
-            w
-            for n in range(max_size + 1)
-            for w in itertools.product(alphabet, repeat=n)
-        ]
-    out: list = [()]
-    elems = _enumerate_ho(alphabet, level - 1, max_size - 1)
-    frontier: list[tuple] = [()]
-    while frontier:
-        nxt = []
-        for stack in frontier:
-            used = _ho_size(stack, level)
-            for e in elems:
-                s = used + 1 + _ho_size(e, level - 1)
-                if s <= max_size:
-                    nxt.append(stack + (e,))
-        out += nxt
-        frontier = nxt
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Well-quasi-ordering machinery for well-structured kinds
 
@@ -525,32 +465,6 @@ def min_value(spec: AdtSpec) -> AdtValue:
     if spec.kind == "trivial":
         return ()
     raise UnsupportedOrderError(f"no well-quasi-ordering for kind {spec.kind}")
-
-
-@dataclass(frozen=True)
-class UpwardBasis:
-    """A finite antichain of values denoting its upward closure."""
-
-    elements: frozenset = field(default_factory=frozenset)
-
-    @staticmethod
-    def of(spec: AdtSpec, elements) -> "UpwardBasis":
-        return UpwardBasis(frozenset(minimize(spec, elements)))
-
-    def contains(self, spec: AdtSpec, v: AdtValue) -> bool:
-        return any(wqo_leq(spec, b, v) for b in self.elements)
-
-
-def minimize(spec: AdtSpec, elements) -> list:
-    """Drop elements dominated by another (keep one copy of equals)."""
-    elems = sorted(set(elements), key=repr)
-    out: list = []
-    for e in elems:
-        if any(wqo_leq(spec, o, e) for o in out):
-            continue
-        out = [o for o in out if not wqo_leq(spec, e, o)]
-        out.append(e)
-    return out
 
 
 def marking_pre_upward(t: PetriTransition, m: Marking) -> Marking | None:
@@ -595,11 +509,3 @@ def pre_upward_element(spec: AdtSpec, op: AdtOp, v: AdtValue) -> list:
         return []  # trivial has no operations besides reset
 
     raise AdtError(f"cannot compute predecessors of {op} for {spec.kind}")
-
-
-def pre_min_upward(spec: AdtSpec, op: AdtOp, basis: UpwardBasis) -> UpwardBasis:
-    """Minimal basis of the predecessors of the basis' upward closure."""
-    pres: list = []
-    for b in basis.elements:
-        pres += pre_upward_element(spec, op, b)
-    return UpwardBasis.of(spec, pres)

@@ -6,7 +6,8 @@ lowerings), gen (benchmark instances), crosscheck (all three pipelines on
 one input, flagging any disagreement).
 
 Exit codes: 0 reachable, 1 unreachable, 2 inconclusive, 3 input error,
-4 usage error, 5 crosscheck disagreement.
+4 usage error, 5 crosscheck disagreement, 6 internal error (a fault of the
+program, such as a witness that fails its replay; no verdict is printed).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import traceback
 from dataclasses import dataclass
 
 from . import dsl, gen
@@ -33,6 +35,7 @@ from .verdict import Verdict
 EXIT_INPUT_ERROR = 3
 EXIT_USAGE = 4
 EXIT_DISAGREEMENT = 5
+EXIT_INTERNAL = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,12 +254,7 @@ def _need_program(kind, obj, what: str):
 
 def cmd_check(cfg: RunConfig, args) -> int:
     kind, obj = _load(cfg.input, cfg.adt_override)
-    try:
-        v = _solve_input(kind, obj, cfg)
-    except (ModelError, AdtError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    return _report(v, cfg.out_format, cfg.out)
+    return _report(_solve_input(kind, obj, cfg), cfg.out_format, cfg.out)
 
 
 def cmd_oracle(cfg: RunConfig, args) -> int:
@@ -284,21 +282,17 @@ def cmd_pivot(cfg: RunConfig, args) -> int:
 
 def cmd_translate(cfg: RunConfig, args) -> int:
     kind, obj = _load(cfg.input, cfg.adt_override)
-    try:
-        if args.reverse:
-            if kind == "program":
-                print("error: --reverse needs a machine input", file=sys.stderr)
-                return EXIT_INPUT_ERROR
-            gen_prog = build_tso_from_rm(obj)
-            text = dsl.print_program(
-                dsl.Program(mem=gen_prog.mem, adt=gen_prog.adt, proc=gen_prog.proc)
-            )
-        else:
-            prog = _need_program(kind, obj, "translate")
-            text = dsl.print_machine(build_register_machine(prog.proc, prog.mem, prog.adt))
-    except (ModelError, AdtError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    if args.reverse:
+        if kind == "program":
+            print("error: --reverse needs a machine input", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        gen_prog = build_tso_from_rm(obj)
+        text = dsl.print_program(
+            dsl.Program(mem=gen_prog.mem, adt=gen_prog.adt, proc=gen_prog.proc)
+        )
+    else:
+        prog = _need_program(kind, obj, "translate")
+        text = dsl.print_machine(build_register_machine(prog.proc, prog.mem, prog.adt))
     _emit(text, cfg.out)
     return 0
 
@@ -410,7 +404,15 @@ def main(argv=None) -> int:
         "gen": cmd_gen,
         "crosscheck": cmd_crosscheck,
     }[cfg.subcommand]
-    return handler(cfg, args)
+    try:
+        return handler(cfg, args)
+    except _INPUT_ERRORS as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except Exception as e:  # a fault of the program must not look like a verdict
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

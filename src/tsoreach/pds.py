@@ -40,6 +40,8 @@ from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
 
+from .verdict import REACHED, explore
+
 
 @dataclass(frozen=True)
 class PdsRule:
@@ -247,28 +249,18 @@ class PreStarResult:
         stack entirely).
         """
         final = set(self.targets) | {self.sink}
-        start = (control, 0)
-        parents = {start: None}
-        queue = deque([start])
-        while queue:
-            state, i = queue.popleft()
+
+        def successors(node):
+            # a node is (automaton state, symbols of word read so far)
+            state, i = node
             if i == len(word):
-                if state in final:
-                    path = []
-                    k = (state, i)
-                    while parents[k] is not None:
-                        k, t = parents[k]
-                        path.append(t)
-                    path.reverse()
-                    return path
-                continue
-            for j in _bits(self.post.get((state, word[i]), 0)):
-                t = (state, word[i], self.ends[j])
-                nxt = (t[2], i + 1)
-                if nxt not in parents:
-                    parents[nxt] = ((state, i), t)
-                    queue.append(nxt)
-        return None
+                return []
+            return [((state, word[i], self.ends[j]), (self.ends[j], i + 1))
+                    for j in _bits(self.post.get((state, word[i]), 0))]
+
+        r = explore((control, 0), successors,
+                    lambda node: node[1] == len(word) and node[0] in final)
+        return list(r.path) if r.outcome == REACHED else None
 
     def accepts(self, control, word) -> bool:
         return self._accepting_path(control, word) is not None

@@ -7,11 +7,14 @@ the rank-k provider replays the process that supplies the rank-k message
 and then hands over to the next provider.  A view records the provider's
 state, data value, last writes, and three pointers into omega.
 
-The search engine builds omega lazily as it runs: only the already-provided
+The search builds omega lazily as it runs: only the already-provided
 prefix (ranks below the progress pointer) is ever consulted by a rule, so
 each branch carries just that prefix and extends it when a provider
-finishes.  ``pivot_reach_enumerated`` is the literal all-omega reference
-used to validate the lazy engine at small sizes.
+finishes.  The rules are written once, over that prefix (``_pivot_rules``);
+``pivot_step`` applies them to a view with a full omega by keeping a
+handover only when its pivot is the next message of omega.  The literal
+all-omega rules and search that the lazy engine is validated against live
+in the test suite.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 from .adt import AdtSpec, AdtValue, step_unchecked, value_size
 from .model import Instruction, MemorySpec, Message, ProcessDescription
-from .verdict import INCONCLUSIVE, REACHABLE, UNREACHABLE, Stats, Verdict
+from .verdict import REACHED, Stats, Verdict, WitnessError, explore
 
 
 class PivotError(ValueError):
@@ -99,12 +102,94 @@ def _replace(t: tuple, i: int, v) -> tuple:
     return t[:i] + (v,) + t[i + 1 :]
 
 
-def _var_rank(omega: tuple[Message, ...], x: str) -> int | None:
-    """Rank of the first message on x in omega (None = never overwritten)."""
-    for i, (var, _) in enumerate(omega):
-        if var == x:
-            return i + 1
-    return None
+@dataclass(frozen=True)
+class _LazyState:
+    state: str
+    value: AdtValue
+    lw: tuple[int | None, ...]
+    phi_e: int
+    phi_l: tuple[int, ...]
+    prefix: tuple[Message, ...]  # pivots already provided; phi_p = len + 1
+
+
+def _pivot_rules(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec):
+    """The pivot inference rules of one program, indexed once.
+
+    Returns a function from a lazy state to its (label, successor) pairs.
+    Every rule consults only the ranks of the provided prefix: a write of a
+    message already in it is write1, and a write of any other message is
+    write2, which makes that message the next pivot and hands over to a
+    fresh provider with the extended prefix.
+    """
+    var_index = {x: i for i, x in enumerate(mem.variables)}
+    nvars = len(mem.variables)
+    by_state: dict[str, list] = {q: [] for q in proc.states}
+    for q, instr, q2 in proc.delta:
+        by_state[q].append((instr, q2))
+
+    def successors(s: _LazyState) -> list[tuple[PivotLabel, _LazyState]]:
+        phi_l_max = max(s.phi_l, default=0)
+        rank = {m: i + 1 for i, m in enumerate(s.prefix)}
+        out: list[tuple[PivotLabel, _LazyState]] = []
+        for instr, q2 in by_state[s.state]:
+            # skip, read1 and read2 only move the provider to q2
+            moved = _LazyState(q2, s.value, s.lw, s.phi_e, s.phi_l, s.prefix)
+            if instr.kind == "skip":
+                out.append((PivotLabel("skip", instr), moved))
+            elif instr.kind == "wr":
+                m = (instr.var, instr.val)
+                i = var_index[instr.var]
+                if m in rank:
+                    phl = max(phi_l_max, rank[m])
+                    out.append((PivotLabel("write1", instr),
+                                _LazyState(q2, s.value, _replace(s.lw, i, instr.val),
+                                           s.phi_e, _replace(s.phi_l, i, phl), s.prefix)))
+                else:
+                    out.append((PivotLabel("write2", instr),
+                                _LazyState(proc.q_init, adt.initial_value(),
+                                           (None,) * nvars, 0, (0,) * nvars,
+                                           s.prefix + (m,))))
+            elif instr.kind == "rd":
+                m = (instr.var, instr.val)
+                i = var_index[instr.var]
+                if s.lw[i] == instr.val:
+                    out.append((PivotLabel("read1", instr), moved))
+                if instr.val == mem.d_init and s.lw[i] is None:
+                    # the first message on x; one beyond the prefix also lies
+                    # beyond phi_e, which never reaches the progress pointer
+                    vr = min((r for mm, r in rank.items() if mm[0] == instr.var),
+                             default=None)
+                    if vr is None or vr > s.phi_e:
+                        out.append((PivotLabel("read2", instr), moved))
+                if m in rank:
+                    phe = max(s.phi_e, s.phi_l[i], rank[m])
+                    out.append((PivotLabel("read3", instr),
+                                _LazyState(q2, s.value, s.lw, phe, s.phi_l, s.prefix)))
+            elif instr.kind == "mf":
+                out.append((PivotLabel("fence", instr),
+                            _LazyState(q2, s.value, s.lw,
+                                       max(s.phi_e, phi_l_max), s.phi_l, s.prefix)))
+            elif instr.kind == "op":
+                for v2 in sorted(step_unchecked(adt, s.value, instr.op), key=repr):
+                    out.append((PivotLabel("op", instr),
+                                _LazyState(q2, v2, s.lw, s.phi_e, s.phi_l, s.prefix)))
+        return out
+
+    return successors
+
+
+def _view_successors(rules, view: View) -> list[tuple[PivotLabel, View]]:
+    # the rules see the prefix below phi_p; a write2 stays only when the
+    # pivot it provides is omega[phi_p - 1]
+    s = _LazyState(view.state, view.value, view.lw, view.phi_e, view.phi_l,
+                   view.omega[:view.phi_p - 1])
+    out = []
+    for label, s2 in rules(s):
+        phi_p = len(s2.prefix) + 1
+        if view.omega[:phi_p - 1] == s2.prefix:
+            out.append((label, View(s2.state, s2.value, s2.lw, view.omega,
+                                    s2.phi_e, s2.phi_l, phi_p)))
+    return out
 
 
 def pivot_step(
@@ -114,60 +199,7 @@ def pivot_step(
     adt: AdtSpec,
 ) -> list[tuple[PivotLabel, View]]:
     """All successor views under the pivot inference rules."""
-    seq = UpdateSequence(view.omega)
-    var_index = {x: i for i, x in enumerate(mem.variables)}
-    out: list[tuple[PivotLabel, View]] = []
-    for q, instr, q2 in proc.delta:
-        if q != view.state:
-            continue
-        if instr.kind == "skip":
-            out.append((PivotLabel("skip", instr),
-                        View(q2, view.value, view.lw, view.omega,
-                             view.phi_e, view.phi_l, view.phi_p)))
-        elif instr.kind == "wr":
-            i = var_index[instr.var]
-            rank = seq.pos((instr.var, instr.val))
-            if rank is None:
-                continue  # a pivot missing from omega: the write is disabled
-            if rank < view.phi_p:
-                phl = max(view.phi_l_max, rank)
-                out.append((PivotLabel("write1", instr),
-                            View(q2, view.value,
-                                 _replace(view.lw, i, instr.val), view.omega,
-                                 view.phi_e, _replace(view.phi_l, i, phl),
-                                 view.phi_p)))
-            elif rank == view.phi_p:
-                out.append((PivotLabel("write2", instr),
-                            initial_view(proc, mem, adt, view.omega, view.phi_p + 1)))
-        elif instr.kind == "rd":
-            i = var_index[instr.var]
-            if view.lw[i] == instr.val:
-                out.append((PivotLabel("read1", instr),
-                            View(q2, view.value, view.lw, view.omega,
-                                 view.phi_e, view.phi_l, view.phi_p)))
-            if instr.val == mem.d_init and view.lw[i] is None:
-                vr = _var_rank(view.omega, instr.var)
-                if vr is None or vr > view.phi_e:
-                    out.append((PivotLabel("read2", instr),
-                                View(q2, view.value, view.lw, view.omega,
-                                     view.phi_e, view.phi_l, view.phi_p)))
-            rank = seq.pos((instr.var, instr.val))
-            if rank is not None and rank < view.phi_p:
-                phe = max(view.phi_e, view.phi_l[i], rank)
-                out.append((PivotLabel("read3", instr),
-                            View(q2, view.value, view.lw, view.omega,
-                                 phe, view.phi_l, view.phi_p)))
-        elif instr.kind == "mf":
-            out.append((PivotLabel("fence", instr),
-                        View(q2, view.value, view.lw, view.omega,
-                             max(view.phi_e, view.phi_l_max), view.phi_l,
-                             view.phi_p)))
-        elif instr.kind == "op":
-            for v2 in sorted(step_unchecked(adt, view.value, instr.op), key=repr):
-                out.append((PivotLabel("op", instr),
-                            View(q2, v2, view.lw, view.omega,
-                                 view.phi_e, view.phi_l, view.phi_p)))
-    return out
+    return _view_successors(_pivot_rules(proc, mem, adt), view)
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +221,6 @@ def parse_omega(line: str) -> tuple[Message, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class _LazyState:
-    state: str
-    value: AdtValue
-    lw: tuple[int | None, ...]
-    phi_e: int
-    phi_l: tuple[int, ...]
-    prefix: tuple[Message, ...]  # pivots already provided; phi_p = len + 1
-
-
 def pivot_reach(
     proc: ProcessDescription,
     mem: MemorySpec,
@@ -212,173 +234,29 @@ def pivot_reach(
     out, in which case the verdict degrades to inconclusive.  Every rule
     only consults ranks below the progress pointer, so a branch carries the
     provided prefix of omega instead of a full guessed sequence; a finished
-    provider extends the prefix with its pivot.
+    provider extends the prefix with its pivot.  A reachable witness is
+    replayed with replay_pivot before it is returned.
     """
     t0 = time.monotonic()
-    var_index = {x: i for i, x in enumerate(mem.variables)}
     nvars = len(mem.variables)
-    by_state: dict[str, list] = {q: [] for q in proc.states}
-    for q, instr, q2 in proc.delta:
-        by_state[q].append((instr, q2))
     init = _LazyState(proc.q_init, adt.initial_value(), (None,) * nvars,
                       0, (0,) * nvars, ())
-    parents: dict = {init: None}
-    frontier = [init]
-    explored = 0
-    pruned = False
-
-    def finish(outcome, witness=None, closed=True):
-        return Verdict(outcome, witness=witness,
-                       stats=Stats(explored, len(parents),
-                                   int((time.monotonic() - t0) * 1000)),
-                       closed=closed)
-
-    def witness_for(s: _LazyState):
-        labels = []
-        k = s
-        while parents[k] is not None:
-            k, lab = parents[k]
-            labels.append(lab)
-        labels.reverse()
-        return (format_omega(s.prefix),) + tuple(str(l) for l in labels)
-
-    if proc.q_init == proc.q_final:
-        return finish(REACHABLE, witness=witness_for(init))
-
-    while frontier:
-        next_frontier = []
-        for s in frontier:
-            phi_p = len(s.prefix) + 1
-            phi_l_max = max(s.phi_l, default=0)
-            prefix_rank = {m: i + 1 for i, m in enumerate(s.prefix)}
-            succs: list[tuple[PivotLabel, _LazyState]] = []
-            for instr, q2 in by_state[s.state]:
-                if instr.kind == "skip":
-                    succs.append((PivotLabel("skip", instr),
-                                  _LazyState(q2, s.value, s.lw, s.phi_e, s.phi_l, s.prefix)))
-                elif instr.kind == "wr":
-                    m = (instr.var, instr.val)
-                    i = var_index[instr.var]
-                    if m in prefix_rank:
-                        phl = max(phi_l_max, prefix_rank[m])
-                        succs.append((PivotLabel("write1", instr),
-                                      _LazyState(q2, s.value, _replace(s.lw, i, instr.val),
-                                                 s.phi_e, _replace(s.phi_l, i, phl), s.prefix)))
-                    else:
-                        # this write becomes the next pivot; a fresh provider
-                        # takes over with the extended prefix
-                        succs.append((PivotLabel("write2", instr),
-                                      _LazyState(proc.q_init, adt.initial_value(),
-                                                 (None,) * nvars, 0, (0,) * nvars,
-                                                 s.prefix + (m,))))
-                elif instr.kind == "rd":
-                    m = (instr.var, instr.val)
-                    i = var_index[instr.var]
-                    if s.lw[i] == instr.val:
-                        succs.append((PivotLabel("read1", instr),
-                                      _LazyState(q2, s.value, s.lw, s.phi_e, s.phi_l, s.prefix)))
-                    if instr.val == mem.d_init and s.lw[i] is None:
-                        vr = min((r for mm, r in prefix_rank.items() if mm[0] == instr.var),
-                                 default=None)
-                        if vr is None or vr > s.phi_e:
-                            succs.append((PivotLabel("read2", instr),
-                                          _LazyState(q2, s.value, s.lw, s.phi_e, s.phi_l,
-                                                     s.prefix)))
-                    if m in prefix_rank:
-                        phe = max(s.phi_e, s.phi_l[i], prefix_rank[m])
-                        succs.append((PivotLabel("read3", instr),
-                                      _LazyState(q2, s.value, s.lw, phe, s.phi_l, s.prefix)))
-                elif instr.kind == "mf":
-                    succs.append((PivotLabel("fence", instr),
-                                  _LazyState(q2, s.value, s.lw,
-                                             max(s.phi_e, phi_l_max), s.phi_l, s.prefix)))
-                elif instr.kind == "op":
-                    for v2 in sorted(step_unchecked(adt, s.value, instr.op), key=repr):
-                        succs.append((PivotLabel("op", instr),
-                                      _LazyState(q2, v2, s.lw, s.phi_e, s.phi_l, s.prefix)))
-            for label, s2 in succs:
-                if s2 in parents:
-                    continue
-                if value_bound is not None and value_size(adt, s2.value) > value_bound:
-                    pruned = True
-                    continue
-                parents[s2] = (s, label)
-                explored += 1
-                if s2.state == proc.q_final:
-                    return finish(REACHABLE, witness=witness_for(s2))
-                if explored >= budget:
-                    return finish(INCONCLUSIVE, closed=False)
-                next_frontier.append(s2)
-        frontier = next_frontier
-    if pruned:
-        return finish(INCONCLUSIVE, closed=False)
-    return finish(UNREACHABLE)
-
-
-def differentiated_words(messages: tuple[Message, ...], max_len: int | None = None):
-    """All differentiated words over the messages, shortest first, each
-    length block in lexicographic order."""
-    import itertools
-
-    msgs = sorted(messages)
-    top = len(msgs) if max_len is None else min(max_len, len(msgs))
-    for length in range(top + 1):
-        yield from itertools.permutations(msgs, length)
-
-
-def pivot_reach_enumerated(
-    proc: ProcessDescription,
-    mem: MemorySpec,
-    adt: AdtSpec,
-    value_bound: int | None = None,
-    budget: int = 2_000_000,
-) -> Verdict:
-    """Reference engine: one explicit search per update sequence."""
-    t0 = time.monotonic()
-    explored = 0
-    iterations = 0
-    pruned = False
-    for omega in differentiated_words(mem.messages()):
-        iterations += 1
-        v0 = initial_view(proc, mem, adt, omega, 1)
-        parents: dict = {v0: None}
-        frontier = [v0]
-        if proc.q_final == v0.state:
-            return Verdict(REACHABLE, witness=(format_omega(omega),),
-                           stats=Stats(explored, iterations, 0))
-        while frontier:
-            next_frontier = []
-            for view in frontier:
-                for label, v2 in pivot_step(view, proc, mem, adt):
-                    if v2 in parents:
-                        continue
-                    if value_bound is not None and value_size(adt, v2.value) > value_bound:
-                        pruned = True
-                        continue
-                    parents[v2] = (view, label)
-                    explored += 1
-                    if explored >= budget:
-                        return Verdict(INCONCLUSIVE,
-                                       stats=Stats(explored, iterations, 0), closed=False)
-                    if v2.state == proc.q_final:
-                        labels = []
-                        k = v2
-                        while parents[k] is not None:
-                            k, lab = parents[k]
-                            labels.append(lab)
-                        labels.reverse()
-                        millis = int((time.monotonic() - t0) * 1000)
-                        return Verdict(REACHABLE,
-                                       witness=(format_omega(omega),)
-                                       + tuple(str(l) for l in labels),
-                                       stats=Stats(explored, iterations, millis))
-                    next_frontier.append(v2)
-            frontier = next_frontier
-    millis = int((time.monotonic() - t0) * 1000)
-    if pruned:
-        return Verdict(INCONCLUSIVE, stats=Stats(explored, iterations, millis),
-                       closed=False)
-    return Verdict(UNREACHABLE, stats=Stats(explored, iterations, millis))
+    prune = None
+    if value_bound is not None:
+        def prune(s: _LazyState) -> bool:
+            return value_size(adt, s.value) > value_bound
+    final = proc.q_final
+    r = explore(init, _pivot_rules(proc, mem, adt), lambda s: s.state == final,
+                budget=budget, prune=prune)
+    witness = None
+    if r.outcome == REACHED:
+        witness = (format_omega(r.final.prefix),) + tuple(str(l) for l in r.path)
+        try:
+            replay_pivot(proc, mem, adt, witness, require_final=final)
+        except PivotError as e:
+            raise WitnessError(f"pivot witness does not replay: {e}") from e
+    return r.verdict(Stats(r.explored, r.seen, int((time.monotonic() - t0) * 1000)),
+                     witness)
 
 
 def parse_pivot_witness(witness: tuple[str, ...]):
@@ -400,13 +278,14 @@ def replay_pivot(
     witness: tuple[str, ...],
     require_final: str | None = None,
 ) -> View:
-    """Replay a pivot witness under pivot_step with its full omega.
+    """Replay a pivot witness under the pivot rules with its full omega.
 
     Backtracks over successors sharing the same rule and instruction (two
     process transitions may carry identical instructions); with
     require_final set, only completions ending in that state count.
     """
     omega, steps = parse_pivot_witness(witness)
+    rules = _pivot_rules(proc, mem, adt)
     init = initial_view(proc, mem, adt, omega, 1)
     stack = [(init, 0)]
     while stack:
@@ -416,7 +295,7 @@ def replay_pivot(
                 return view
             continue
         rule, instr = steps[i]
-        for lab, v2 in reversed(pivot_step(view, proc, mem, adt)):
+        for lab, v2 in reversed(_view_successors(rules, view)):
             if lab.rule == rule and lab.instr == instr:
                 stack.append((v2, i + 1))
-    raise PivotError("witness does not replay under pivot_step")
+    raise PivotError("witness does not replay under the pivot rules")

@@ -8,11 +8,16 @@ solve_petri       net encoding + backward coverability
 solve_wsts        generic backward search over the product well-ordering
 explore_bounded   value-size-bounded search for the remaining types
 
-Every reachable verdict carries a witness that replays under rm_step.
+solve_finite, solve_counter and explore_bounded run the breadth-first
+kernel verdict.explore over rm_step.  Every reachable verdict carries a
+witness that replays under rm_step; solve_stack replays its own before
+returning it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import time
 
@@ -44,7 +49,17 @@ from .model import (
 )
 from .pds import PdsRule, PushdownSystem, pre_star
 from .translate import encode_rm_to_coverability_labelled
-from .verdict import INCONCLUSIVE, REACHABLE, UNREACHABLE, Stats, Verdict
+from .verdict import (
+    CLOSED,
+    INCONCLUSIVE,
+    PRUNED,
+    REACHABLE,
+    UNREACHABLE,
+    Stats,
+    Verdict,
+    WitnessError,
+    explore,
+)
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -57,68 +72,29 @@ def format_rm_label(edge: RmEdge) -> str:
 
 
 def _bfs(
-    rm: RegisterMachine,
-    value_bound: int | None,
-    budget: int,
-    block_above: int | None = None,
-):
-    """Shared search core.
+    rm: RegisterMachine, budget: int, bound: int | None = None, blocked: bool = False
+) -> Verdict:
+    """explore over rm_step; stats.iterations is the number of layers expanded.
 
-    value_bound prunes (recorded as lost coverage); block_above treats
-    larger counter values as nonexistent by design (no coverage loss is
-    recorded, the caller supplies the completeness argument).
+    Configurations whose value is larger than bound are pruned, which is
+    lost coverage: the search can then only end inconclusive.  With blocked
+    set, such values do not exist by design (the caller supplies the
+    completeness argument), so pruning them loses nothing.
     """
     t0 = time.monotonic()
-    init = rm.initial_configuration()
-    parents: dict = {init: None}
-    frontier = [init]
-    explored = 0
-    pruned = False
-    depth = 0
-
-    def verdict(outcome, witness=None, closed=True):
-        return Verdict(
-            outcome,
-            witness=witness,
-            stats=Stats(explored, depth, int((time.monotonic() - t0) * 1000)),
-            closed=closed,
-        )
-
-    def witness_for(c):
-        labels = []
-        k = c
-        while parents[k] is not None:
-            k, lab = parents[k]
-            labels.append(lab)
-        labels.reverse()
-        return tuple(format_rm_label(l) for l in labels)
-
-    if init.state == rm.q_target:
-        return verdict(REACHABLE, witness=())
-    while frontier:
-        depth += 1
-        next_frontier = []
-        for c in frontier:
-            for label, c2 in rm_step(rm, c):
-                if c2 in parents:
-                    continue
-                size = value_size(rm.adt, c2.value)
-                if block_above is not None and size > block_above:
-                    continue
-                if value_bound is not None and size > value_bound:
-                    pruned = True
-                    continue
-                parents[c2] = (c, label)
-                explored += 1
-                if c2.state == rm.q_target:
-                    return verdict(REACHABLE, witness=witness_for(c2))
-                if explored >= budget:
-                    return verdict(INCONCLUSIVE, closed=False)
-                next_frontier.append(c2)
-        frontier = next_frontier
-    if pruned:
-        return verdict(INCONCLUSIVE, closed=False)
-    return verdict(UNREACHABLE)
+    adt = rm.adt
+    prune = None
+    if bound is not None:
+        def prune(c):
+            return value_size(adt, c.value) > bound
+    target = rm.q_target
+    r = explore(rm.initial_configuration(), functools.partial(rm_step, rm),
+                lambda c: c.state == target, budget=budget, prune=prune)
+    if blocked and r.outcome == PRUNED:
+        r = dataclasses.replace(r, outcome=CLOSED)
+    witness = None if r.path is None else tuple(format_rm_label(l) for l in r.path)
+    return r.verdict(Stats(r.explored, r.depth, int((time.monotonic() - t0) * 1000)),
+                     witness)
 
 
 def solve_finite(
@@ -130,7 +106,7 @@ def solve_finite(
     are treated as blocked (not merely pruned), so verdicts stay exact for
     the capped semantics.
     """
-    return _bfs(rm, value_bound=None, budget=budget, block_above=value_cap)
+    return _bfs(rm, budget, bound=value_cap, blocked=True)
 
 
 def explore_bounded(
@@ -142,7 +118,7 @@ def explore_bounded(
     value was pruned (closure proven); otherwise the verdict is
     inconclusive.
     """
-    return _bfs(rm, value_bound=value_bound, budget=budget)
+    return _bfs(rm, budget, bound=value_bound)
 
 
 def counter_cutoff(rm: RegisterMachine) -> int:
@@ -175,7 +151,7 @@ def solve_counter(
         adt=rm.adt,
         delta=rm.delta + ((rm.q_target, AdtOp("dec"), rm.q_target),),
     )
-    v = _bfs(augmented, value_bound=None, budget=budget, block_above=effective)
+    v = _bfs(augmented, budget, bound=effective, blocked=True)
     if v.outcome == UNREACHABLE and effective < bound:
         return Verdict(INCONCLUSIVE, stats=v.stats, closed=False)
     return v
@@ -377,9 +353,12 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     if not result.accepts(*start):
         return Verdict(UNREACHABLE, stats=stats(iterations))
     labels = result.witness(*start)
-    final = replay_rm(rm, labels)
-    if final.state != rm.q_target:
-        raise ModelError(f"stack witness ends in {final.state}, not the target")
+    try:
+        final = replay_rm(rm, labels).state
+    except ModelError as e:
+        raise WitnessError(f"stack witness does not replay: {e}") from e
+    if final != rm.q_target:
+        raise WitnessError(f"stack witness ends in {final}, not the target")
     return Verdict(
         REACHABLE,
         witness=tuple(format_rm_label(l) for l in labels),
@@ -392,7 +371,7 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
 
 
 def _petri_backward(
-    rm: RegisterMachine, record_history: bool, budget: int | None = None
+    rm: RegisterMachine, budget: int | None = None, record_history: bool = False
 ) -> tuple[BackwardResult, dict]:
     inst, labelmap, invariants = encode_rm_to_coverability_labelled(rm)
     by_output: dict[str, list] = {}
@@ -442,11 +421,7 @@ def _petri_backward(
     return res, labelmap
 
 
-def solve_petri(
-    rm: RegisterMachine,
-    record_history: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> Verdict:
+def solve_petri(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Exact reachability for tier-I petri machines via coverability.
 
     Verdicts are exact unless the basis exploration exceeds the budget,
@@ -454,7 +429,7 @@ def solve_petri(
     nets stabilize in a handful of iterations).
     """
     t0 = time.monotonic()
-    res, labelmap = _petri_backward(rm, record_history, budget)
+    res, labelmap = _petri_backward(rm, budget)
     millis = int((time.monotonic() - t0) * 1000)
     stats = Stats(res.explored, res.iterations, millis)
     if res.exhausted:
@@ -463,12 +438,6 @@ def solve_petri(
         return Verdict(UNREACHABLE, stats=stats)
     labels = tuple(format_rm_label(labelmap[name]) for name in res.chain)
     return Verdict(REACHABLE, witness=labels, stats=stats)
-
-
-def petri_backward_history(rm: RegisterMachine) -> list:
-    """Basis snapshots per backward iteration (antichain invariant hook)."""
-    res, _ = _petri_backward(rm, record_history=True)
-    return res.history
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +460,7 @@ def _register_preimages(
 
 
 def _wsts_backward(
-    rm: RegisterMachine, record_history: bool, budget: int | None = None
+    rm: RegisterMachine, budget: int | None = None, record_history: bool = False
 ) -> BackwardResult:
     spec = rm.adt
     bottom = min_value(spec)
@@ -540,11 +509,7 @@ def _wsts_backward(
     )
 
 
-def solve_wsts(
-    rm: RegisterMachine,
-    record_history: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> Verdict:
+def solve_wsts(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Backward reachability over (state, registers) x value order.
 
     Needs a data type whose step relation is monotone w.r.t. its WQO;
@@ -557,7 +522,7 @@ def solve_wsts(
             f"solve_wsts needs a monotone well-structured data type, not {rm.adt.kind}"
         )
     t0 = time.monotonic()
-    res = _wsts_backward(rm, record_history, budget)
+    res = _wsts_backward(rm, budget)
     millis = int((time.monotonic() - t0) * 1000)
     stats = Stats(res.explored, res.iterations, millis)
     if res.exhausted:
@@ -569,10 +534,6 @@ def solve_wsts(
         witness=tuple(format_rm_label(l) for l in res.chain),
         stats=stats,
     )
-
-
-def wsts_backward_history(rm: RegisterMachine) -> list:
-    return _wsts_backward(rm, record_history=True).history
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .adt import AdtOp, AdtSpec, AdtValue, step_unchecked, value_size
 from .model import MemorySpec, Message, ProcessDescription
-from .verdict import INCONCLUSIVE, REACHABLE, Stats, Verdict
+from .verdict import INCONCLUSIVE, REACHABLE, REACHED, Stats, Verdict, WitnessError, explore
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,50 @@ def _replace(t: tuple, i: int, v) -> tuple:
     return t[:i] + (v,) + t[i + 1 :]
 
 
+def _tso_rules(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec):
+    """The six rule families of one program, indexed once: a function from
+    a configuration to its (label, successor) pairs."""
+    var_index = {x: i for i, x in enumerate(mem.variables)}
+    by_state: dict[str, list] = {q: [] for q in proc.states}
+    for q, instr, q2 in proc.delta:
+        by_state[q].append((instr, q2))
+
+    def successors(cfg: TsoConfiguration) -> list[tuple[TsoLabel, TsoConfiguration]]:
+        out: list[tuple[TsoLabel, TsoConfiguration]] = []
+        values, buffers, memory = cfg.values, cfg.buffers, cfg.memory
+        for i in range(cfg.n):
+            buf = buffers[i]
+            for instr, q2 in by_state[cfg.states[i]]:
+                states = _replace(cfg.states, i, q2)
+                # skip, and a fence once the buffer is empty, only move process i
+                if instr.kind == "skip" or (instr.kind == "mf" and not buf):
+                    out.append((TsoLabel(i, instr.kind),
+                                TsoConfiguration(states, values, buffers, memory)))
+                elif instr.kind == "wr":
+                    nb = ((instr.var, instr.val),) + buf
+                    out.append((TsoLabel(i, "wr", instr.var, instr.val),
+                                TsoConfiguration(states, values, _replace(buffers, i, nb),
+                                                 memory)))
+                elif instr.kind == "rd":
+                    if rval(buf, memory[var_index[instr.var]], instr.var) == instr.val:
+                        out.append((TsoLabel(i, "rd", instr.var, instr.val),
+                                    TsoConfiguration(states, values, buffers, memory)))
+                elif instr.kind == "op":
+                    for v2 in sorted(step_unchecked(adt, values[i], instr.op), key=repr):
+                        out.append((TsoLabel(i, "op", op=instr.op),
+                                    TsoConfiguration(states, _replace(values, i, v2),
+                                                     buffers, memory)))
+            if buf:
+                # memory update: dequeue the oldest message, write it to memory
+                x, d = buf[-1]
+                out.append((TsoLabel(i, "upd", x, d),
+                            TsoConfiguration(cfg.states, values, _replace(buffers, i, buf[:-1]),
+                                             _replace(memory, var_index[x], d))))
+        return out
+
+    return successors
+
+
 def tso_step(
     cfg: TsoConfiguration,
     proc: ProcessDescription,
@@ -85,54 +129,7 @@ def tso_step(
     adt: AdtSpec,
 ) -> list[tuple[TsoLabel, TsoConfiguration]]:
     """All successors under the six rule families."""
-    var_index = {x: i for i, x in enumerate(mem.variables)}
-    out: list[tuple[TsoLabel, TsoConfiguration]] = []
-    for i in range(cfg.n):
-        buf = cfg.buffers[i]
-        for q, instr, q2 in proc.delta:
-            if q != cfg.states[i]:
-                continue
-            if instr.kind == "skip":
-                out.append(
-                    (TsoLabel(i, "skip"), TsoConfiguration(
-                        _replace(cfg.states, i, q2), cfg.values, cfg.buffers, cfg.memory))
-                )
-            elif instr.kind == "wr":
-                nb = ((instr.var, instr.val),) + buf
-                out.append(
-                    (TsoLabel(i, "wr", instr.var, instr.val), TsoConfiguration(
-                        _replace(cfg.states, i, q2), cfg.values,
-                        _replace(cfg.buffers, i, nb), cfg.memory))
-                )
-            elif instr.kind == "rd":
-                if rval(buf, cfg.memory[var_index[instr.var]], instr.var) == instr.val:
-                    out.append(
-                        (TsoLabel(i, "rd", instr.var, instr.val), TsoConfiguration(
-                            _replace(cfg.states, i, q2), cfg.values, cfg.buffers, cfg.memory))
-                    )
-            elif instr.kind == "mf":
-                if not buf:
-                    out.append(
-                        (TsoLabel(i, "mf"), TsoConfiguration(
-                            _replace(cfg.states, i, q2), cfg.values, cfg.buffers, cfg.memory))
-                    )
-            elif instr.kind == "op":
-                for v2 in sorted(step_unchecked(adt, cfg.values[i], instr.op), key=repr):
-                    out.append(
-                        (TsoLabel(i, "op", op=instr.op), TsoConfiguration(
-                            _replace(cfg.states, i, q2),
-                            _replace(cfg.values, i, v2), cfg.buffers, cfg.memory))
-                    )
-        if buf:
-            # memory update: dequeue the oldest message, write it to memory
-            x, d = buf[-1]
-            out.append(
-                (TsoLabel(i, "upd", x, d), TsoConfiguration(
-                    cfg.states, cfg.values,
-                    _replace(cfg.buffers, i, buf[:-1]),
-                    _replace(cfg.memory, var_index[x], d)))
-            )
-    return out
+    return _tso_rules(proc, mem, adt)(cfg)
 
 
 @dataclass(frozen=True)
@@ -165,51 +162,35 @@ def bounded_reach(
     """Breadth-first search of the concrete semantics within the bounds.
 
     The verdict is reachable-with-witness or inconclusive; it never claims
-    unreachability because the bounds truncate the space.
+    unreachability because the bounds truncate the space.  A witness is
+    replayed with replay_tso before it is returned.
     """
     t0 = time.monotonic()
+    rules = _tso_rules(proc, mem, adt)
+
+    def successors(cfg: TsoConfiguration):
+        return [(label, c2) for label, c2 in rules(cfg)
+                if all(len(b) <= bounds.buffer_max for b in c2.buffers)
+                and all(value_size(adt, v) <= bounds.adt_size_max for v in c2.values)]
+
+    final = proc.q_final
     explored = 0
     for n in range(1, bounds.n_max + 1):
-        init = initial_configuration(proc, mem, adt, n)
-        if proc.q_final in init.states:
+        r = explore(initial_configuration(proc, mem, adt, n), successors,
+                    lambda cfg: final in cfg.states, key=_canonical_key,
+                    max_depth=bounds.step_max)
+        explored += r.explored
+        if r.outcome == REACHED:
+            witness = tuple(str(label) for label in r.path)
+            try:
+                replay_tso(proc, mem, adt, n, witness, require_final=final)
+            except ValueError as e:
+                raise WitnessError(f"oracle witness does not replay: {e}") from e
             return Verdict(
-                REACHABLE, witness=(),
+                REACHABLE, witness=witness,
                 stats=Stats(explored, n, int((time.monotonic() - t0) * 1000)),
                 closed=False,
             )
-        key0 = _canonical_key(init)
-        parents: dict = {key0: None}
-        frontier = [(init, key0)]
-        for _depth in range(bounds.step_max):
-            next_frontier = []
-            for cfg, key in frontier:
-                for label, succ in tso_step(cfg, proc, mem, adt):
-                    if any(len(b) > bounds.buffer_max for b in succ.buffers):
-                        continue
-                    if any(value_size(adt, v) > bounds.adt_size_max for v in succ.values):
-                        continue
-                    skey = _canonical_key(succ)
-                    if skey in parents:
-                        continue
-                    parents[skey] = (key, label)
-                    explored += 1
-                    if proc.q_final in succ.states:
-                        labels = []
-                        k = skey
-                        while parents[k] is not None:
-                            k, lab = parents[k]
-                            labels.append(lab)
-                        labels.reverse()
-                        return Verdict(
-                            REACHABLE,
-                            witness=tuple(str(l) for l in labels),
-                            stats=Stats(explored, n, int((time.monotonic() - t0) * 1000)),
-                            closed=False,
-                        )
-                    next_frontier.append((succ, skey))
-            frontier = next_frontier
-            if not frontier:
-                break
     return Verdict(
         INCONCLUSIVE,
         stats=Stats(explored, bounds.n_max, int((time.monotonic() - t0) * 1000)),
@@ -247,6 +228,7 @@ def replay_tso(
     process sits in that state are accepted.
     """
     parsed = [parse_tso_label(l) if isinstance(l, str) else l for l in labels]
+    rules = _tso_rules(proc, mem, adt)
     init = initial_configuration(proc, mem, adt, n)
     stack = [(init, 0)]
     while stack:
@@ -255,7 +237,7 @@ def replay_tso(
             if require_final is None or require_final in cfg.states:
                 return cfg
             continue
-        for lab, c2 in reversed(tso_step(cfg, proc, mem, adt)):
+        for lab, c2 in reversed(rules(cfg)):
             if lab == parsed[i]:
                 stack.append((c2, i + 1))
     raise ValueError("witness does not replay under tso_step")

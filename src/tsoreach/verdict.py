@@ -1,4 +1,5 @@
-"""Result container shared by the oracle, the pivot search and the solvers."""
+"""Verdicts and the breadth-first search kernel shared by the oracle, the
+pivot search and the solvers."""
 
 from __future__ import annotations
 
@@ -7,6 +8,13 @@ from dataclasses import dataclass, field
 REACHABLE = "reachable"
 UNREACHABLE = "unreachable"
 INCONCLUSIVE = "inconclusive"
+
+
+class WitnessError(RuntimeError):
+    """A reachable witness that does not replay under its own semantics.
+
+    This is a fault of the program, never of its input.
+    """
 
 
 @dataclass(frozen=True)
@@ -51,3 +59,94 @@ class Verdict:
         if include_millis:
             lines.append(f"  millis: {self.stats.millis}")
         return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Breadth-first search kernel
+
+REACHED = "reached"
+BUDGET = "budget"
+PRUNED = "pruned"
+CLOSED = "closed"
+
+
+@dataclass(frozen=True)
+class Search:
+    """What explore found.
+
+    outcome is one of
+      reached  final is a target and path lists the labels leading to it;
+      budget   the state budget or max_depth stopped the search while
+               states were left unexpanded;
+      pruned   every kept state was expanded, but prune dropped some;
+      closed   every reachable state was expanded and none is a target.
+    explored counts the states recorded after the initial one, depth the
+    layers expanded, and seen every recorded state (the parents map).
+    """
+
+    outcome: str
+    path: tuple | None
+    final: object
+    explored: int
+    depth: int
+    seen: int
+
+    def verdict(self, stats: Stats, witness: tuple[str, ...] | None = None) -> Verdict:
+        """reached is reachable with the witness, closed is unreachable, and a
+        search stopped by a limit or by pruning is inconclusive."""
+        if self.outcome == REACHED:
+            return Verdict(REACHABLE, witness=witness, stats=stats)
+        if self.outcome == CLOSED:
+            return Verdict(UNREACHABLE, stats=stats)
+        return Verdict(INCONCLUSIVE, stats=stats, closed=False)
+
+
+def explore(init, successors, is_target, budget=None, prune=None, key=None,
+            max_depth=None) -> Search:
+    """Breadth-first search from init, layer by layer.
+
+    successors(s) lists (label, s2) pairs in a fixed order, so the search
+    and its witness are deterministic.  States with equal key(s) (the state
+    itself by default) are one state.  Each successor is checked in this
+    order: already seen, skipped; pruned (prune(s2) true), dropped, and the
+    search can no longer be closed; recorded with its parent; a target,
+    reached; the budget-th recorded state, budget.  max_depth bounds the
+    number of layers expanded.
+    """
+    # parents maps a key to (parent state, label); the witness unwinds
+    # through the parents' keys
+    parents: dict = {init if key is None else key(init): None}
+    explored = depth = 0
+    pruned = False
+    if is_target(init):
+        return Search(REACHED, (), init, 0, 0, 1)
+    frontier = [init]
+    while frontier and (max_depth is None or depth < max_depth):
+        depth += 1
+        next_frontier = []
+        for s in frontier:
+            for label, s2 in successors(s):
+                k2 = s2 if key is None else key(s2)
+                if k2 in parents:
+                    continue
+                if prune is not None and prune(s2):
+                    pruned = True
+                    continue
+                parents[k2] = (s, label)
+                explored += 1
+                if is_target(s2):
+                    labels = []
+                    entry = parents[k2]
+                    while entry is not None:
+                        parent, label = entry
+                        labels.append(label)
+                        entry = parents[parent if key is None else key(parent)]
+                    labels.reverse()
+                    return Search(REACHED, tuple(labels), s2, explored, depth,
+                                  len(parents))
+                if budget is not None and explored >= budget:
+                    return Search(BUDGET, None, None, explored, depth, len(parents))
+                next_frontier.append(s2)
+        frontier = next_frontier
+    outcome = BUDGET if frontier else PRUNED if pruned else CLOSED
+    return Search(outcome, None, None, explored, depth, len(parents))

@@ -1,16 +1,41 @@
-"""Independent oracles used across the test suite.
+"""Independent oracles and test-only helpers used across the test suite.
 
-These deliberately re-implement the semantics they check with the dumbest
-possible data structures, so a bug in the library's step functions cannot
-hide in the oracle as well.
+The oracles deliberately re-implement the semantics they check with the
+dumbest possible data structures, so a bug in the library's step functions
+cannot hide in the oracle as well.  The helpers (value enumeration,
+minimal-predecessor bases, backward-search history) exist only for tests
+and so live here rather than in the package.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
+from dataclasses import dataclass, field
 
-from tsoreach.adt import AdtOp, step_unchecked
-from tsoreach.model import RegisterMachine
+from tsoreach.adt import (
+    AdtError,
+    AdtOp,
+    AdtSpec,
+    AdtValue,
+    _ho_size,
+    mk_marking,
+    pre_upward_element,
+    step_unchecked,
+    value_size,
+    wqo_leq,
+)
+from tsoreach.model import MemorySpec, Message, ProcessDescription, RegisterMachine
+from tsoreach.pivot import (
+    PivotLabel,
+    UpdateSequence,
+    View,
+    _replace,
+    format_omega,
+    initial_view,
+)
+from tsoreach.solvers import _petri_backward, _wsts_backward
+from tsoreach.verdict import INCONCLUSIVE, REACHABLE, UNREACHABLE, Stats, Verdict
 
 
 def rm_reachable_brute(rm: RegisterMachine) -> bool:
@@ -156,3 +181,257 @@ def pre_star_fixpoint(pds, targets, sink):
                 trans |= new
                 changed = True
     return trans
+
+
+# ---------------------------------------------------------------------------
+# Data-type values and minimal-predecessor bases
+
+
+def enumerate_values(spec: AdtSpec, max_size: int) -> list:
+    """All well-formed values of size <= max_size."""
+    kind = spec.kind
+    if kind == "trivial":
+        return [()]
+    if kind in ("counter", "weak-counter"):
+        return list(range(max_size + 1))
+    if kind == "stack":
+        return [
+            w
+            for n in range(max_size + 1)
+            for w in itertools.product(spec.alphabet, repeat=n)
+        ]
+    if kind == "petri":
+        out = []
+        places = spec.places
+        for counts in itertools.product(range(max_size + 1), repeat=len(places)):
+            if sum(counts) <= max_size:
+                out.append(mk_marking(dict(zip(places, counts))))
+        return sorted(set(out))
+    if kind == "multi-stack":
+        words = [
+            w
+            for n in range(max_size + 1)
+            for w in itertools.product(spec.alphabet, repeat=n)
+        ]
+        return [
+            v
+            for v in itertools.product(words, repeat=spec.count)
+            if sum(len(s) for s in v) <= max_size
+        ]
+    if kind in ("ho-stack", "ho-counter", "ho-weak-counter"):
+        return _enumerate_ho(spec.effective_alphabet, spec.level, max_size)
+    raise AdtError(kind)
+
+
+def _enumerate_ho(alphabet: tuple[str, ...], level: int, max_size: int) -> list:
+    if level == 1:
+        return [
+            w
+            for n in range(max_size + 1)
+            for w in itertools.product(alphabet, repeat=n)
+        ]
+    out: list = [()]
+    elems = _enumerate_ho(alphabet, level - 1, max_size - 1)
+    frontier: list[tuple] = [()]
+    while frontier:
+        nxt = []
+        for stack in frontier:
+            used = _ho_size(stack, level)
+            for e in elems:
+                s = used + 1 + _ho_size(e, level - 1)
+                if s <= max_size:
+                    nxt.append(stack + (e,))
+        out += nxt
+        frontier = nxt
+    return out
+
+
+@dataclass(frozen=True)
+class UpwardBasis:
+    """A finite antichain of values denoting its upward closure."""
+
+    elements: frozenset = field(default_factory=frozenset)
+
+    @staticmethod
+    def of(spec: AdtSpec, elements) -> "UpwardBasis":
+        return UpwardBasis(frozenset(minimize(spec, elements)))
+
+    def contains(self, spec: AdtSpec, v: AdtValue) -> bool:
+        return any(wqo_leq(spec, b, v) for b in self.elements)
+
+
+def minimize(spec: AdtSpec, elements) -> list:
+    """Drop elements dominated by another (keep one copy of equals)."""
+    elems = sorted(set(elements), key=repr)
+    out: list = []
+    for e in elems:
+        if any(wqo_leq(spec, o, e) for o in out):
+            continue
+        out = [o for o in out if not wqo_leq(spec, e, o)]
+        out.append(e)
+    return out
+
+
+def pre_min_upward(spec: AdtSpec, op: AdtOp, basis: UpwardBasis) -> UpwardBasis:
+    """Minimal basis of the predecessors of the basis' upward closure."""
+    pres: list = []
+    for b in basis.elements:
+        pres += pre_upward_element(spec, op, b)
+    return UpwardBasis.of(spec, pres)
+
+
+# ---------------------------------------------------------------------------
+# Backward-search history hooks (antichain invariant checks)
+
+
+def petri_backward_history(rm: RegisterMachine) -> list:
+    """Basis snapshots per backward iteration of the petri backend."""
+    res, _ = _petri_backward(rm, record_history=True)
+    return res.history
+
+
+def wsts_backward_history(rm: RegisterMachine) -> list:
+    """Basis snapshots per backward iteration of the product backend."""
+    return _wsts_backward(rm, record_history=True).history
+
+
+# ---------------------------------------------------------------------------
+# Pivot semantics over a full omega: the literal rules and one search per
+# update sequence, independent of the package's lazy rules and search kernel
+
+
+def _var_rank(omega: tuple[Message, ...], x: str) -> int | None:
+    """Rank of the first message on x in omega (None = never overwritten)."""
+    for i, (var, _) in enumerate(omega):
+        if var == x:
+            return i + 1
+    return None
+
+
+def pivot_step_reference(
+    view: View,
+    proc: ProcessDescription,
+    mem: MemorySpec,
+    adt: AdtSpec,
+) -> list[tuple[PivotLabel, View]]:
+    """All successor views under the pivot inference rules, read literally
+    over the view's full omega."""
+    seq = UpdateSequence(view.omega)
+    var_index = {x: i for i, x in enumerate(mem.variables)}
+    out: list[tuple[PivotLabel, View]] = []
+    for q, instr, q2 in proc.delta:
+        if q != view.state:
+            continue
+        if instr.kind == "skip":
+            out.append((PivotLabel("skip", instr),
+                        View(q2, view.value, view.lw, view.omega,
+                             view.phi_e, view.phi_l, view.phi_p)))
+        elif instr.kind == "wr":
+            i = var_index[instr.var]
+            rank = seq.pos((instr.var, instr.val))
+            if rank is None:
+                continue  # a pivot missing from omega: the write is disabled
+            if rank < view.phi_p:
+                phl = max(view.phi_l_max, rank)
+                out.append((PivotLabel("write1", instr),
+                            View(q2, view.value,
+                                 _replace(view.lw, i, instr.val), view.omega,
+                                 view.phi_e, _replace(view.phi_l, i, phl),
+                                 view.phi_p)))
+            elif rank == view.phi_p:
+                out.append((PivotLabel("write2", instr),
+                            initial_view(proc, mem, adt, view.omega, view.phi_p + 1)))
+        elif instr.kind == "rd":
+            i = var_index[instr.var]
+            if view.lw[i] == instr.val:
+                out.append((PivotLabel("read1", instr),
+                            View(q2, view.value, view.lw, view.omega,
+                                 view.phi_e, view.phi_l, view.phi_p)))
+            if instr.val == mem.d_init and view.lw[i] is None:
+                vr = _var_rank(view.omega, instr.var)
+                if vr is None or vr > view.phi_e:
+                    out.append((PivotLabel("read2", instr),
+                                View(q2, view.value, view.lw, view.omega,
+                                     view.phi_e, view.phi_l, view.phi_p)))
+            rank = seq.pos((instr.var, instr.val))
+            if rank is not None and rank < view.phi_p:
+                phe = max(view.phi_e, view.phi_l[i], rank)
+                out.append((PivotLabel("read3", instr),
+                            View(q2, view.value, view.lw, view.omega,
+                                 phe, view.phi_l, view.phi_p)))
+        elif instr.kind == "mf":
+            out.append((PivotLabel("fence", instr),
+                        View(q2, view.value, view.lw, view.omega,
+                             max(view.phi_e, view.phi_l_max), view.phi_l,
+                             view.phi_p)))
+        elif instr.kind == "op":
+            for v2 in sorted(step_unchecked(adt, view.value, instr.op), key=repr):
+                out.append((PivotLabel("op", instr),
+                            View(q2, v2, view.lw, view.omega,
+                                 view.phi_e, view.phi_l, view.phi_p)))
+    return out
+
+
+def differentiated_words(messages: tuple[Message, ...], max_len: int | None = None):
+    """All differentiated words over the messages, shortest first, each
+    length block in lexicographic order."""
+    msgs = sorted(messages)
+    top = len(msgs) if max_len is None else min(max_len, len(msgs))
+    for length in range(top + 1):
+        yield from itertools.permutations(msgs, length)
+
+
+def pivot_reach_enumerated(
+    proc: ProcessDescription,
+    mem: MemorySpec,
+    adt: AdtSpec,
+    value_bound: int | None = None,
+    budget: int = 2_000_000,
+) -> Verdict:
+    """Reference engine: one explicit search per update sequence, over
+    pivot_step_reference."""
+    t0 = time.monotonic()
+    explored = 0
+    iterations = 0
+    pruned = False
+    for omega in differentiated_words(mem.messages()):
+        iterations += 1
+        v0 = initial_view(proc, mem, adt, omega, 1)
+        parents: dict = {v0: None}
+        frontier = [v0]
+        if proc.q_final == v0.state:
+            return Verdict(REACHABLE, witness=(format_omega(omega),),
+                           stats=Stats(explored, iterations, 0))
+        while frontier:
+            next_frontier = []
+            for view in frontier:
+                for label, v2 in pivot_step_reference(view, proc, mem, adt):
+                    if v2 in parents:
+                        continue
+                    if value_bound is not None and value_size(adt, v2.value) > value_bound:
+                        pruned = True
+                        continue
+                    parents[v2] = (view, label)
+                    explored += 1
+                    if explored >= budget:
+                        return Verdict(INCONCLUSIVE,
+                                       stats=Stats(explored, iterations, 0), closed=False)
+                    if v2.state == proc.q_final:
+                        labels = []
+                        k = v2
+                        while parents[k] is not None:
+                            k, lab = parents[k]
+                            labels.append(lab)
+                        labels.reverse()
+                        millis = int((time.monotonic() - t0) * 1000)
+                        return Verdict(REACHABLE,
+                                       witness=(format_omega(omega),)
+                                       + tuple(str(l) for l in labels),
+                                       stats=Stats(explored, iterations, millis))
+                    next_frontier.append(v2)
+            frontier = next_frontier
+    millis = int((time.monotonic() - t0) * 1000)
+    if pruned:
+        return Verdict(INCONCLUSIVE, stats=Stats(explored, iterations, millis),
+                       closed=False)
+    return Verdict(UNREACHABLE, stats=Stats(explored, iterations, millis))

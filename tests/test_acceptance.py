@@ -10,7 +10,7 @@ import functools
 import random
 import time
 
-from helpers import net_coverable_forward, rm_reachable_brute
+from helpers import net_coverable_forward, petri_backward_history, rm_reachable_brute
 from tsoreach.adt import AdtSpec, wqo_leq
 from tsoreach.dsl import parse_action, parse_machine
 from tsoreach.gen import (
@@ -27,7 +27,6 @@ from tsoreach.solvers import (
     binarize_counter,
     counter_cutoff,
     explore_bounded,
-    petri_backward_history,
     solve_counter,
     solve_finite,
     solve_stack,

@@ -5,18 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import UpwardBasis, enumerate_values, minimize, pre_min_upward
 from tsoreach.adt import (
     AdtError,
     AdtOp,
     AdtSpec,
     PetriTransition,
     UnsupportedOrderError,
-    UpwardBasis,
     adt_step,
-    enumerate_values,
-    minimize,
     mk_marking,
-    pre_min_upward,
     trivial_spec,
     value_size,
     wqo_leq,

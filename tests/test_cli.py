@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -7,9 +8,15 @@ from pathlib import Path
 import pytest
 
 import tsoreach
+import tsoreach.cli
+import tsoreach.pivot
+import tsoreach.tso
 from tsoreach.cli import main
-from tsoreach.dsl import print_machine
+from tsoreach.dsl import parse_program, print_machine
 from tsoreach.gen import random_stack_machine
+from tsoreach.pivot import pivot_reach
+from tsoreach.tso import bounded_reach
+from tsoreach.verdict import REACHED, WitnessError
 
 HANDSHAKE = """\
 memory vars x domain 0..1
@@ -87,6 +94,37 @@ def test_oracle_and_pivot_subcommands(tmp_path, capsys):
     assert code == 0 and out.splitlines()[0] == "verdict: reachable"
     code, out, _ = _run(capsys, "pivot", path, "--format", "lines")
     assert code == 0 and "witness: omega: x=1" in out.splitlines()
+
+
+@pytest.mark.parametrize("command,module", [("pivot", tsoreach.pivot), ("oracle", tsoreach.tso)])
+def test_witness_that_fails_replay_is_an_internal_error(tmp_path, capsys, monkeypatch,
+                                                        command, module):
+    # a search that loses its last step must not print a verdict
+    real = module.explore
+
+    def explore(*args, **kwargs):
+        r = real(*args, **kwargs)
+        return dataclasses.replace(r, path=r.path[:-1]) if r.outcome == REACHED else r
+
+    monkeypatch.setattr(module, "explore", explore)
+    path = _write(tmp_path, "p.tso", HANDSHAKE)
+    prog = parse_program(HANDSHAKE)
+    search = {"pivot": pivot_reach, "oracle": bounded_reach}[command]
+    with pytest.raises(WitnessError):
+        search(prog.proc, prog.mem, prog.adt)
+    code, out, err = _run(capsys, command, path, "--format", "lines")
+    assert (code, out) == (6, "")
+    assert err.startswith("internal error: WitnessError: ")
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(tsoreach.cli, "solve_auto", boom)
+    code, out, err = _run(capsys, "check", _write(tmp_path, "p.tso", HANDSHAKE))
+    assert (code, out) == (6, "")
+    assert err.startswith("internal error: ZeroDivisionError: boom")
 
 
 def test_lines_format_is_deterministic_and_millis_free(tmp_path, capsys):
@@ -297,6 +335,18 @@ def _write_bytes(tmp_path, name, data):
 ], ids=["missing", "directory", "undecodable"])
 def test_unreadable_input_exit_three(tmp_path, capsys, make_path):
     code, out, err = _run(capsys, "check", make_path(tmp_path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda tmp_path: ["gen", "--kind", "program", "--adt", "bogus"],
+    lambda tmp_path: ["check", _write(tmp_path, "p.tso", HANDSHAKE),
+                      "--out", str(tmp_path / "missing" / "report")],
+], ids=["gen-bad-adt", "unwritable-out"])
+def test_errors_outside_the_input_file_exit_three(tmp_path, capsys, make_argv):
+    # these used to escape as a traceback with exit 1, the unreachable code
+    code, out, err = _run(capsys, *make_argv(tmp_path))
     assert code == 3 and out == ""
     assert err.startswith("error: ")
 

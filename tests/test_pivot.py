@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import differentiated_words, pivot_reach_enumerated, pivot_step_reference
 from tsoreach.adt import trivial_spec
 from tsoreach.dsl import parse_program
 from tsoreach.gen import random_program
@@ -11,11 +12,9 @@ from tsoreach.model import MemorySpec, ProcessDescription, mf, rd, wr
 from tsoreach.pivot import (
     PivotError,
     UpdateSequence,
-    differentiated_words,
     initial_view,
     parse_pivot_witness,
     pivot_reach,
-    pivot_reach_enumerated,
     pivot_step,
     replay_pivot,
 )
@@ -295,3 +294,22 @@ def test_write_rule_guards_sampled():
                     assert rank < view.phi_p
                 else:
                     assert rank == view.phi_p
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_pivot_step_matches_the_full_omega_reference(seed):
+    # the lazy rules filtered to a full omega are the literal rules, on every
+    # view the literal rules reach
+    rng = random.Random(300 + seed)
+    mem, adt, proc = random_program(rng, n_states=3, n_vars=2, d_max=1)
+    for omega in differentiated_words(mem.messages(), max_len=3):
+        seen = {initial_view(proc, mem, adt, omega, 1)}
+        frontier = list(seen)
+        while frontier:
+            view = frontier.pop()
+            succs = pivot_step_reference(view, proc, mem, adt)
+            assert pivot_step(view, proc, mem, adt) == succs
+            for _, v2 in succs:
+                if v2 not in seen:
+                    seen.add(v2)
+                    frontier.append(v2)

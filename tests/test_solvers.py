@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from helpers import net_coverable_forward, rm_reachable_brute
+from helpers import (
+    net_coverable_forward,
+    petri_backward_history,
+    rm_reachable_brute,
+    wsts_backward_history,
+)
 from tsoreach.adt import AdtOp, AdtSpec, trivial_spec, wqo_leq
 from tsoreach.gen import (
     random_counter_machine,
@@ -21,19 +26,18 @@ from tsoreach.solvers import (
     binarize_counter,
     counter_cutoff,
     explore_bounded,
-    petri_backward_history,
     solve_auto,
     solve_counter,
     solve_finite,
     solve_petri,
     solve_stack,
     solve_wsts,
-    wsts_backward_history,
 )
 from tsoreach.pds import PreStarResult
 from tsoreach.translate import encode_coverability_to_rm
 from tsoreach.cli import main
 from tsoreach.dsl import parse_action, print_machine
+from tsoreach.verdict import WitnessError
 
 
 def _parse_witness_labels(rm, witness):
@@ -266,13 +270,13 @@ def test_solve_stack_budget_is_inconclusive(tmp_path, capsys):
 def test_solve_stack_rejects_a_witness_that_fails_replay(tmp_path, capsys, monkeypatch):
     rm = random_stack_machine(random.Random(1), 40)
     monkeypatch.setattr(PreStarResult, "witness", lambda self, control, word: [])
-    with pytest.raises(ModelError):
+    with pytest.raises(WitnessError):
         solve_stack(rm)
     path = tmp_path / "stack.rm"
     path.write_text(print_machine(rm))
-    assert main(["check", str(path)]) == 3
+    assert main(["check", str(path)]) == 6
     out = capsys.readouterr()
-    assert out.out == "" and out.err.startswith("error: ")
+    assert out.out == "" and out.err.startswith("internal error: ")
 
 
 @pytest.mark.parametrize("seed", range(20))
