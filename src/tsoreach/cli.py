@@ -1,9 +1,15 @@
 """Command-line front end.
 
-Subcommands: check (translate + solve), oracle (bounded concrete search),
-pivot (pivot-semantics search), translate (either reduction), lower (tier
-lowerings), gen (benchmark instances), crosscheck (all three pipelines on
-one input, flagging any disagreement).
+Subcommands: check (decide a program or a machine), oracle (bounded
+concrete search), pivot (pivot-semantics search), translate (either
+reduction), lower (tier lowerings), gen (benchmark instances), crosscheck
+(all three pipelines on one input, flagging any disagreement).
+
+check decides a program with the lazy pivot search first: a closed search
+is an exact unreachable, and a reached target is lifted to a run of the
+translated register machine, replayed before it is printed.  When the
+pivot search is inconclusive, under an explicit --backend, and on machine
+inputs, check translates the program and solves the machine.
 
 Exit codes: 0 reachable, 1 unreachable, 2 inconclusive, 3 input error,
 4 usage error, 5 crosscheck disagreement, 6 internal error (a fault of the
@@ -16,21 +22,22 @@ import argparse
 import random
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import dsl, gen
 from .adt import AdtError
 from .model import ModelError, lower_tier2_to_tier1, lower_tier3_to_tier2
-from .pivot import pivot_reach
-from .solvers import BACKENDS, solve_auto
+from .pivot import parse_omega, pivot_reach
+from .solvers import BACKENDS, format_rm_label, solve_auto
 from .translate import (
     build_register_machine,
     build_tso_from_rm,
     encode_coverability_to_rm,
     encode_intersection,
+    lift_pivot_witness,
 )
 from .tso import OracleBounds, bounded_reach
-from .verdict import Verdict
+from .verdict import REACHABLE, UNREACHABLE, Verdict
 
 EXIT_INPUT_ERROR = 3
 EXIT_USAGE = 4
@@ -116,7 +123,8 @@ def _build_parser() -> _Parser:
                         help="override the declared adt, e.g. 'counter'")
         sp.add_argument("--backend", default="auto", choices=BACKENDS)
         sp.add_argument("--cap", type=int, default=None,
-                        help="cap counter values (verdicts beyond it are inconclusive)")
+                        help="cap counter values in the machine backends "
+                             "(verdicts beyond it are inconclusive)")
         sp.add_argument("--n-max", type=int, default=3, help="oracle: max processes")
         sp.add_argument("--steps", type=int, default=12, help="oracle: max run length")
         sp.add_argument("--buffer", type=int, default=4, help="oracle: max buffer length")
@@ -132,7 +140,8 @@ def _build_parser() -> _Parser:
     def cmd(name, help_):
         return sub.add_parser(name, help=help_, formatter_class=_HelpFormatter)
 
-    common(cmd("check", "translate to a register machine and solve"))
+    common(cmd("check", "decide reachability: pivot search first on a program, "
+                        "else translate to a register machine and solve"))
     common(cmd("oracle", "bounded concrete-semantics search"))
     common(cmd("pivot", "pivot-semantics search"))
     tr = cmd("translate", "emit the translated model")
@@ -231,11 +240,7 @@ def _report(v: Verdict, fmt: str, out: str | None) -> int:
     return v.exit_code()
 
 
-def _solve_input(kind, obj, cfg: RunConfig) -> Verdict:
-    if kind == "program":
-        rm = build_register_machine(obj.proc, obj.mem, obj.adt)
-    else:
-        rm = obj
+def _solve_rm(rm, cfg: RunConfig) -> Verdict:
     return solve_auto(
         rm,
         backend=cfg.backend,
@@ -243,6 +248,39 @@ def _solve_input(kind, obj, cfg: RunConfig) -> Verdict:
         value_bound=cfg.value_bound,
         budget=cfg.budget,
     )
+
+
+def _rm_route(prog, cfg: RunConfig) -> Verdict:
+    """Translate the program and solve the register machine."""
+    return _solve_rm(build_register_machine(prog.proc, prog.mem, prog.adt), cfg)
+
+
+def _check_program(prog, cfg: RunConfig) -> Verdict:
+    """The pivot search, with the machine route when it is inconclusive.
+
+    The verdict keeps the pivot search's stats; a reachable one carries the
+    pivot run lifted to the translated machine, in the machine route's
+    witness form.
+    """
+    v = pivot_reach(prog.proc, prog.mem, prog.adt,
+                    value_bound=cfg.value_bound, budget=cfg.budget)
+    if v.outcome == UNREACHABLE:
+        return v
+    rm = build_register_machine(prog.proc, prog.mem, prog.adt)
+    if v.outcome == REACHABLE:
+        run = lift_pivot_witness(rm, parse_omega(v.witness[0]),
+                                 value_bound=cfg.value_bound, budget=cfg.budget)
+        if run is not None:
+            return replace(v, witness=tuple(format_rm_label(e) for e in run))
+    return _solve_rm(rm, cfg)
+
+
+def _solve_input(kind, obj, cfg: RunConfig) -> Verdict:
+    if kind != "program":
+        return _solve_rm(obj, cfg)
+    if cfg.backend == "auto":
+        return _check_program(obj, cfg)
+    return _rm_route(obj, cfg)
 
 
 def _need_program(kind, obj, what: str):
@@ -368,7 +406,7 @@ def cmd_crosscheck(cfg: RunConfig, args) -> int:
     oracle_v = bounded_reach(prog.proc, prog.mem, prog.adt, bounds)
     pivot_v = pivot_reach(prog.proc, prog.mem, prog.adt,
                           value_bound=cfg.value_bound, budget=cfg.budget)
-    check_v = _solve_input("program", prog, cfg)
+    check_v = _rm_route(prog, cfg)  # independent of the pivot search above
 
     problems = []
     if oracle_v.outcome == "reachable":

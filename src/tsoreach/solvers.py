@@ -9,9 +9,9 @@ solve_wsts        generic backward search over the product well-ordering
 explore_bounded   value-size-bounded search for the remaining types
 
 solve_finite, solve_counter and explore_bounded run the breadth-first
-kernel verdict.explore over rm_step.  Every reachable verdict carries a
-witness that replays under rm_step; solve_stack replays its own before
-returning it.
+kernel verdict.explore over rm_step.  Every backend replays its reachable
+witness under rm_step to the target before returning it; one that does not
+replay raises WitnessError.
 """
 
 from __future__ import annotations
@@ -71,6 +71,17 @@ def format_rm_label(edge: RmEdge) -> str:
     return f"{q} -> {q2} : {print_action(act)}"
 
 
+def _replayed(rm: RegisterMachine, labels, what: str) -> tuple[str, ...]:
+    """The witness labels, printed, once they replay to rm's target."""
+    try:
+        final = replay_rm(rm, labels).state
+    except ModelError as e:
+        raise WitnessError(f"{what} witness does not replay: {e}") from e
+    if final != rm.q_target:
+        raise WitnessError(f"{what} witness ends in {final}, not the target")
+    return tuple(format_rm_label(l) for l in labels)
+
+
 def _bfs(
     rm: RegisterMachine, budget: int, bound: int | None = None, blocked: bool = False
 ) -> Verdict:
@@ -92,7 +103,7 @@ def _bfs(
                 lambda c: c.state == target, budget=budget, prune=prune)
     if blocked and r.outcome == PRUNED:
         r = dataclasses.replace(r, outcome=CLOSED)
-    witness = None if r.path is None else tuple(format_rm_label(l) for l in r.path)
+    witness = None if r.path is None else _replayed(rm, r.path, "search")
     return r.verdict(Stats(r.explored, r.depth, int((time.monotonic() - t0) * 1000)),
                      witness)
 
@@ -352,18 +363,8 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
         return Verdict(INCONCLUSIVE, stats=stats(iterations), closed=False)
     if not result.accepts(*start):
         return Verdict(UNREACHABLE, stats=stats(iterations))
-    labels = result.witness(*start)
-    try:
-        final = replay_rm(rm, labels).state
-    except ModelError as e:
-        raise WitnessError(f"stack witness does not replay: {e}") from e
-    if final != rm.q_target:
-        raise WitnessError(f"stack witness ends in {final}, not the target")
-    return Verdict(
-        REACHABLE,
-        witness=tuple(format_rm_label(l) for l in labels),
-        stats=stats(iterations),
-    )
+    witness = _replayed(rm, result.witness(*start), "stack")
+    return Verdict(REACHABLE, witness=witness, stats=stats(iterations))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +427,9 @@ def solve_petri(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     Verdicts are exact unless the basis exploration exceeds the budget,
     which degrades to inconclusive (large encoded machines only; direct
-    nets stabilize in a handful of iterations).
+    nets stabilize in a handful of iterations).  A reachable witness is
+    replayed under rm_step on rm, the lowered machine when solve_auto
+    lowered it.
     """
     t0 = time.monotonic()
     res, labelmap = _petri_backward(rm, budget)
@@ -436,8 +439,8 @@ def solve_petri(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
         return Verdict(INCONCLUSIVE, stats=stats, closed=False)
     if not res.coverable:
         return Verdict(UNREACHABLE, stats=stats)
-    labels = tuple(format_rm_label(labelmap[name]) for name in res.chain)
-    return Verdict(REACHABLE, witness=labels, stats=stats)
+    witness = _replayed(rm, [labelmap[name] for name in res.chain], "petri")
+    return Verdict(REACHABLE, witness=witness, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +467,7 @@ def _wsts_backward(
 ) -> BackwardResult:
     spec = rm.adt
     bottom = min_value(spec)
-    if (rm.bound + 1) ** len(rm.registers) > 100_000:
+    if budget is not None and (rm.bound + 1) ** len(rm.registers) > budget:
         return BackwardResult(coverable=False, exhausted=True)
     all_regs = list(itertools.product(range(rm.bound + 1), repeat=len(rm.registers)))
     targets = [(rm.q_target, regs, bottom) for regs in all_regs]
@@ -515,7 +518,8 @@ def solve_wsts(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     Needs a data type whose step relation is monotone w.r.t. its WQO;
     the strict counter is rejected (iszero breaks monotonicity).  Verdicts
     degrade to inconclusive if the register space or the basis exploration
-    exceeds the budget.
+    exceeds the budget.  A reachable witness is replayed under rm_step
+    before it is returned.
     """
     if rm.adt.kind not in MONOTONE_KINDS:
         raise ModelError(
@@ -529,11 +533,7 @@ def solve_wsts(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
         return Verdict(INCONCLUSIVE, stats=stats, closed=False)
     if not res.coverable:
         return Verdict(UNREACHABLE, stats=stats)
-    return Verdict(
-        REACHABLE,
-        witness=tuple(format_rm_label(l) for l in res.chain),
-        stats=stats,
-    )
+    return Verdict(REACHABLE, witness=_replayed(rm, res.chain, "wsts"), stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 build_register_machine   pivot semantics of a TSO program, as one register
                          machine over the same data type
+lift_pivot_witness       a pivot run to the process target, as a run of that
+                         machine to its target
 build_tso_from_rm        a register machine, as a parameterized TSO program
                          (simulator / scheduler / verifier roles)
 encode_intersection      PDA-and-FSAs language intersection emptiness, as a
@@ -12,9 +14,19 @@ encode_rm_to_coverability   tier-I Petri register machine, as a net
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .adt import RESET, AdtOp, AdtSpec, Marking, PetriTransition, marking_add, mk_marking
+from .adt import (
+    RESET,
+    AdtOp,
+    AdtSpec,
+    Marking,
+    PetriTransition,
+    marking_add,
+    mk_marking,
+    value_size,
+)
 from .automata import CoverabilityInstance, FiniteAutomaton, PushdownAutomaton
 from .model import (
     MemorySpec,
@@ -25,16 +37,23 @@ from .model import (
     _Gensym,
     rd,
     read,
+    replay_rm,
+    rm_step,
     skip,
     skp,
     wr,
     write,
 )
-from .model import Instruction, RegisterAction
+from .model import Instruction, Message, RegisterAction
+from .verdict import BUDGET, REACHED, WitnessError, explore
 
 
 def _act(kind: str, x, y=None) -> RegisterAction:
     return RegisterAction(kind, x, y)
+
+
+def _rank_register(m: Message) -> str:
+    return f"rk_{m[0]}_{m[1]}"
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +82,7 @@ def build_register_machine(
 
     lw = {x: f"lw_{x}" for x in mem.variables}
     phl = {x: f"phl_{x}" for x in mem.variables}
-    rk = {m: f"rk_{m[0]}_{m[1]}" for m in messages}
+    rk = {m: _rank_register(m) for m in messages}
     phe, phlmax, php, rknxt = "phe", "phlmax", "php", "rknxt"
     registers = (
         tuple(lw[x] for x in mem.variables)
@@ -177,6 +196,66 @@ def build_register_machine(
         adt=adt,
         delta=tuple(edges),
     )
+
+
+def lift_pivot_witness(
+    rm: RegisterMachine,
+    omega: tuple[Message, ...],
+    value_bound: int | None = None,
+    budget: int | None = None,
+) -> tuple[RmEdge, ...] | None:
+    """A run of rm = build_register_machine(proc, mem, adt) to its target,
+    given that the pivot search reaches the process target providing the
+    messages of omega in that order.
+
+    The run's guess phase ranks the messages of omega in order, then sets
+    the progress pointer to 1.  The rank registers never change after
+    that, so a breadth-first search over rm_step from there, with values
+    above value_bound pruned as in the pivot search, only has to find a
+    pivot run for this one update sequence.  Returns None when the budget
+    stops that search first.  The whole run is replayed with replay_rm
+    before it is returned; a search that ends without the target, or a run
+    that does not replay to it, raises WitnessError.
+    """
+    by_state = rm.edges_by_state
+
+    def edge_from(q: str, act=None) -> RmEdge:
+        # the guess-phase edges from q, or the one among them carrying act
+        for edge, _ in by_state[q]:
+            if act is None or edge[1] == act:
+                return edge
+        raise WitnessError(f"no guess-phase edge from {q}")
+
+    run = [edge_from(rm.q_init)]  # set rknxt 1
+    for m in omega:
+        check = edge_from("guess", _act("cke", _rank_register(m), 0))
+        give = edge_from(check[2])
+        run += [check, give, edge_from(give[2])]
+    run.append(edge_from("guess", _act("set", "php", 1)))
+    try:
+        start = replay_rm(rm, run)
+    except ModelError as e:
+        raise WitnessError(f"guess phase does not replay: {e}") from e
+    prune = None
+    if value_bound is not None:
+        def prune(c):
+            return value_size(rm.adt, c.value) > value_bound
+    target = rm.q_target
+    r = explore(start, functools.partial(rm_step, rm), lambda c: c.state == target,
+                budget=budget, prune=prune)
+    if r.outcome == BUDGET:
+        return None
+    if r.outcome != REACHED:
+        raise WitnessError("the machine does not reach its target under the ranks "
+                           "of the pivot witness")
+    run += r.path
+    try:
+        final = replay_rm(rm, run).state
+    except ModelError as e:
+        raise WitnessError(f"lifted witness does not replay: {e}") from e
+    if final != target:
+        raise WitnessError(f"lifted witness ends in {final}, not the target")
+    return tuple(run)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import tsoreach.cli  # noqa: F401  (imports every module the tracer patches)
+from tsoreach.dsl import parse_program, print_machine
+from tsoreach.translate import build_register_machine
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,9 +38,9 @@ def test_patch_target_resolves(span):
 
 
 def test_traced_check_counts_rm_steps(tmp_path, capsys):
-    # the search must step through the name the tracer patches
-    path = tmp_path / "p.tso"
-    path.write_text("""\
+    # the search must step through the name the tracer patches; check on a
+    # program runs the pivot search first, so it is fed the translated machine
+    prog = parse_program("""\
 memory vars x domain 0..1
 adt trivial
 process P
@@ -48,6 +50,8 @@ state qf target
 trans q0 -> q1 : wr x 1
 trans q0 -> qf : rd x 1
 """)
+    path = tmp_path / "m.tso"
+    path.write_text(print_machine(build_register_machine(prog.proc, prog.mem, prog.adt)))
     tracer = tracing.Tracer()
     with tracer.patched():
         assert tsoreach.cli.main(["check", str(path)]) == 0

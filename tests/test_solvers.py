@@ -489,3 +489,86 @@ def test_petri_pivot_search_hashes_no_spec_per_step(monkeypatch):
         monkeypatch, search, (8, 16))
     assert large > small > 0
     assert h_small == h_large <= HASHES_PER_SEARCH
+
+
+# a machine per backend whose target is reachable only through its last step
+_PETRI_COVER = """\
+adt petri places p,q transitions t: p -> q ; u: - -> p initial p
+cover q
+"""
+
+
+def _witness_machines():
+    trivial = RegisterMachine(
+        "m", ("a", "b", "t"), "a", "t", ("r",), 1, trivial_spec(),
+        (("a", write("r", 1), "b"), ("b", read("r", 1), "t")),
+    )
+    counter = RegisterMachine(
+        "c", ("a", "b", "t"), "a", "t", (), 0, AdtSpec(kind="counter"),
+        (("a", AdtOp("inc"), "b"), ("b", AdtOp("dec"), "t")),
+    )
+    weak = RegisterMachine(
+        "w", ("a", "t"), "a", "t", (), 0, AdtSpec(kind="weak-counter"),
+        (("a", AdtOp("inc"), "t"),),
+    )
+    return {"finite": trivial, "counter": counter, "bounded": counter, "wsts": weak}
+
+
+@pytest.mark.parametrize("backend", ["finite", "counter", "bounded", "petri", "wsts"])
+def test_backend_witness_that_fails_replay_is_an_internal_error(
+        tmp_path, capsys, monkeypatch, backend):
+    import dataclasses
+
+    import tsoreach.solvers as solvers
+    from tsoreach.dsl import parse_coverability
+    from tsoreach.verdict import REACHED
+
+    if backend == "petri":
+        rm = encode_coverability_to_rm(parse_coverability(_PETRI_COVER))
+    else:
+        rm = _witness_machines()[backend]
+    path = tmp_path / "m.tso"
+    path.write_text(print_machine(rm))
+    assert main(["check", str(path), "--backend", backend]) == 0
+    _assert_witness_replays(rm, solve_auto(rm, backend=backend))
+    capsys.readouterr()
+
+    # the search loses the last step of its witness
+    real_explore, real_backward = solvers.explore, solvers.backward_reach
+
+    def explore(*args, **kwargs):
+        r = real_explore(*args, **kwargs)
+        return dataclasses.replace(r, path=r.path[:-1]) if r.outcome == REACHED else r
+
+    def backward_reach(*args, **kwargs):
+        res = real_backward(*args, **kwargs)
+        res.chain = res.chain[:-1]
+        return res
+
+    monkeypatch.setattr(solvers, "explore", explore)
+    monkeypatch.setattr(solvers, "backward_reach", backward_reach)
+    with pytest.raises(WitnessError):
+        solve_auto(rm, backend=backend)
+    assert main(["check", str(path), "--backend", backend]) == 6
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("internal error: WitnessError: ")
+
+
+def test_wsts_register_space_limit_is_the_budget(tmp_path, capsys):
+    # 4 registers over 0..3: 256 register assignments
+    rm = RegisterMachine(
+        "w", ("a", "b", "t"), "a", "t", ("r1", "r2", "r3", "r4"), 3,
+        AdtSpec(kind="weak-counter"),
+        (("a", write("r1", 2), "b"), ("b", read("r1", 2), "t")),
+    )
+    small = solve_wsts(rm, budget=255)
+    assert (small.outcome, small.closed) == ("inconclusive", False)
+    assert small.stats.explored == 0  # gave up before searching
+    large = solve_wsts(rm, budget=10_000)
+    assert large.outcome == "reachable"
+    _assert_witness_replays(rm, large)
+    path = tmp_path / "w.tso"
+    path.write_text(print_machine(rm))
+    assert main(["check", str(path), "--backend", "wsts", "--budget", "255"]) == 2
+    assert capsys.readouterr().out.startswith("verdict: inconclusive")
+    assert main(["check", str(path), "--backend", "wsts", "--budget", "10000"]) == 0
