@@ -63,7 +63,6 @@ class RunConfig:
     step_max: int
     buffer_max: int
     value_bound: int
-    cap: int | None
     budget: int
     backend: str
     seed: int
@@ -80,7 +79,6 @@ class RunConfig:
             step_max=args.steps,
             buffer_max=args.buffer,
             value_bound=args.value_bound,
-            cap=args.cap,
             budget=args.budget,
             backend=args.backend,
             seed=args.seed,
@@ -93,8 +91,6 @@ class RunConfig:
             "--buffer": cfg.buffer_max,
             "--budget": cfg.budget,
         }
-        if cfg.cap is not None:
-            positives["--cap"] = cfg.cap
         for flag, value in positives.items():
             if value < 1:
                 print(f"error: {flag} must be positive", file=sys.stderr)
@@ -121,10 +117,10 @@ def _build_parser() -> _Parser:
             sp.add_argument("input", help="input file (DSL text)")
         sp.add_argument("--adt", default=None, metavar="DECL",
                         help="override the declared adt, e.g. 'counter'")
-        sp.add_argument("--backend", default="auto", choices=BACKENDS)
-        sp.add_argument("--cap", type=int, default=None,
-                        help="cap counter values in the machine backends "
-                             "(verdicts beyond it are inconclusive)")
+        sp.add_argument("--backend", default="auto", choices=BACKENDS,
+                        help="machine backend: auto picks by data type (finite "
+                             "search, pre* for stacks and counters, coverability "
+                             "for nets, bounded search for the rest)")
         sp.add_argument("--n-max", type=int, default=3, help="oracle: max processes")
         sp.add_argument("--steps", type=int, default=12, help="oracle: max run length")
         sp.add_argument("--buffer", type=int, default=4, help="oracle: max buffer length")
@@ -141,7 +137,8 @@ def _build_parser() -> _Parser:
         return sub.add_parser(name, help=help_, formatter_class=_HelpFormatter)
 
     common(cmd("check", "decide reachability: pivot search first on a program, "
-                        "else translate to a register machine and solve"))
+                        "else translate to a register machine and solve it "
+                        "(pre* decides counters and stacks)"))
     common(cmd("oracle", "bounded concrete-semantics search"))
     common(cmd("pivot", "pivot-semantics search"))
     tr = cmd("translate", "emit the translated model")
@@ -244,7 +241,6 @@ def _solve_rm(rm, cfg: RunConfig) -> Verdict:
     return solve_auto(
         rm,
         backend=cfg.backend,
-        cap=cfg.cap,
         value_bound=cfg.value_bound,
         budget=cfg.budget,
     )

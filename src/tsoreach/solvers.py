@@ -1,27 +1,27 @@
 """Reachability backends for register machines, one per data-type family.
 
 solve_finite      explicit search; exact when the value space stays finite
-solve_counter     bounded search with the n^2 counter cutoff
-binarize_counter  counter values in binary, as plain registers
-solve_stack       registers into control states + pre*-saturation
+solve_stack       registers into control states + pre*-saturation, for
+                  stacks and for counters (a stack over one symbol)
+solve_counter     solve_stack on a counter or weak-counter machine
 solve_petri       net encoding + backward coverability
 solve_wsts        generic backward search over the product well-ordering
 explore_bounded   value-size-bounded search for the remaining types
 
-solve_finite, solve_counter and explore_bounded run the breadth-first
-kernel verdict.explore over rm_step.  Every backend replays its reachable
-witness under rm_step to the target before returning it; one that does not
-replay raises WitnessError.
+solve_finite and explore_bounded run the breadth-first kernel
+verdict.explore over rm_step.  Every backend replays its reachable witness
+under rm_step to the target before returning it; one that does not replay
+raises WitnessError.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import time
 
 from .adt import (
+    _HO_COUNTER_OPS,
     MONOTONE_KINDS,
     RESET,
     AdtOp,
@@ -30,7 +30,6 @@ from .adt import (
     marking_pre_upward,
     min_value,
     pre_upward_element,
-    trivial_spec,
     value_size,
     wqo_leq,
 )
@@ -40,19 +39,14 @@ from .model import (
     RegisterAction,
     RegisterMachine,
     RmEdge,
-    _Gensym,
     apply_action,
-    read,
     replay_rm,
     rm_step,
-    write,
 )
 from .pds import PdsRule, PushdownSystem, pre_star
 from .translate import encode_rm_to_coverability_labelled
 from .verdict import (
-    CLOSED,
     INCONCLUSIVE,
-    PRUNED,
     REACHABLE,
     UNREACHABLE,
     Stats,
@@ -82,15 +76,11 @@ def _replayed(rm: RegisterMachine, labels, what: str) -> tuple[str, ...]:
     return tuple(format_rm_label(l) for l in labels)
 
 
-def _bfs(
-    rm: RegisterMachine, budget: int, bound: int | None = None, blocked: bool = False
-) -> Verdict:
+def _bfs(rm: RegisterMachine, budget: int, bound: int | None = None) -> Verdict:
     """explore over rm_step; stats.iterations is the number of layers expanded.
 
     Configurations whose value is larger than bound are pruned, which is
-    lost coverage: the search can then only end inconclusive.  With blocked
-    set, such values do not exist by design (the caller supplies the
-    completeness argument), so pruning them loses nothing.
+    lost coverage: the search can then only end inconclusive.
     """
     t0 = time.monotonic()
     adt = rm.adt
@@ -101,23 +91,14 @@ def _bfs(
     target = rm.q_target
     r = explore(rm.initial_configuration(), functools.partial(rm_step, rm),
                 lambda c: c.state == target, budget=budget, prune=prune)
-    if blocked and r.outcome == PRUNED:
-        r = dataclasses.replace(r, outcome=CLOSED)
     witness = None if r.path is None else _replayed(rm, r.path, "search")
     return r.verdict(Stats(r.explored, r.depth, int((time.monotonic() - t0) * 1000)),
                      witness)
 
 
-def solve_finite(
-    rm: RegisterMachine, budget: int = DEFAULT_BUDGET, value_cap: int | None = None
-) -> Verdict:
-    """Explicit-state search; exact whenever it exhausts the space.
-
-    value_cap is a caller-supplied finiteness certificate: values above it
-    are treated as blocked (not merely pruned), so verdicts stay exact for
-    the capped semantics.
-    """
-    return _bfs(rm, budget, bound=value_cap, blocked=True)
+def solve_finite(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Explicit-state search; exact whenever it exhausts the space."""
+    return _bfs(rm, budget)
 
 
 def explore_bounded(
@@ -132,138 +113,8 @@ def explore_bounded(
     return _bfs(rm, budget, bound=value_bound)
 
 
-def counter_cutoff(rm: RegisterMachine) -> int:
-    """The witness-sufficient counter bound: (|Q| * (N+1)^|R|) squared."""
-    n = len(rm.states) * (rm.bound + 1) ** len(rm.registers)
-    return n * n
-
-
-def solve_counter(
-    rm: RegisterMachine, cap: int | None = None, budget: int = DEFAULT_BUDGET
-) -> Verdict:
-    """Counter machines: search values up to the n^2 cutoff.
-
-    A dec self-loop on the target makes the cutoff argument apply; runs
-    that would exceed it can be shortened.  A user cap below the cutoff
-    turns exhausted-unreachable into inconclusive; reachable verdicts
-    always stand.
-    """
-    if rm.adt.kind not in ("counter", "weak-counter"):
-        raise ModelError("solve_counter needs a counter or weak-counter machine")
-    bound = counter_cutoff(rm)
-    effective = bound if cap is None else min(bound, cap)
-    augmented = RegisterMachine(
-        name=rm.name,
-        states=rm.states,
-        q_init=rm.q_init,
-        q_target=rm.q_target,
-        registers=rm.registers,
-        bound=rm.bound,
-        adt=rm.adt,
-        delta=rm.delta + ((rm.q_target, AdtOp("dec"), rm.q_target),),
-    )
-    v = _bfs(augmented, budget, bound=effective, blocked=True)
-    if v.outcome == UNREACHABLE and effective < bound:
-        return Verdict(INCONCLUSIVE, stats=v.stats, closed=False)
-    return v
-
-
-def binarize_counter(rm: RegisterMachine, bound: int) -> RegisterMachine:
-    """Replace the counter by ceil(log2(bound+1)) bit registers.
-
-    inc is a ripple-carry over the bits, guarded so the value never
-    exceeds bound; dec is the borrow chain, blocking at zero; iszero reads
-    every bit as 0.  The result runs over the trivial data type.
-    """
-    if rm.adt.kind not in ("counter", "weak-counter"):
-        raise ModelError("binarize_counter needs a counter machine")
-    if bound < 1:
-        raise ModelError("bound must be >= 1")
-    nbits = max(1, (bound).bit_length())
-    reg_gs = _Gensym(rm.registers)
-    bits = [reg_gs.fresh() for _ in range(nbits)]
-    gs = _Gensym(rm.states)
-    new_bound = max(rm.bound, 1)
-    edges: list[RmEdge] = []
-
-    def ripple_inc(q: str, q2: str) -> None:
-        # allowed only while the current value is strictly below bound
-        lt = gs.fresh()
-        cur = q
-        for j in reversed(range(nbits)):
-            if (bound >> j) & 1:
-                edges.append((cur, read(bits[j], 0), lt))
-                nxt = gs.fresh()
-                edges.append((cur, read(bits[j], 1), nxt))
-                cur = nxt
-            else:
-                nxt = gs.fresh()
-                edges.append((cur, read(bits[j], 0), nxt))
-                cur = nxt
-        # falling through means value == bound: no inc edge from cur
-        cur = lt
-        for j in range(nbits):
-            f = gs.fresh()
-            edges.append((cur, read(bits[j], 1), f))
-            nxt = gs.fresh()
-            edges.append((f, write(bits[j], 0), nxt))
-            done = gs.fresh()
-            edges.append((cur, read(bits[j], 0), done))
-            edges.append((done, write(bits[j], 1), q2))
-            cur = nxt
-
-    def ripple_dec(q: str, q2: str) -> None:
-        cur = q
-        for j in range(nbits):
-            f = gs.fresh()
-            edges.append((cur, read(bits[j], 0), f))
-            nxt = gs.fresh()
-            edges.append((f, write(bits[j], 1), nxt))
-            done = gs.fresh()
-            edges.append((cur, read(bits[j], 1), done))
-            edges.append((done, write(bits[j], 0), q2))
-            cur = nxt
-        # all bits borrowed: the value was zero, the chain dead-ends
-
-    for q, act, q2 in rm.delta:
-        if isinstance(act, RegisterAction):
-            edges.append((q, act, q2))
-        elif act.name == "inc":
-            ripple_inc(q, q2)
-        elif act.name == "dec":
-            ripple_dec(q, q2)
-        elif act.name == "iszero":
-            cur = q
-            for j, b in enumerate(bits):
-                nxt = q2 if j == nbits - 1 else gs.fresh()
-                edges.append((cur, read(b, 0), nxt))
-                cur = nxt
-        elif act.name == RESET:
-            cur = q
-            for j, b in enumerate(bits):
-                nxt = q2 if j == nbits - 1 else gs.fresh()
-                edges.append((cur, write(b, 0), nxt))
-                cur = nxt
-        else:  # pragma: no cover - counter ops are exactly these
-            raise ModelError(f"unexpected counter op {act}")
-
-    states = list(rm.states) + sorted(
-        {q for e in edges for q in (e[0], e[2])} - set(rm.states)
-    )
-    return RegisterMachine(
-        name=f"{rm.name}_bin",
-        states=tuple(states),
-        q_init=rm.q_init,
-        q_target=rm.q_target,
-        registers=rm.registers + tuple(bits),
-        bound=new_bound,
-        adt=trivial_spec(),
-        delta=tuple(edges),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Stack: flatten registers into control states, then saturate
+# Stacks and counters: flatten registers into control states, then saturate
 
 
 def _control_closure(rm: RegisterMachine, budget: int = DEFAULT_BUDGET):
@@ -294,7 +145,12 @@ def _control_closure(rm: RegisterMachine, budget: int = DEFAULT_BUDGET):
 
 
 def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Exact reachability for stack machines via pre*-saturation.
+    """Exact reachability for stack and counter machines via pre*-saturation.
+
+    A counter is a stack over one symbol above the bottom marker (a
+    one-counter automaton): inc pushes it, dec pops it and iszero tests for
+    the empty stack.  The PDS rules carry the machine's own edges, so a
+    witness is a run of rm whatever its data type.
 
     Registers are flattened into control states by a forward closure, whose
     size is stats.explored.  pre* then saturates from the target controls
@@ -305,8 +161,9 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     the transitions saturation adds; hitting it is inconclusive.  A
     reachable witness is replayed under rm_step before it is returned.
     """
-    if rm.adt.kind != "stack":
-        raise ModelError("solve_stack needs a stack machine")
+    counter = rm.adt.kind in ("counter", "weak-counter")
+    if rm.adt.kind != "stack" and not counter:
+        raise ModelError("solve_stack needs a stack or counter machine")
     t0 = time.monotonic()
     init, controls, edges_from = _control_closure(rm, budget)
 
@@ -315,11 +172,11 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     if len(controls) > budget:
         return Verdict(INCONCLUSIVE, stats=stats(), closed=False)
+    stack_syms = (_HO_COUNTER_OPS["inc"][1],) if counter else rm.adt.alphabet
     bottom = "_btm"
-    while bottom in rm.adt.alphabet:
+    while bottom in stack_syms:
         bottom += "_"
-    alphabet = rm.adt.alphabet + (bottom,)
-    stack_syms = rm.adt.alphabet
+    alphabet = stack_syms + (bottom,)
 
     rules: list[PdsRule] = []
     reset_controls = []
@@ -327,12 +184,13 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
         for label, control2 in outs:
             act = label[1]
             if isinstance(act, AdtOp) and act.name != RESET:
-                if act.name == "push":
+                name, arg = _HO_COUNTER_OPS[act.name] if counter else (act.name, act.arg)
+                if name == "push":
                     for g in alphabet:
-                        rules.append(PdsRule(control, g, control2, (act.arg, g), label))
-                elif act.name == "pop":
-                    rules.append(PdsRule(control, act.arg, control2, (), label))
-                elif act.name == "isempty":
+                        rules.append(PdsRule(control, g, control2, (arg, g), label))
+                elif name == "pop":
+                    rules.append(PdsRule(control, arg, control2, (), label))
+                elif name == "isempty":
                     rules.append(PdsRule(control, bottom, control2, (bottom,), label))
                 else:  # pragma: no cover - stack ops are exactly these
                     raise ModelError(f"unexpected stack op {act}")
@@ -365,6 +223,16 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
         return Verdict(UNREACHABLE, stats=stats(iterations))
     witness = _replayed(rm, result.witness(*start), "stack")
     return Verdict(REACHABLE, witness=witness, stats=stats(iterations))
+
+
+def solve_counter(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Exact reachability for counter and weak-counter machines.
+
+    The counter is a stack over one symbol, which solve_stack decides.
+    """
+    if rm.adt.kind not in ("counter", "weak-counter"):
+        raise ModelError("solve_counter needs a counter or weak-counter machine")
+    return solve_stack(rm, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +414,6 @@ BACKENDS = ("auto", "finite", "counter", "stack", "petri", "wsts", "bounded")
 def solve_auto(
     rm: RegisterMachine,
     backend: str = "auto",
-    cap: int | None = None,
     value_bound: int = 16,
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
@@ -572,10 +439,9 @@ def solve_auto(
 
         rm = lower_tier2_to_tier1(lower_tier3_to_tier2(rm))
     if backend == "finite":
-        cap_ = cap if rm.adt.kind != "trivial" else None
-        return solve_finite(rm, budget=budget, value_cap=cap_)
+        return solve_finite(rm, budget=budget)
     if backend == "counter":
-        return solve_counter(rm, cap=cap, budget=budget)
+        return solve_counter(rm, budget=budget)
     if backend == "stack":
         return solve_stack(rm, budget=budget)
     if backend == "petri":

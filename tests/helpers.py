@@ -3,17 +3,20 @@
 The oracles deliberately re-implement the semantics they check with the
 dumbest possible data structures, so a bug in the library's step functions
 cannot hide in the oracle as well.  The helpers (value enumeration,
-minimal-predecessor bases, backward-search history) exist only for tests
-and so live here rather than in the package.
+minimal-predecessor bases, backward-search history, the counter cutoff
+search and binary encoding) exist only for tests and so live here rather
+than in the package.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from tsoreach.adt import (
+    RESET,
     AdtError,
     AdtOp,
     AdtSpec,
@@ -22,10 +25,23 @@ from tsoreach.adt import (
     mk_marking,
     pre_upward_element,
     step_unchecked,
+    trivial_spec,
     value_size,
     wqo_leq,
 )
-from tsoreach.model import MemorySpec, Message, ProcessDescription, RegisterMachine
+from tsoreach.model import (
+    MemorySpec,
+    Message,
+    ModelError,
+    ProcessDescription,
+    RegisterAction,
+    RegisterMachine,
+    RmEdge,
+    _Gensym,
+    read,
+    rm_step,
+    write,
+)
 from tsoreach.pivot import (
     PivotLabel,
     UpdateSequence,
@@ -34,8 +50,17 @@ from tsoreach.pivot import (
     format_omega,
     initial_view,
 )
-from tsoreach.solvers import _petri_backward, _wsts_backward
-from tsoreach.verdict import INCONCLUSIVE, REACHABLE, UNREACHABLE, Stats, Verdict
+from tsoreach.solvers import _petri_backward, _replayed, _wsts_backward
+from tsoreach.verdict import (
+    BUDGET,
+    INCONCLUSIVE,
+    REACHABLE,
+    REACHED,
+    UNREACHABLE,
+    Stats,
+    Verdict,
+    explore,
+)
 
 
 def rm_reachable_brute(rm: RegisterMachine) -> bool:
@@ -181,6 +206,139 @@ def pre_star_fixpoint(pds, targets, sink):
                 trans |= new
                 changed = True
     return trans
+
+
+# ---------------------------------------------------------------------------
+# Counter machines: the cutoff search and the binary encoding, references
+# for the pre* counter backend
+
+
+def counter_cutoff(rm: RegisterMachine) -> int:
+    """The witness-sufficient counter bound: (|Q| * (N+1)^|R|) squared."""
+    n = len(rm.states) * (rm.bound + 1) ** len(rm.registers)
+    return n * n
+
+
+def solve_counter_cutoff(
+    rm: RegisterMachine, cap: int | None = None, budget: int = 1_000_000
+) -> Verdict:
+    """Counter machines: breadth-first search over values up to the cutoff.
+
+    A dec self-loop on the target makes the cutoff argument apply: runs
+    that would exceed it can be shortened, so values above it are blocked
+    rather than pruned.  A cap below the cutoff turns a closed search into
+    inconclusive; reachable verdicts always stand.
+    """
+    if rm.adt.kind not in ("counter", "weak-counter"):
+        raise ModelError("solve_counter_cutoff needs a counter machine")
+    bound = counter_cutoff(rm)
+    effective = bound if cap is None else min(bound, cap)
+    augmented = replace(
+        rm, delta=rm.delta + ((rm.q_target, AdtOp("dec"), rm.q_target),))
+    r = explore(augmented.initial_configuration(),
+                functools.partial(rm_step, augmented),
+                lambda c: c.state == rm.q_target, budget=budget,
+                prune=lambda c: c.value > effective)
+    stats = Stats(r.explored, r.depth)
+    if r.outcome == REACHED:
+        return Verdict(REACHABLE, witness=_replayed(rm, r.path, "cutoff"), stats=stats)
+    if r.outcome == BUDGET or effective < bound:
+        return Verdict(INCONCLUSIVE, stats=stats, closed=False)
+    return Verdict(UNREACHABLE, stats=stats)
+
+
+def binarize_counter(rm: RegisterMachine, bound: int) -> RegisterMachine:
+    """Replace the counter by ceil(log2(bound+1)) bit registers.
+
+    inc is a ripple-carry over the bits, guarded so the value never
+    exceeds bound; dec is the borrow chain, blocking at zero; iszero reads
+    every bit as 0.  The result runs over the trivial data type.
+    """
+    if rm.adt.kind not in ("counter", "weak-counter"):
+        raise ModelError("binarize_counter needs a counter machine")
+    if bound < 1:
+        raise ModelError("bound must be >= 1")
+    nbits = max(1, (bound).bit_length())
+    reg_gs = _Gensym(rm.registers)
+    bits = [reg_gs.fresh() for _ in range(nbits)]
+    gs = _Gensym(rm.states)
+    new_bound = max(rm.bound, 1)
+    edges: list[RmEdge] = []
+
+    def ripple_inc(q: str, q2: str) -> None:
+        # allowed only while the current value is strictly below bound
+        lt = gs.fresh()
+        cur = q
+        for j in reversed(range(nbits)):
+            if (bound >> j) & 1:
+                edges.append((cur, read(bits[j], 0), lt))
+                nxt = gs.fresh()
+                edges.append((cur, read(bits[j], 1), nxt))
+                cur = nxt
+            else:
+                nxt = gs.fresh()
+                edges.append((cur, read(bits[j], 0), nxt))
+                cur = nxt
+        # falling through means value == bound: no inc edge from cur
+        cur = lt
+        for j in range(nbits):
+            f = gs.fresh()
+            edges.append((cur, read(bits[j], 1), f))
+            nxt = gs.fresh()
+            edges.append((f, write(bits[j], 0), nxt))
+            done = gs.fresh()
+            edges.append((cur, read(bits[j], 0), done))
+            edges.append((done, write(bits[j], 1), q2))
+            cur = nxt
+
+    def ripple_dec(q: str, q2: str) -> None:
+        cur = q
+        for j in range(nbits):
+            f = gs.fresh()
+            edges.append((cur, read(bits[j], 0), f))
+            nxt = gs.fresh()
+            edges.append((f, write(bits[j], 1), nxt))
+            done = gs.fresh()
+            edges.append((cur, read(bits[j], 1), done))
+            edges.append((done, write(bits[j], 0), q2))
+            cur = nxt
+        # all bits borrowed: the value was zero, the chain dead-ends
+
+    for q, act, q2 in rm.delta:
+        if isinstance(act, RegisterAction):
+            edges.append((q, act, q2))
+        elif act.name == "inc":
+            ripple_inc(q, q2)
+        elif act.name == "dec":
+            ripple_dec(q, q2)
+        elif act.name == "iszero":
+            cur = q
+            for j, b in enumerate(bits):
+                nxt = q2 if j == nbits - 1 else gs.fresh()
+                edges.append((cur, read(b, 0), nxt))
+                cur = nxt
+        elif act.name == RESET:
+            cur = q
+            for j, b in enumerate(bits):
+                nxt = q2 if j == nbits - 1 else gs.fresh()
+                edges.append((cur, write(b, 0), nxt))
+                cur = nxt
+        else:  # pragma: no cover - counter ops are exactly these
+            raise ModelError(f"unexpected counter op {act}")
+
+    states = list(rm.states) + sorted(
+        {q for e in edges for q in (e[0], e[2])} - set(rm.states)
+    )
+    return RegisterMachine(
+        name=f"{rm.name}_bin",
+        states=tuple(states),
+        q_init=rm.q_init,
+        q_target=rm.q_target,
+        registers=rm.registers + tuple(bits),
+        bound=new_bound,
+        adt=trivial_spec(),
+        delta=tuple(edges),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,13 @@ import functools
 import random
 import time
 
-from helpers import net_coverable_forward, petri_backward_history, rm_reachable_brute
+from helpers import (
+    binarize_counter,
+    counter_cutoff,
+    net_coverable_forward,
+    petri_backward_history,
+    rm_reachable_brute,
+)
 from tsoreach.adt import AdtSpec, wqo_leq
 from tsoreach.dsl import parse_action, parse_machine
 from tsoreach.gen import (
@@ -24,8 +30,6 @@ from tsoreach.gen import (
 from tsoreach.model import lower_tier2_to_tier1, lower_tier3_to_tier2, replay_rm
 from tsoreach.pivot import pivot_reach, replay_pivot
 from tsoreach.solvers import (
-    binarize_counter,
-    counter_cutoff,
     explore_bounded,
     solve_counter,
     solve_finite,

@@ -50,6 +50,35 @@ trans q0 -> q1 : op dec
 trans q1 -> qf : rd x 1
 """
 
+# the counter never returns to zero after the first inc
+COUNTER_NEVER_ZERO = """\
+memory vars x domain 0..1
+adt counter
+process P
+state q0 init
+state q1
+state q2
+state qf target
+trans q0 -> q1 : op inc
+trans q1 -> q1 : op inc
+trans q1 -> q2 : wr x 1
+trans q2 -> qf : op iszero
+"""
+
+# reachable only once the counter has been 2
+COUNT_TO_TWO = """\
+adt counter
+machine M
+registers - bound 0
+state q0 init
+state q1
+state q2
+state qt target
+trans q0 -> q1 : op inc
+trans q1 -> q2 : op inc
+trans q2 -> qt : op dec
+"""
+
 
 def _write(tmp_path, name, text):
     p = tmp_path / name
@@ -81,11 +110,44 @@ def test_check_unreachable_exit_one(tmp_path, capsys):
 
 
 def test_check_capped_counter_exit_two(tmp_path, capsys):
-    # solving needs arbitrarily large counters only if unreachable; here a
-    # tiny budget forces the honest inconclusive
+    # pre* proves COUNTER_PUMP unreachable within a budget of 30; a tiny
+    # budget forces the honest inconclusive
     path = _write(tmp_path, "p.tso", COUNTER_PUMP)
-    code, out, _ = _run(capsys, "check", path, "--cap", "1", "--budget", "30")
+    code, out, _ = _run(capsys, "check", path, "--budget", "5")
     assert code == 2 and out.startswith("verdict: inconclusive")
+
+
+@pytest.mark.parametrize("text", [COUNTER_PUMP, COUNTER_NEVER_ZERO],
+                         ids=["pump", "never-zero"])
+def test_check_pumping_counter_is_unreachable(tmp_path, capsys, text):
+    # the pivot search prunes the pumped counter at the value bound; pre*
+    # over the translated machine decides it
+    path = _write(tmp_path, "p.tso", text)
+    code, out, _ = _run(capsys, "pivot", path, "--format", "lines")
+    assert code == 2 and out.startswith("verdict: inconclusive")
+    code, out, _ = _run(capsys, "check", path, "--format", "lines")
+    assert code == 1 and out.startswith("verdict: unreachable")
+    assert "closed: 1" in out.splitlines()
+
+
+def test_value_limits_on_a_counter_machine(tmp_path, capsys):
+    path = _write(tmp_path, "m.tso", COUNT_TO_TWO)
+    # a value bound below the witness's values prunes: inconclusive, never
+    # unreachable
+    code, out, _ = _run(capsys, "check", path, "--backend", "bounded",
+                        "--value-bound", "1", "--format", "lines")
+    assert code == 2 and out.startswith("verdict: inconclusive")
+    for backend in ("finite", "counter"):
+        code, out, _ = _run(capsys, "check", path, "--backend", backend,
+                            "--format", "lines")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("witness: ")] == [
+            "witness: q0 -> q1 : op inc", "witness: q1 -> q2 : op inc",
+            "witness: q2 -> qt : op dec"]
+    # --cap, which blocked values above it and so claimed unreachable here,
+    # is gone
+    code, out, _ = _run(capsys, "check", path, "--backend", "finite", "--cap", "1")
+    assert code == 4 and out == ""
 
 
 def test_oracle_and_pivot_subcommands(tmp_path, capsys):

@@ -3,9 +3,12 @@ import random
 import pytest
 
 from helpers import (
+    binarize_counter,
+    counter_cutoff,
     net_coverable_forward,
     petri_backward_history,
     rm_reachable_brute,
+    solve_counter_cutoff,
     wsts_backward_history,
 )
 from tsoreach.adt import AdtOp, AdtSpec, trivial_spec, wqo_leq
@@ -23,8 +26,6 @@ from tsoreach.model import (
     write,
 )
 from tsoreach.solvers import (
-    binarize_counter,
-    counter_cutoff,
     explore_bounded,
     solve_auto,
     solve_counter,
@@ -121,13 +122,49 @@ def test_solve_counter_iszero_blocked():
 
 def test_solve_counter_cap_gives_inconclusive():
     c = AdtSpec(kind="counter")
-    # must count to 5; any cap below cuts off the only path
+    # must count to 5; any cap below cuts off the only path (the cap is a
+    # parameter of the cutoff search reference only)
     states = tuple(f"q{i}" for i in range(6)) + ("qt",)
     delta = [(states[i], AdtOp("inc"), states[i + 1]) for i in range(5)]
     delta.append((states[5], AdtOp("dec"), "qt"))
     rm = RegisterMachine("c", states, "q0", "qt", (), 0, c, tuple(delta))
     assert solve_counter(rm).outcome == "reachable"
-    assert solve_counter(rm, cap=3).outcome == "inconclusive"
+    assert solve_counter_cutoff(rm).outcome == "reachable"
+    assert solve_counter_cutoff(rm, cap=3).outcome == "inconclusive"
+
+
+def _small_counter_programs(adt_line, count):
+    from tsoreach.dsl import parse_adt_line
+    from tsoreach.gen import random_program
+    from tsoreach.translate import build_register_machine
+
+    rng = random.Random(f"counter pre* vs cutoff {adt_line}")
+    adt = parse_adt_line(adt_line, 0)
+    for _ in range(count):
+        mem, adt_, proc = random_program(rng, n_states=rng.randint(3, 4), n_vars=1,
+                                         adt=adt, op_weight=40)
+        yield build_register_machine(proc, mem, adt_)
+
+
+def test_counter_pre_star_agrees_with_the_cutoff_search():
+    # pre* over the one-symbol stack against the cutoff search kept as the
+    # reference: random counter machines, whose cutoff the search reaches,
+    # and small translated programs, where it is conclusive only sometimes
+    random_machines = [random_counter_machine(random.Random(seed)) for seed in range(200)]
+    machines = random_machines + [*_small_counter_programs("counter", 20),
+                                  *_small_counter_programs("weakcounter", 20)]
+    outcomes = {"reachable": 0, "unreachable": 0}
+    for i, rm in enumerate(machines):
+        v = solve_counter(rm)
+        assert v.conclusive
+        outcomes[v.outcome] += 1
+        ref = solve_counter_cutoff(rm, budget=20_000)
+        assert ref.conclusive or i >= len(random_machines)
+        if ref.conclusive:
+            assert v.outcome == ref.outcome
+        if v.outcome == "reachable":
+            _assert_witness_replays(rm, v)  # a run of the counter machine itself
+    assert min(outcomes.values()) >= len(machines) // 5
 
 
 def test_counter_cutoff_formula():
@@ -535,6 +572,7 @@ def test_backend_witness_that_fails_replay_is_an_internal_error(
 
     # the search loses the last step of its witness
     real_explore, real_backward = solvers.explore, solvers.backward_reach
+    real_witness = PreStarResult.witness
 
     def explore(*args, **kwargs):
         r = real_explore(*args, **kwargs)
@@ -545,8 +583,12 @@ def test_backend_witness_that_fails_replay_is_an_internal_error(
         res.chain = res.chain[:-1]
         return res
 
+    def witness(self, control, word):
+        return real_witness(self, control, word)[:-1]
+
     monkeypatch.setattr(solvers, "explore", explore)
     monkeypatch.setattr(solvers, "backward_reach", backward_reach)
+    monkeypatch.setattr(PreStarResult, "witness", witness)
     with pytest.raises(WitnessError):
         solve_auto(rm, backend=backend)
     assert main(["check", str(path), "--backend", backend]) == 6
