@@ -91,13 +91,19 @@ class RunConfig:
             "--buffer": cfg.buffer_max,
             "--budget": cfg.budget,
         }
+        non_negatives = {"--value-bound": cfg.value_bound}
+        if cfg.subcommand == "gen":
+            positives.update({"--count": args.count, "--states": args.states,
+                              "--vars": args.vars})
+            non_negatives.update({"--regs": args.regs, "--bound": args.bound})
         for flag, value in positives.items():
             if value < 1:
                 print(f"error: {flag} must be positive", file=sys.stderr)
                 raise SystemExit(EXIT_USAGE)
-        if cfg.value_bound < 0:
-            print("error: --value-bound must be >= 0", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+        for flag, value in non_negatives.items():
+            if value < 0:
+                print(f"error: {flag} must be >= 0", file=sys.stderr)
+                raise SystemExit(EXIT_USAGE)
         return cfg
 
 
@@ -119,8 +125,10 @@ def _build_parser() -> _Parser:
                         help="override the declared adt, e.g. 'counter'")
         sp.add_argument("--backend", default="auto", choices=BACKENDS,
                         help="machine backend: auto picks by data type (finite "
-                             "search, pre* for stacks and counters, coverability "
-                             "for nets, bounded search for the rest)")
+                             "search, pre* for stacks and counters, backward "
+                             "coverability for Petri machines, bounded search "
+                             "for the rest); wsts runs that coverability search "
+                             "on any monotone type")
         sp.add_argument("--n-max", type=int, default=3, help="oracle: max processes")
         sp.add_argument("--steps", type=int, default=12, help="oracle: max run length")
         sp.add_argument("--buffer", type=int, default=4, help="oracle: max buffer length")
@@ -426,8 +434,16 @@ def cmd_crosscheck(cfg: RunConfig, args) -> int:
     return check_v.exit_code()
 
 
+# built by the first main call of a process and reused by every later one;
+# importing the module builds nothing
+_PARSER: _Parser | None = None
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     cfg = RunConfig.from_args(args)
     handler = {
         "check": cmd_check,

@@ -9,9 +9,12 @@ attached data type.  Register actions come in three tiers:
     II   + inc, dec, ckz
     III  + set and the comparisons (cke, ckne, ckl, ckg, ckle, ckge)
 
-Solvers interpret all tiers directly; ``lower_tier3_to_tier2`` and
+Solvers interpret all tiers directly, so their witnesses are runs of the
+machine they were given.  ``lower_tier3_to_tier2`` and
 ``lower_tier2_to_tier1`` are reachability-preserving rewritings down to
-the smaller instruction sets.
+the smaller instruction sets, for the ``lower`` command and for the
+reductions that need tier I (``build_tso_from_rm``,
+``encode_rm_to_coverability``).
 
 A machine's indexes (register positions, edges by state) and its decoded
 actions are built once per instance, on first use, so no step of a search

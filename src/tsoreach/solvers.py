@@ -1,23 +1,25 @@
 """Reachability backends for register machines, one per data-type family.
 
 solve_finite      explicit search; exact when the value space stays finite
-solve_stack       registers into control states + pre*-saturation, for
-                  stacks and for counters (a stack over one symbol)
+solve_stack       pre*-saturation over the control closure, for stacks and
+                  for counters (a stack over one symbol)
 solve_counter     solve_stack on a counter or weak-counter machine
-solve_petri       net encoding + backward coverability
-solve_wsts        generic backward search over the product well-ordering
+solve_petri       backward coverability over the control closure
+solve_wsts        the same search, for any monotone well-structured type
 explore_bounded   value-size-bounded search for the remaining types
 
-solve_finite and explore_bounded run the breadth-first kernel
-verdict.explore over rm_step.  Every backend replays its reachable witness
-under rm_step to the target before returning it; one that does not replay
-raises WitnessError.
+_control_closure is the one place that flattens registers: it builds the
+finite control, (state, registers) pairs with their edges, that pre* and
+backward coverability both read.  solve_finite and explore_bounded run the
+breadth-first kernel verdict.explore over rm_step.  Every backend
+interprets all instruction tiers directly and replays its reachable
+witness under rm_step to the target before returning it; one that does
+not replay raises WitnessError.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 
 from .adt import (
@@ -25,9 +27,6 @@ from .adt import (
     MONOTONE_KINDS,
     RESET,
     AdtOp,
-    PetriTransition,
-    marking_leq,
-    marking_pre_upward,
     min_value,
     pre_upward_element,
     value_size,
@@ -36,15 +35,15 @@ from .adt import (
 from .coverability import BackwardResult, backward_reach
 from .model import (
     ModelError,
-    RegisterAction,
     RegisterMachine,
     RmEdge,
-    apply_action,
     replay_rm,
     rm_step,
 )
 from .pds import PdsRule, PushdownSystem, pre_star
-from .translate import encode_rm_to_coverability_labelled
+
+# unused here; perfbench/tracing.py patches this name in this module
+from .translate import encode_rm_to_coverability_labelled  # noqa: F401
 from .verdict import (
     INCONCLUSIVE,
     REACHABLE,
@@ -114,15 +113,18 @@ def explore_bounded(
 
 
 # ---------------------------------------------------------------------------
-# Stacks and counters: flatten registers into control states, then saturate
+# The control closure, and pre*-saturation over it for stacks and counters
 
 
 def _control_closure(rm: RegisterMachine, budget: int = DEFAULT_BUDGET):
     """Forward closure of (state, registers), treating data ops as free.
 
-    Overapproximates the truly reachable pairs, which is all the pushdown
-    construction needs.  The search stops once it has seen more than budget
-    pairs, so a caller finding more than budget controls has no closure.
+    Returns the initial control, the set of controls and each control's
+    outgoing (edge, control) pairs.  Overapproximates the truly reachable
+    pairs, which is all pre* and backward coverability need: the data type
+    decides which of them a run reaches.  The search stops once it has
+    seen more than budget pairs, so a caller finding more than budget
+    controls has no closure.
     """
     by_state = rm.edges_by_state
     init = (rm.q_init, (0,) * len(rm.registers))
@@ -236,172 +238,90 @@ def solve_counter(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Petri nets: coverability via backward reachability on markings
+# Monotone data types: backward coverability over the control closure
 
 
-def _petri_backward(
-    rm: RegisterMachine, budget: int | None = None, record_history: bool = False
-) -> tuple[BackwardResult, dict]:
-    inst, labelmap, invariants = encode_rm_to_coverability_labelled(rm)
-    by_output: dict[str, list] = {}
-    for t in inst.transitions:
-        for p, _ in t.outputs:
-            by_output.setdefault(p, []).append(t)
+def _backward_cover(
+    rm: RegisterMachine, budget: int = DEFAULT_BUDGET, record_history: bool = False
+) -> BackwardResult:
+    """Backward coverability over (control, value) for a monotone data type.
 
-    def violates_invariant(m) -> bool:
-        # no reachable marking covers a demand of more than k tokens on an
-        # exactly-k place family
-        for places, k in invariants:
-            if sum(c for p, c in m if p in places) > k:
-                return True
-        return False
+    The controls are the (state, registers) pairs of _control_closure and
+    the values are ordered by the data type's well-quasi-ordering (Abdulla,
+    Cerans, Jonsson and Tsay, LICS 1996).  The targets are the closure
+    controls at q_target with the least value.  An edge into a control
+    contributes, for a data-type operation, the minimal predecessors of the
+    value, and for a register action the same value.  Elements compare only
+    within one control.  A closure of more than budget controls is
+    exhausted before the search starts, with explored its size.
+    """
+    spec = rm.adt
+    init, controls, edges_from = _control_closure(rm, budget)
+    if len(controls) > budget:
+        return BackwardResult(coverable=False, explored=len(controls), exhausted=True)
+    into: dict = {}
+    for control, outs in edges_from.items():
+        for edge, control2 in outs:
+            into.setdefault(control2, []).append((edge, control))
 
-    def preds(m):
-        # a transition can only shrink the requirement if it supplies a
-        # place m asks for; all others yield m + inputs, subsumed by m
-        relevant: dict[str, PetriTransition] = {}
-        for p, _ in m:
-            for t in by_output.get(p, ()):
-                relevant[t.name] = t
+    def preds(elem):
+        control2, v2 = elem
         out = []
-        for name, t in relevant.items():
-            m2 = marking_pre_upward(t, m)
-            if m2 is not None and not violates_invariant(m2):
-                out.append((name, m2))
+        for edge, control in into.get(control2, ()):
+            act = edge[1]
+            if isinstance(act, AdtOp):
+                out += [(edge, (control, v)) for v in pre_upward_element(spec, act, v2)]
+            else:
+                out.append((edge, (control, v2)))
         return out
 
-    # the first invariant family is the control places; every surviving
-    # demand holds exactly one control token, and only demands sharing it
-    # are comparable
-    control_places = invariants[0][0]
-
-    def bucket(m):
-        return next((p for p, _ in m if p in control_places), None)
-
-    res = backward_reach(
-        targets=[inst.target],
+    bottom = min_value(spec)
+    v_init = spec.initial_value()
+    return backward_reach(
+        targets=[(c, bottom) for c in controls if c[0] == rm.q_target],
         preds=preds,
-        leq=marking_leq,
-        covers_initial=lambda e: marking_leq(e, inst.initial),
+        leq=lambda e1, e2: e1[0] == e2[0] and wqo_leq(spec, e1[1], e2[1]),
+        covers_initial=lambda e: e[0] == init and wqo_leq(spec, e[1], v_init),
         record_history=record_history,
         max_explored=budget,
-        bucket_key=bucket,
+        bucket_key=lambda e: e[0],
     )
-    return res, labelmap
 
 
-def solve_petri(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Exact reachability for tier-I petri machines via coverability.
-
-    Verdicts are exact unless the basis exploration exceeds the budget,
-    which degrades to inconclusive (large encoded machines only; direct
-    nets stabilize in a handful of iterations).  A reachable witness is
-    replayed under rm_step on rm, the lowered machine when solve_auto
-    lowered it.
-    """
+def _cover_verdict(rm: RegisterMachine, budget: int, what: str) -> Verdict:
     t0 = time.monotonic()
-    res, labelmap = _petri_backward(rm, budget)
-    millis = int((time.monotonic() - t0) * 1000)
-    stats = Stats(res.explored, res.iterations, millis)
+    res = _backward_cover(rm, budget)
+    stats = Stats(res.explored, res.iterations, int((time.monotonic() - t0) * 1000))
     if res.exhausted:
         return Verdict(INCONCLUSIVE, stats=stats, closed=False)
     if not res.coverable:
         return Verdict(UNREACHABLE, stats=stats)
-    witness = _replayed(rm, [labelmap[name] for name in res.chain], "petri")
-    return Verdict(REACHABLE, witness=witness, stats=stats)
+    return Verdict(REACHABLE, witness=_replayed(rm, res.chain, what), stats=stats)
 
 
-# ---------------------------------------------------------------------------
-# Generic well-structured backend
+def solve_petri(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Exact reachability for Petri machines of any tier via coverability.
 
-
-_WRITING_KINDS = ("write", "inc", "dec", "set")
-
-
-def _register_preimages(
-    rm: RegisterMachine, act: RegisterAction, regs: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    """All register assignments that step to regs under act."""
-    candidates = [regs]
-    if act.kind in _WRITING_KINDS:
-        # only the written register can differ from regs
-        i = rm.register_index(act.x)
-        candidates = [regs[:i] + (d,) + regs[i + 1 :] for d in range(rm.bound + 1)]
-    return [c for c in candidates if apply_action(rm, c, act) == regs]
-
-
-def _wsts_backward(
-    rm: RegisterMachine, budget: int | None = None, record_history: bool = False
-) -> BackwardResult:
-    spec = rm.adt
-    bottom = min_value(spec)
-    if budget is not None and (rm.bound + 1) ** len(rm.registers) > budget:
-        return BackwardResult(coverable=False, exhausted=True)
-    all_regs = list(itertools.product(range(rm.bound + 1), repeat=len(rm.registers)))
-    targets = [(rm.q_target, regs, bottom) for regs in all_regs]
-
-    by_target: dict = {}
-    for edge in rm.delta:
-        by_target.setdefault(edge[2], []).append(edge)
-
-    def preds(elem):
-        q2, regs2, v2 = elem
-        out = []
-        for edge in by_target.get(q2, ()):
-            q, act, _ = edge
-            if isinstance(act, AdtOp):
-                for v in pre_upward_element(spec, act, v2):
-                    out.append((edge, (q, regs2, v)))
-            else:
-                for regs in _register_preimages(rm, act, regs2):
-                    out.append((edge, (q, regs, v2)))
-        return out
-
-    def leq(e1, e2):
-        return e1[0] == e2[0] and e1[1] == e2[1] and wqo_leq(spec, e1[2], e2[2])
-
-    init = rm.initial_configuration()
-
-    def covers_initial(e):
-        return (
-            e[0] == init.state
-            and e[1] == init.regs
-            and wqo_leq(spec, e[2], init.value)
-        )
-
-    return backward_reach(
-        targets=targets,
-        preds=preds,
-        leq=leq,
-        covers_initial=covers_initial,
-        record_history=record_history,
-        max_explored=budget,
-        bucket_key=lambda e: (e[0], e[1]),  # values compare per (q, regs)
-    )
+    stats.explored counts the predecessors generated and stats.iterations
+    the basis elements expanded.  Exceeding the budget, in the closure or
+    in the search, is inconclusive.  A reachable witness is a run of rm,
+    replayed under rm_step before it is returned.
+    """
+    if rm.adt.kind != "petri":
+        raise ModelError("solve_petri needs a petri machine")
+    return _cover_verdict(rm, budget, "petri")
 
 
 def solve_wsts(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Backward reachability over (state, registers) x value order.
+    """Reachability for any monotone well-structured data type, as solve_petri.
 
-    Needs a data type whose step relation is monotone w.r.t. its WQO;
-    the strict counter is rejected (iszero breaks monotonicity).  Verdicts
-    degrade to inconclusive if the register space or the basis exploration
-    exceeds the budget.  A reachable witness is replayed under rm_step
-    before it is returned.
+    The strict counter is rejected: iszero breaks monotonicity.
     """
     if rm.adt.kind not in MONOTONE_KINDS:
         raise ModelError(
             f"solve_wsts needs a monotone well-structured data type, not {rm.adt.kind}"
         )
-    t0 = time.monotonic()
-    res = _wsts_backward(rm, budget)
-    millis = int((time.monotonic() - t0) * 1000)
-    stats = Stats(res.explored, res.iterations, millis)
-    if res.exhausted:
-        return Verdict(INCONCLUSIVE, stats=stats, closed=False)
-    if not res.coverable:
-        return Verdict(UNREACHABLE, stats=stats)
-    return Verdict(REACHABLE, witness=_replayed(rm, res.chain, "wsts"), stats=stats)
+    return _cover_verdict(rm, budget, "wsts")
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +339,8 @@ def solve_auto(
 ) -> Verdict:
     """Route the machine to the backend matching its data type.
 
-    The coverability backend needs tier-I actions, so higher-tier machines
-    are lowered first; such a verdict's witness then refers to the lowered
-    machine.  Every other backend interprets all tiers directly.  For
-    petri machines that carry registers, auto prefers the product backend:
-    it searches backward through the register semantics directly instead
-    of expanding every register value into places.
+    Every backend interprets all tiers directly, so a witness is always a
+    run of rm itself.
     """
     if backend == "auto":
         backend = {
@@ -432,12 +348,8 @@ def solve_auto(
             "counter": "counter",
             "weak-counter": "counter",
             "stack": "stack",
-            "petri": "petri" if not rm.registers else "wsts",
+            "petri": "petri",
         }.get(rm.adt.kind, "bounded")
-    if backend == "petri" and rm.tier() > 1:
-        from .model import lower_tier2_to_tier1, lower_tier3_to_tier2
-
-        rm = lower_tier2_to_tier1(lower_tier3_to_tier2(rm))
     if backend == "finite":
         return solve_finite(rm, budget=budget)
     if backend == "counter":

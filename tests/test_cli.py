@@ -452,3 +452,45 @@ def test_stack_check_output_independent_of_hash_seed(tmp_path, seed, verdict):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith(f"verdict: {verdict}\n".encode())
+
+
+@pytest.mark.parametrize("kind,flag,value,rule", [
+    ("program", "--states", "0", "positive"),
+    ("program", "--vars", "0", "positive"),
+    ("machine", "--bound", "-1", ">= 0"),
+    ("machine", "--regs", "-1", ">= 0"),
+    ("stack-machine", "--states", "0", "positive"),
+    ("net", "--count", "-1", "positive"),
+])
+def test_gen_bad_sizes_are_usage_errors(capsys, kind, flag, value, rule):
+    code, out, err = _run(capsys, "gen", "--kind", kind, flag, value)
+    assert (code, out, err) == (4, "", f"error: {flag} must be {rule}\n")
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    # two calls with different subcommands in one process behave like two
+    # fresh processes, and neither rebuilds the parser
+    path = _write(tmp_path, "p.tso", HANDSHAKE)
+    calls = [["check", path, "--format", "lines"],
+             ["gen", "--kind", "net", "--seed", "3"]]
+    src = str(Path(tsoreach.__file__).resolve().parents[1])
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "tsoreach", *argv],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        fresh.append((proc.returncode, proc.stdout))
+
+    builds = []
+    build = tsoreach.cli._build_parser
+
+    def counted_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(tsoreach.cli, "_PARSER", None)
+    monkeypatch.setattr(tsoreach.cli, "_build_parser", counted_build)
+    in_process = [_run(capsys, *argv)[:2] for argv in calls]
+    assert in_process == fresh
+    assert len(builds) == 1
+    assert fresh[0][0] == 0 and "\ncover " in fresh[1][1]

@@ -7,6 +7,7 @@ from helpers import (
     counter_cutoff,
     net_coverable_forward,
     petri_backward_history,
+    petri_net_reference,
     rm_reachable_brute,
     solve_counter_cutoff,
     wsts_backward_history,
@@ -20,12 +21,15 @@ from tsoreach.gen import (
 )
 from tsoreach.model import (
     ModelError,
+    RegisterAction,
     RegisterMachine,
+    inc,
     read,
     replay_rm,
     write,
 )
 from tsoreach.solvers import (
+    _control_closure,
     explore_bounded,
     solve_auto,
     solve_counter,
@@ -321,7 +325,7 @@ def test_petri_backends_agree_and_match_forward(seed):
     rng = random.Random(seed)
     net = random_net(rng)
     rm = encode_coverability_to_rm(net)
-    vp = solve_petri(rm)
+    vp = petri_net_reference(rm)
     vw = solve_wsts(rm)
     assert vp.outcome == vw.outcome
     from tsoreach.translate import encode_rm_to_coverability
@@ -596,21 +600,80 @@ def test_backend_witness_that_fails_replay_is_an_internal_error(
     assert out.out == "" and out.err.startswith("internal error: WitnessError: ")
 
 
-def test_wsts_register_space_limit_is_the_budget(tmp_path, capsys):
-    # 4 registers over 0..3: 256 register assignments
+def test_wsts_closure_size_limit_is_the_budget(tmp_path, capsys):
+    # (a, r1) for r1 in 0..3, the same at b, and (t, 3): 9 closure controls
     rm = RegisterMachine(
-        "w", ("a", "b", "t"), "a", "t", ("r1", "r2", "r3", "r4"), 3,
+        "w", ("a", "b", "t"), "a", "t", ("r1", "r2"), 3,
         AdtSpec(kind="weak-counter"),
-        (("a", write("r1", 2), "b"), ("b", read("r1", 2), "t")),
+        (("a", inc("r1"), "a"), ("a", AdtOp("inc"), "b"),
+         ("b", read("r1", 3), "t")),
     )
-    small = solve_wsts(rm, budget=255)
+    n = len(_control_closure(rm)[1])
+    assert n == 9
+    small = solve_wsts(rm, budget=n - 1)
     assert (small.outcome, small.closed) == ("inconclusive", False)
-    assert small.stats.explored == 0  # gave up before searching
-    large = solve_wsts(rm, budget=10_000)
+    assert small.stats.iterations == 0  # gave up before searching
+    large = solve_wsts(rm, budget=n)
     assert large.outcome == "reachable"
     _assert_witness_replays(rm, large)
     path = tmp_path / "w.tso"
     path.write_text(print_machine(rm))
-    assert main(["check", str(path), "--backend", "wsts", "--budget", "255"]) == 2
+    assert main(["check", str(path), "--backend", "wsts", "--budget", str(n - 1)]) == 2
     assert capsys.readouterr().out.startswith("verdict: inconclusive")
-    assert main(["check", str(path), "--backend", "wsts", "--budget", "10000"]) == 0
+    assert main(["check", str(path), "--backend", "wsts", "--budget", str(n)]) == 0
+
+
+def _random_monotone_machine(rng, kind, tier):
+    if kind == "petri":
+        net = random_net(rng)
+        adt = AdtSpec(kind="petri", places=net.places, transitions=net.transitions,
+                      initial_marking=net.initial)
+    else:
+        adt = AdtSpec(kind=kind)
+    return random_machine(rng, n_states=rng.randint(3, 5), n_regs=rng.randrange(3),
+                          bound=rng.randint(1, 2), adt=adt, tier=tier,
+                          op_weight=0 if kind == "trivial" else 50)
+
+
+@pytest.mark.parametrize("kind", ["petri", "weak-counter", "trivial"])
+def test_backward_cover_campaign(kind):
+    """solve_petri and solve_wsts against the net-encoding route and bounded
+    search on random machines of every tier, witnesses on the input machine."""
+    rng = random.Random(f"cover/{kind}")
+    for i in range(90):
+        rm = _random_monotone_machine(rng, kind, tier=1 + i % 3)
+        verdicts = [solve_wsts(rm)]
+        if kind == "petri":
+            verdicts.append(solve_petri(rm))
+            # every machine here is small enough for the reference to finish
+            assert petri_net_reference(rm, budget=200_000).outcome == verdicts[0].outcome
+        bounded = explore_bounded(rm, value_bound=6, budget=20_000)
+        for v in verdicts:
+            assert v.conclusive
+            assert v.outcome == verdicts[0].outcome
+            if bounded.conclusive:
+                assert v.outcome == bounded.outcome
+            if v.outcome == "reachable":
+                _assert_witness_replays(rm, v)
+
+
+def test_check_petri_witness_names_input_edges(tmp_path, capsys):
+    rng = random.Random(5)
+    for _ in range(100):  # a tier-3 machine whose run takes a tier-3 action
+        rm = _random_monotone_machine(rng, "petri", tier=3)
+        v = solve_petri(rm)
+        if v.outcome == "reachable" and any(
+            isinstance(act, RegisterAction) and act.tier == 3
+            for _, act, _ in _parse_witness_labels(rm, v.witness)
+        ):
+            break
+    else:
+        pytest.fail("no reachable tier-3 Petri machine among 100")
+    path = tmp_path / "p.tso"
+    path.write_text(print_machine(rm))
+    assert main(["check", str(path), "--backend", "petri", "--format", "lines"]) == 0
+    steps = [ln[len("witness: "):] for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("witness: ")]
+    labels = _parse_witness_labels(rm, steps)
+    assert labels and all(edge in rm.delta for edge in labels)
+    assert replay_rm(rm, labels).state == rm.q_target
