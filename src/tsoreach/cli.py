@@ -125,7 +125,7 @@ def _build_parser() -> _Parser:
                         help="override the declared adt, e.g. 'counter'")
         sp.add_argument("--backend", default="auto", choices=BACKENDS,
                         help="machine backend: auto picks by data type (finite "
-                             "search, pre* for stacks and counters, backward "
+                             "search, post* for stacks and counters, backward "
                              "coverability for Petri machines, bounded search "
                              "for the rest); wsts runs that coverability search "
                              "on any monotone type")
@@ -146,7 +146,7 @@ def _build_parser() -> _Parser:
 
     common(cmd("check", "decide reachability: pivot search first on a program, "
                         "else translate to a register machine and solve it "
-                        "(pre* decides counters and stacks)"))
+                        "(post* decides counters and stacks)"))
     common(cmd("oracle", "bounded concrete-semantics search"))
     common(cmd("pivot", "pivot-semantics search"))
     tr = cmd("translate", "emit the translated model")

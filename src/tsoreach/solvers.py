@@ -1,7 +1,7 @@
 """Reachability backends for register machines, one per data-type family.
 
 solve_finite      explicit search; exact when the value space stays finite
-solve_stack       pre*-saturation over the control closure, for stacks and
+solve_stack       post*-saturation over the control closure, for stacks and
                   for counters (a stack over one symbol)
 solve_counter     solve_stack on a counter or weak-counter machine
 solve_petri       backward coverability over the control closure
@@ -9,9 +9,12 @@ solve_wsts        the same search, for any monotone well-structured type
 explore_bounded   value-size-bounded search for the remaining types
 
 _control_closure is the one place that flattens registers: it builds the
-finite control, (state, registers) pairs with their edges, that pre* and
-backward coverability both read.  solve_finite and explore_bounded run the
-breadth-first kernel verdict.explore over rm_step.  Every backend
+finite control, (state, registers) pairs with their edges, that post* and
+backward coverability both read.  post* saturates forwards from the
+initial configuration and stops at a target control, so solve_stack's
+stats.iterations is the automaton's transitions at that stop, or at the
+fixpoint when no target is reached.  solve_finite and explore_bounded run
+the breadth-first kernel verdict.explore over rm_step.  Every backend
 interprets all instruction tiers directly and replays its reachable
 witness under rm_step to the target before returning it; one that does
 not replay raises WitnessError.
@@ -40,7 +43,7 @@ from .model import (
     replay_rm,
     rm_step,
 )
-from .pds import PdsRule, PushdownSystem, pre_star
+from .pds import PdsRule, PushdownSystem, post_star
 
 # unused here; perfbench/tracing.py patches this name in this module
 from .translate import encode_rm_to_coverability_labelled  # noqa: F401
@@ -53,6 +56,9 @@ from .verdict import (
     WitnessError,
     explore,
 )
+
+# perfbench/tracing.py times the saturation under this name in this module
+pre_star = post_star
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -113,7 +119,7 @@ def explore_bounded(
 
 
 # ---------------------------------------------------------------------------
-# The control closure, and pre*-saturation over it for stacks and counters
+# The control closure, and post*-saturation over it for stacks and counters
 
 
 def _control_closure(rm: RegisterMachine, budget: int = DEFAULT_BUDGET):
@@ -121,7 +127,7 @@ def _control_closure(rm: RegisterMachine, budget: int = DEFAULT_BUDGET):
 
     Returns the initial control, the set of controls and each control's
     outgoing (edge, control) pairs.  Overapproximates the truly reachable
-    pairs, which is all pre* and backward coverability need: the data type
+    pairs, which is all post* and backward coverability need: the data type
     decides which of them a run reaches.  The search stops once it has
     seen more than budget pairs, so a caller finding more than budget
     controls has no closure.
@@ -147,7 +153,7 @@ def _control_closure(rm: RegisterMachine, budget: int = DEFAULT_BUDGET):
 
 
 def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Exact reachability for stack and counter machines via pre*-saturation.
+    """Exact reachability for stack and counter machines via post*-saturation.
 
     A counter is a stack over one symbol above the bottom marker (a
     one-counter automaton): inc pushes it, dec pops it and iszero tests for
@@ -155,13 +161,14 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     witness is a run of rm whatever its data type.
 
     Registers are flattened into control states by a forward closure, whose
-    size is stats.explored.  pre* then saturates from the target controls
-    and stops as soon as the initial configuration is accepted;
-    stats.iterations counts the automaton transitions it holds at the end,
-    the initial ones included: at the fixpoint for unreachable verdicts, at
-    the stop for reachable ones.  budget bounds both the closure size and
-    the transitions saturation adds; hitting it is inconclusive.  A
-    reachable witness is replayed under rm_step before it is returned.
+    size is stats.explored.  post* then saturates forwards from the initial
+    control over the bottom marker and stops at the first transition that
+    leaves a target control; stats.iterations counts the automaton
+    transitions it holds at the end, the initial one included: at the stop
+    for reachable verdicts, at the fixpoint for unreachable ones.  budget
+    bounds both the closure size and the transitions saturation adds;
+    hitting it is inconclusive.  A reachable witness is replayed under
+    rm_step before it is returned.
     """
     counter = rm.adt.kind in ("counter", "weak-counter")
     if rm.adt.kind != "stack" and not counter:
@@ -208,16 +215,17 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
                 for g in alphabet:
                     rules.append(PdsRule(control, g, control2, (g,), label))
 
-    targets = sorted((c for c in controls if c[0] == rm.q_target), key=repr)
+    # edges_from holds every closure control, in an order no string hash sets
+    targets = [c for c in edges_from if c[0] == rm.q_target]
     if not targets:
         return Verdict(UNREACHABLE, stats=stats())
     pds = PushdownSystem(
-        controls=tuple(sorted(controls, key=repr)) + tuple(reset_controls),
+        controls=tuple(edges_from) + tuple(reset_controls),
         alphabet=alphabet,
         rules=tuple(rules),
     )
     start = (init, (bottom,))
-    result = pre_star(pds, targets, stop=start, budget=budget)
+    result = pre_star(pds, start, targets, budget=budget)
     iterations = len(result.transitions)
     if result.exhausted:
         return Verdict(INCONCLUSIVE, stats=stats(iterations), closed=False)

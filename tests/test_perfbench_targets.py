@@ -58,3 +58,21 @@ trans q0 -> qf : rd x 1
     capsys.readouterr()
     assert tracer.calls["model.rm_step"] > 0
     assert tracer.calls["solvers.finite"] == 1
+
+
+def test_traced_check_times_the_stack_saturation(tmp_path, capsys):
+    # solve_stack must saturate and unwind its witness through the names the
+    # tracer patches, so pds.pre_star_ms and pds.witness_ms keep their spans
+    import random
+
+    from tsoreach.gen import random_stack_machine
+
+    path = tmp_path / "stack.rm"
+    path.write_text(print_machine(random_stack_machine(random.Random(1), 40)))
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        assert tsoreach.cli.main(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert tracer.calls["pds.pre_star"] == 1
+    assert tracer.calls["pds.witness"] == 1
+    assert tracer.counts["pds.transitions"] > 0

@@ -8,6 +8,7 @@ from helpers import (
     net_coverable_forward,
     petri_backward_history,
     petri_net_reference,
+    pre_star,
     rm_reachable_brute,
     solve_counter_cutoff,
     wsts_backward_history,
@@ -306,6 +307,32 @@ def test_solve_stack_budget_is_inconclusive(tmp_path, capsys):
     assert main(["check", str(path), "--budget", str(closure)]) == 2
     assert capsys.readouterr().out.startswith("verdict: inconclusive")
     assert main(["check", str(path)]) == 0
+
+
+@pytest.mark.parametrize("seed,outcome", [
+    (0, "unreachable"), (1, "reachable"), (4, "reachable"), (6, "unreachable"),
+])
+def test_solve_stack_640_states_matches_pre_star(monkeypatch, seed, outcome):
+    # post* on the pushdown system solve_stack builds, against the worklist
+    # pre* reference on the same system
+    import tsoreach.solvers as solvers
+
+    real = solvers.pre_star
+    seen = []
+
+    def both(pds, start, targets, budget=None):
+        res = real(pds, start, targets, budget=budget)
+        ref = pre_star(pds, targets, stop=start, budget=budget)
+        seen.append((res.accepts(*start), ref.accepts(*start)))
+        return res
+
+    monkeypatch.setattr(solvers, "pre_star", both)
+    rm = random_stack_machine(random.Random(seed), 640)
+    v = solve_stack(rm)
+    assert seen == [(outcome == "reachable",) * 2]
+    assert v.outcome == outcome
+    if outcome == "reachable":
+        _assert_witness_replays(rm, v)
 
 
 def test_solve_stack_rejects_a_witness_that_fails_replay(tmp_path, capsys, monkeypatch):
