@@ -71,6 +71,8 @@ class PushdownSystem:
 
     def __post_init__(self) -> None:
         declared, symbols = set(self.controls), set(self.alphabet)
+        if len(declared) != len(self.controls):
+            raise ValueError("controls must be distinct")
         for r in self.rules:
             if r.p not in declared or r.p2 not in declared:
                 raise ValueError(f"rule uses undeclared control: {r}")
@@ -100,12 +102,14 @@ class PostStarResult:
     derivation (rule, sources): (None, ()) for the start word's own,
     (rule, ()) for a push into an intermediate state, (rule, (t,)) for a
     rule applied to t, and (None, (eps, t)) for an epsilon combined with
-    the transition after it.
+    the transition after it.  out lists the transitions leaving each
+    non-control state.
     """
 
     pds: PushdownSystem
     start: tuple
     transitions: dict
+    out: dict
     final: int  # the accepting state
     found: bool  # a target control was reached
     last: tuple | None  # the stopping transition; None for a target start
@@ -122,11 +126,7 @@ class PostStarResult:
 
     def _path_to_final(self, state) -> list:
         """Transitions from a non-control state to the accepting state."""
-        out: dict = {}
-        for t in self.transitions:
-            if t[0] >= len(self.pds.controls):
-                out.setdefault(t[0], []).append(t)
-        r = explore(state, lambda q: [(t, t[2]) for t in out.get(q, ())],
+        r = explore(state, lambda q: [(t, t[2]) for t in self.out.get(q, ())],
                     lambda q: q == self.final)
         if r.outcome != REACHED:  # pragma: no cover - every target leads on
             raise AssertionError("dead end in the post* automaton")
@@ -247,7 +247,7 @@ def post_star(
         found = True
     except _OutOfBudget:
         exhausted = True
-    return PostStarResult(pds, (control, word), why, final, found, last, exhausted)
+    return PostStarResult(pds, (control, word), why, out, final, found, last, exhausted)
 
 
 # perfbench/tracing.py and the tests still name the result class this way

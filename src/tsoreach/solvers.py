@@ -188,7 +188,7 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     alphabet = stack_syms + (bottom,)
 
     rules: list[PdsRule] = []
-    reset_controls = []
+    reset_controls: dict = {}  # a repeated reset edge drains through one control
     for control, outs in edges_from.items():
         for label, control2 in outs:
             act = label[1]
@@ -205,7 +205,7 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
                     raise ModelError(f"unexpected stack op {act}")
             elif isinstance(act, AdtOp):  # reset: drain the whole stack
                 aux = (control, control2, "reset")
-                reset_controls.append(aux)
+                reset_controls[aux] = None
                 for g in alphabet:
                     rules.append(PdsRule(control, g, aux, (g,), label))
                 for g in stack_syms:

@@ -17,6 +17,8 @@ def test_rules_validated():
         _pds([PdsRule("p", "a", "q", ("a", "a", "a"))])
     with pytest.raises(ValueError):
         _pds([PdsRule("p", "z", "q", ())])
+    with pytest.raises(ValueError):
+        _pds([], controls=("p", "q", "p", "t"))
 
 
 def test_pre_star_direct_target():

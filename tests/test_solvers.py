@@ -274,6 +274,30 @@ def test_solve_stack_handles_reset():
     _assert_witness_replays(rm, v)
 
 
+@pytest.mark.parametrize("kind", ["counter", "stack"])
+def test_solve_stack_handles_a_repeated_reset_edge(kind):
+    # both copies of the edge drain through one reset control
+    if kind == "counter":
+        s, up, empty = AdtSpec(kind="counter"), AdtOp("inc"), AdtOp("iszero")
+    else:
+        s = AdtSpec(kind="stack", alphabet=("a",))
+        up, empty = AdtOp("push", "a"), AdtOp("isempty")
+    rm = RegisterMachine(
+        "s", ("q0", "q1", "q2", "qt"), "q0", "qt", (), 0, s,
+        (
+            ("q0", up, "q1"),
+            ("q1", AdtOp("reset"), "q2"),
+            ("q1", AdtOp("reset"), "q2"),
+            ("q2", empty, "qt"),
+        ),
+    )
+    if kind == "counter":
+        assert rm_reachable_brute(rm)
+    v = solve_stack(rm)
+    assert v.outcome == "reachable"
+    _assert_witness_replays(rm, v)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_stack_backend_matches_bounded_closure(seed):
     rng = random.Random(300 + seed)
