@@ -84,13 +84,6 @@ def mk_marking(counts: dict[str, int]) -> Marking:
     return tuple(sorted((p, c) for p, c in counts.items() if c > 0))
 
 
-def marking_get(m: Marking, place: str) -> int:
-    for p, c in m:
-        if p == place:
-            return c
-    return 0
-
-
 def marking_total(m: Marking) -> int:
     return sum(c for _, c in m)
 

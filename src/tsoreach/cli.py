@@ -3,7 +3,8 @@
 Subcommands: check (decide a program or a machine), oracle (bounded
 concrete search), pivot (pivot-semantics search), translate (either
 reduction), lower (tier lowerings), gen (benchmark instances), crosscheck
-(all three pipelines on one input, flagging any disagreement).
+(all three pipelines on one input, flagging any disagreement).  Each
+subcommand takes only the flags it reads; any other flag is a usage error.
 
 check decides a program with the lazy pivot search first: a closed search
 is an exact unreachable, and a reached target is lifted to a run of the
@@ -22,11 +23,17 @@ import argparse
 import random
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import dsl, gen
 from .adt import AdtError
-from .model import ModelError, lower_tier2_to_tier1, lower_tier3_to_tier2
+from .model import (
+    ModelError,
+    Program,
+    lower_tier2_to_tier1,
+    lower_tier3_to_tier2,
+    validate_program,
+)
 from .pivot import parse_omega, pivot_reach
 from .solvers import BACKENDS, format_rm_label, solve_auto
 from .translate import (
@@ -52,64 +59,76 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by every subcommand."""
-
-    subcommand: str
-    input: str | None
-    adt_override: str | None
-    n_max: int
-    step_max: int
-    buffer_max: int
-    value_bound: int
-    budget: int
-    backend: str
-    seed: int
-    out_format: str
-    out: str | None
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        cfg = RunConfig(
-            subcommand=args.subcommand,
-            input=getattr(args, "input", None),
-            adt_override=args.adt,
-            n_max=args.n_max,
-            step_max=args.steps,
-            buffer_max=args.buffer,
-            value_bound=args.value_bound,
-            budget=args.budget,
-            backend=args.backend,
-            seed=args.seed,
-            out_format=args.out_format,
-            out=args.out,
-        )
-        positives = {
-            "--n-max": cfg.n_max,
-            "--steps": cfg.step_max,
-            "--buffer": cfg.buffer_max,
-            "--budget": cfg.budget,
-        }
-        non_negatives = {"--value-bound": cfg.value_bound}
-        if cfg.subcommand == "gen":
-            positives.update({"--count": args.count, "--states": args.states,
-                              "--vars": args.vars})
-            non_negatives.update({"--regs": args.regs, "--bound": args.bound})
-        for flag, value in positives.items():
-            if value < 1:
-                print(f"error: {flag} must be positive", file=sys.stderr)
-                raise SystemExit(EXIT_USAGE)
-        for flag, value in non_negatives.items():
-            if value < 0:
-                print(f"error: {flag} must be >= 0", file=sys.stderr)
-                raise SystemExit(EXIT_USAGE)
-        return cfg
-
-
 class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter,
                      argparse.RawDescriptionHelpFormatter):
     pass
+
+
+# every flag with its argparse settings; a subcommand takes only the flags
+# its handler reads
+_FLAGS = {
+    "--adt": dict(default=None, metavar="DECL",
+                  help="override the declared adt, e.g. 'counter'"),
+    "--backend": dict(default="auto", choices=BACKENDS,
+                      help="machine backend: auto picks by data type (finite "
+                           "search, post* for stacks and counters, backward "
+                           "coverability for Petri machines, bounded search "
+                           "for the rest); wsts runs that coverability search "
+                           "on any monotone type"),
+    "--n-max": dict(type=int, default=3, help="oracle: max processes"),
+    "--steps": dict(type=int, default=12, help="oracle: max run length"),
+    "--buffer": dict(type=int, default=4, help="oracle: max buffer length"),
+    "--value-bound": dict(type=int, default=8,
+                          help="data value size bound for bounded exploration"),
+    "--budget": dict(type=int, default=1_000_000,
+                     help="max explored states before giving up"),
+    "--format": dict(default="text", choices=["text", "lines"]),
+    "--out": dict(default=None, help="write the report/output here"),
+    "--reverse": dict(action="store_true",
+                      help="machine -> TSO program instead of program -> machine"),
+    "--to": dict(type=int, default=1, choices=[1, 2]),
+    "--seed": dict(type=int, default=0),
+    "--kind": dict(required=True,
+                   choices=["program", "machine", "counter-machine",
+                            "stack-machine", "net", "intersection"]),
+    "--count": dict(type=int, default=1),
+    "--states": dict(type=int, default=4),
+    "--vars": dict(type=int, default=2),
+    "--regs": dict(type=int, default=2),
+    "--bound": dict(type=int, default=1),
+    "--tier": dict(type=int, default=1, choices=[1, 2, 3]),
+    "--fixture": dict(type=int, default=0,
+                      help="intersection: use built-in fixture 0..5"),
+    "--automata": dict(default=None,
+                       help="intersection: read pda/fsa sections from this file"),
+}
+
+# subcommand -> (help, flags), in the order help lists them; every
+# subcommand but gen reads one input file
+_SUBCOMMANDS = {
+    "check": ("decide reachability: pivot search first on a program, else "
+              "translate to a register machine and solve it (post* decides "
+              "counters and stacks)",
+              "--adt --backend --value-bound --budget --format --out"),
+    "oracle": ("bounded concrete-semantics search",
+               "--adt --n-max --steps --buffer --value-bound --format --out"),
+    "pivot": ("pivot-semantics search",
+              "--adt --value-bound --budget --format --out"),
+    "translate": ("emit the translated model", "--adt --out --reverse"),
+    "lower": ("lower machine instruction tiers", "--adt --out --to"),
+    "gen": ("emit benchmark instances",
+            "--adt --seed --out --kind --count --states --vars --regs --bound "
+            "--tier --fixture --automata"),
+    "crosscheck": ("run oracle, pivot and check; fail on disagreement",
+                   "--adt --backend --n-max --steps --buffer --value-bound "
+                   "--budget --out"),
+}
+
+# (flag, least value) in the order they are checked, each only where the
+# subcommand takes it
+_LEAST = (("--n-max", 1), ("--steps", 1), ("--buffer", 1), ("--budget", 1),
+          ("--count", 1), ("--states", 1), ("--vars", 1),
+          ("--value-bound", 0), ("--regs", 0), ("--bound", 0))
 
 
 def _build_parser() -> _Parser:
@@ -117,62 +136,22 @@ def _build_parser() -> _Parser:
                 formatter_class=_HelpFormatter)
     sub = p.add_subparsers(dest="subcommand", required=True,
                            parser_class=_Parser)
-
-    def common(sp, with_input=True):
-        if with_input:
+    for name, (help_, flags) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_, formatter_class=_HelpFormatter)
+        if name != "gen":
             sp.add_argument("input", help="input file (DSL text)")
-        sp.add_argument("--adt", default=None, metavar="DECL",
-                        help="override the declared adt, e.g. 'counter'")
-        sp.add_argument("--backend", default="auto", choices=BACKENDS,
-                        help="machine backend: auto picks by data type (finite "
-                             "search, post* for stacks and counters, backward "
-                             "coverability for Petri machines, bounded search "
-                             "for the rest); wsts runs that coverability search "
-                             "on any monotone type")
-        sp.add_argument("--n-max", type=int, default=3, help="oracle: max processes")
-        sp.add_argument("--steps", type=int, default=12, help="oracle: max run length")
-        sp.add_argument("--buffer", type=int, default=4, help="oracle: max buffer length")
-        sp.add_argument("--value-bound", type=int, default=8,
-                        help="data value size bound for bounded exploration")
-        sp.add_argument("--budget", type=int, default=1_000_000,
-                        help="max explored states before giving up")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", dest="out_format", default="text",
-                        choices=["text", "lines"])
-        sp.add_argument("--out", default=None, help="write the report/output here")
-
-    def cmd(name, help_):
-        return sub.add_parser(name, help=help_, formatter_class=_HelpFormatter)
-
-    common(cmd("check", "decide reachability: pivot search first on a program, "
-                        "else translate to a register machine and solve it "
-                        "(post* decides counters and stacks)"))
-    common(cmd("oracle", "bounded concrete-semantics search"))
-    common(cmd("pivot", "pivot-semantics search"))
-    tr = cmd("translate", "emit the translated model")
-    common(tr)
-    tr.add_argument("--reverse", action="store_true",
-                    help="machine -> TSO program instead of program -> machine")
-    lo = cmd("lower", "lower machine instruction tiers")
-    common(lo)
-    lo.add_argument("--to", type=int, default=1, choices=[1, 2])
-    g = cmd("gen", "emit benchmark instances")
-    common(g, with_input=False)
-    g.add_argument("--kind", required=True,
-                   choices=["program", "machine", "counter-machine",
-                            "stack-machine", "net", "intersection"])
-    g.add_argument("--count", type=int, default=1)
-    g.add_argument("--states", type=int, default=4)
-    g.add_argument("--vars", type=int, default=2)
-    g.add_argument("--regs", type=int, default=2)
-    g.add_argument("--bound", type=int, default=1)
-    g.add_argument("--tier", type=int, default=1, choices=[1, 2, 3])
-    g.add_argument("--fixture", type=int, default=None,
-                   help="intersection: use built-in fixture 0..5")
-    g.add_argument("--automata", default=None,
-                   help="intersection: read pda/fsa sections from this file")
-    common(cmd("crosscheck", "run oracle, pivot and check; fail on disagreement"))
+        for flag in flags.split():
+            sp.add_argument(flag, **_FLAGS[flag])
     return p
+
+
+def _check_ranges(args) -> None:
+    for flag, least in _LEAST:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value < least:
+            rule = "positive" if least else ">= 0"
+            print(f"error: {flag} must be {rule}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
 
 
 # what a bad input file raises while it is read, parsed or translated
@@ -192,10 +171,10 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _load(path: str, adt_override: str | None):
+def _load(args):
     """Returns ('program', Program) | ('machine', rm) | ('cover', rm)."""
     try:
-        text = _read(path)
+        text = _read(args.input)
         kind_line = next(
             (ln.split()[0] for _, ln in dsl._lines(text)
              if ln.split()[0] in ("process", "machine", "cover")),
@@ -208,32 +187,21 @@ def _load(path: str, adt_override: str | None):
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT_ERROR)
-    if adt_override is not None:
+    if args.adt is not None:
         try:
-            new_adt = dsl.parse_adt_line(adt_override, 0)
-            if isinstance(obj, dsl.Program):
-                from .model import validate_program
-
+            new_adt = dsl.parse_adt_line(args.adt, 0)
+            if isinstance(obj, Program):
                 validate_program(obj.mem, new_adt, obj.proc)
-                obj = dsl.Program(mem=obj.mem, adt=new_adt, proc=obj.proc)
-            else:
-                from .model import RegisterMachine
-
-                obj = RegisterMachine(
-                    obj.name, obj.states, obj.q_init, obj.q_target,
-                    obj.registers, obj.bound, new_adt, obj.delta,
-                )
+            obj = replace(obj, adt=new_adt)
         except (dsl.DslError, AdtError, ModelError) as e:
             print(f"error: {e}", file=sys.stderr)
             raise SystemExit(EXIT_INPUT_ERROR)
-    if isinstance(obj, dsl.Program):
-        return "program", obj
-    return "machine", obj
+    return ("program" if isinstance(obj, Program) else "machine"), obj
 
 
-def _report(v: Verdict, fmt: str, out: str | None) -> int:
-    if fmt == "text":
-        _emit(v.report(include_millis=True), out)
+def _report(v: Verdict, args) -> int:
+    if args.format == "text":
+        _emit(v.report(include_millis=True), args.out)
     else:
         lines = [f"verdict: {v.outcome}"]
         for step in v.witness or ():
@@ -241,50 +209,48 @@ def _report(v: Verdict, fmt: str, out: str | None) -> int:
         lines.append(f"explored: {v.stats.explored}")
         lines.append(f"iterations: {v.stats.iterations}")
         lines.append(f"closed: {1 if v.closed else 0}")
-        _emit("\n".join(lines) + "\n", out)
+        _emit("\n".join(lines) + "\n", args.out)
     return v.exit_code()
 
 
-def _solve_rm(rm, cfg: RunConfig) -> Verdict:
-    return solve_auto(
-        rm,
-        backend=cfg.backend,
-        value_bound=cfg.value_bound,
-        budget=cfg.budget,
-    )
+def _pivot(prog, args) -> Verdict:
+    return pivot_reach(prog.proc, prog.mem, prog.adt,
+                       value_bound=args.value_bound, budget=args.budget)
 
 
-def _rm_route(prog, cfg: RunConfig) -> Verdict:
+def _oracle(prog, args) -> Verdict:
+    bounds = OracleBounds(n_max=args.n_max, step_max=args.steps,
+                          buffer_max=args.buffer, adt_size_max=args.value_bound)
+    return bounded_reach(prog.proc, prog.mem, prog.adt, bounds)
+
+
+def _solve_rm(rm, args) -> Verdict:
+    return solve_auto(rm, backend=args.backend,
+                      value_bound=args.value_bound, budget=args.budget)
+
+
+def _rm_route(prog, args) -> Verdict:
     """Translate the program and solve the register machine."""
-    return _solve_rm(build_register_machine(prog.proc, prog.mem, prog.adt), cfg)
+    return _solve_rm(build_register_machine(prog.proc, prog.mem, prog.adt), args)
 
 
-def _check_program(prog, cfg: RunConfig) -> Verdict:
+def _check_program(prog, args) -> Verdict:
     """The pivot search, with the machine route when it is inconclusive.
 
     The verdict keeps the pivot search's stats; a reachable one carries the
     pivot run lifted to the translated machine, in the machine route's
     witness form.
     """
-    v = pivot_reach(prog.proc, prog.mem, prog.adt,
-                    value_bound=cfg.value_bound, budget=cfg.budget)
+    v = _pivot(prog, args)
     if v.outcome == UNREACHABLE:
         return v
     rm = build_register_machine(prog.proc, prog.mem, prog.adt)
     if v.outcome == REACHABLE:
         run = lift_pivot_witness(rm, parse_omega(v.witness[0]),
-                                 value_bound=cfg.value_bound, budget=cfg.budget)
+                                 value_bound=args.value_bound, budget=args.budget)
         if run is not None:
             return replace(v, witness=tuple(format_rm_label(e) for e in run))
-    return _solve_rm(rm, cfg)
-
-
-def _solve_input(kind, obj, cfg: RunConfig) -> Verdict:
-    if kind != "program":
-        return _solve_rm(obj, cfg)
-    if cfg.backend == "auto":
-        return _check_program(obj, cfg)
-    return _rm_route(obj, cfg)
+    return _solve_rm(rm, args)
 
 
 def _need_program(kind, obj, what: str):
@@ -294,80 +260,71 @@ def _need_program(kind, obj, what: str):
     return obj
 
 
-def cmd_check(cfg: RunConfig, args) -> int:
-    kind, obj = _load(cfg.input, cfg.adt_override)
-    return _report(_solve_input(kind, obj, cfg), cfg.out_format, cfg.out)
+def cmd_check(args) -> int:
+    kind, obj = _load(args)
+    if kind != "program":
+        v = _solve_rm(obj, args)
+    elif args.backend == "auto":
+        v = _check_program(obj, args)
+    else:
+        v = _rm_route(obj, args)
+    return _report(v, args)
 
 
-def cmd_oracle(cfg: RunConfig, args) -> int:
-    kind, obj = _load(cfg.input, cfg.adt_override)
-    prog = _need_program(kind, obj, "oracle")
-    bounds = OracleBounds(
-        n_max=cfg.n_max,
-        step_max=cfg.step_max,
-        buffer_max=cfg.buffer_max,
-        adt_size_max=cfg.value_bound,
-    )
-    v = bounded_reach(prog.proc, prog.mem, prog.adt, bounds)
-    return _report(v, cfg.out_format, cfg.out)
+def cmd_oracle(args) -> int:
+    prog = _need_program(*_load(args), "oracle")
+    return _report(_oracle(prog, args), args)
 
 
-def cmd_pivot(cfg: RunConfig, args) -> int:
-    kind, obj = _load(cfg.input, cfg.adt_override)
-    prog = _need_program(kind, obj, "pivot")
-    v = pivot_reach(
-        prog.proc, prog.mem, prog.adt,
-        value_bound=cfg.value_bound, budget=cfg.budget,
-    )
-    return _report(v, cfg.out_format, cfg.out)
+def cmd_pivot(args) -> int:
+    prog = _need_program(*_load(args), "pivot")
+    return _report(_pivot(prog, args), args)
 
 
-def cmd_translate(cfg: RunConfig, args) -> int:
-    kind, obj = _load(cfg.input, cfg.adt_override)
+def cmd_translate(args) -> int:
+    kind, obj = _load(args)
     if args.reverse:
         if kind == "program":
             print("error: --reverse needs a machine input", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        gen_prog = build_tso_from_rm(obj)
-        text = dsl.print_program(
-            dsl.Program(mem=gen_prog.mem, adt=gen_prog.adt, proc=gen_prog.proc)
-        )
+        text = dsl.print_program(build_tso_from_rm(obj))
     else:
         prog = _need_program(kind, obj, "translate")
         text = dsl.print_machine(build_register_machine(prog.proc, prog.mem, prog.adt))
-    _emit(text, cfg.out)
+    _emit(text, args.out)
     return 0
 
 
-def cmd_lower(cfg: RunConfig, args) -> int:
-    kind, obj = _load(cfg.input, cfg.adt_override)
+def cmd_lower(args) -> int:
+    kind, obj = _load(args)
     if kind == "program":
         print("error: lower needs a machine input", file=sys.stderr)
         return EXIT_INPUT_ERROR
     rm = lower_tier3_to_tier2(obj)
     if args.to == 1:
         rm = lower_tier2_to_tier1(rm)
-    _emit(dsl.print_machine(rm), cfg.out)
+    _emit(dsl.print_machine(rm), args.out)
     return 0
 
 
-def cmd_gen(cfg: RunConfig, args) -> int:
-    rng = random.Random(cfg.seed)
+def cmd_gen(args) -> int:
+    rng = random.Random(args.seed)
+    adt = None
+    if args.adt and args.kind in ("program", "machine"):
+        adt = dsl.parse_adt_line(args.adt, 0)
+    op_weight = 40 if adt and adt.kind != "trivial" else 0
     chunks: list[str] = []
     for _ in range(args.count):
         if args.kind == "program":
-            adt = dsl.parse_adt_line(cfg.adt_override, 0) if cfg.adt_override else None
             mem, a, proc = gen.random_program(
                 rng, n_states=args.states, n_vars=args.vars, adt=adt,
-                op_weight=40 if adt and adt.kind != "trivial" else 0,
+                op_weight=op_weight,
             )
-            chunks.append(dsl.print_program(dsl.Program(mem=mem, adt=a, proc=proc)))
+            chunks.append(dsl.print_program(Program(mem=mem, adt=a, proc=proc)))
         elif args.kind == "machine":
-            adt = dsl.parse_adt_line(cfg.adt_override, 0) if cfg.adt_override else None
             rm = gen.random_machine(
                 rng, n_states=args.states, n_regs=args.regs, bound=args.bound,
-                adt=adt, tier=args.tier,
-                op_weight=40 if adt and adt.kind != "trivial" else 0,
+                adt=adt, tier=args.tier, op_weight=op_weight,
             )
             chunks.append(dsl.print_machine(rm))
         elif args.kind == "counter-machine":
@@ -389,28 +346,21 @@ def cmd_gen(cfg: RunConfig, args) -> int:
                     return EXIT_INPUT_ERROR
             else:
                 fixtures = gen.intersection_fixtures()
-                idx = args.fixture if args.fixture is not None else 0
-                if not 0 <= idx < len(fixtures):
+                if not 0 <= args.fixture < len(fixtures):
                     print(f"error: fixture index 0..{len(fixtures)-1}", file=sys.stderr)
                     return EXIT_INPUT_ERROR
-                _, pda, fsas, _ = fixtures[idx]
+                _, pda, fsas, _ = fixtures[args.fixture]
                 rm = encode_intersection(pda, fsas)
             chunks.append(dsl.print_machine(rm))
-    _emit("# ---\n".join(chunks), cfg.out)
+    _emit("# ---\n".join(chunks), args.out)
     return 0
 
 
-def cmd_crosscheck(cfg: RunConfig, args) -> int:
-    kind, obj = _load(cfg.input, cfg.adt_override)
-    prog = _need_program(kind, obj, "crosscheck")
-    bounds = OracleBounds(
-        n_max=cfg.n_max, step_max=cfg.step_max,
-        buffer_max=cfg.buffer_max, adt_size_max=cfg.value_bound,
-    )
-    oracle_v = bounded_reach(prog.proc, prog.mem, prog.adt, bounds)
-    pivot_v = pivot_reach(prog.proc, prog.mem, prog.adt,
-                          value_bound=cfg.value_bound, budget=cfg.budget)
-    check_v = _rm_route(prog, cfg)  # independent of the pivot search above
+def cmd_crosscheck(args) -> int:
+    prog = _need_program(*_load(args), "crosscheck")
+    oracle_v = _oracle(prog, args)
+    pivot_v = _pivot(prog, args)
+    check_v = _rm_route(prog, args)  # independent of the pivot search above
 
     problems = []
     if oracle_v.outcome == "reachable":
@@ -428,10 +378,21 @@ def cmd_crosscheck(cfg: RunConfig, args) -> int:
     ]
     for prob in problems:
         lines.append(f"disagreement: {prob}")
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     if problems:
         return EXIT_DISAGREEMENT
     return check_v.exit_code()
+
+
+_HANDLERS = {
+    "check": cmd_check,
+    "oracle": cmd_oracle,
+    "pivot": cmd_pivot,
+    "translate": cmd_translate,
+    "lower": cmd_lower,
+    "gen": cmd_gen,
+    "crosscheck": cmd_crosscheck,
+}
 
 
 # built by the first main call of a process and reused by every later one;
@@ -444,18 +405,9 @@ def main(argv=None) -> int:
     if _PARSER is None:
         _PARSER = _build_parser()
     args = _PARSER.parse_args(argv)
-    cfg = RunConfig.from_args(args)
-    handler = {
-        "check": cmd_check,
-        "oracle": cmd_oracle,
-        "pivot": cmd_pivot,
-        "translate": cmd_translate,
-        "lower": cmd_lower,
-        "gen": cmd_gen,
-        "crosscheck": cmd_crosscheck,
-    }[cfg.subcommand]
+    _check_ranges(args)
     try:
-        return handler(cfg, args)
+        return _HANDLERS[args.subcommand](args)
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR

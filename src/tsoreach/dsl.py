@@ -10,7 +10,6 @@ coverability instance.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .adt import AdtOp, AdtSpec, Marking, PetriTransition, mk_marking, trivial_spec
 from .automata import CoverabilityInstance, FiniteAutomaton, PushdownAutomaton
@@ -18,6 +17,7 @@ from .model import (
     Instruction,
     MemorySpec,
     ProcessDescription,
+    Program,
     RegisterAction,
     RegisterMachine,
     validate_program,
@@ -31,13 +31,6 @@ class DslError(ValueError):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
-
-
-@dataclass(frozen=True)
-class Program:
-    mem: MemorySpec
-    adt: AdtSpec
-    proc: ProcessDescription
 
 
 def _check_name(tok: str, what: str, line: int) -> str:
@@ -216,10 +209,6 @@ def parse_instruction(text: str, line: int) -> Instruction:
     raise DslError(f"bad instruction: {text!r}", line)
 
 
-def print_instruction(instr: Instruction) -> str:
-    return str(instr)
-
-
 _ACTION_ARITY = {
     "skp": 0, "write": 2, "read": 2, "inc": 1, "dec": 1, "ckz": 1,
     "set": 2, "cke": 2, "ckne": 2, "ckl": 2, "ckg": 2, "ckle": 2, "ckge": 2,
@@ -347,10 +336,11 @@ def parse_program(text: str) -> Program:
     states, q_init, q_final, raw_edges, extra = _parse_states(body, i0, "process")
     if extra:
         raise DslError(f"unexpected line: {extra[0][1]!r}", extra[0][0])
+    declared = set(states)
     delta = []
     for i, q, q2, instr_text in raw_edges:
         instr = parse_instruction(instr_text, i)
-        if q not in states or q2 not in states:
+        if q not in declared or q2 not in declared:
             raise DslError(f"transition uses undeclared state: {q} -> {q2}", i)
         delta.append((q, instr, q2))
     proc = ProcessDescription(
@@ -398,10 +388,11 @@ def parse_machine(text: str) -> RegisterMachine:
     states, q_init, q_target, raw_edges, extra = _parse_states(rest, i0, "machine")
     if extra:
         raise DslError(f"unexpected line: {extra[0][1]!r}", extra[0][0])
+    declared = set(states)
     delta = []
     for i, q, q2, act_text in raw_edges:
         act = parse_action(act_text, i)
-        if q not in states or q2 not in states:
+        if q not in declared or q2 not in declared:
             raise DslError(f"transition uses undeclared state: {q} -> {q2}", i)
         delta.append((q, act, q2))
     try:
@@ -444,7 +435,7 @@ def print_program(prog: Program) -> str:
             flags += " target"
         lines.append(f"state {q}{flags}")
     for q, instr, q2 in prog.proc.delta:
-        lines.append(f"trans {q} -> {q2} : {print_instruction(instr)}")
+        lines.append(f"trans {q} -> {q2} : {instr}")
     return "\n".join(lines) + "\n"
 
 

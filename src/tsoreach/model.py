@@ -95,10 +95,6 @@ def mf() -> Instruction:
     return Instruction("mf")
 
 
-def op_instr(op: AdtOp) -> Instruction:
-    return Instruction("op", op=op)
-
-
 ProcEdge = tuple[str, Instruction, str]
 
 
@@ -133,6 +129,15 @@ def validate_program(mem: MemorySpec, adt: AdtSpec, proc: ProcessDescription) ->
                 raise ModelError(f"value {instr.val} outside domain in {q}->{q2}")
         elif instr.kind == "op":
             adt.validate_op(instr.op)
+
+
+@dataclass(frozen=True)
+class Program:
+    """A parameterized TSO program: shared memory, data type, process."""
+
+    mem: MemorySpec
+    adt: AdtSpec
+    proc: ProcessDescription
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +196,6 @@ def dec(r: str) -> RegisterAction:
 
 def ckz(r: str) -> RegisterAction:
     return RegisterAction("ckz", r)
-
-
-def set_(r: str, y: str | int) -> RegisterAction:
-    return RegisterAction("set", r, y)
 
 
 RmEdge = tuple[str, "RegisterAction | AdtOp", str]

@@ -15,7 +15,6 @@ encode_rm_to_coverability   tier-I Petri register machine, as a net
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .adt import (
     RESET,
@@ -32,6 +31,7 @@ from .model import (
     MemorySpec,
     ModelError,
     ProcessDescription,
+    Program,
     RegisterMachine,
     RmEdge,
     _Gensym,
@@ -262,14 +262,7 @@ def lift_pivot_witness(
 # Register machine -> TSO program
 
 
-@dataclass(frozen=True)
-class GeneratedProgram:
-    proc: ProcessDescription
-    mem: MemorySpec
-    adt: AdtSpec
-
-
-def build_tso_from_rm(rm: RegisterMachine) -> GeneratedProgram:
+def build_tso_from_rm(rm: RegisterMachine) -> Program:
     """Wrap a tier-I machine into a parameterized TSO program.
 
     One shared variable mirrors each register, plus the two flags xs and
@@ -328,7 +321,7 @@ def build_tso_from_rm(rm: RegisterMachine) -> GeneratedProgram:
         q_final="final",
         delta=tuple(delta),
     )
-    return GeneratedProgram(proc=proc, mem=mem, adt=rm.adt)
+    return Program(mem=mem, adt=rm.adt, proc=proc)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +438,9 @@ def encode_rm_to_coverability_labelled(
 
     Each invariant (places, k) states that every reachable marking carries
     exactly k tokens across those places: one control token, and one token
-    per register among its value places.  The backward solver uses them to
-    discard demand markings no reachable marking can cover.
+    per register among its value places.  A backward coverability search
+    can use them to discard demand markings no reachable marking can cover;
+    the reference search ``tests/helpers.py::petri_net_backward`` does.
     """
     if rm.adt.kind != "petri":
         raise ModelError("encode_rm_to_coverability needs a petri data type")

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import os
 import random
@@ -465,6 +466,63 @@ def test_stack_check_output_independent_of_hash_seed(tmp_path, seed, verdict):
 def test_gen_bad_sizes_are_usage_errors(capsys, kind, flag, value, rule):
     code, out, err = _run(capsys, "gen", "--kind", kind, flag, value)
     assert (code, out, err) == (4, "", f"error: {flag} must be {rule}\n")
+
+
+@pytest.mark.parametrize("command,flag,value,rule", [
+    ("check", "--budget", "0", "positive"),
+    ("pivot", "--value-bound", "-1", ">= 0"),
+    ("oracle", "--n-max", "0", "positive"),
+    ("oracle", "--steps", "0", "positive"),
+    ("oracle", "--buffer", "0", "positive"),
+    ("crosscheck", "--budget", "0", "positive"),
+])
+def test_bad_bounds_are_usage_errors(tmp_path, capsys, command, flag, value, rule):
+    path = _write(tmp_path, "p.tso", HANDSHAKE)
+    code, out, err = _run(capsys, command, path, flag, value)
+    assert (code, out, err) == (4, "", f"error: {flag} must be {rule}\n")
+
+
+SUBCOMMAND_FLAGS = {
+    "check": "--adt --backend --value-bound --budget --format --out",
+    "pivot": "--adt --value-bound --budget --format --out",
+    "oracle": "--adt --n-max --steps --buffer --value-bound --format --out",
+    "crosscheck": "--adt --backend --n-max --steps --buffer --value-bound --budget --out",
+    "translate": "--adt --out --reverse",
+    "lower": "--adt --out --to",
+    "gen": "--adt --seed --out --kind --count --states --vars --regs --bound --tier "
+           "--fixture --automata",
+}
+
+
+# a valid value for every flag some subcommand does not take
+FLAG_VALUES = {"--backend": "stack", "--n-max": "2", "--steps": "2", "--buffer": "2",
+                "--value-bound": "2", "--budget": "1", "--seed": "1", "--format": "lines"}
+REMOVED = [
+    (command, flag)
+    for command in SUBCOMMAND_FLAGS
+    for flag in FLAG_VALUES
+    if flag not in SUBCOMMAND_FLAGS[command].split()
+]
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    parser = tsoreach.cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    taken = {name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+             for name, sp in sub.choices.items()}
+    assert taken == {name: set(flags.split()) for name, flags in SUBCOMMAND_FLAGS.items()}
+    assert sum(map(len, taken.values())) == 44
+    assert len(REMOVED) == 37  # of the 81 settings accepted before
+
+
+@pytest.mark.parametrize("command,flag", REMOVED)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, command, flag):
+    # the flag used to be accepted and silently ignored
+    head = ["gen", "--kind", "net"] if command == "gen" else [
+        command, _write(tmp_path, "p.tso", HANDSHAKE)]
+    code, out, err = _run(capsys, *head, flag, FLAG_VALUES[flag])
+    assert (code, out) == (4, "")
+    assert "unrecognized arguments" in err
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
