@@ -181,6 +181,8 @@ def _load(args):
             None,
         )
         if kind_line == "cover":
+            if args.adt is not None:
+                raise dsl.DslError("--adt does not apply to a cover file")
             inst = dsl.parse_coverability(text)
             return "cover", encode_coverability_to_rm(inst)
         obj = dsl.parse_input(text)
@@ -308,9 +310,12 @@ def cmd_lower(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.adt is not None and args.kind not in ("program", "machine"):
+        print(f"error: --adt does not apply to --kind {args.kind}", file=sys.stderr)
+        return EXIT_USAGE
     rng = random.Random(args.seed)
     adt = None
-    if args.adt and args.kind in ("program", "machine"):
+    if args.adt:
         adt = dsl.parse_adt_line(args.adt, 0)
     op_weight = 40 if adt and adt.kind != "trivial" else 0
     chunks: list[str] = []

@@ -8,16 +8,23 @@ automaton that accepts only the start: the algorithm of Esparza, Hansel,
 Rossmanith and Schwoon, "Efficient algorithms for model checking pushdown
 systems" (CAV 2000; Schwoon's 2002 thesis, Algorithm 2).
 
-Automaton states are the controls, one state after each start-word
-symbol (the last one accepting) and one intermediate state per (p2,
-push[0]) of a push rule.  No transition ever enters a control.  Each
-transition (p, g, q) leaving a control p in the worklist meets the rules
-at (p, g):
+post* asks a system for its moves one (control, symbol) pair at a time,
+when it first takes a transition leaving that control on that symbol, and
+keeps the answer.  A move is (tag, p2, push): the rule (p, gamma) -> (p2,
+push).  PushdownSystem answers from its explicit rules, indexed once;
+RulesOnDemand builds the moves of a pair from a function when asked, so
+the rules of controls and symbols the start never reaches are never built.
 
-- a pop rule (p, g) -> (p2, ()) adds the epsilon transition (p2, eps, q);
-- a rule (p, g) -> (p2, (a,)) adds (p2, a, q);
-- a rule (p, g) -> (p2, (a, b)) adds (m, b, q) and (p2, a, m), m being
-  the intermediate state of (p2, a).
+Automaton states are ints, numbered as saturation discovers them: the
+controls from 0 up, and below 0 one state after each start-word symbol
+(the last one accepting) and one intermediate state per (p2, push[0]) of
+a push move.  No transition ever enters a control.  Each transition
+(p, g, q) leaving a control p in the worklist meets the moves at (p, g):
+
+- a pop (p2, ()) adds the epsilon transition (p2, eps, q);
+- a move (p2, (a,)) adds (p2, a, q);
+- a move (p2, (a, b)) adds (m, b, q) and (p2, a, m), m being the
+  intermediate state of (p2, a).
 
 An epsilon transition (p, eps, q) makes p inherit every transition
 leaving q, those present when it is taken and those added to q later.
@@ -30,24 +37,26 @@ on a symbol or by epsilon: the automaton then accepts a configuration
 (target, w) that the start reaches.  A start whose control is a target is
 reached with an empty run.  Without a stop it runs to the fixpoint, which
 accepts exactly the reachable configurations.  A budget bounds the
-transitions saturation adds; a result cut short by it is marked exhausted
-and proves nothing.
+transitions saturation adds, not the moves it asks for; a result cut short
+by it is marked exhausted and proves nothing.
 
-Every transition records how it was first derived: the rule and the
+Every transition records how it was first derived: the move and the
 transition it came from, or the two transitions an epsilon combined.  A
 witness unwinds an accepting path of the reached configuration back to
 the start (Schwoon's thesis, section 3.3): the first transition of the
-path is replaced by what it was derived from, and the rule, if any, is one
+path is replaced by what it was derived from, and the move, if any, is one
 step of the run, read backwards.  A push transition into an intermediate
 state is unwound together with the transition after it, which names the
-rule and the source.  Derivations only mention earlier transitions, so
+move and the source.  Derivations only mention earlier transitions, so
 the unwinding ends, at the start word's own transitions.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import count
 
 from .verdict import REACHED, explore
 
@@ -65,6 +74,8 @@ class PdsRule:
 
 @dataclass(frozen=True)
 class PushdownSystem:
+    """A pushdown system given by all its rules, validated when it is made."""
+
     controls: tuple
     alphabet: tuple[str, ...]  # includes the bottom marker
     rules: tuple[PdsRule, ...]
@@ -80,6 +91,44 @@ class PushdownSystem:
                 raise ValueError(f"rule uses undeclared symbol: {r}")
             if len(r.push) > 2:
                 raise ValueError("normalize rules to |push| <= 2 first")
+
+    @cached_property
+    def _by_head(self) -> dict:
+        by_head: dict = {}
+        for r in self.rules:
+            by_head.setdefault((r.p, r.gamma), []).append((r.tag, r.p2, r.push))
+        return by_head
+
+    def moves(self, p, gamma):
+        """The moves (tag, p2, push) of the rules at (p, gamma), in rule order."""
+        return self._by_head.get((p, gamma), ())
+
+
+@dataclass(repr=False)
+class RulesOnDemand:
+    """A pushdown system whose moves at (p, gamma) are built when asked.
+
+    moves_at(p, gamma) returns the moves (tag, p2, push) at that pair, each
+    push at most two symbols.  controls holds the controls a start or a
+    target may name; moves may lead to further controls.
+    """
+
+    controls: object
+    alphabet: tuple[str, ...]  # includes the bottom marker
+    moves_at: object
+    built: dict = field(default_factory=dict)  # (p, gamma) -> its moves
+
+    def moves(self, p, gamma):
+        """The moves at (p, gamma), built now and recorded in built."""
+        moves = self.built[(p, gamma)] = self.moves_at(p, gamma)
+        return moves
+
+    @property
+    def rules(self) -> tuple[PdsRule, ...]:
+        """The rules built so far, in the order their pairs were asked."""
+        return tuple(PdsRule(p, g, p2, push, tag)
+                     for (p, g), moves in self.built.items()
+                     for tag, p2, push in moves)
 
 
 class _Reached(Exception):
@@ -97,16 +146,17 @@ EPS = None  # the label of an epsilon transition
 class PostStarResult:
     """The saturated automaton, and the stop if a target was reached.
 
-    States are ints: controls first, in pds.controls order.  transitions
-    maps each transition (state, symbol or EPS, state) to its first
-    derivation (rule, sources): (None, ()) for the start word's own,
-    (rule, ()) for a push into an intermediate state, (rule, (t,)) for a
-    rule applied to t, and (None, (eps, t)) for an epsilon combined with
-    the transition after it.  out lists the transitions leaving each
+    States are ints: the controls from 0 up, in the order saturation reached
+    them, and the other states negative.  transitions maps each transition
+    (state, symbol or EPS, state) to its first derivation (move, sources):
+    (None, ()) for the start word's own, (move, ()) for a push into an
+    intermediate state, (move, (t,)) for a move applied to t, and (None,
+    (eps, t)) for an epsilon combined with the transition after it.  A
+    move's first item is its tag.  out lists the transitions leaving each
     non-control state.
     """
 
-    pds: PushdownSystem
+    pds: object
     start: tuple
     transitions: dict
     out: dict
@@ -143,79 +193,81 @@ class PostStarResult:
         path = [self.last, *self._path_to_final(self.last[2])]
         tags = []
         while True:
-            rule, sources = why[path[0]]
-            if rule is None and not sources:  # the start word: done
+            move, sources = why[path[0]]
+            if move is None and not sources:  # the start word: done
                 tags.reverse()
                 return tags
-            if rule is None:
+            if move is None:
                 path[:1] = sources
                 continue
             if not sources:  # a push: the next transition knows its source
-                rule, sources = why[path[1]]
+                move, sources = why[path[1]]
                 path[:2] = sources
             else:
                 path[:1] = sources
-            if rule.tag is not None:
-                tags.append(rule.tag)
+            if move[0] is not None:
+                tags.append(move[0])
 
 
-def post_star(
-    pds: PushdownSystem, start, targets, budget: int | None = None
-) -> PostStarResult:
+def post_star(pds, start, targets, budget: int | None = None) -> PostStarResult:
     """Saturate forwards from start = (control, word) until a target is left.
 
-    budget bounds the transitions saturation adds; past it the result is
-    marked exhausted.
+    pds is a PushdownSystem or a RulesOnDemand; saturation asks it for the
+    moves of each (control, symbol) pair it reaches, once.  budget bounds
+    the transitions saturation adds; past it the result is marked exhausted.
     """
     control, word = start
     word = tuple(word)
     if not word:
         raise ValueError("the start configuration needs a nonempty stack")
-    ids = {c: i for i, c in enumerate(pds.controls)}
-    if control not in ids or not set(targets) <= ids.keys():
+    targets = set(targets)
+    if control not in pds.controls or not all(c in pds.controls for c in targets):
         raise ValueError("start and targets must be controls of the system")
-    is_target = [False] * len(ids)
-    for c in targets:
-        is_target[ids[c]] = True
-    found = is_target[ids[control]]
 
-    by_head: dict = {}  # (p, gamma) -> [(rule, p2, push, intermediate state)]
+    ids: dict = {}  # control -> state
+    names: list = []  # state -> control, for the control states
+    is_target: list = []
+    others = count(-1, -1)  # the intermediate and start-word states
+
+    def intern(c) -> int:
+        s = ids.get(c)
+        if s is None:
+            s = ids[c] = len(names)
+            names.append(c)
+            is_target.append(c in targets)
+        return s
+
+    by_head: dict = {}  # (state, gamma) -> [(move, p2, push, intermediate state)]
     mids: dict = {}  # (p2, push[0]) -> intermediate state
-    for r in pds.rules:
-        p2 = ids[r.p2]
-        m = None
-        if len(r.push) == 2:
-            m = mids.setdefault((p2, r.push[0]), len(ids) + len(mids))
-        by_head.setdefault((ids[r.p], r.gamma), []).append((r, p2, r.push, m))
-
     why: dict = {}  # transition -> its first derivation
     out: dict = {}  # non-control state -> transitions leaving it
     eps_into: dict = {}  # state -> controls with an epsilon into it, taken
     worklist: deque = deque()
     last = None
     exhausted = False
+    found = control in targets
     # the start word: control -w0-> s1 -w1-> ... -> final
-    s = len(ids) + len(mids)
-    start_t = (ids[control], word[0], s)
+    s = next(others)
+    start_t = (intern(control), word[0], s)
     why[start_t] = (None, ())
     worklist.append(start_t)
     for g in word[1:]:
-        t = (s, g, s + 1)
+        t = (s, g, next(others))
         why[t] = (None, ())
         out[s] = [t]
-        s += 1
+        s = t[2]
     final = s
     added = 0
 
-    def add(t, rule, sources) -> None:
+    def add(t, move, sources) -> None:
         nonlocal added, last
         if t in why:
             return
         added += 1
         if budget is not None and added > budget:
             raise _OutOfBudget
-        why[t] = (rule, sources)
-        if t[0] < len(ids):
+        why[t] = (move, sources)
+        if t[0] >= 0:
             if is_target[t[0]]:
                 last = t
                 raise _Reached
@@ -235,14 +287,25 @@ def post_star(
                 for t2 in out.get(q, ()):
                     add((p, t2[1], t2[2]), None, (t, t2))
                 continue
-            for rule, p2, push, m in by_head.get((p, g), ()):
+            moves = by_head.get((p, g))
+            if moves is None:
+                moves = by_head[(p, g)] = []
+                for move in pds.moves(names[p], g):
+                    p2, push = intern(move[1]), move[2]
+                    m = None
+                    if len(push) == 2:
+                        m = mids.get((p2, push[0]))
+                        if m is None:
+                            m = mids[(p2, push[0])] = next(others)
+                    moves.append((move, p2, push, m))
+            for move, p2, push, m in moves:
                 if not push:
-                    add((p2, EPS, q), rule, (t,))
+                    add((p2, EPS, q), move, (t,))
                 elif m is None:
-                    add((p2, push[0], q), rule, (t,))
+                    add((p2, push[0], q), move, (t,))
                 else:
-                    add((m, push[1], q), rule, (t,))
-                    add((p2, push[0], m), rule, ())
+                    add((m, push[1], q), move, (t,))
+                    add((p2, push[0], m), move, ())
     except _Reached:
         found = True
     except _OutOfBudget:

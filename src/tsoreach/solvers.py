@@ -43,7 +43,7 @@ from .model import (
     replay_rm,
     rm_step,
 )
-from .pds import PdsRule, PushdownSystem, post_star
+from .pds import RulesOnDemand, post_star
 
 # unused here; perfbench/tracing.py patches this name in this module
 from .translate import encode_rm_to_coverability_labelled  # noqa: F401
@@ -157,18 +157,24 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     A counter is a stack over one symbol above the bottom marker (a
     one-counter automaton): inc pushes it, dec pops it and iszero tests for
-    the empty stack.  The PDS rules carry the machine's own edges, so a
-    witness is a run of rm whatever its data type.
+    the empty stack.  The moves carry the machine's own edges, so a witness
+    is a run of rm whatever its data type.
 
     Registers are flattened into control states by a forward closure, whose
     size is stats.explored.  post* then saturates forwards from the initial
     control over the bottom marker and stops at the first transition that
-    leaves a target control; stats.iterations counts the automaton
-    transitions it holds at the end, the initial one included: at the stop
-    for reachable verdicts, at the fixpoint for unreachable ones.  budget
-    bounds both the closure size and the transitions saturation adds;
-    hitting it is inconclusive.  A reachable witness is replayed under
-    rm_step before it is returned.
+    leaves a target control.  It asks for the moves of a (control, symbol)
+    pair when it first reaches it, and they are built from that control's
+    closure edges: a register action keeps the symbol, a push puts its
+    symbol above it, a pop applies only to its own symbol, isempty only to
+    the bottom marker, and reset moves to a drain control, one per (control,
+    control2) pair, that pops down to the bottom marker and then moves to
+    control2.  stats.iterations counts the automaton transitions post*
+    holds at the end, the initial one included: at the stop for reachable
+    verdicts, at the fixpoint for unreachable ones.  budget bounds both the
+    closure size and the transitions saturation adds; hitting it is
+    inconclusive.  A reachable witness is replayed under rm_step before it
+    is returned.
     """
     counter = rm.adt.kind in ("counter", "weak-counter")
     if rm.adt.kind != "stack" and not counter:
@@ -181,49 +187,42 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     if len(controls) > budget:
         return Verdict(INCONCLUSIVE, stats=stats(), closed=False)
-    stack_syms = (_HO_COUNTER_OPS["inc"][1],) if counter else rm.adt.alphabet
-    bottom = "_btm"
-    while bottom in stack_syms:
-        bottom += "_"
-    alphabet = stack_syms + (bottom,)
-
-    rules: list[PdsRule] = []
-    reset_controls: dict = {}  # a repeated reset edge drains through one control
-    for control, outs in edges_from.items():
-        for label, control2 in outs:
-            act = label[1]
-            if isinstance(act, AdtOp) and act.name != RESET:
-                name, arg = _HO_COUNTER_OPS[act.name] if counter else (act.name, act.arg)
-                if name == "push":
-                    for g in alphabet:
-                        rules.append(PdsRule(control, g, control2, (arg, g), label))
-                elif name == "pop":
-                    rules.append(PdsRule(control, arg, control2, (), label))
-                elif name == "isempty":
-                    rules.append(PdsRule(control, bottom, control2, (bottom,), label))
-                else:  # pragma: no cover - stack ops are exactly these
-                    raise ModelError(f"unexpected stack op {act}")
-            elif isinstance(act, AdtOp):  # reset: drain the whole stack
-                aux = (control, control2, "reset")
-                reset_controls[aux] = None
-                for g in alphabet:
-                    rules.append(PdsRule(control, g, aux, (g,), label))
-                for g in stack_syms:
-                    rules.append(PdsRule(aux, g, aux, ()))
-                rules.append(PdsRule(aux, bottom, control2, (bottom,)))
-            else:
-                for g in alphabet:
-                    rules.append(PdsRule(control, g, control2, (g,), label))
-
     # edges_from holds every closure control, in an order no string hash sets
     targets = [c for c in edges_from if c[0] == rm.q_target]
     if not targets:
         return Verdict(UNREACHABLE, stats=stats())
-    pds = PushdownSystem(
-        controls=tuple(edges_from) + tuple(reset_controls),
-        alphabet=alphabet,
-        rules=tuple(rules),
-    )
+    stack_syms = (_HO_COUNTER_OPS["inc"][1],) if counter else rm.adt.alphabet
+    bottom = "_btm"
+    while bottom in stack_syms:
+        bottom += "_"
+
+    def moves_at(control, g):
+        outs = edges_from.get(control)
+        if outs is None:  # the drain control (control, control2, "reset")
+            return [(None, control[1], (bottom,)) if g == bottom else (None, control, ())]
+        moves = []
+        for label, control2 in outs:
+            act = label[1]
+            if not isinstance(act, AdtOp):
+                moves.append((label, control2, (g,)))
+                continue
+            if act.name == RESET:
+                moves.append((label, (control, control2, "reset"), (g,)))
+                continue
+            name, arg = _HO_COUNTER_OPS[act.name] if counter else (act.name, act.arg)
+            if name == "push":
+                moves.append((label, control2, (arg, g)))
+            elif name == "pop":
+                if g == arg:
+                    moves.append((label, control2, ()))
+            elif name == "isempty":
+                if g == bottom:
+                    moves.append((label, control2, (bottom,)))
+            else:  # pragma: no cover - stack ops are exactly these
+                raise ModelError(f"unexpected stack op {act}")
+        return moves
+
+    pds = RulesOnDemand(edges_from, stack_syms + (bottom,), moves_at)
     start = (init, (bottom,))
     result = pre_star(pds, start, targets, budget=budget)
     iterations = len(result.transitions)

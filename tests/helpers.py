@@ -5,7 +5,8 @@ dumbest possible data structures, so a bug in the library's step functions
 cannot hide in the oracle as well.  The helpers (value enumeration,
 minimal-predecessor bases, backward-search history, the net-encoding
 route for Petri machines, the counter cutoff search and binary encoding,
-the worklist pre*-saturation that post* is checked against)
+the worklist pre*-saturation that post* is checked against, and the
+pushdown system of a stack machine with every rule built up front)
 exist only for tests and so live here rather than in the package.
 """
 
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from tsoreach.adt import (
+    _HO_COUNTER_OPS,
     RESET,
     AdtError,
     AdtOp,
@@ -52,7 +54,7 @@ from tsoreach.model import (
     rm_step,
     write,
 )
-from tsoreach.pds import PushdownSystem
+from tsoreach.pds import PdsRule, PushdownSystem
 from tsoreach.pivot import (
     PivotLabel,
     UpdateSequence,
@@ -61,7 +63,7 @@ from tsoreach.pivot import (
     format_omega,
     initial_view,
 )
-from tsoreach.solvers import _backward_cover, _replayed
+from tsoreach.solvers import _backward_cover, _control_closure, _replayed
 from tsoreach.translate import encode_rm_to_coverability_labelled
 from tsoreach.verdict import (
     BUDGET,
@@ -481,6 +483,52 @@ def pre_star_fixpoint(pds, targets, sink):
                 trans |= new
                 changed = True
     return trans
+
+
+def stack_pds_reference(rm: RegisterMachine):
+    """(pds, start, targets): solve_stack's pushdown system, every rule built.
+
+    The eager form of the moves solve_stack builds on demand: |alphabet|
+    rules for every register-only, push and reset edge of the control
+    closure, one per symbol, plus the drain rules of each reset control.
+    post* over it must give solve_stack's verdict, iterations and witness.
+    """
+    counter = rm.adt.kind in ("counter", "weak-counter")
+    init, _, edges_from = _control_closure(rm)
+    stack_syms = (_HO_COUNTER_OPS["inc"][1],) if counter else rm.adt.alphabet
+    bottom = "_btm"
+    while bottom in stack_syms:
+        bottom += "_"
+    alphabet = stack_syms + (bottom,)
+    rules: list[PdsRule] = []
+    reset_controls: dict = {}  # a repeated reset edge drains through one control
+    for control, outs in edges_from.items():
+        for label, control2 in outs:
+            act = label[1]
+            if isinstance(act, AdtOp) and act.name != RESET:
+                name, arg = _HO_COUNTER_OPS[act.name] if counter else (act.name, act.arg)
+                if name == "push":
+                    for g in alphabet:
+                        rules.append(PdsRule(control, g, control2, (arg, g), label))
+                elif name == "pop":
+                    rules.append(PdsRule(control, arg, control2, (), label))
+                else:  # isempty
+                    rules.append(PdsRule(control, bottom, control2, (bottom,), label))
+            elif isinstance(act, AdtOp):  # reset: drain the whole stack
+                aux = (control, control2, "reset")
+                reset_controls[aux] = None
+                for g in alphabet:
+                    rules.append(PdsRule(control, g, aux, (g,), label))
+                for g in stack_syms:
+                    rules.append(PdsRule(aux, g, aux, ()))
+                rules.append(PdsRule(aux, bottom, control2, (bottom,)))
+            else:
+                for g in alphabet:
+                    rules.append(PdsRule(control, g, control2, (g,), label))
+    pds = PushdownSystem(controls=tuple(edges_from) + tuple(reset_controls),
+                         alphabet=alphabet, rules=tuple(rules))
+    targets = [c for c in edges_from if c[0] == rm.q_target]
+    return pds, (init, (bottom,)), targets
 
 
 # ---------------------------------------------------------------------------

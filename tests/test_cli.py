@@ -285,6 +285,24 @@ def test_gen_net_is_checkable(tmp_path, capsys):
     assert body.splitlines()[0].startswith("verdict:")
 
 
+def test_adt_on_a_cover_file_is_an_input_error(tmp_path, capsys):
+    # a cover file used to be read before the override was looked at, so
+    # even a malformed declaration gave a verdict
+    _, out, _ = _run(capsys, "gen", "--kind", "net", "--seed", "3")
+    path = _write(tmp_path, "net.tso", out)
+    code, body, err = _run(capsys, "check", path, "--adt", "stack alphabet")
+    assert (code, body) == (3, "")
+    assert err == "error: --adt does not apply to a cover file\n"
+
+
+@pytest.mark.parametrize("kind", ["net", "counter-machine", "stack-machine", "intersection"])
+def test_gen_adt_for_a_kind_with_a_fixed_type_is_a_usage_error(capsys, kind):
+    # gen used to ignore the flag for these kinds
+    code, out, err = _run(capsys, "gen", "--kind", kind, "--adt", "bogus")
+    assert (code, out) == (4, "")
+    assert err == f"error: --adt does not apply to --kind {kind}\n"
+
+
 def test_gen_intersection_fixture_checkable(tmp_path, capsys):
     _, out, _ = _run(capsys, "gen", "--kind", "intersection", "--fixture", "0")
     path = _write(tmp_path, "i.tso", out)

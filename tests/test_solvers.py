@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     pre_star,
     rm_reachable_brute,
     solve_counter_cutoff,
+    stack_pds_reference,
     wsts_backward_history,
 )
 from tsoreach.adt import AdtOp, AdtSpec, trivial_spec, wqo_leq
@@ -30,8 +32,10 @@ from tsoreach.model import (
     write,
 )
 from tsoreach.solvers import (
+    DEFAULT_BUDGET,
     _control_closure,
     explore_bounded,
+    format_rm_label,
     solve_auto,
     solve_counter,
     solve_finite,
@@ -39,7 +43,7 @@ from tsoreach.solvers import (
     solve_stack,
     solve_wsts,
 )
-from tsoreach.pds import PreStarResult
+from tsoreach.pds import PreStarResult, post_star
 from tsoreach.translate import encode_coverability_to_rm
 from tsoreach.cli import main
 from tsoreach.dsl import parse_action, print_machine
@@ -274,15 +278,14 @@ def test_solve_stack_handles_reset():
     _assert_witness_replays(rm, v)
 
 
-@pytest.mark.parametrize("kind", ["counter", "stack"])
-def test_solve_stack_handles_a_repeated_reset_edge(kind):
-    # both copies of the edge drain through one reset control
+def _repeated_reset_machine(kind):
+    # inc or push, then the same reset edge twice, then iszero or isempty
     if kind == "counter":
         s, up, empty = AdtSpec(kind="counter"), AdtOp("inc"), AdtOp("iszero")
     else:
         s = AdtSpec(kind="stack", alphabet=("a",))
         up, empty = AdtOp("push", "a"), AdtOp("isempty")
-    rm = RegisterMachine(
+    return RegisterMachine(
         "s", ("q0", "q1", "q2", "qt"), "q0", "qt", (), 0, s,
         (
             ("q0", up, "q1"),
@@ -291,6 +294,12 @@ def test_solve_stack_handles_a_repeated_reset_edge(kind):
             ("q2", empty, "qt"),
         ),
     )
+
+
+@pytest.mark.parametrize("kind", ["counter", "stack"])
+def test_solve_stack_handles_a_repeated_reset_edge(kind):
+    # both copies of the edge drain through one reset control
+    rm = _repeated_reset_machine(kind)
     if kind == "counter":
         assert rm_reachable_brute(rm)
     v = solve_stack(rm)
@@ -357,6 +366,79 @@ def test_solve_stack_640_states_matches_pre_star(monkeypatch, seed, outcome):
     assert v.outcome == outcome
     if outcome == "reachable":
         _assert_witness_replays(rm, v)
+
+
+def _small_stack_machines():
+    # every fifth machine gets a reset edge, to exercise the drain controls
+    for i in range(50):
+        rm = random_stack_machine(random.Random(500 + i), 5 + 5 * (i % 4))
+        if i % 5 == 0:
+            reset = (rm.states[1], AdtOp("reset"), rm.states[-1])
+            rm = dataclasses.replace(rm, delta=rm.delta + (reset,))
+        yield rm
+
+
+def _small_counter_machines():
+    for i in range(25):
+        yield random_counter_machine(random.Random(600 + i))
+    for i in range(25):
+        rng = random.Random(700 + i)
+        yield random_machine(rng, n_states=rng.randint(3, 6), n_regs=1, bound=1,
+                             adt=AdtSpec(kind="weak-counter"), edge_factor=2.2,
+                             op_weight=55)
+
+
+_REFERENCE_CASES = {
+    "640-states": lambda: (random_stack_machine(random.Random(s), 640) for s in range(10)),
+    "small-stack": _small_stack_machines,
+    "small-counter": _small_counter_machines,
+    "repeated-reset": lambda: map(_repeated_reset_machine, ["counter", "stack"]),
+}
+
+
+@pytest.mark.parametrize("cases", sorted(_REFERENCE_CASES))
+def test_solve_stack_matches_post_star_on_the_eager_rules(cases):
+    # the moves built on demand give what post* gives over every rule of the
+    # closure built up front: verdict, iterations and witness
+    outcomes = set()
+    for rm in _REFERENCE_CASES[cases]():
+        v = solve_stack(rm)
+        outcomes.add(v.outcome)
+        pds, start, targets = stack_pds_reference(rm)
+        if not targets:
+            assert (v.outcome, v.stats.iterations) == ("unreachable", 0)
+            continue
+        ref = post_star(pds, start, targets, budget=DEFAULT_BUDGET)
+        assert not ref.exhausted
+        assert v.stats.iterations == len(ref.transitions)
+        assert v.outcome == ("reachable" if ref.accepts(*start) else "unreachable")
+        if v.outcome == "reachable":
+            assert v.witness == tuple(format_rm_label(l) for l in ref.witness(*start))
+            _assert_witness_replays(rm, v)
+    assert "reachable" in outcomes
+    assert cases == "repeated-reset" or "unreachable" in outcomes
+
+
+def test_solve_stack_builds_only_the_rules_post_star_reaches(monkeypatch):
+    # the initial control of this machine has only pop edges, so post* is
+    # stuck at once and asks for the moves of that control alone
+    import tsoreach.solvers as solvers
+
+    real = solvers.pre_star
+    systems = []
+
+    def spy(pds, *args, **kwargs):
+        systems.append(pds)
+        return real(pds, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "pre_star", spy)
+    rm = random_stack_machine(random.Random(0), 640)
+    assert solve_stack(rm).outcome == "unreachable"
+    init, _, edges_from = _control_closure(rm)
+    (pds,) = systems
+    assert list(pds.built) == [(init, "_btm")]
+    assert len(pds.rules) <= len(edges_from[init]) * len(pds.alphabet)
+    assert len(stack_pds_reference(rm)[0].rules) == 5192
 
 
 def test_solve_stack_rejects_a_witness_that_fails_replay(tmp_path, capsys, monkeypatch):
