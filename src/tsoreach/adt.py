@@ -43,6 +43,11 @@ MONOTONE_KINDS = ("trivial", "weak-counter", "petri")
 
 RESET = "reset"
 
+# Values of a level-n stack nest n deep, and their size, step and check
+# walks recurse once per level; this cap keeps them far below Python's
+# default recursion limit of 1000 under a caller as deep as a test runner.
+MAX_LEVEL = 100
+
 
 class AdtError(ValueError):
     """Structural misuse: unknown operation, kind mismatch, malformed value."""
@@ -155,6 +160,8 @@ class AdtSpec:
             raise AdtError("ho-stack requires a nonempty alphabet")
         if self.kind.startswith("ho-") and self.level < 1:
             raise AdtError("level must be >= 1")
+        if self.kind.startswith("ho-") and self.level > MAX_LEVEL:
+            raise AdtError(f"level must be <= {MAX_LEVEL}")
         if self.kind == "multi-stack" and self.count < 1:
             raise AdtError("multi-stack count must be >= 1")
         if self.kind == "petri":

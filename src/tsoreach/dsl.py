@@ -496,6 +496,8 @@ def _parse_automaton_states(body, line0: int):
     for i, line in body:
         toks = line.split()
         if toks[0] == "state":
+            if len(toks) < 2:
+                raise DslError("state line needs a name", i)
             name = _check_name(toks[1], "state", i)
             states.append(name)
             for flag in toks[2:]:

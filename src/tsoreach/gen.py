@@ -136,9 +136,8 @@ def random_machine(
 
 
 def random_counter_machine(rng: random.Random, max_n: int = 8) -> RegisterMachine:
-    """Counter machines whose n^2 cutoff stays at or below max_n^2.
-
-    Shapes are chosen so |Q| * (bound+1)^|R| <= max_n.
+    """Small tier-I counter machines: states times register assignments,
+    |Q| * (bound+1)^|R|, stays at or below max_n.
     """
     shapes = [(rng.randrange(2, max_n + 1), 0, 0)]
     if max_n >= 4:
@@ -264,13 +263,6 @@ def _fsa_even_length() -> FiniteAutomaton:
     sigma = ("a", "b", "c")
     trans = [("e", s, "o") for s in sigma] + [("o", s, "e") for s in sigma]
     return FiniteAutomaton("even", ("e", "o"), "e", ("e",), sigma, tuple(trans))
-
-
-def _fsa_length_at_most_4() -> FiniteAutomaton:
-    sigma = ("a", "b", "c")
-    states = tuple(f"n{i}" for i in range(5))
-    trans = [(f"n{i}", s, f"n{i + 1}") for i in range(4) for s in sigma]
-    return FiniteAutomaton("len4", states, "n0", states, sigma, tuple(trans))
 
 
 def intersection_fixtures():

@@ -14,7 +14,10 @@ machine they were given.  ``lower_tier3_to_tier2`` and
 ``lower_tier2_to_tier1`` are reachability-preserving rewritings down to
 the smaller instruction sets, for the ``lower`` command and for the
 reductions that need tier I (``build_tso_from_rm``,
-``encode_rm_to_coverability``).
+``encode_rm_to_coverability``).  Both enumerate the bounded domain through
+``_decode_action``: each action becomes read/write paths, one per
+assignment of the registers it reads that the action enables, so the
+register semantics is written once and lowering adds no registers.
 
 A machine's indexes (register positions, edges by state) and its decoded
 actions are built once per instance, on first use, so no step of a search
@@ -26,6 +29,7 @@ table.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -188,14 +192,6 @@ def read(r: str, d: int) -> RegisterAction:
 
 def inc(r: str) -> RegisterAction:
     return RegisterAction("inc", r)
-
-
-def dec(r: str) -> RegisterAction:
-    return RegisterAction("dec", r)
-
-
-def ckz(r: str) -> RegisterAction:
-    return RegisterAction("ckz", r)
 
 
 RmEdge = tuple[str, "RegisterAction | AdtOp", str]
@@ -390,200 +386,43 @@ class _Gensym:
         return f"{self.prefix}{self.n}"
 
 
-def _zero_loop(gs: _Gensym, entry: str, r: str, exit_: str) -> list[RmEdge]:
-    """Drain register r to 0: dec self-loop with a ckz exit."""
-    return [(entry, dec(r), entry), (entry, ckz(r), exit_)]
+def _lower(rm: RegisterMachine, tiers: tuple[int, ...]) -> RegisterMachine:
+    """Replace every register action of the given tiers by tier-I paths.
 
-
-def _inc_chain(gs: _Gensym, entry: str, r: str, times: int, exit_: str) -> list[RmEdge]:
-    edges: list[RmEdge] = []
-    cur = entry
-    for i in range(times):
-        nxt = exit_ if i == times - 1 else gs.fresh()
-        edges.append((cur, inc(r), nxt))
-        cur = nxt
-    if times == 0:
-        edges.append((entry, skp(), exit_))
-    return edges
-
-
-def _dec_chain(gs: _Gensym, entry: str, r: str, times: int, exit_: str) -> list[RmEdge]:
-    edges: list[RmEdge] = []
-    cur = entry
-    for i in range(times):
-        nxt = exit_ if i == times - 1 else gs.fresh()
-        edges.append((cur, dec(r), nxt))
-        cur = nxt
-    if times == 0:
-        edges.append((entry, skp(), exit_))
-    return edges
-
-
-def _restore_loop(gs: _Gensym, entry: str, aux: str, targets: list[str], exit_: str) -> list[RmEdge]:
-    """Move aux back into every register of targets: one inc each per round."""
-    edges: list[RmEdge] = [(entry, ckz(aux), exit_)]
-    cur = gs.fresh()
-    edges.append((entry, dec(aux), cur))
-    for i, r in enumerate(targets):
-        nxt = entry if i == len(targets) - 1 else gs.fresh()
-        edges.append((cur, inc(r), nxt))
-        cur = nxt
-    return edges
-
-
-def _cmp_gadget(
-    gs: _Gensym, entry: str, kind: str, r1: str, r2: str, aux: str, exit_: str
-) -> list[RmEdge]:
-    """Tier-II gadget for a strict/non-strict comparison of two registers.
-
-    Joint countdown of r1 and r2 into aux, a test at the bottom, then a
-    restore loop; both operands come out unchanged and aux is 0 again.
+    An action is a finite relation on the registers it reads, so it becomes
+    one path per assignment of those registers over {0..bound} that
+    ``_decode_action`` enables: read each of them, then write the register
+    the action sets (a bare ``skp`` if the path would be empty).  Paths of
+    one edge with a common prefix share its states; no register is added.
     """
-    loop = gs.fresh()
-    a, b = gs.fresh(), gs.fresh()
-    edges: list[RmEdge] = [
-        (entry, skp(), loop),
-        (loop, dec(r1), a),
-        (a, dec(r2), b),
-        (b, inc(aux), loop),
-    ]
-    post = gs.fresh()
-    if kind == "cke":
-        e1 = gs.fresh()
-        edges += [(loop, ckz(r1), e1), (e1, ckz(r2), post)]
-    elif kind == "ckle":
-        edges += [(loop, ckz(r1), post)]
-    elif kind == "ckl":
-        e1, e2 = gs.fresh(), gs.fresh()
-        edges += [(loop, ckz(r1), e1), (e1, dec(r2), e2), (e2, inc(r2), post)]
-    else:
-        raise ModelError(kind)
-    edges += _restore_loop(gs, post, aux, [r1, r2], exit_)
-    return edges
-
-
-def _lower_tier3_edge(
-    gs: _Gensym, q: str, act: RegisterAction, q2: str, aux: str, lit: str, bound: int
-) -> list[RmEdge]:
-    kind = act.kind
-    if kind == "set":
-        if isinstance(act.y, int):
-            z = gs.fresh()
-            edges = [(q, skp(), z)]
-            mid = gs.fresh()
-            edges += _zero_loop(gs, z, act.x, mid)
-            edges += _inc_chain(gs, mid, act.x, act.y, q2)
-            return edges
-        if act.y == act.x:
-            return [(q, skp(), q2)]
-        # zero aux and x, transfer y into both x and aux, restore y from aux
-        z = gs.fresh()
-        edges = [(q, skp(), z)]
-        z2, t = gs.fresh(), gs.fresh()
-        edges += _zero_loop(gs, z, aux, z2)
-        edges += _zero_loop(gs, z2, act.x, t)
-        a, b = gs.fresh(), gs.fresh()
-        post = gs.fresh()
-        edges += [
-            (t, dec(act.y), a),
-            (a, inc(act.x), b),
-            (b, inc(aux), t),
-            (t, ckz(act.y), post),
-        ]
-        edges += _restore_loop(gs, post, aux, [act.y], q2)
-        return edges
-
-    # comparisons
-    x, y = act.x, act.y
-    if isinstance(x, int) and isinstance(y, int):
-        return [(q, skp(), q2)] if _COMPARE[kind](x, y) else []
-    if isinstance(x, str) and x == y:
-        # comparing a register with itself decides at build time
-        return [(q, skp(), q2)] if _COMPARE[kind](0, 0) else []
-
-    def with_regs(r1: str, r2: str, k: str, entry: str, exit_: str) -> list[RmEdge]:
-        if k == "ckg":
-            return _cmp_gadget(gs, entry, "ckl", r2, r1, aux, exit_)
-        if k == "ckge":
-            return _cmp_gadget(gs, entry, "ckle", r2, r1, aux, exit_)
-        if k == "ckne":
-            # r1 < r2 or r1 > r2, as two alternative paths
-            return _cmp_gadget(gs, entry, "ckl", r1, r2, aux, exit_) + _cmp_gadget(
-                gs, entry, "ckl", r2, r1, aux, exit_
-            )
-        return _cmp_gadget(gs, entry, k, r1, r2, aux, exit_)
-
-    if isinstance(x, str) and isinstance(y, str):
-        return with_regs(x, y, kind, q, q2)
-
-    # one literal operand: materialize it in lit, compare, then drain lit
-    value = x if isinstance(x, int) else y
-    z = gs.fresh()
-    edges = [(q, skp(), z)]
-    m1, m2 = gs.fresh(), gs.fresh()
-    edges += _zero_loop(gs, z, lit, m1)
-    edges += _inc_chain(gs, m1, lit, value, m2)
-    m3 = gs.fresh()
-    if isinstance(x, int):
-        edges += with_regs(lit, y, kind, m2, m3)
-    else:
-        edges += with_regs(x, lit, kind, m2, m3)
-    edges += _dec_chain(gs, m3, lit, value, q2)
-    return edges
-
-
-def lower_tier3_to_tier2(rm: RegisterMachine) -> RegisterMachine:
-    """Rewrite tier-III actions into tier-II gadgets.
-
-    Adds one counting auxiliary register and one literal-holding register
-    (both restored to 0 on every gadget exit); size stays polynomial in the
-    machine and its largest literal.
-    """
-    if rm.tier() <= 2:
-        return rm
-    gs = _Gensym(rm.states)
-    reg_gs = _Gensym(rm.registers)
-    aux, lit = reg_gs.fresh(), reg_gs.fresh()
-    edges: list[RmEdge] = []
-    for q, act, q2 in rm.delta:
-        if isinstance(act, AdtOp) or act.tier <= 2:
-            edges.append((q, act, q2))
-        else:
-            edges += _lower_tier3_edge(gs, q, act, q2, aux, lit, rm.bound)
-    states = list(rm.states) + sorted(
-        {q for e in edges for q in (e[0], e[2])} - set(rm.states)
-    )
-    return RegisterMachine(
-        name=rm.name,
-        states=tuple(states),
-        q_init=rm.q_init,
-        q_target=rm.q_target,
-        registers=rm.registers + (aux, lit),
-        bound=rm.bound,
-        adt=rm.adt,
-        delta=tuple(edges),
-    )
-
-
-def lower_tier2_to_tier1(rm: RegisterMachine) -> RegisterMachine:
-    """Expand inc/dec/ckz into read/write fans over the whole domain."""
-    if rm.tier() > 2:
-        raise ModelError("lower tier III first")
     gs = _Gensym(rm.states)
     edges: list[RmEdge] = []
     for q, act, q2 in rm.delta:
-        if isinstance(act, AdtOp) or act.tier == 1:
+        if isinstance(act, AdtOp) or act.tier not in tiers:
             edges.append((q, act, q2))
-        elif act.kind == "inc":
-            for d in range(rm.bound):
-                m = gs.fresh()
-                edges += [(q, read(act.x, d), m), (m, write(act.x, d + 1), q2)]
-        elif act.kind == "dec":
-            for d in range(1, rm.bound + 1):
-                m = gs.fresh()
-                edges += [(q, read(act.x, d), m), (m, write(act.x, d - 1), q2)]
-        elif act.kind == "ckz":
-            edges.append((q, read(act.x, 0), q2))
+            continue
+        sets = act.x if act.kind in ("set", "inc", "dec") else None
+        operands = (act.y,) if act.kind == "set" else (act.x, act.y)
+        reads = tuple(dict.fromkeys(r for r in operands if isinstance(r, str)))
+        regs = reads + ((sets,) if sets is not None and sets not in reads else ())
+        idx = {r: i for i, r in enumerate(regs)}
+        step = _decode_action(act, idx, rm.bound)
+        pad = (0,) * (len(regs) - len(reads))
+        prefix: dict[tuple[str, RegisterAction], str] = {}
+        for vals in itertools.product(range(rm.bound + 1), repeat=len(reads)):
+            out = step(vals + pad)
+            if out is None:
+                continue
+            path = [read(r, d) for r, d in zip(reads, vals)]
+            if sets is not None:
+                path.append(write(sets, out[idx[sets]]))
+            cur = q
+            for lab in path[:-1]:
+                if (cur, lab) not in prefix:
+                    prefix[cur, lab] = gs.fresh()
+                    edges.append((cur, lab, prefix[cur, lab]))
+                cur = prefix[cur, lab]
+            edges.append((cur, path[-1] if path else skp(), q2))
     states = list(rm.states) + sorted(
         {q for e in edges for q in (e[0], e[2])} - set(rm.states)
     )
@@ -597,3 +436,17 @@ def lower_tier2_to_tier1(rm: RegisterMachine) -> RegisterMachine:
         adt=rm.adt,
         delta=tuple(edges),
     )
+
+
+def lower_tier3_to_tier2(rm: RegisterMachine) -> RegisterMachine:
+    """Expand set and the comparisons into read/write paths over the domain."""
+    if rm.tier() <= 2:
+        return rm
+    return _lower(rm, (3,))
+
+
+def lower_tier2_to_tier1(rm: RegisterMachine) -> RegisterMachine:
+    """Expand inc/dec/ckz into read/write fans over the whole domain."""
+    if rm.tier() > 2:
+        raise ModelError("lower tier III first")
+    return _lower(rm, (2,))

@@ -12,6 +12,7 @@ import tsoreach
 import tsoreach.cli
 import tsoreach.pivot
 import tsoreach.tso
+from tsoreach.adt import MAX_LEVEL
 from tsoreach.cli import main
 from tsoreach.dsl import parse_program, print_machine
 from tsoreach.gen import random_stack_machine
@@ -261,7 +262,14 @@ trans a -> t : cke r1 r2
 """
     path = _write(tmp_path, "m.tso", mtext)
     code, out, _ = _run(capsys, "lower", path, "--to", "2")
-    assert code == 0 and "cke" not in out and "inc" in out
+    assert code == 0
+    for word in ("set", "cke", "ckne", "ckl", "ckg", "ckle", "ckge"):
+        assert f": {word} " not in out
+    lowered = _write(tmp_path, "low2.tso", out)
+    code_in, verdict_in, _ = _run(capsys, "check", path, "--format", "lines")
+    code_low, verdict_low, _ = _run(capsys, "check", lowered, "--format", "lines")
+    assert code_in == code_low == 0
+    assert verdict_in.splitlines()[0] == verdict_low.splitlines()[0]
     code, out, _ = _run(capsys, "lower", path, "--to", "1")
     assert code == 0
     for word in ("cke", "inc", "dec", "ckz", "set"):
@@ -452,6 +460,39 @@ def test_gen_bad_automata_exit_three(tmp_path, capsys, make_path):
                           "--automata", make_path(tmp_path))
     assert code == 3 and out == ""
     assert err.startswith("error: ")
+
+
+def test_gen_automata_nameless_state_line_exit_three(tmp_path, capsys):
+    # used to escape as an IndexError with exit 6
+    path = _write(tmp_path, "a.txt", "pda P alphabet a stack A\nstate\n")
+    code, out, err = _run(capsys, "gen", "--kind", "intersection", "--automata", path)
+    assert code == 3 and out == ""
+    assert err == "error: line 2: state line needs a name\n"
+
+
+@pytest.mark.parametrize("command", ["check", "pivot", "oracle"])
+def test_higher_order_level_cap(tmp_path, capsys, command):
+    # deeper levels used to overflow the recursion limit (exit 6)
+    _, text, _ = _run(capsys, "gen", "--kind", "program", "--seed", "3")
+    path = _write(tmp_path, "p.tso", text)
+    code, out, _ = _run(capsys, command, path, "--adt", f"hocounter level {MAX_LEVEL}",
+                        "--value-bound", str(MAX_LEVEL + 20), "--format", "lines")
+    assert code == 0 and out.startswith("verdict: reachable")
+    code, out, err = _run(capsys, command, path, "--adt", f"hocounter level {MAX_LEVEL + 1}")
+    assert code == 3 and out == ""
+    assert err == f"error: level must be <= {MAX_LEVEL}\n"
+
+
+def test_higher_order_level_cap_on_a_machine(tmp_path, capsys):
+    _, text, _ = _run(capsys, "gen", "--kind", "machine", "--seed", "3",
+                      "--adt", f"hostack level {MAX_LEVEL} alphabet a")
+    path = _write(tmp_path, "m.tso", text)
+    code, _, _ = _run(capsys, "check", path, "--format", "lines")
+    assert code in (0, 1, 2)
+    deep = _write(tmp_path, "deep.tso", text.replace(f"level {MAX_LEVEL}", f"level {MAX_LEVEL + 1}"))
+    code, out, err = _run(capsys, "check", deep)
+    assert code == 3 and out == ""
+    assert err == f"error: level must be <= {MAX_LEVEL}\n"
 
 
 @pytest.mark.parametrize("seed,verdict", [(10, "reachable"), (0, "unreachable")])

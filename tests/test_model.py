@@ -24,7 +24,8 @@ from tsoreach.model import (
     skp,
     write,
 )
-from tsoreach.solvers import _control_closure
+from tsoreach.solvers import _control_closure, solve_auto
+from tsoreach.verdict import INCONCLUSIVE, REACHABLE
 
 
 def mk(states, delta, regs=("r",), bound=2, adt=None, target=None):
@@ -122,6 +123,47 @@ def test_lower_tier2_examples():
     assert all(c2.state != "q1" for _, c2 in rm_step(low2, c))
 
 
+def test_lower_tier2_inc_dec_fans_exact():
+    # one read/write path per enabled value, each with its own middle state
+    rm = mk(["q0", "q1"], [("q0", RegisterAction("inc", "r"), "q1"),
+                           ("q0", RegisterAction("dec", "r"), "q1")], bound=2)
+    low = lower_tier2_to_tier1(rm)
+    assert low.delta == (
+        ("q0", read("r", 0), "g1"), ("g1", write("r", 1), "q1"),
+        ("q0", read("r", 1), "g2"), ("g2", write("r", 2), "q1"),
+        ("q0", read("r", 1), "g3"), ("g3", write("r", 0), "q1"),
+        ("q0", read("r", 2), "g4"), ("g4", write("r", 1), "q1"),
+    )
+    assert low.states == ("q0", "q1", "g1", "g2", "g3", "g4")
+
+
+def test_lower_tier3_exact():
+    # paths that read the same first register share the state after it
+    rm = mk(["q0", "q1"], [("q0", RegisterAction("ckle", "r1", "r2"), "q1"),
+                           ("q0", RegisterAction("set", "r2", "r1"), "q1"),
+                           ("q0", RegisterAction("ckle", 1, 0), "q1"),
+                           ("q0", RegisterAction("ckle", 0, 1), "q1")],
+            regs=("r1", "r2"), bound=1)
+    low = lower_tier3_to_tier2(rm)
+    assert low.delta == (
+        ("q0", read("r1", 0), "g1"), ("g1", read("r2", 0), "q1"),
+        ("g1", read("r2", 1), "q1"),
+        ("q0", read("r1", 1), "g2"), ("g2", read("r2", 1), "q1"),
+        ("q0", read("r1", 0), "g3"), ("g3", write("r2", 0), "q1"),
+        ("q0", read("r1", 1), "g4"), ("g4", write("r2", 1), "q1"),
+        ("q0", skp(), "q1"),
+    )
+    assert low.registers == rm.registers
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lower_tier3_adds_no_registers(seed):
+    rng = random.Random(300 + seed)
+    rm = random_machine(rng, n_states=4, n_regs=1 + seed % 3, bound=seed % 4, tier=3)
+    low2 = lower_tier3_to_tier2(rm)
+    assert low2.registers == lower_tier2_to_tier1(low2).registers == rm.registers
+
+
 def test_lower_tier3_requires_tier2_input_for_stage_two():
     rm = mk(["q0", "q1"], [("q0", RegisterAction("set", "r", 1), "q1")])
     with pytest.raises(ModelError):
@@ -171,15 +213,35 @@ def test_cke_gadget_equivalence():
         assert rm_reachable_brute(rm) == expected
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_lowering_preserves_reachability_randomized(seed):
+def _lowering_cases():
+    # the plain seed ids are the original bound-3 trivial-type cases
+    for seed in range(12):
+        for bound in range(6):
+            for adt in ("trivial", "stack"):
+                case_id = str(seed) if (bound, adt) == (3, "trivial") else f"{seed}-bound{bound}-{adt}"
+                yield pytest.param(seed, bound, adt, id=case_id)
+
+
+@pytest.mark.parametrize("seed,bound,adt", _lowering_cases())
+def test_lowering_preserves_reachability_randomized(seed, bound, adt):
     rng = random.Random(seed)
-    rm = random_machine(rng, n_states=4, n_regs=2, bound=3, tier=3)
-    expected = rm_reachable_brute(rm)
+    if adt == "trivial":
+        rm = random_machine(rng, n_states=4, n_regs=2, bound=bound, tier=3)
+        reachable = rm_reachable_brute
+    else:
+        stack = AdtSpec(kind="stack", alphabet=("a",))
+        rm = random_machine(rng, n_states=4, n_regs=2, bound=bound, adt=stack, tier=3,
+                            op_weight=30)
+
+        def reachable(m):
+            v = solve_auto(m)
+            assert v.outcome != INCONCLUSIVE
+            return v.outcome == REACHABLE
+    expected = reachable(rm)
     low2 = lower_tier3_to_tier2(rm)
-    assert rm_reachable_brute(low2) == expected
+    assert reachable(low2) == expected
     low1 = lower_tier2_to_tier1(low2)
-    assert rm_reachable_brute(low1) == expected
+    assert reachable(low1) == expected
     # syntactic scan: only permitted tiers remain
     assert low2.tier() <= 2 and low1.tier() == 1
 
