@@ -1,10 +1,47 @@
 """Line-oriented text format for programs, machines, automata and nets.
 
-Every construct sits on one line; '#' starts a comment.  A program file
-holds a `memory` line, an `adt` line and one `process` section; a machine
-file holds an `adt` line and one `machine` section with a `registers` line.
-Automata files hold `fsa`/`pda` sections; a net plus a `cover` line forms a
-coverability instance.
+One construct per line; '#' starts a comment, blank lines are skipped and
+tokens are separated by whitespace.  NAME is [A-Za-z_][A-Za-z0-9_]*, Q a
+state (word characters), N an integer, NAMES 'a,b,...' or '-' for none.
+
+    program   memory vars NAMES domain 0..N
+              [adt KIND]                      (default: adt trivial)
+              process NAME
+              state NAME [init] [target]      (one init, one target)
+              trans Q -> Q : skip | mf | rd NAME N | wr NAME N | OP
+    machine   [adt KIND]
+              machine NAME
+              registers [NAMES] bound N
+              state NAME [init] [target]
+              trans Q -> Q : ACTION | OP
+    cover     adt petri ...
+              cover NAMES
+    automata  fsa NAME alphabet NAMES  or  pda NAME alphabet NAMES stack NAMES,
+              each followed by state NAME [init] [accept] and
+              trans Q A -> Q (fsa)  or  trans Q A [G/NAMES] -> Q (pda, G or -)
+
+    OP        op NAME [ARG]                   (ARG an integer or a name)
+    ACTION    skp | write R N | read R N | inc R | dec R | ckz R | set R V
+              | cke|ckne|ckl|ckg|ckle|ckge V V (V a register or an integer)
+    KIND      trivial | counter | weakcounter | stack alphabet NAMES
+              | hostack level N alphabet NAMES | hocounter level N
+              | howeakcounter level N | multistack count N alphabet NAMES
+              | petri places NAMES [transitions T: NAMES -> NAMES ; ...]
+                [initial NAMES]
+
+A program or machine file is read in one pass; each distinct instruction
+or action text is parsed once, and equal texts share one object.  Of
+several errors the one reported is in the first of these phases, and the
+first in file order within it: (1) no process or machine section; (2) a
+line before the section that is no adt (or memory) line; (3) not exactly
+one section of the kind; (4) no memory line; (5) the header; (6) registers
+lines, then none; (7) state lines and the shape of trans lines; (8) no
+init, then no target state; (9) any other line; (10) per transition, its
+instruction or action, then its endpoints; (11) names, values and
+data-type operations, in transition order.  Automata sections are finished
+one by one: header, state and other lines, init state, trans lines,
+symbols.  A cover file reports its lines in file order, then a missing adt
+petri or cover line, then undeclared places.
 """
 
 from __future__ import annotations
@@ -24,6 +61,21 @@ from .model import (
 )
 
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_MEMORY = re.compile(r"^memory\s+vars\s+(\S+)\s+domain\s+0\.\.(\d+)$")
+_REGISTERS = re.compile(r"^registers(?:\s+(\S+))?\s+bound\s+(\d+)$")
+_TRANS = re.compile(r"^trans\s+(\w+)\s*->\s*(\w+)\s*:\s*(.+)$")
+_PETRI = re.compile(
+    r"^petri\s+places\s+(?P<places>\S+)"
+    r"(?:\s+transitions\s+(?P<trans>.*?))?"
+    r"(?:\s+initial\s+(?P<init>\S+))?$"
+)
+_NET_TRANSITION = re.compile(r"^(\w+)\s*:\s*(\S+)\s*->\s*(\S+)$")
+_FSA_HEADER = re.compile(r"^fsa\s+(\w+)\s+alphabet\s+(\S+)$")
+_PDA_HEADER = re.compile(r"^pda\s+(\w+)\s+alphabet\s+(\S+)\s+stack\s+(\S+)$")
+_FSA_TRANS = re.compile(r"^trans\s+(\w+)\s+(\w+)\s*->\s*(\w+)$")
+_PDA_TRANS = re.compile(r"^trans\s+(\w+)\s+(\w+)\s+\[([^/\]]+)/([^/\]]+)\]\s*->\s*(\w+)$")
+
+_SECTIONS = ("process", "machine", "fsa", "pda")
 
 
 class DslError(ValueError):
@@ -54,9 +106,15 @@ def _int(tok: str, what: str, line: int) -> int:
 
 def _lines(text: str):
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if line:
             yield i, line
+
+
+def _state_name(toks: list[str], line: int) -> str:
+    if len(toks) < 2:
+        raise DslError("state line needs a name", line)
+    return _check_name(toks[1], "state", line)
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +172,7 @@ def parse_adt_line(rest: str, line: int) -> AdtSpec:
 
 
 def _parse_petri(rest: str, line: int) -> AdtSpec:
-    m = re.match(
-        r"^petri\s+places\s+(?P<places>\S+)"
-        r"(?:\s+transitions\s+(?P<trans>.*?))?"
-        r"(?:\s+initial\s+(?P<init>\S+))?$",
-        rest,
-    )
+    m = _PETRI.match(rest)
     if not m:
         raise DslError("expected: petri places p,q [transitions t: p -> q ; ...] [initial p,p]", line)
     places = _split_names(m.group("places"), "place", line)
@@ -129,7 +182,7 @@ def _parse_petri(rest: str, line: int) -> AdtSpec:
             part = part.strip()
             if not part:
                 continue
-            tm = re.match(r"^(\w+)\s*:\s*(\S+)\s*->\s*(\S+)$", part)
+            tm = _NET_TRANSITION.match(part)
             if not tm:
                 raise DslError(f"bad net transition: {part!r}", line)
             transitions.append(
@@ -146,22 +199,15 @@ def _parse_petri(rest: str, line: int) -> AdtSpec:
 
 
 def print_adt(adt: AdtSpec) -> str:
-    if adt.kind == "trivial":
-        return "adt trivial"
-    if adt.kind == "counter":
-        return "adt counter"
-    if adt.kind == "weak-counter":
-        return "adt weakcounter"
-    if adt.kind == "stack":
-        return f"adt stack alphabet {','.join(adt.alphabet)}"
-    if adt.kind == "ho-stack":
-        return f"adt hostack level {adt.level} alphabet {','.join(adt.alphabet)}"
-    if adt.kind == "ho-counter":
-        return f"adt hocounter level {adt.level}"
-    if adt.kind == "ho-weak-counter":
-        return f"adt howeakcounter level {adt.level}"
-    if adt.kind == "multi-stack":
-        return f"adt multistack count {adt.count} alphabet {','.join(adt.alphabet)}"
+    if adt.kind != "petri":
+        parts = ["adt", adt.kind.replace("-", "")]
+        if adt.kind.startswith("ho-"):
+            parts += ["level", str(adt.level)]
+        if adt.kind == "multi-stack":
+            parts += ["count", str(adt.count)]
+        if adt.kind in ("stack", "ho-stack", "multi-stack"):
+            parts += ["alphabet", ",".join(adt.alphabet)]
+        return " ".join(parts)
     parts = [f"adt petri places {','.join(adt.places)}"]
     if adt.transitions:
         ts = " ; ".join(
@@ -187,7 +233,8 @@ def _parse_op_tokens(toks: list[str], line: int) -> AdtOp:
     if len(toks) == 1:
         return AdtOp(toks[0])
     if len(toks) == 2:
-        arg: str | int = int(toks[1]) if toks[1].isdigit() else toks[1]
+        # isdigit also holds for digits int() rejects, such as superscripts
+        arg: str | int = _int(toks[1], "op argument", line) if toks[1].isdigit() else toks[1]
         return AdtOp(toks[0], arg)
     raise DslError("op takes a name and at most one argument", line)
 
@@ -199,11 +246,8 @@ def parse_instruction(text: str, line: int) -> Instruction:
     if toks[0] == "mf" and len(toks) == 1:
         return Instruction("mf")
     if toks[0] in ("rd", "wr") and len(toks) == 3:
-        return Instruction(
-            toks[0],
-            var=_check_name(toks[1], "variable", line),
-            val=_int(toks[2], "value", line),
-        )
+        return Instruction(toks[0], var=_check_name(toks[1], "variable", line),
+                           val=_int(toks[2], "value", line))
     if toks[0] == "op" and len(toks) >= 2:
         return Instruction("op", op=_parse_op_tokens(toks[1:], line))
     raise DslError(f"bad instruction: {text!r}", line)
@@ -226,7 +270,8 @@ def parse_action(text: str, line: int):
         raise DslError(f"{kind} takes {_ACTION_ARITY[kind]} operand(s)", line)
 
     def operand(tok: str) -> str | int:
-        return int(tok) if tok.lstrip("-").isdigit() else tok
+        # a register name, or a literal with any number of leading minus signs
+        return _int(tok, "operand", line) if tok.lstrip("-").isdigit() else tok
 
     if kind == "skp":
         return RegisterAction("skp")
@@ -241,217 +286,189 @@ def parse_action(text: str, line: int):
 
 
 def print_action(act) -> str:
-    if isinstance(act, AdtOp):
-        return f"op {act}"
-    return str(act)
+    return f"op {act}" if isinstance(act, AdtOp) else str(act)
 
 
 # ---------------------------------------------------------------------------
-# Section scanners
+# Program and machine files
 
 
-def _scan_sections(text: str):
-    """Group lines into (header_line, header, [(lineno, line), ...])."""
-    sections = []
+def _parse_program_or_machine(text: str, kind: str | None):
+    """One pass over a program (kind 'process') or machine ('machine') file;
+    kind None takes the kind of the first such section.  Errors are kept
+    while the lines are read and raised in the phase order of the module
+    docstring."""
     preamble: list[tuple[int, str]] = []
-    current = None
-    for i, line in _lines(text):
-        head = line.split()[0]
-        if head in ("process", "machine", "fsa", "pda"):
-            current = (i, line, [])
-            sections.append(current)
-        elif current is None:
-            preamble.append((i, line))
-        else:
-            current[2].append((i, line))
-    return preamble, sections
-
-
-def _parse_states(body, line0: int, section: str):
+    header: tuple[int, str, str] | None = None  # line, text, keyword of the first section
+    n_sections = 0
+    body = None  # the first section's keyword while its lines are read
+    registers: tuple[str, ...] | None = None
+    bound = 0
     states: list[str] = []
-    q_init = None
-    q_final = None
-    edges = []
-    extra = []
-    for i, line in body:
-        toks = line.split()
-        if toks[0] == "state":
-            if len(toks) < 2:
-                raise DslError("state line needs a name", i)
-            name = _check_name(toks[1], "state", i)
-            states.append(name)
-            for flag in toks[2:]:
-                if flag == "init":
-                    if q_init is not None:
-                        raise DslError("duplicate init state", i)
-                    q_init = name
-                elif flag == "target":
-                    if q_final is not None:
-                        raise DslError("duplicate target state", i)
-                    q_final = name
-                else:
-                    raise DslError(f"unknown state flag {flag!r}", i)
-        elif toks[0] == "trans":
-            m = re.match(r"^trans\s+(\w+)\s*->\s*(\w+)\s*:\s*(.+)$", line)
-            if not m:
-                raise DslError(f"bad trans line: {line!r}", i)
-            edges.append((i, m.group(1), m.group(2), m.group(3)))
+    declared: set[str] = set()
+    marked: dict[str, str | None] = {"init": None, "target": None}
+    delta: list = []
+    parsed: dict[str, object] = {}  # instruction or action text -> object or DslError
+    reg_error = line_error = extra_error = None
+    suspect: list[tuple[int, int]] = []  # (edge, line): text failed, or endpoint undeclared yet
+    for i, line in _lines(text):
+        toks = line.split(None, 5)
+        head = toks[0]
+        if head in _SECTIONS:
+            n_sections += 1
+            if kind is None and head in ("process", "machine"):
+                kind = head
+            body = None
+            if n_sections == 1:
+                header = (i, line, head)
+                body = head if head == kind else None
+            continue
+        if n_sections == 0:
+            preamble.append((i, line))
+        elif body is None:
+            continue
+        elif head == "trans":
+            # 'trans Q -> Q : TEXT' with alphanumeric Q: the groups _TRANS gives
+            if (len(toks) == 6 and toks[2] == "->" and toks[4] == ":"
+                    and toks[1].isalnum() and toks[3].isalnum()):
+                _, q, _, q2, _, what = toks
+            else:
+                m = _TRANS.match(line)
+                if m is None:
+                    line_error = line_error or DslError(f"bad trans line: {line!r}", i)
+                    continue
+                q, q2, what = m.groups()
+            item = parsed.get(what)
+            if item is None:
+                try:
+                    item = (parse_action if body == "machine" else parse_instruction)(what, i)
+                except DslError as e:
+                    item = e
+                    suspect.append((len(delta), i))
+                parsed[what] = item
+            if q not in declared or q2 not in declared:
+                suspect.append((len(delta), i))
+            delta.append((q, item, q2))
+        elif head == "state":
+            if len(toks) == 6:  # the sixth is the rest of the line
+                toks = line.split()
+            try:
+                name = _state_name(toks, i)
+                states.append(name)
+                declared.add(name)
+                for flag in toks[2:]:
+                    if flag not in marked:
+                        raise DslError(f"unknown state flag {flag!r}", i)
+                    if marked[flag] is not None:
+                        raise DslError(f"duplicate {flag} state", i)
+                    marked[flag] = name
+            except DslError as e:
+                line_error = line_error or e
+        elif body == "machine" and head == "registers" and (m := _REGISTERS.match(line)):
+            try:
+                if registers is not None:
+                    raise DslError("duplicate registers line", i)
+                registers = _split_names(m.group(1) or "-", "register", i)
+                bound = int(m.group(2))
+            except DslError as e:
+                reg_error = reg_error or e
         else:
-            extra.append((i, line))
-    if q_init is None:
-        raise DslError(f"{section} needs a state marked init", line0)
-    if q_final is None:
-        raise DslError(f"{section} needs a state marked target", line0)
-    return states, q_init, q_final, edges, extra
+            extra_error = extra_error or DslError(f"unexpected line: {line!r}", i)
+
+    if kind is None:
+        raise DslError("no process or machine section found")
+    mem, adt = None, trivial_spec()
+    for i, line in preamble:
+        head = line.split(None, 1)[0]
+        if head == "memory" and kind == "process":
+            m = _MEMORY.match(line)
+            if not m:
+                raise DslError("expected: memory vars x,y domain 0..k", i)
+            mem = MemorySpec(
+                variables=_split_names(m.group(1), "variable", i), d_max=int(m.group(2))
+            )
+        elif head == "adt":
+            adt = parse_adt_line(line[len("adt") :].strip(), i)
+        else:
+            raise DslError(f"unexpected line before section: {line!r}", i)
+    if n_sections != 1 or header[2] != kind:
+        raise DslError(f"expected exactly one {kind} section")
+    if kind == "process" and mem is None:
+        raise DslError("program needs a memory line")
+    i0, header_line, _ = header
+    toks = header_line.split()
+    if len(toks) != 2:
+        raise DslError(f"expected: {kind} NAME", i0)
+    name = _check_name(toks[1], kind, i0)
+    if reg_error:
+        raise reg_error
+    if kind == "machine" and registers is None:
+        raise DslError("machine needs a 'registers [names] bound N' line", i0)
+    if line_error:
+        raise line_error
+    for flag in marked:
+        if marked[flag] is None:
+            raise DslError(f"{kind} needs a state marked {flag}", i0)
+    if extra_error:
+        raise extra_error
+    for k, i in suspect:
+        q, item, q2 = delta[k]
+        if isinstance(item, DslError):
+            raise item
+        if q not in declared or q2 not in declared:
+            raise DslError(f"transition uses undeclared state: {q} -> {q2}", i)
+    try:
+        if kind == "machine":
+            return RegisterMachine(name, tuple(states), marked["init"], marked["target"],
+                                   registers, bound, adt, tuple(delta))
+        proc = ProcessDescription(name, tuple(states), marked["init"], marked["target"],
+                                  tuple(delta))
+        validate_program(mem, adt, proc)
+        return Program(mem=mem, adt=adt, proc=proc)
+    except ValueError as e:
+        raise DslError(str(e)) from e
 
 
 def parse_program(text: str) -> Program:
     """Parse and fully validate a TSO program file."""
-    preamble, sections = _scan_sections(text)
-    mem = None
-    adt = trivial_spec()
-    for i, line in preamble:
-        toks = line.split()
-        if toks[0] == "memory":
-            m = re.match(r"^memory\s+vars\s+(\S+)\s+domain\s+0\.\.(\d+)$", line)
-            if not m:
-                raise DslError("expected: memory vars x,y domain 0..k", i)
-            mem = MemorySpec(
-                variables=_split_names(m.group(1), "variable", i),
-                d_max=int(m.group(2)),
-            )
-        elif toks[0] == "adt":
-            adt = parse_adt_line(line[len("adt") :].strip(), i)
-        else:
-            raise DslError(f"unexpected line before section: {line!r}", i)
-    if len(sections) != 1 or not sections[0][1].startswith("process"):
-        raise DslError("expected exactly one process section")
-    if mem is None:
-        raise DslError("program needs a memory line")
-    i0, header, body = sections[0]
-    toks = header.split()
-    if len(toks) != 2:
-        raise DslError("expected: process NAME", i0)
-    name = _check_name(toks[1], "process", i0)
-    states, q_init, q_final, raw_edges, extra = _parse_states(body, i0, "process")
-    if extra:
-        raise DslError(f"unexpected line: {extra[0][1]!r}", extra[0][0])
-    declared = set(states)
-    delta = []
-    for i, q, q2, instr_text in raw_edges:
-        instr = parse_instruction(instr_text, i)
-        if q not in declared or q2 not in declared:
-            raise DslError(f"transition uses undeclared state: {q} -> {q2}", i)
-        delta.append((q, instr, q2))
-    proc = ProcessDescription(
-        name=name, states=tuple(states), q_init=q_init, q_final=q_final, delta=tuple(delta)
-    )
-    try:
-        validate_program(mem, adt, proc)
-    except ValueError as e:
-        raise DslError(str(e)) from e
-    return Program(mem=mem, adt=adt, proc=proc)
+    return _parse_program_or_machine(text, "process")
 
 
 def parse_machine(text: str) -> RegisterMachine:
     """Parse and fully validate a register machine file."""
-    preamble, sections = _scan_sections(text)
-    adt = trivial_spec()
-    for i, line in preamble:
-        if line.split()[0] == "adt":
-            adt = parse_adt_line(line[len("adt") :].strip(), i)
-        else:
-            raise DslError(f"unexpected line before section: {line!r}", i)
-    if len(sections) != 1 or not sections[0][1].startswith("machine"):
-        raise DslError("expected exactly one machine section")
-    i0, header, body = sections[0]
-    toks = header.split()
-    if len(toks) != 2:
-        raise DslError("expected: machine NAME", i0)
-    name = _check_name(toks[1], "machine", i0)
-
-    registers: tuple[str, ...] | None = None
-    bound = None
-    rest = []
-    for i, line in body:
-        m = re.match(r"^registers(?:\s+(\S+))?\s+bound\s+(\d+)$", line)
-        if m:
-            if registers is not None:
-                raise DslError("duplicate registers line", i)
-            registers = _split_names(m.group(1) or "-", "register", i)
-            bound = int(m.group(2))
-        else:
-            rest.append((i, line))
-    if registers is None or bound is None:
-        raise DslError("machine needs a 'registers [names] bound N' line", i0)
-
-    states, q_init, q_target, raw_edges, extra = _parse_states(rest, i0, "machine")
-    if extra:
-        raise DslError(f"unexpected line: {extra[0][1]!r}", extra[0][0])
-    declared = set(states)
-    delta = []
-    for i, q, q2, act_text in raw_edges:
-        act = parse_action(act_text, i)
-        if q not in declared or q2 not in declared:
-            raise DslError(f"transition uses undeclared state: {q} -> {q2}", i)
-        delta.append((q, act, q2))
-    try:
-        return RegisterMachine(
-            name=name,
-            states=tuple(states),
-            q_init=q_init,
-            q_target=q_target,
-            registers=registers,
-            bound=bound,
-            adt=adt,
-            delta=tuple(delta),
-        )
-    except ValueError as e:
-        raise DslError(str(e)) from e
+    return _parse_program_or_machine(text, "machine")
 
 
 def parse_input(text: str):
-    """Sniff the section keyword and parse a program or a machine."""
-    for _, line in _lines(text):
-        head = line.split()[0]
-        if head == "process":
-            return parse_program(text)
-        if head == "machine":
-            return parse_machine(text)
-    raise DslError("no process or machine section found")
+    """Parse a program or a machine, whichever section comes first."""
+    return _parse_program_or_machine(text, None)
+
+
+def _state_lines(states, q_init: str, q_target: str) -> list[str]:
+    return [f"state {q}{' init' if q == q_init else ''}{' target' if q == q_target else ''}"
+            for q in states]
 
 
 def print_program(prog: Program) -> str:
+    proc = prog.proc
     lines = [
         f"memory vars {','.join(prog.mem.variables)} domain 0..{prog.mem.d_max}",
         print_adt(prog.adt),
-        f"process {prog.proc.name}",
+        f"process {proc.name}",
+        *_state_lines(proc.states, proc.q_init, proc.q_final),
     ]
-    for q in prog.proc.states:
-        flags = ""
-        if q == prog.proc.q_init:
-            flags += " init"
-        if q == prog.proc.q_final:
-            flags += " target"
-        lines.append(f"state {q}{flags}")
-    for q, instr, q2 in prog.proc.delta:
-        lines.append(f"trans {q} -> {q2} : {instr}")
+    lines += [f"trans {q} -> {q2} : {instr}" for q, instr, q2 in proc.delta]
     return "\n".join(lines) + "\n"
 
 
 def print_machine(rm: RegisterMachine) -> str:
-    lines = [print_adt(rm.adt), f"machine {rm.name}"]
-    regs = ",".join(rm.registers) if rm.registers else "-"
-    lines.append(f"registers {regs} bound {rm.bound}")
-    for q in rm.states:
-        flags = ""
-        if q == rm.q_init:
-            flags += " init"
-        if q == rm.q_target:
-            flags += " target"
-        lines.append(f"state {q}{flags}")
-    for q, act, q2 in rm.delta:
-        lines.append(f"trans {q} -> {q2} : {print_action(act)}")
+    lines = [
+        print_adt(rm.adt),
+        f"machine {rm.name}",
+        f"registers {','.join(rm.registers) if rm.registers else '-'} bound {rm.bound}",
+        *_state_lines(rm.states, rm.q_init, rm.q_target),
+    ]
+    lines += [f"trans {q} -> {q2} : {print_action(act)}" for q, act, q2 in rm.delta]
     return "\n".join(lines) + "\n"
 
 
@@ -460,98 +477,75 @@ def print_machine(rm: RegisterMachine) -> str:
 
 
 def parse_automata(text: str) -> tuple[list[PushdownAutomaton], list[FiniteAutomaton]]:
-    _, sections = _scan_sections(text)
+    """One pass; each section is finished (and its errors raised) before the
+    next header is read.  Lines before the first section are ignored."""
     pdas: list[PushdownAutomaton] = []
     fsas: list[FiniteAutomaton] = []
-    for i0, header, body in sections:
-        toks = header.split()
-        if toks[0] == "fsa":
-            m = re.match(r"^fsa\s+(\w+)\s+alphabet\s+(\S+)$", header)
-            if not m:
-                raise DslError("expected: fsa NAME alphabet a,b", i0)
-            fsas.append(_parse_fsa(m.group(1), _split_names(m.group(2), "symbol", i0), body, i0))
-        elif toks[0] == "pda":
-            m = re.match(r"^pda\s+(\w+)\s+alphabet\s+(\S+)\s+stack\s+(\S+)$", header)
-            if not m:
-                raise DslError("expected: pda NAME alphabet a,b stack A,Z", i0)
-            pdas.append(
-                _parse_pda(
-                    m.group(1),
-                    _split_names(m.group(2), "symbol", i0),
-                    _split_names(m.group(3), "stack symbol", i0),
-                    body,
-                    i0,
-                )
-            )
-        else:
-            raise DslError(f"unexpected section {toks[0]!r}", i0)
-    return pdas, fsas
-
-
-def _parse_automaton_states(body, line0: int):
-    states: list[str] = []
-    initial = None
-    accepting: list[str] = []
-    edges = []
-    for i, line in body:
+    section = None
+    for i, line in _lines(text):
         toks = line.split()
-        if toks[0] == "state":
-            if len(toks) < 2:
-                raise DslError("state line needs a name", i)
-            name = _check_name(toks[1], "state", i)
-            states.append(name)
+        if toks[0] in _SECTIONS:
+            _finish_automaton(section, pdas, fsas)
+            section = _automaton_header(toks[0], line, i)
+        elif section is None:
+            continue
+        elif toks[0] == "state":
+            name = _state_name(toks, i)
+            section["states"].append(name)
             for flag in toks[2:]:
                 if flag == "init":
-                    initial = name
+                    section["initial"] = name
                 elif flag == "accept":
-                    accepting.append(name)
+                    section["accepting"].append(name)
                 else:
                     raise DslError(f"unknown state flag {flag!r}", i)
         elif toks[0] == "trans":
-            edges.append((i, line))
+            section["edges"].append((i, line))
         else:
             raise DslError(f"unexpected line: {line!r}", i)
-    if initial is None:
-        raise DslError("automaton needs a state marked init", line0)
-    return states, initial, accepting, edges
+    _finish_automaton(section, pdas, fsas)
+    return pdas, fsas
 
 
-def _parse_fsa(name, alphabet, body, i0) -> FiniteAutomaton:
-    states, initial, accepting, edges = _parse_automaton_states(body, i0)
+def _automaton_header(head: str, line: str, i0: int) -> dict:
+    if head not in ("fsa", "pda"):
+        raise DslError(f"unexpected section {head!r}", i0)
+    m = (_FSA_HEADER if head == "fsa" else _PDA_HEADER).match(line)
+    if not m:
+        want = "fsa NAME alphabet a,b" if head == "fsa" else "pda NAME alphabet a,b stack A,Z"
+        raise DslError(f"expected: {want}", i0)
+    alphabet = _split_names(m.group(2), "symbol", i0)
+    stack = _split_names(m.group(3), "stack symbol", i0) if head == "pda" else ()
+    return {"kind": head, "line": i0, "name": m.group(1), "alphabet": alphabet,
+            "stack": stack, "states": [], "initial": None, "accepting": [], "edges": []}
+
+
+def _finish_automaton(s: dict | None, pdas: list, fsas: list) -> None:
+    if s is None:
+        return
+    i0 = s["line"]
+    if s["initial"] is None:
+        raise DslError("automaton needs a state marked init", i0)
     transitions = []
-    for i, line in edges:
-        m = re.match(r"^trans\s+(\w+)\s+(\w+)\s*->\s*(\w+)$", line)
-        if not m:
-            raise DslError(f"bad fsa trans: {line!r}", i)
-        transitions.append((m.group(1), m.group(2), m.group(3)))
-    try:
-        return FiniteAutomaton(
-            name, tuple(states), initial, tuple(accepting), alphabet, tuple(transitions)
-        )
-    except ValueError as e:
-        raise DslError(str(e), i0) from e
-
-
-def _parse_pda(name, alphabet, stack_alphabet, body, i0) -> PushdownAutomaton:
-    states, initial, accepting, edges = _parse_automaton_states(body, i0)
-    transitions = []
-    for i, line in edges:
-        m = re.match(r"^trans\s+(\w+)\s+(\w+)\s+\[([^/\]]+)/([^/\]]+)\]\s*->\s*(\w+)$", line)
+    for i, line in s["edges"]:
+        if s["kind"] == "fsa":
+            m = _FSA_TRANS.match(line)
+            if not m:
+                raise DslError(f"bad fsa trans: {line!r}", i)
+            transitions.append(m.groups())
+            continue
+        m = _PDA_TRANS.match(line)
         if not m:
             raise DslError(f"bad pda trans (want: trans q a [g/w] -> q'): {line!r}", i)
         gamma = None if m.group(3).strip() == "-" else m.group(3).strip()
         push = _split_names(m.group(4).strip(), "stack symbol", i)
         transitions.append((m.group(1), m.group(2), gamma, m.group(5), push))
+    parts = (s["name"], tuple(s["states"]), s["initial"], tuple(s["accepting"]), s["alphabet"])
     try:
-        return PushdownAutomaton(
-            name,
-            tuple(states),
-            initial,
-            tuple(accepting),
-            alphabet,
-            stack_alphabet,
-            tuple(transitions),
-        )
+        if s["kind"] == "fsa":
+            fsas.append(FiniteAutomaton(*parts, tuple(transitions)))
+        else:
+            pdas.append(PushdownAutomaton(*parts, s["stack"], tuple(transitions)))
     except ValueError as e:
         raise DslError(str(e), i0) from e
 
@@ -582,8 +576,7 @@ def print_automata(pdas, fsas) -> str:
 
 
 def parse_coverability(text: str) -> CoverabilityInstance:
-    adt = None
-    target = None
+    adt = target = None
     for i, line in _lines(text):
         toks = line.split()
         if toks[0] == "adt":
@@ -599,12 +592,7 @@ def parse_coverability(text: str) -> CoverabilityInstance:
     if target is None:
         raise DslError("coverability file needs a 'cover ...' line")
     try:
-        return CoverabilityInstance(
-            places=adt.places,
-            transitions=adt.transitions,
-            initial=adt.initial_marking,
-            target=target,
-        )
+        return CoverabilityInstance(adt.places, adt.transitions, adt.initial_marking, target)
     except ValueError as e:
         raise DslError(str(e)) from e
 

@@ -124,8 +124,13 @@ class ProcessDescription:
 
 
 def validate_program(mem: MemorySpec, adt: AdtSpec, proc: ProcessDescription) -> None:
-    """Cross-checks instruction payloads against memory and data type."""
+    """Cross-checks instruction payloads against memory and data type;
+    an instruction object shared by several edges is checked once."""
+    checked: set[int] = set()
     for q, instr, q2 in proc.delta:
+        if id(instr) in checked:
+            continue
+        checked.add(id(instr))
         if instr.kind in ("rd", "wr"):
             if instr.var not in mem.variables:
                 raise ModelError(f"undeclared variable {instr.var} in {q}->{q2}")
@@ -217,17 +222,23 @@ class RegisterMachine:
             raise ModelError("initial/target state undeclared")
         if self.bound < 0:
             raise ModelError("register bound must be >= 0")
+        checked_ops: set[int] = set()  # data-type operation objects, checked once each
+        good: set = {None, *regs}  # operands checked so far
         for q, act, q2 in self.delta:
             if q not in declared or q2 not in declared:
                 raise ModelError(f"transition endpoint undeclared: {q} -> {q2}")
             if isinstance(act, AdtOp):
-                self.adt.validate_op(act)
-                continue
-            for operand in (act.x, act.y):
-                if isinstance(operand, str) and operand not in regs:
-                    raise ModelError(f"undeclared register {operand}")
-                if isinstance(operand, int) and not 0 <= operand <= self.bound:
-                    raise ModelError(f"literal {operand} outside 0..{self.bound}")
+                if id(act) not in checked_ops:
+                    checked_ops.add(id(act))
+                    self.adt.validate_op(act)
+            elif act.x not in good or act.y not in good:
+                for operand in (act.x, act.y):
+                    if isinstance(operand, str) and operand not in regs:
+                        raise ModelError(f"undeclared register {operand}")
+                    if isinstance(operand, int) and not 0 <= operand <= self.bound:
+                        raise ModelError(f"literal {operand} outside 0..{self.bound}")
+                    if isinstance(operand, (str, int)):
+                        good.add(operand)
 
     def tier(self) -> int:
         """Highest instruction tier that occurs syntactically."""
