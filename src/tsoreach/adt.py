@@ -3,7 +3,15 @@
 Each data type is a labelled transition system over a (possibly infinite)
 value space: a counter, a stack over a finite alphabet, a Petri net marking,
 higher-order stacks and counters, or an ordered multi-stack.  Values are
-plain hashable Python structures; stepping is a pure function.
+plain hashable Python structures.  Every kind is deterministic, so each
+operation is a partial function: a step gives the one successor value, or
+None when the operation is disabled at that value.  An operation the
+instance does not admit is an AdtError, never a disabled step.
+
+A stack is the level-1 nested stack, and the ho-counters are nested stacks
+over the one symbol COUNTER_SYMBOL with renamed operations, so the four
+nested-stack kinds share one initial value, operation set, well-formedness
+check, step and size.
 
 Every kind additionally supports the distinguished operation ``reset``,
 which jumps back to the initial value.  It is used by the translation to
@@ -42,6 +50,19 @@ WELL_STRUCTURED_KINDS = ("trivial", "counter", "weak-counter", "petri")
 MONOTONE_KINDS = ("trivial", "weak-counter", "petri")
 
 RESET = "reset"
+
+# The nested-stack kinds with the names of their push, pop and emptiness
+# test; the level-k operations add "k" to a name.  The ho-counters push and
+# pop COUNTER_SYMBOL, and the weak one has no test.
+_NESTED_OPS = {
+    "stack": ("push", "pop", "isempty"),
+    "ho-stack": ("push", "pop", "isempty"),
+    "ho-counter": ("inc", "dec", "iszero"),
+    "ho-weak-counter": ("inc", "dec"),
+}
+COUNTER_SYMBOL = "a"
+_STACK_NAMES = dict(zip(("inc", "dec", "iszero", "inck", "deck", "iszerok"),
+                        ("push", "pop", "isempty", "pushk", "popk", "isemptyk")))
 
 # Values of a level-n stack nest n deep, and their size, step and check
 # walks recurse once per level; this cap keeps them far below Python's
@@ -154,10 +175,10 @@ class AdtSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise AdtError(f"unknown ADT kind: {self.kind}")
-        if self.kind in ("stack", "multi-stack") and not self.alphabet:
+        if self.kind in ("stack", "ho-stack", "multi-stack") and not self.alphabet:
             raise AdtError(f"{self.kind} requires a nonempty alphabet")
-        if self.kind == "ho-stack" and not self.alphabet:
-            raise AdtError("ho-stack requires a nonempty alphabet")
+        if self.kind == "stack" and self.level != 1:
+            raise AdtError("stack level must be 1")
         if self.kind.startswith("ho-") and self.level < 1:
             raise AdtError("level must be >= 1")
         if self.kind.startswith("ho-") and self.level > MAX_LEVEL:
@@ -178,7 +199,7 @@ class AdtSpec:
     def effective_alphabet(self) -> tuple[str, ...]:
         # ho-counter variants behave as ho-stacks over one symbol
         if self.kind in ("ho-counter", "ho-weak-counter"):
-            return ("a",)
+            return (COUNTER_SYMBOL,)
         return self.alphabet
 
     def initial_value(self) -> AdtValue:
@@ -186,9 +207,7 @@ class AdtSpec:
             return ()
         if self.kind in ("counter", "weak-counter"):
             return 0
-        if self.kind == "stack":
-            return ()
-        if self.kind in ("ho-stack", "ho-counter", "ho-weak-counter"):
+        if self.kind in _NESTED_OPS:
             return _ho_initial(self.level)
         if self.kind == "multi-stack":
             return ((),) * self.count
@@ -209,24 +228,14 @@ class AdtSpec:
             ops = [AdtOp("inc"), AdtOp("dec")]
             if self.kind == "counter":
                 ops.append(AdtOp("iszero"))
-        elif self.kind == "stack":
-            for g in self.alphabet:
-                ops += [AdtOp("push", g), AdtOp("pop", g)]
-            ops.append(AdtOp("isempty"))
-        elif self.kind == "ho-stack":
-            for g in self.alphabet:
-                ops += [AdtOp("push", g), AdtOp("pop", g)]
-            ops.append(AdtOp("isempty"))
+        elif self.kind in _NESTED_OPS:
+            push, pop, *test = _NESTED_OPS[self.kind]
+            # a counter's push and pop name no symbol
+            for g in self.alphabet if push == "push" else (None,):
+                ops += [AdtOp(push, g), AdtOp(pop, g)]
+            ops += [AdtOp(name) for name in test]
             for k in range(2, self.level + 1):
-                ops += [AdtOp("pushk", k), AdtOp("popk", k), AdtOp("isemptyk", k)]
-        elif self.kind in ("ho-counter", "ho-weak-counter"):
-            ops = [AdtOp("inc"), AdtOp("dec")]
-            if self.kind == "ho-counter":
-                ops.append(AdtOp("iszero"))
-            for k in range(2, self.level + 1):
-                ops += [AdtOp("inck", k), AdtOp("deck", k)]
-                if self.kind == "ho-counter":
-                    ops.append(AdtOp("iszerok", k))
+                ops += [AdtOp(name + "k", k) for name in _NESTED_OPS[self.kind]]
         elif self.kind == "multi-stack":
             for i in range(1, self.count + 1):
                 for g in self.alphabet:
@@ -264,39 +273,35 @@ def _ho_initial(level: int) -> AdtValue:
     return v
 
 
-def _ho_step(v: tuple, level: int, op: AdtOp) -> tuple | None:
+def stack_op(op: AdtOp) -> tuple[str, str | int]:
+    """The nested-stack operation (name, arg) that op names: a counter name
+    becomes its stack name, and an operation without an argument gets
+    COUNTER_SYMBOL, which only push and pop read."""
+    return _STACK_NAMES.get(op.name, op.name), COUNTER_SYMBOL if op.arg is None else op.arg
+
+
+def _ho_step(v: tuple, level: int, name: str, arg: str | int) -> tuple | None:
     """One step of the level-n stack; None when disabled.
 
     pop/push of a symbol recurse to the level-1 top; the _k variants
     copy/remove/inspect the top element once the current level is k.
     """
-    if op.name == "push" and level == 1:
-        return v + (op.arg,)
-    if op.name == "pop" and level == 1:
-        return v[:-1] if v and v[-1] == op.arg else None
-    if op.name == "isempty" and level == 1:
+    if name == "push" and level == 1:
+        return v + (arg,)
+    if name == "pop" and level == 1:
+        return v[:-1] if v and v[-1] == arg else None
+    if name == "isempty" and level == 1:
         return v if v == () else None
-    if op.name == "pushk" and level == op.arg:
+    if name == "pushk" and level == arg:
         return v + (v[-1],) if v else None
-    if op.name == "popk" and level == op.arg:
+    if name == "popk" and level == arg:
         return v[:-1] if v else None
-    if op.name == "isemptyk" and level == op.arg:
+    if name == "isemptyk" and level == arg:
         return v if v and v[-1] == () else None
-    if level == 1:
+    if level == 1 or not v:
         return None
-    if not v:
-        return None
-    inner = _ho_step(v[-1], level - 1, op)
-    if inner is None:
-        return None
-    return v[:-1] + (inner,)
-
-
-_HO_COUNTER_OPS = {
-    "inc": ("push", "a"),
-    "dec": ("pop", "a"),
-    "iszero": ("isempty", None),
-}
+    inner = _ho_step(v[-1], level - 1, name, arg)
+    return None if inner is None else v[:-1] + (inner,)
 
 
 def check_value(spec: AdtSpec, v: AdtValue) -> None:
@@ -306,18 +311,11 @@ def check_value(spec: AdtSpec, v: AdtValue) -> None:
         ok = v == ()
     elif kind in ("counter", "weak-counter"):
         ok = isinstance(v, int) and v >= 0
-    elif kind == "stack":
-        ok = isinstance(v, tuple) and all(g in spec.alphabet for g in v)
-    elif kind in ("ho-stack", "ho-counter", "ho-weak-counter"):
+    elif kind in _NESTED_OPS:
         ok = _check_ho(v, spec.level, spec.effective_alphabet)
     elif kind == "multi-stack":
-        ok = (
-            isinstance(v, tuple)
-            and len(v) == spec.count
-            and all(
-                isinstance(s, tuple) and all(g in spec.alphabet for g in s) for s in v
-            )
-        )
+        ok = (isinstance(v, tuple) and len(v) == spec.count
+              and all(_check_ho(s, 1, spec.alphabet) for s in v))
     elif kind == "petri":
         ok = (
             isinstance(v, tuple)
@@ -339,77 +337,54 @@ def _check_ho(v: AdtValue, level: int, alphabet: tuple[str, ...]) -> bool:
 _MULTI_INDEX = re.compile(r"^(push|pop|isempty)(\d+)$")
 
 
-def adt_step(spec: AdtSpec, v: AdtValue, op: AdtOp) -> frozenset:
-    """All successors of v under op; the empty set means op is disabled.
+def adt_step(spec: AdtSpec, v: AdtValue, op: AdtOp) -> AdtValue | None:
+    """The successor of v under op, or None when op is disabled at v.
 
-    Every built-in kind is deterministic, so the result has size <= 1.
-    Kind/operation mismatches raise AdtError rather than reporting
-    "disabled".
+    Every kind is deterministic, so a step is a partial function.  An
+    operation spec does not admit, or a malformed v, raises AdtError
+    rather than reporting "disabled".
     """
     check_value(spec, v)
     spec.validate_op(op)
     return step_unchecked(spec, v, op)
 
 
-def step_unchecked(spec: AdtSpec, v: AdtValue, op: AdtOp) -> frozenset:
+def step_unchecked(spec: AdtSpec, v: AdtValue, op: AdtOp) -> AdtValue | None:
     """adt_step without well-formedness checks (hot path for solvers)."""
     if op.name == RESET:
-        return frozenset([spec.initial_value()])
+        return spec.initial_value()
     kind = spec.kind
 
     if kind in ("counter", "weak-counter"):
         if op.name == "inc":
-            return frozenset([v + 1])
+            return v + 1
         if op.name == "dec":
-            return frozenset([v - 1]) if v > 0 else frozenset()
+            return v - 1 if v > 0 else None
         if op.name == "iszero":
-            return frozenset([v]) if v == 0 else frozenset()
+            return v if v == 0 else None
 
-    if kind == "stack":
-        r = _ho_step(v, 1, op)
-        return frozenset() if r is None else frozenset([r])
-
-    if kind == "ho-stack":
-        r = _ho_step(v, spec.level, op)
-        return frozenset() if r is None else frozenset([r])
-
-    if kind in ("ho-counter", "ho-weak-counter"):
-        if op.name in _HO_COUNTER_OPS:
-            name, arg = _HO_COUNTER_OPS[op.name]
-            inner_op = AdtOp(name, arg)
-        else:
-            inner_op = AdtOp(
-                {"inck": "pushk", "deck": "popk", "iszerok": "isemptyk"}[op.name],
-                op.arg,
-            )
-        r = _ho_step(v, spec.level, inner_op)
-        return frozenset() if r is None else frozenset([r])
+    if kind in _NESTED_OPS:
+        return _ho_step(v, spec.level, *stack_op(op))
 
     if kind == "multi-stack":
         m = _MULTI_INDEX.match(op.name)
         verb, i = m.group(1), int(m.group(2))
-        stack = v[i - 1]
-        if verb == "pop":
-            # ordered discipline: popping stack i needs stacks 1..i-1 empty
-            if any(v[j] != () for j in range(i - 1)):
-                return frozenset()
-            if not stack or stack[-1] != op.arg:
-                return frozenset()
-            return frozenset([v[: i - 1] + (stack[:-1],) + v[i:]])
-        if verb == "push":
-            return frozenset([v[: i - 1] + (stack + (op.arg,),) + v[i:]])
-        return frozenset([v]) if stack == () else frozenset()
+        # ordered discipline: popping stack i needs stacks 1..i-1 empty
+        if verb == "pop" and any(v[: i - 1]):
+            return None
+        stack = _ho_step(v[i - 1], 1, verb, op.arg)
+        return None if stack is None else v[: i - 1] + (stack,) + v[i:]
 
     if kind == "petri":
         t = spec.net_transition(op.name)
         after_inputs = marking_sub(v, t.inputs)
         if after_inputs is None:
-            return frozenset()
+            return None
         if t.resets:
             after_inputs = mk_marking(
                 {p: c for p, c in after_inputs if p not in t.resets}
             )
-        return frozenset([marking_add(after_inputs, t.outputs)])
+        return marking_add(after_inputs, t.outputs)
 
     raise AdtError(f"no step relation for kind {kind}")
 
@@ -421,9 +396,7 @@ def value_size(spec: AdtSpec, v: AdtValue) -> int:
         return 0
     if kind in ("counter", "weak-counter"):
         return v
-    if kind == "stack":
-        return len(v)
-    if kind in ("ho-stack", "ho-counter", "ho-weak-counter"):
+    if kind in _NESTED_OPS:
         return _ho_size(v, spec.level)
     if kind == "multi-stack":
         return sum(len(s) for s in v)
@@ -481,8 +454,9 @@ def marking_pre_upward(t: PetriTransition, m: Marking) -> Marking | None:
     return marking_add(need, t.inputs)
 
 
-def pre_upward_element(spec: AdtSpec, op: AdtOp, v: AdtValue) -> list:
-    """Minimal elements of { u | exists u' >= v with u -op-> u' }."""
+def pre_upward_element(spec: AdtSpec, op: AdtOp, v: AdtValue) -> AdtValue | None:
+    """The minimal element of { u | exists u' >= v with u -op-> u' }, or None
+    when that set is empty; on the well-structured kinds it has at most one."""
     spec.validate_op(op)
     if spec.kind not in WELL_STRUCTURED_KINDS:
         raise UnsupportedOrderError(
@@ -490,22 +464,17 @@ def pre_upward_element(spec: AdtSpec, op: AdtOp, v: AdtValue) -> list:
         )
 
     if op.name == RESET:
-        init = spec.initial_value()
-        return [min_value(spec)] if wqo_leq(spec, v, init) else []
+        return min_value(spec) if wqo_leq(spec, v, spec.initial_value()) else None
 
     if spec.kind in ("counter", "weak-counter"):
         if op.name == "inc":
-            return [max(v - 1, 0)]
+            return max(v - 1, 0)
         if op.name == "dec":
-            return [v + 1]
+            return v + 1
         if op.name == "iszero":
-            return [0] if v == 0 else []
+            return 0 if v == 0 else None
 
     if spec.kind == "petri":
-        pre = marking_pre_upward(spec.net_transition(op.name), v)
-        return [] if pre is None else [pre]
-
-    if spec.kind == "trivial":
-        return []  # trivial has no operations besides reset
+        return marking_pre_upward(spec.net_transition(op.name), v)
 
     raise AdtError(f"cannot compute predecessors of {op} for {spec.kind}")

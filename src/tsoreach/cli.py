@@ -202,16 +202,7 @@ def _load(args):
 
 
 def _report(v: Verdict, args) -> int:
-    if args.format == "text":
-        _emit(v.report(include_millis=True), args.out)
-    else:
-        lines = [f"verdict: {v.outcome}"]
-        for step in v.witness or ():
-            lines.append(f"witness: {step}")
-        lines.append(f"explored: {v.stats.explored}")
-        lines.append(f"iterations: {v.stats.iterations}")
-        lines.append(f"closed: {1 if v.closed else 0}")
-        _emit("\n".join(lines) + "\n", args.out)
+    _emit(v.report(args.format), args.out)
     return v.exit_code()
 
 

@@ -30,29 +30,34 @@ state (word characters), N an integer, NAMES 'a,b,...' or '-' for none.
                 [initial NAMES]
 
 A program or machine file is read in one pass; each distinct instruction
-or action text is parsed once, and equal texts share one object.  Of
-several errors the one reported is in the first of these phases, and the
-first in file order within it: (1) no process or machine section; (2) a
-line before the section that is no adt (or memory) line; (3) not exactly
-one section of the kind; (4) no memory line; (5) the header; (6) registers
-lines, then none; (7) state lines and the shape of trans lines; (8) no
-init, then no target state; (9) any other line; (10) per transition, its
-instruction or action, then its endpoints; (11) names, values and
-data-type operations, in transition order.  Automata sections are finished
-one by one: header, state and other lines, init state, trans lines,
-symbols.  A cover file reports its lines in file order, then a missing adt
-petri or cover line, then undeclared places.
+or action text is parsed once, and equal texts share one object.  A
+second adt, memory, registers or cover line is an error.  Every error
+names its line, if it has one; an error the data type or model finds
+names its adt, memory or registers line, or the first trans line at
+fault.  Of several errors the one reported is in the first of these
+phases, and the first in file order within it: (1) no process or machine
+section; (2) a line before the section that is no adt (or memory) line,
+or a second or malformed one; (3) not exactly one section of the kind;
+(4) no memory line; (5) the header; (6) registers lines, then none; (7)
+state lines and the shape of trans lines; (8) no init, then no target
+state; (9) any other line; (10) per transition, its instruction or
+action, then its endpoints; (11) duplicate register names, then names,
+values and data-type operations, in transition order.  Automata sections
+are finished one by one: header, state and other lines, init state,
+trans lines, symbols.  A cover file reports its lines in file order, then
+a missing adt petri or cover line, then undeclared places in the cover.
 """
 
 from __future__ import annotations
 
 import re
 
-from .adt import AdtOp, AdtSpec, Marking, PetriTransition, mk_marking, trivial_spec
-from .automata import CoverabilityInstance, FiniteAutomaton, PushdownAutomaton
+from .adt import AdtError, AdtOp, AdtSpec, Marking, PetriTransition, mk_marking, trivial_spec
+from .automata import AutomatonError, CoverabilityInstance, FiniteAutomaton, PushdownAutomaton
 from .model import (
     Instruction,
     MemorySpec,
+    ModelError,
     ProcessDescription,
     Program,
     RegisterAction,
@@ -102,6 +107,15 @@ def _int(tok: str, what: str, line: int) -> int:
         return int(tok)
     except ValueError:
         raise DslError(f"expected integer for {what}, got {tok!r}", line)
+
+
+def _at_line(line: int, build, *args, **kwargs):
+    """build(*args, **kwargs), with a model, data-type or automaton error
+    reported as a DslError of line."""
+    try:
+        return build(*args, **kwargs)
+    except (AdtError, AutomatonError, ModelError) as e:
+        raise DslError(str(e), line) from e
 
 
 def _lines(text: str):
@@ -308,6 +322,8 @@ def _parse_program_or_machine(text: str, kind: str | None):
     declared: set[str] = set()
     marked: dict[str, str | None] = {"init": None, "target": None}
     delta: list = []
+    delta_lines: list[int] = []  # each transition's line
+    reg_line = None
     parsed: dict[str, object] = {}  # instruction or action text -> object or DslError
     reg_error = line_error = extra_error = None
     suspect: list[tuple[int, int]] = []  # (edge, line): text failed, or endpoint undeclared yet
@@ -349,6 +365,7 @@ def _parse_program_or_machine(text: str, kind: str | None):
             if q not in declared or q2 not in declared:
                 suspect.append((len(delta), i))
             delta.append((q, item, q2))
+            delta_lines.append(i)
         elif head == "state":
             if len(toks) == 6:  # the sixth is the rest of the line
                 toks = line.split()
@@ -370,6 +387,7 @@ def _parse_program_or_machine(text: str, kind: str | None):
                     raise DslError("duplicate registers line", i)
                 registers = _split_names(m.group(1) or "-", "register", i)
                 bound = int(m.group(2))
+                reg_line = i
             except DslError as e:
                 reg_error = reg_error or e
         else:
@@ -377,20 +395,23 @@ def _parse_program_or_machine(text: str, kind: str | None):
 
     if kind is None:
         raise DslError("no process or machine section found")
-    mem, adt = None, trivial_spec()
+    mem = adt = None
     for i, line in preamble:
         head = line.split(None, 1)[0]
         if head == "memory" and kind == "process":
+            if mem is not None:
+                raise DslError("duplicate memory line", i)
             m = _MEMORY.match(line)
             if not m:
                 raise DslError("expected: memory vars x,y domain 0..k", i)
-            mem = MemorySpec(
-                variables=_split_names(m.group(1), "variable", i), d_max=int(m.group(2))
-            )
+            mem = _at_line(i, MemorySpec, _split_names(m.group(1), "variable", i), int(m.group(2)))
         elif head == "adt":
-            adt = parse_adt_line(line[len("adt") :].strip(), i)
+            if adt is not None:
+                raise DslError("duplicate adt line", i)
+            adt = _at_line(i, parse_adt_line, line[len("adt") :].strip(), i)
         else:
             raise DslError(f"unexpected line before section: {line!r}", i)
+    adt = adt or trivial_spec()
     if n_sections != 1 or header[2] != kind:
         raise DslError(f"expected exactly one {kind} section")
     if kind == "process" and mem is None:
@@ -425,8 +446,10 @@ def _parse_program_or_machine(text: str, kind: str | None):
                                   tuple(delta))
         validate_program(mem, adt, proc)
         return Program(mem=mem, adt=adt, proc=proc)
-    except ValueError as e:
-        raise DslError(str(e)) from e
+    except ModelError as e:
+        # an error of one transition names its line; the one other error a
+        # parsed file can raise here is duplicate register names
+        raise DslError(str(e), reg_line if e.edge is None else delta_lines[e.edge]) from e
 
 
 def parse_program(text: str) -> Program:
@@ -541,13 +564,10 @@ def _finish_automaton(s: dict | None, pdas: list, fsas: list) -> None:
         push = _split_names(m.group(4).strip(), "stack symbol", i)
         transitions.append((m.group(1), m.group(2), gamma, m.group(5), push))
     parts = (s["name"], tuple(s["states"]), s["initial"], tuple(s["accepting"]), s["alphabet"])
-    try:
-        if s["kind"] == "fsa":
-            fsas.append(FiniteAutomaton(*parts, tuple(transitions)))
-        else:
-            pdas.append(PushdownAutomaton(*parts, s["stack"], tuple(transitions)))
-    except ValueError as e:
-        raise DslError(str(e), i0) from e
+    if s["kind"] == "fsa":
+        fsas.append(_at_line(i0, FiniteAutomaton, *parts, tuple(transitions)))
+    else:
+        pdas.append(_at_line(i0, PushdownAutomaton, *parts, s["stack"], tuple(transitions)))
 
 
 def print_automata(pdas, fsas) -> str:
@@ -580,21 +600,25 @@ def parse_coverability(text: str) -> CoverabilityInstance:
     for i, line in _lines(text):
         toks = line.split()
         if toks[0] == "adt":
-            adt = parse_adt_line(line[len("adt") :].strip(), i)
+            if adt is not None:
+                raise DslError("duplicate adt line", i)
+            adt = _at_line(i, parse_adt_line, line[len("adt") :].strip(), i)
         elif toks[0] == "cover":
+            if target is not None:
+                raise DslError("duplicate cover line", i)
             if len(toks) != 2:
                 raise DslError("expected: cover p,p,q", i)
             target = _parse_marking_tokens(toks[1], i)
+            cover_line = i
         else:
             raise DslError(f"unexpected line: {line!r}", i)
     if adt is None or adt.kind != "petri":
         raise DslError("coverability file needs an 'adt petri ...' line")
     if target is None:
         raise DslError("coverability file needs a 'cover ...' line")
-    try:
-        return CoverabilityInstance(adt.places, adt.transitions, adt.initial_marking, target)
-    except ValueError as e:
-        raise DslError(str(e)) from e
+    # the adt line checked the net, so an undeclared place is in the target
+    return _at_line(cover_line, CoverabilityInstance, adt.places, adt.transitions,
+                    adt.initial_marking, target)
 
 
 def print_coverability(inst: CoverabilityInstance) -> str:

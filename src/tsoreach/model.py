@@ -34,13 +34,18 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .adt import AdtOp, AdtSpec, AdtValue, step_unchecked
+from .adt import AdtError, AdtOp, AdtSpec, AdtValue, step_unchecked
 
 Message = tuple[str, int]
 
 
 class ModelError(ValueError):
-    """Malformed model: undeclared names, out-of-domain values."""
+    """Malformed model: undeclared names, out-of-domain values.  edge is the
+    position in delta of the transition at fault, when there is one."""
+
+    def __init__(self, message: str, edge: int | None = None):
+        super().__init__(message)
+        self.edge = edge
 
 
 @dataclass(frozen=True)
@@ -124,20 +129,27 @@ class ProcessDescription:
 
 
 def validate_program(mem: MemorySpec, adt: AdtSpec, proc: ProcessDescription) -> None:
-    """Cross-checks instruction payloads against memory and data type;
-    an instruction object shared by several edges is checked once."""
+    """Cross-checks instruction payloads against memory and data type; an
+    instruction object shared by several edges is checked once, at the first."""
     checked: set[int] = set()
-    for q, instr, q2 in proc.delta:
+    for k, (q, instr, q2) in enumerate(proc.delta):
         if id(instr) in checked:
             continue
         checked.add(id(instr))
         if instr.kind in ("rd", "wr"):
             if instr.var not in mem.variables:
-                raise ModelError(f"undeclared variable {instr.var} in {q}->{q2}")
+                raise ModelError(f"undeclared variable {instr.var} in {q}->{q2}", k)
             if instr.val not in mem.domain:
-                raise ModelError(f"value {instr.val} outside domain in {q}->{q2}")
+                raise ModelError(f"value {instr.val} outside domain in {q}->{q2}", k)
         elif instr.kind == "op":
-            adt.validate_op(instr.op)
+            _validate_op(adt, instr.op, k)
+
+
+def _validate_op(adt: AdtSpec, op: AdtOp, edge: int) -> None:
+    try:
+        adt.validate_op(op)
+    except AdtError as e:
+        raise ModelError(str(e), edge) from e
 
 
 @dataclass(frozen=True)
@@ -224,19 +236,19 @@ class RegisterMachine:
             raise ModelError("register bound must be >= 0")
         checked_ops: set[int] = set()  # data-type operation objects, checked once each
         good: set = {None, *regs}  # operands checked so far
-        for q, act, q2 in self.delta:
+        for k, (q, act, q2) in enumerate(self.delta):
             if q not in declared or q2 not in declared:
-                raise ModelError(f"transition endpoint undeclared: {q} -> {q2}")
+                raise ModelError(f"transition endpoint undeclared: {q} -> {q2}", k)
             if isinstance(act, AdtOp):
                 if id(act) not in checked_ops:
                     checked_ops.add(id(act))
-                    self.adt.validate_op(act)
+                    _validate_op(self.adt, act, k)
             elif act.x not in good or act.y not in good:
                 for operand in (act.x, act.y):
                     if isinstance(operand, str) and operand not in regs:
-                        raise ModelError(f"undeclared register {operand}")
+                        raise ModelError(f"undeclared register {operand}", k)
                     if isinstance(operand, int) and not 0 <= operand <= self.bound:
-                        raise ModelError(f"literal {operand} outside 0..{self.bound}")
+                        raise ModelError(f"literal {operand} outside 0..{self.bound}", k)
                     if isinstance(operand, (str, int)):
                         good.add(operand)
 
@@ -354,7 +366,7 @@ def rm_step(rm: RegisterMachine, c: RmConfiguration) -> list[tuple[RmEdge, RmCon
     regs, value = c.regs, c.value
     for edge, step in rm.edges_by_state.get(c.state, ()):
         if step is None:
-            for v2 in sorted(step_unchecked(rm.adt, value, edge[1]), key=repr):
+            if (v2 := step_unchecked(rm.adt, value, edge[1])) is not None:
                 out.append((edge, RmConfiguration(edge[2], regs, v2)))
             continue
         regs2 = step(regs)

@@ -170,7 +170,7 @@ def _pivot_rules(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec):
                             _LazyState(q2, s.value, s.lw,
                                        max(s.phi_e, phi_l_max), s.phi_l, s.prefix)))
             elif instr.kind == "op":
-                for v2 in sorted(step_unchecked(adt, s.value, instr.op), key=repr):
+                if (v2 := step_unchecked(adt, s.value, instr.op)) is not None:
                     out.append((PivotLabel("op", instr),
                                 _LazyState(q2, v2, s.lw, s.phi_e, s.phi_l, s.prefix)))
         return out

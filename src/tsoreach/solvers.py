@@ -26,12 +26,13 @@ import functools
 import time
 
 from .adt import (
-    _HO_COUNTER_OPS,
+    COUNTER_SYMBOL,
     MONOTONE_KINDS,
     RESET,
     AdtOp,
     min_value,
     pre_upward_element,
+    stack_op,
     value_size,
     wqo_leq,
 )
@@ -191,7 +192,7 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     targets = [c for c in edges_from if c[0] == rm.q_target]
     if not targets:
         return Verdict(UNREACHABLE, stats=stats())
-    stack_syms = (_HO_COUNTER_OPS["inc"][1],) if counter else rm.adt.alphabet
+    stack_syms = (COUNTER_SYMBOL,) if counter else rm.adt.alphabet
     bottom = "_btm"
     while bottom in stack_syms:
         bottom += "_"
@@ -209,7 +210,7 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
             if act.name == RESET:
                 moves.append((label, (control, control2, "reset"), (g,)))
                 continue
-            name, arg = _HO_COUNTER_OPS[act.name] if counter else (act.name, act.arg)
+            name, arg = stack_op(act)
             if name == "push":
                 moves.append((label, control2, (arg, g)))
             elif name == "pop":
@@ -276,10 +277,9 @@ def _backward_cover(
         out = []
         for edge, control in into.get(control2, ()):
             act = edge[1]
-            if isinstance(act, AdtOp):
-                out += [(edge, (control, v)) for v in pre_upward_element(spec, act, v2)]
-            else:
-                out.append((edge, (control, v2)))
+            v = pre_upward_element(spec, act, v2) if isinstance(act, AdtOp) else v2
+            if v is not None:
+                out.append((edge, (control, v)))
         return out
 
     bottom = min_value(spec)

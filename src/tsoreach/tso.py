@@ -107,7 +107,7 @@ def _tso_rules(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec):
                         out.append((TsoLabel(i, "rd", instr.var, instr.val),
                                     TsoConfiguration(states, values, buffers, memory)))
                 elif instr.kind == "op":
-                    for v2 in sorted(step_unchecked(adt, values[i], instr.op), key=repr):
+                    if (v2 := step_unchecked(adt, values[i], instr.op)) is not None:
                         out.append((TsoLabel(i, "op", op=instr.op),
                                     TsoConfiguration(states, _replace(values, i, v2),
                                                      buffers, memory)))

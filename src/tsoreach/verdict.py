@@ -48,16 +48,20 @@ class Verdict:
     def exit_code(self) -> int:
         return {REACHABLE: 0, UNREACHABLE: 1, INCONCLUSIVE: 2}[self.outcome]
 
-    def report(self, include_millis: bool = True) -> str:
+    def report(self, fmt: str) -> str:
+        """The verdict as text, for reading, or as lines, one 'key: value'
+        per line with no timing, for comparing runs byte for byte."""
         lines = [f"verdict: {self.outcome}"]
-        if self.witness is not None:
-            lines.append("witness:")
-            lines += [f"  {step}" for step in self.witness]
-        lines.append("stats:")
-        lines.append(f"  explored: {self.stats.explored}")
-        lines.append(f"  iterations: {self.stats.iterations}")
-        if include_millis:
-            lines.append(f"  millis: {self.stats.millis}")
+        s = self.stats
+        if fmt == "lines":
+            lines += [f"witness: {step}" for step in self.witness or ()]
+            lines += [f"explored: {s.explored}", f"iterations: {s.iterations}",
+                      f"closed: {1 if self.closed else 0}"]
+        else:
+            if self.witness is not None:
+                lines += ["witness:", *(f"  {step}" for step in self.witness)]
+            lines += ["stats:", f"  explored: {s.explored}", f"  iterations: {s.iterations}",
+                      f"  millis: {s.millis}"]
         return "\n".join(lines) + "\n"
 
 

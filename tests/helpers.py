@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from tsoreach.adt import (
-    _HO_COUNTER_OPS,
+    COUNTER_SYMBOL,
     RESET,
     AdtError,
     AdtOp,
@@ -33,6 +33,7 @@ from tsoreach.adt import (
     marking_pre_upward,
     mk_marking,
     pre_upward_element,
+    stack_op,
     step_unchecked,
     trivial_spec,
     value_size,
@@ -130,9 +131,8 @@ def rm_reachable_brute(rm: RegisterMachine) -> bool:
                 if src != q:
                     continue
                 if isinstance(act, AdtOp):
-                    succs = [
-                        (dst, regs_t, v2) for v2 in step_unchecked(rm.adt, v, act)
-                    ]
+                    v2 = step_unchecked(rm.adt, v, act)
+                    succs = [] if v2 is None else [(dst, regs_t, v2)]
                 else:
                     succs = [(dst, freeze(r2), v) for r2 in register_successors(rm, regs, act)]
                 for s in succs:
@@ -495,7 +495,7 @@ def stack_pds_reference(rm: RegisterMachine):
     """
     counter = rm.adt.kind in ("counter", "weak-counter")
     init, _, edges_from = _control_closure(rm)
-    stack_syms = (_HO_COUNTER_OPS["inc"][1],) if counter else rm.adt.alphabet
+    stack_syms = (COUNTER_SYMBOL,) if counter else rm.adt.alphabet
     bottom = "_btm"
     while bottom in stack_syms:
         bottom += "_"
@@ -506,7 +506,7 @@ def stack_pds_reference(rm: RegisterMachine):
         for label, control2 in outs:
             act = label[1]
             if isinstance(act, AdtOp) and act.name != RESET:
-                name, arg = _HO_COUNTER_OPS[act.name] if counter else (act.name, act.arg)
+                name, arg = stack_op(act)
                 if name == "push":
                     for g in alphabet:
                         rules.append(PdsRule(control, g, control2, (arg, g), label))
@@ -755,10 +755,8 @@ def minimize(spec: AdtSpec, elements) -> list:
 
 def pre_min_upward(spec: AdtSpec, op: AdtOp, basis: UpwardBasis) -> UpwardBasis:
     """Minimal basis of the predecessors of the basis' upward closure."""
-    pres: list = []
-    for b in basis.elements:
-        pres += pre_upward_element(spec, op, b)
-    return UpwardBasis.of(spec, pres)
+    pres = [pre_upward_element(spec, op, b) for b in basis.elements]
+    return UpwardBasis.of(spec, [p for p in pres if p is not None])
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +914,7 @@ def pivot_step_reference(
                              max(view.phi_e, view.phi_l_max), view.phi_l,
                              view.phi_p)))
         elif instr.kind == "op":
-            for v2 in sorted(step_unchecked(adt, view.value, instr.op), key=repr):
+            if (v2 := step_unchecked(adt, view.value, instr.op)) is not None:
                 out.append((PivotLabel("op", instr),
                             View(q2, v2, view.lw, view.omega,
                                  view.phi_e, view.phi_l, view.phi_p)))

@@ -13,7 +13,9 @@ from tsoreach.adt import (
     PetriTransition,
     UnsupportedOrderError,
     adt_step,
+    check_value,
     mk_marking,
+    step_unchecked,
     trivial_spec,
     value_size,
     wqo_leq,
@@ -31,11 +33,11 @@ PETRI = AdtSpec(
 
 
 def test_counter_steps():
-    assert adt_step(COUNTER, 0, AdtOp("inc")) == frozenset([1])
-    assert adt_step(COUNTER, 0, AdtOp("dec")) == frozenset()
-    assert adt_step(COUNTER, 3, AdtOp("dec")) == frozenset([2])
-    assert adt_step(COUNTER, 0, AdtOp("iszero")) == frozenset([0])
-    assert adt_step(COUNTER, 1, AdtOp("iszero")) == frozenset()
+    assert adt_step(COUNTER, 0, AdtOp("inc")) == 1
+    assert adt_step(COUNTER, 0, AdtOp("dec")) is None
+    assert adt_step(COUNTER, 3, AdtOp("dec")) == 2
+    assert adt_step(COUNTER, 0, AdtOp("iszero")) == 0
+    assert adt_step(COUNTER, 1, AdtOp("iszero")) is None
 
 
 def test_weak_counter_has_no_zero_test():
@@ -44,56 +46,54 @@ def test_weak_counter_has_no_zero_test():
 
 
 def test_stack_steps():
-    assert adt_step(STACK, ("a", "b"), AdtOp("pop", "b")) == frozenset([("a",)])
-    assert adt_step(STACK, ("a", "b"), AdtOp("pop", "a")) == frozenset()
-    assert adt_step(STACK, (), AdtOp("push", "a")) == frozenset([("a",)])
-    assert adt_step(STACK, (), AdtOp("isempty")) == frozenset([()])
-    assert adt_step(STACK, ("a",), AdtOp("isempty")) == frozenset()
+    assert adt_step(STACK, ("a", "b"), AdtOp("pop", "b")) == ("a",)
+    assert adt_step(STACK, ("a", "b"), AdtOp("pop", "a")) is None
+    assert adt_step(STACK, (), AdtOp("push", "a")) == ("a",)
+    assert adt_step(STACK, (), AdtOp("isempty")) == ()
+    assert adt_step(STACK, ("a",), AdtOp("isempty")) is None
 
 
 def test_ho_stack_push2_copies_top():
     h = AdtSpec(kind="ho-stack", level=2, alphabet=("a",))
-    assert adt_step(h, (("a",),), AdtOp("pushk", 2)) == frozenset([(("a",), ("a",))])
-    assert adt_step(h, (("a",), ("a",)), AdtOp("popk", 2)) == frozenset([(("a",),)])
+    assert adt_step(h, (("a",),), AdtOp("pushk", 2)) == (("a",), ("a",))
+    assert adt_step(h, (("a",), ("a",)), AdtOp("popk", 2)) == (("a",),)
     # push of a symbol recurses into the top level-1 stack
-    assert adt_step(h, ((),), AdtOp("push", "a")) == frozenset([(("a",),)])
-    assert adt_step(h, ((),), AdtOp("isempty")) == frozenset([((),)])
-    assert adt_step(h, (("a",),), AdtOp("isempty")) == frozenset()
+    assert adt_step(h, ((),), AdtOp("push", "a")) == (("a",),)
+    assert adt_step(h, ((),), AdtOp("isempty")) == ((),)
+    assert adt_step(h, (("a",),), AdtOp("isempty")) is None
 
 
 def test_ho_stack_isemptyk():
     h = AdtSpec(kind="ho-stack", level=2, alphabet=("a",))
-    assert adt_step(h, ((),), AdtOp("isemptyk", 2)) == frozenset([((),)])
-    assert adt_step(h, (("a",),), AdtOp("isemptyk", 2)) == frozenset()
+    assert adt_step(h, ((),), AdtOp("isemptyk", 2)) == ((),)
+    assert adt_step(h, (("a",),), AdtOp("isemptyk", 2)) is None
 
 
 def test_ho_counter_is_singleton_alphabet_stack():
     h = AdtSpec(kind="ho-counter", level=2)
     v0 = h.initial_value()
-    (v1,) = adt_step(h, v0, AdtOp("inc"))
+    v1 = adt_step(h, v0, AdtOp("inc"))
     assert v1 == (("a",),)
-    assert adt_step(h, v1, AdtOp("iszero")) == frozenset()
-    assert adt_step(h, v0, AdtOp("iszero")) == frozenset([v0])
-    (v2,) = adt_step(h, v1, AdtOp("inck", 2))
+    assert adt_step(h, v1, AdtOp("iszero")) is None
+    assert adt_step(h, v0, AdtOp("iszero")) == v0
+    v2 = adt_step(h, v1, AdtOp("inck", 2))
     assert v2 == (("a",), ("a",))
 
 
 def test_multistack_pop_requires_lower_stacks_empty():
     m = AdtSpec(kind="multi-stack", count=2, alphabet=("a", "b"))
     v = (("a",), ("b",))
-    assert adt_step(m, v, AdtOp("pop2", "b")) == frozenset()
-    assert adt_step(m, ((), ("b",)), AdtOp("pop2", "b")) == frozenset([((), ())])
+    assert adt_step(m, v, AdtOp("pop2", "b")) is None
+    assert adt_step(m, ((), ("b",)), AdtOp("pop2", "b")) == ((), ())
     # pushes are not order-restricted
-    assert adt_step(m, v, AdtOp("push2", "a")) == frozenset([(("a",), ("b", "a"))])
-    assert adt_step(m, v, AdtOp("isempty1")) == frozenset()
-    assert adt_step(m, ((), ("b",)), AdtOp("isempty1")) == frozenset([((), ("b",))])
+    assert adt_step(m, v, AdtOp("push2", "a")) == (("a",), ("b", "a"))
+    assert adt_step(m, v, AdtOp("isempty1")) is None
+    assert adt_step(m, ((), ("b",)), AdtOp("isempty1")) == ((), ("b",))
 
 
 def test_petri_step():
-    assert adt_step(PETRI, mk_marking({"p": 1}), AdtOp("t")) == frozenset(
-        [mk_marking({"q": 1})]
-    )
-    assert adt_step(PETRI, mk_marking({"q": 1}), AdtOp("t")) == frozenset()
+    assert adt_step(PETRI, mk_marking({"p": 1}), AdtOp("t")) == mk_marking({"q": 1})
+    assert adt_step(PETRI, mk_marking({"q": 1}), AdtOp("t")) is None
 
 
 def test_reset_is_universal():
@@ -103,7 +103,7 @@ def test_reset_is_universal():
         (PETRI, mk_marking({"q": 2})),
         (trivial_spec(), ()),
     ]:
-        assert adt_step(spec, v, AdtOp("reset")) == frozenset([spec.initial_value()])
+        assert adt_step(spec, v, AdtOp("reset")) == spec.initial_value()
 
 
 def test_kind_mismatch_is_an_error_not_disabled():
@@ -130,6 +130,7 @@ def _all_specs():
 
 
 def test_determinism_over_sampled_values():
+    # every step is a partial function: one checked successor or None
     rng = random.Random(0)
     for spec in _all_specs():
         values = enumerate_values(spec, 3)
@@ -137,7 +138,34 @@ def test_determinism_over_sampled_values():
         for _ in range(200):
             v = rng.choice(values)
             op = rng.choice(ops)
-            assert len(adt_step(spec, v, op)) <= 1
+            v2 = adt_step(spec, v, op)
+            assert v2 == step_unchecked(spec, v, op)
+            if v2 is not None:
+                check_value(spec, v2)
+
+
+def test_stack_is_the_level_one_ho_stack():
+    stack = AdtSpec(kind="stack", alphabet=("a", "b"))
+    ho = AdtSpec(kind="ho-stack", level=1, alphabet=("a", "b"))
+    assert stack.initial_value() == ho.initial_value()
+    assert stack.op_universe() == ho.op_universe()
+    values = enumerate_values(stack, 3)
+    assert values == enumerate_values(ho, 3)
+    for v in values:
+        check_value(stack, v)
+        check_value(ho, v)
+        assert value_size(stack, v) == value_size(ho, v)
+        for op in stack.op_universe():
+            assert step_unchecked(stack, v, op) == step_unchecked(ho, v, op)
+    for bad in [("c",), (("a",),), 0]:
+        for spec in (stack, ho):
+            with pytest.raises(AdtError):
+                check_value(spec, bad)
+
+
+def test_stack_level_other_than_one_is_rejected():
+    with pytest.raises(AdtError, match="stack level must be 1"):
+        AdtSpec(kind="stack", alphabet=("a",), level=2)
 
 
 def test_monotonicity_of_well_structured_kinds():
@@ -148,9 +176,10 @@ def test_monotonicity_of_well_structured_kinds():
             if not wqo_leq(spec, v1, v2):
                 continue
             for op in spec.op_universe():
-                for v3 in adt_step(spec, v1, op):
-                    succs = adt_step(spec, v2, op)
-                    assert any(wqo_leq(spec, v3, v4) for v4 in succs), (
+                v3 = adt_step(spec, v1, op)
+                if v3 is not None:
+                    v4 = adt_step(spec, v2, op)
+                    assert v4 is not None and wqo_leq(spec, v3, v4), (
                         spec.kind, op, v1, v2, v3,
                     )
 
@@ -158,8 +187,8 @@ def test_monotonicity_of_well_structured_kinds():
 def test_strict_counter_not_monotone():
     # iszero fires at 0 but not at 1, so the counter cannot feed the
     # generic well-structured backend
-    assert adt_step(COUNTER, 0, AdtOp("iszero"))
-    assert not adt_step(COUNTER, 1, AdtOp("iszero"))
+    assert adt_step(COUNTER, 0, AdtOp("iszero")) is not None
+    assert adt_step(COUNTER, 1, AdtOp("iszero")) is None
 
 
 def test_wqo_examples():
@@ -204,9 +233,8 @@ def _pre_min_matches_bruteforce(spec, op, basis_elems, size_bound):
     pre = pre_min_upward(spec, op, basis)
     for v in enumerate_values(spec, size_bound):
         claimed = pre.contains(spec, v)
-        actual = any(
-            basis.contains(spec, v2) for v2 in adt_step(spec, v, op)
-        )
+        v2 = adt_step(spec, v, op)
+        actual = v2 is not None and basis.contains(spec, v2)
         assert claimed == actual, (spec.kind, op, v, claimed, actual)
 
 
@@ -223,7 +251,8 @@ def test_pre_min_upward_iszero_is_complete_but_not_upward_tight():
     pre = pre_min_upward(COUNTER, AdtOp("iszero"), basis)
     assert pre.elements == {0}
     for v in range(8):
-        if any(basis.contains(COUNTER, v2) for v2 in adt_step(COUNTER, v, AdtOp("iszero"))):
+        v2 = adt_step(COUNTER, v, AdtOp("iszero"))
+        if v2 is not None and basis.contains(COUNTER, v2):
             assert pre.contains(COUNTER, v)
 
 

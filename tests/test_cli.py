@@ -492,7 +492,7 @@ def test_higher_order_level_cap_on_a_machine(tmp_path, capsys):
     deep = _write(tmp_path, "deep.tso", text.replace(f"level {MAX_LEVEL}", f"level {MAX_LEVEL + 1}"))
     code, out, err = _run(capsys, "check", deep)
     assert code == 3 and out == ""
-    assert err == f"error: level must be <= {MAX_LEVEL}\n"
+    assert err == f"error: line 1: level must be <= {MAX_LEVEL}\n"
 
 
 @pytest.mark.parametrize("seed,verdict", [(10, "reachable"), (0, "unreachable")])

@@ -12,16 +12,20 @@ from tsoreach.gen import random_machine
 from tsoreach.model import (
     MemorySpec,
     ModelError,
+    ProcessDescription,
     RegisterAction,
     RegisterMachine,
     RmConfiguration,
     apply_action,
     lower_tier2_to_tier1,
     lower_tier3_to_tier2,
+    rd,
     read,
     replay_rm,
     rm_step,
     skp,
+    validate_program,
+    wr,
     write,
 )
 from tsoreach.solvers import _control_closure, solve_auto
@@ -102,6 +106,27 @@ def test_validation_rejects_bad_models():
         mk(["q0", "q1"], [("q0", write("r", 9), "q1")], bound=2)
     with pytest.raises(ModelError):
         MemorySpec(variables=("x", "x"), d_max=1)
+
+
+def test_validation_errors_name_the_first_edge_at_fault():
+    push, bad_op = AdtOp("push", "a"), AdtOp("inc")
+    stack = AdtSpec(kind="stack", alphabet=("a",))
+    delta = [("q0", push, "q1"), ("q1", skp(), "q0"), ("q0", bad_op, "q1"),
+             ("q1", bad_op, "q0"), ("q0", write("r", 9), "q1")]
+    with pytest.raises(ModelError, match="^operation 'inc' not valid for adt stack$") as e:
+        mk(["q0", "q1"], delta, adt=stack)
+    assert e.value.edge == 2
+    with pytest.raises(ModelError, match="^literal 9 outside 0..2$") as e:
+        mk(["q0", "q1"], delta[:2] + delta[4:], adt=stack)
+    assert e.value.edge == 2
+    with pytest.raises(ModelError, match="^duplicate register names$") as e:
+        mk(["q0", "q1"], delta, regs=("r", "r"), adt=stack)
+    assert e.value.edge is None
+    prog_delta = (("q0", wr("x", 1), "q1"), ("q1", rd("y", 0), "q0"))
+    proc = ProcessDescription("P", ("q0", "q1"), "q0", "q1", prog_delta)
+    with pytest.raises(ModelError, match="^undeclared variable y in q1->q0$") as e:
+        validate_program(MemorySpec(("x",), 1), trivial_spec(), proc)
+    assert e.value.edge == 1
 
 
 def test_tier_scan():

@@ -1,6 +1,17 @@
-"""The breadth-first search kernel shared by check, pivot and oracle."""
+"""The breadth-first search kernel shared by check, pivot and oracle, and
+the verdict reports."""
 
-from tsoreach.verdict import BUDGET, CLOSED, PRUNED, REACHED, explore
+from tsoreach.verdict import (
+    BUDGET,
+    CLOSED,
+    INCONCLUSIVE,
+    PRUNED,
+    REACHABLE,
+    REACHED,
+    Stats,
+    Verdict,
+    explore,
+)
 
 
 def _graph(edges):
@@ -81,3 +92,15 @@ def test_states_with_one_key_are_expanded_once():
     assert r.path == ("x", "z")
     assert [s[0] for s in expanded] == ["a", "b"]
     assert (r.explored, r.seen) == (2, 3)
+
+
+def test_report_formats():
+    v = Verdict(REACHABLE, witness=("a -> b", "b -> c"), stats=Stats(5, 2, 17))
+    assert v.report("text") == ("verdict: reachable\nwitness:\n  a -> b\n  b -> c\n"
+                                "stats:\n  explored: 5\n  iterations: 2\n  millis: 17\n")
+    assert v.report("lines") == ("verdict: reachable\nwitness: a -> b\nwitness: b -> c\n"
+                                 "explored: 5\niterations: 2\nclosed: 1\n")
+    u = Verdict(INCONCLUSIVE, stats=Stats(3, 0, 1), closed=False)
+    assert u.report("text") == ("verdict: inconclusive\nstats:\n  explored: 3\n"
+                                "  iterations: 0\n  millis: 1\n")
+    assert u.report("lines") == "verdict: inconclusive\nexplored: 3\niterations: 0\nclosed: 0\n"
