@@ -191,7 +191,7 @@ def _load(args):
         raise SystemExit(EXIT_INPUT_ERROR)
     if args.adt is not None:
         try:
-            new_adt = dsl.parse_adt_line(args.adt, 0)
+            new_adt = dsl.parse_adt_line(args.adt, None)
             if isinstance(obj, Program):
                 validate_program(obj.mem, new_adt, obj.proc)
             obj = replace(obj, adt=new_adt)
@@ -307,7 +307,7 @@ def cmd_gen(args) -> int:
     rng = random.Random(args.seed)
     adt = None
     if args.adt:
-        adt = dsl.parse_adt_line(args.adt, 0)
+        adt = dsl.parse_adt_line(args.adt, None)
     op_weight = 40 if adt and adt.kind != "trivial" else 0
     chunks: list[str] = []
     for _ in range(args.count):

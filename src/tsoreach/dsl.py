@@ -90,19 +90,19 @@ class DslError(ValueError):
         super().__init__(prefix + message)
 
 
-def _check_name(tok: str, what: str, line: int) -> str:
+def _check_name(tok: str, what: str, line: int | None) -> str:
     if not _NAME.match(tok):
         raise DslError(f"bad {what} name: {tok!r}", line)
     return tok
 
 
-def _split_names(tok: str, what: str, line: int) -> tuple[str, ...]:
+def _split_names(tok: str, what: str, line: int | None) -> tuple[str, ...]:
     if tok == "-" or tok == "":
         return ()
     return tuple(_check_name(t.strip(), what, line) for t in tok.split(","))
 
 
-def _int(tok: str, what: str, line: int) -> int:
+def _int(tok: str, what: str, line: int | None) -> int:
     try:
         return int(tok)
     except ValueError:
@@ -135,14 +135,14 @@ def _state_name(toks: list[str], line: int) -> str:
 # ADT declarations
 
 
-def _parse_marking_tokens(tok: str, line: int) -> Marking:
+def _parse_marking_tokens(tok: str, line: int | None) -> Marking:
     counts: dict[str, int] = {}
     for name in _split_names(tok, "place", line):
         counts[name] = counts.get(name, 0) + 1
     return mk_marking(counts)
 
 
-def parse_adt_line(rest: str, line: int) -> AdtSpec:
+def parse_adt_line(rest: str, line: int | None) -> AdtSpec:
     toks = rest.split()
     if not toks:
         raise DslError("adt line needs a kind", line)
@@ -185,7 +185,7 @@ def parse_adt_line(rest: str, line: int) -> AdtSpec:
     raise DslError(f"unknown adt kind: {kind}", line)
 
 
-def _parse_petri(rest: str, line: int) -> AdtSpec:
+def _parse_petri(rest: str, line: int | None) -> AdtSpec:
     m = _PETRI.match(rest)
     if not m:
         raise DslError("expected: petri places p,q [transitions t: p -> q ; ...] [initial p,p]", line)

@@ -19,11 +19,11 @@ reductions that need tier I (``build_tso_from_rm``,
 assignment of the registers it reads that the action enables, so the
 register semantics is written once and lowering adds no registers.
 
-A machine's indexes (register positions, edges by state) and its decoded
-actions are built once per instance, on first use, so no step of a search
-rehashes or rescans the machine.  ``apply_action`` is the one definition of
-the register semantics; ``rm_step`` and the solvers read the same decoded
-table.
+A machine decodes a state's outgoing edges when a search first asks for them
+(``RegisterMachine.edges_from``), each distinct action object once, and keeps
+them, so no step rescans the machine and unreached states are never decoded.
+``_decode_action`` is the one definition of the register semantics; it backs
+``apply_action``, and ``rm_step`` and the solvers read the decoded edges.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .adt import AdtError, AdtOp, AdtSpec, AdtValue, step_unchecked
 
@@ -273,27 +273,38 @@ class RegisterMachine:
         return {r: i for i, r in enumerate(self.registers)}
 
     @functools.cached_property
-    def actions(self) -> dict[RegisterAction, ActionStep]:
-        """Decoded register actions of delta, each a function of the registers."""
-        return {
-            act: _decode_action(act, self.register_indices, self.bound)
-            for _, act, _ in self.delta
-            if isinstance(act, RegisterAction)
-        }
+    def _edges(self) -> dict[str, list[RmEdge] | tuple[tuple[RmEdge, ActionStep | None], ...]]:
+        # a state's delta edges, as a list until edges_from decodes them
+        by_state: dict[str, list] = {}
+        for edge in self.delta:
+            by_state.setdefault(edge[0], []).append(edge)
+        return by_state
 
     @functools.cached_property
-    def edges_by_state(self) -> dict[str, tuple[tuple[RmEdge, ActionStep | None], ...]]:
-        """Outgoing edges per state in delta order, each with its decoded
-        action (None for a data-type operation)."""
-        actions = self.actions
-        by_state: dict[str, list] = {q: [] for q in self.states}
-        for edge in self.delta:
-            by_state[edge[0]].append((edge, actions.get(edge[1])))
-        return {q: tuple(es) for q, es in by_state.items()}
+    def _steps(self) -> dict[int, ActionStep]:
+        # keyed by id: delta holds every action decoded here, so no other
+        # object takes the id of one while the machine lives
+        return {}
+
+    def _step(self, act: RegisterAction) -> ActionStep:
+        if (step := self._steps.get(id(act))) is None:
+            step = self._steps[id(act)] = _decode_action(act, self.register_indices, self.bound)
+        return step
+
+    def edges_from(self, q: str) -> tuple[tuple[RmEdge, ActionStep | None], ...]:
+        """q's outgoing edges in delta order, each with its decoded action
+        (None for a data-type operation).  They are decoded the first time q
+        is asked for and kept on the instance."""
+        edges = self._edges.get(q, ())
+        if type(edges) is list:
+            edges = self._edges[q] = tuple(
+                (edge, None if isinstance(edge[1], AdtOp) else self._step(edge[1]))
+                for edge in edges
+            )
+        return edges
 
 
-@dataclass(frozen=True)
-class RmConfiguration:
+class RmConfiguration(NamedTuple):
     """State, total register assignment, and current data-type value."""
 
     state: str
@@ -355,16 +366,16 @@ def _decode_action(act: RegisterAction, idx: dict[str, int], bound: int) -> Acti
 def apply_action(
     rm: RegisterMachine, regs: tuple[int, ...], act: RegisterAction
 ) -> tuple[int, ...] | None:
-    """Successor register assignment under act, an action of rm, or None
-    when act is disabled."""
-    return rm.actions[act](regs)
+    """Successor register assignment under act, a register action over rm's
+    registers, or None when act is disabled."""
+    return _decode_action(act, rm.register_indices, rm.bound)(regs)
 
 
 def rm_step(rm: RegisterMachine, c: RmConfiguration) -> list[tuple[RmEdge, RmConfiguration]]:
     """All enabled transitions from c; disabled ones are simply absent."""
     out: list[tuple[RmEdge, RmConfiguration]] = []
     regs, value = c.regs, c.value
-    for edge, step in rm.edges_by_state.get(c.state, ()):
+    for edge, step in rm.edges_from(c.state):
         if step is None:
             if (v2 := step_unchecked(rm.adt, value, edge[1])) is not None:
                 out.append((edge, RmConfiguration(edge[2], regs, v2)))

@@ -133,7 +133,6 @@ def _control_closure(rm: RegisterMachine, budget: int = DEFAULT_BUDGET):
     seen more than budget pairs, so a caller finding more than budget
     controls has no closure.
     """
-    by_state = rm.edges_by_state
     init = (rm.q_init, (0,) * len(rm.registers))
     seen = {init}
     queue = [init]
@@ -141,7 +140,7 @@ def _control_closure(rm: RegisterMachine, budget: int = DEFAULT_BUDGET):
     while queue and len(seen) <= budget:
         q, regs = queue.pop()
         outs = []
-        for edge, step in by_state[q]:
+        for edge, step in rm.edges_from(q):
             regs2 = regs if step is None else step(regs)
             if regs2 is not None:
                 outs.append((edge, (edge[2], regs2)))

@@ -40,16 +40,11 @@ from .model import (
     replay_rm,
     rm_step,
     skip,
-    skp,
     wr,
     write,
 )
 from .model import Instruction, Message, RegisterAction
 from .verdict import BUDGET, REACHED, WitnessError, explore
-
-
-def _act(kind: str, x, y=None) -> RegisterAction:
-    return RegisterAction(kind, x, y)
 
 
 def _rank_register(m: Message) -> str:
@@ -74,7 +69,8 @@ def build_register_machine(
     memory value d as d+1 so 0 means "no own write yet".  The rank
     initializer guesses the update sequence, the pointer initializer starts
     each new provider (including a data-type reset, since a provider is a
-    fresh process).
+    fresh process).  Equal actions are one object within one build, and only
+    within it, so the machine decodes each of them once.
     """
     messages = mem.messages()
     n_msgs = len(messages)
@@ -94,6 +90,7 @@ def build_register_machine(
     s = {q: f"s_{q}" for q in proc.states}
     gs = _Gensym(list(s.values()) + ["boot", "guess", "ptrinit"])
     edges: list[RmEdge] = []
+    _act = functools.cache(RegisterAction)  # one object per distinct action
 
     # rank initializer: repeatedly pick an unranked message, give it the
     # next rank, and nondeterministically stop into the first provider
@@ -126,7 +123,7 @@ def build_register_machine(
     for q, instr, q2 in proc.delta:
         src, dst = s[q], s[q2]
         if instr.kind == "skip":
-            edges.append((src, skp(), dst))
+            edges.append((src, _act("skp"), dst))
         elif instr.kind == "op":
             edges.append((src, instr.op, dst))
         elif instr.kind == "mf":
@@ -217,21 +214,19 @@ def lift_pivot_witness(
     before it is returned; a search that ends without the target, or a run
     that does not replay to it, raises WitnessError.
     """
-    by_state = rm.edges_by_state
-
     def edge_from(q: str, act=None) -> RmEdge:
         # the guess-phase edges from q, or the one among them carrying act
-        for edge, _ in by_state[q]:
+        for edge, _ in rm.edges_from(q):
             if act is None or edge[1] == act:
                 return edge
         raise WitnessError(f"no guess-phase edge from {q}")
 
     run = [edge_from(rm.q_init)]  # set rknxt 1
     for m in omega:
-        check = edge_from("guess", _act("cke", _rank_register(m), 0))
+        check = edge_from("guess", RegisterAction("cke", _rank_register(m), 0))
         give = edge_from(check[2])
         run += [check, give, edge_from(give[2])]
-    run.append(edge_from("guess", _act("set", "php", 1)))
+    run.append(edge_from("guess", RegisterAction("set", "php", 1)))
     try:
         start = replay_rm(rm, run)
     except ModelError as e:

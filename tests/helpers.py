@@ -110,6 +110,40 @@ def register_successors(rm: RegisterMachine, regs: dict, act) -> list[dict]:
     return [regs] if rel(val(act.x), val(act.y)) else []
 
 
+def edges_by_state_reference(rm: RegisterMachine) -> dict[str, list]:
+    """The eager index that RegisterMachine.edges_from replaces: every
+    state's outgoing edges in delta order, each with its action as a
+    function from a register tuple to the successor tuple or None, read from
+    register_successors (None for a data-type operation)."""
+    def step(act):
+        def apply(regs):
+            succs = register_successors(rm, dict(zip(rm.registers, regs)), act)
+            return tuple(succs[0][r] for r in rm.registers) if succs else None
+        return apply
+
+    by_state: dict[str, list] = {q: [] for q in rm.states}
+    for edge in rm.delta:
+        by_state[edge[0]].append(
+            (edge, None if isinstance(edge[1], AdtOp) else step(edge[1])))
+    return by_state
+
+
+def assert_edges_match_reference(rm: RegisterMachine, assignments) -> None:
+    """edges_from(q) holds q's own delta edges in delta order for every
+    state, and each decoded action agrees with the reference on the given
+    register assignments."""
+    reference = edges_by_state_reference(rm)
+    for q in rm.states:
+        got = rm.edges_from(q)
+        assert [e for e, _ in got] == [e for e, _ in reference[q]]
+        for (edge, step), (ref_edge, ref_step) in zip(got, reference[q]):
+            assert edge is ref_edge
+            assert (step is None) == (ref_step is None)
+            if step is not None:
+                for regs in assignments:
+                    assert step(regs) == ref_step(regs), (q, edge, regs)
+
+
 def rm_reachable_brute(rm: RegisterMachine) -> bool:
     """Fixpoint over explicit (state, register dict, value) sets.
 

@@ -495,6 +495,22 @@ def test_higher_order_level_cap_on_a_machine(tmp_path, capsys):
     assert err == f"error: line 1: level must be <= {MAX_LEVEL}\n"
 
 
+@pytest.mark.parametrize("command", ["check", "pivot", "gen"])
+@pytest.mark.parametrize("adt,message", [
+    ("foo", "unknown adt kind: foo"),
+    ("stack alphabet a,", "bad symbol name: ''"),
+])
+def test_bad_adt_flag_names_no_line(tmp_path, capsys, command, adt, message):
+    # the flag is not a line of any file; these used to print "line 0: "
+    if command == "gen":
+        argv = ["gen", "--kind", "program", "--adt", adt]
+    else:
+        argv = [command, _write(tmp_path, "p.tso", HANDSHAKE), "--adt", adt]
+    code, out, err = _run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("seed,verdict", [(10, "reachable"), (0, "unreachable")])
 def test_stack_check_output_independent_of_hash_seed(tmp_path, seed, verdict):
     # string hashing differs per process; the pre* saturation order must not

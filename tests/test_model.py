@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import register_successors, rm_reachable_brute
+from helpers import assert_edges_match_reference, register_successors, rm_reachable_brute
 from tsoreach.adt import AdtOp, AdtSpec, trivial_spec
 from tsoreach.dsl import parse_machine, print_machine
-from tsoreach.gen import random_machine
+from tsoreach.gen import intersection_fixtures, random_machine
 from tsoreach.model import (
     MemorySpec,
     ModelError,
@@ -29,6 +29,7 @@ from tsoreach.model import (
     write,
 )
 from tsoreach.solvers import _control_closure, solve_auto
+from tsoreach.translate import encode_intersection
 from tsoreach.verdict import INCONCLUSIVE, REACHABLE
 
 
@@ -334,3 +335,52 @@ def test_register_semantics_agree(rng, bound, n_regs):
     for (q, regs), outs in edges_from.items():
         c = RmConfiguration(q, regs, rm.adt.initial_value())
         assert outs == [(edge, (c2.state, c2.regs)) for edge, c2 in rm_step(rm, c)]
+
+
+def _all_assignments(rm):
+    return list(itertools.product(range(rm.bound + 1), repeat=len(rm.registers)))
+
+
+@pytest.mark.parametrize("tier", [1, 2, 3])
+@pytest.mark.parametrize("adt", [
+    trivial_spec(), AdtSpec(kind="counter"), AdtSpec(kind="stack", alphabet=("a", "b")),
+], ids=lambda adt: adt.kind)
+def test_edges_from_equals_the_eager_reference(tier, adt):
+    # the machines of gen --kind machine --tier T --adt A --seed 0..29, parsed
+    # back so that equal actions share one object as in any DSL input
+    for seed in range(30):
+        rm = parse_machine(print_machine(random_machine(
+            random.Random(seed), n_states=4, n_regs=2, bound=1, adt=adt, tier=tier,
+            op_weight=0 if adt.kind == "trivial" else 40)))
+        assignments = _all_assignments(rm)
+        assert_edges_match_reference(rm, assignments)
+        for act in {act for _, act, _ in rm.delta if isinstance(act, RegisterAction)}:
+            for regs in assignments:
+                succs = register_successors(rm, dict(zip(rm.registers, regs)), act)
+                expected = tuple(succs[0][r] for r in rm.registers) if succs else None
+                assert apply_action(rm, regs, act) == expected
+
+
+def test_edges_from_equals_the_eager_reference_on_intersection_fixtures():
+    for _, pda, fsas, _ in intersection_fixtures():
+        rm = encode_intersection(pda, fsas)
+        assert_edges_match_reference(rm, _all_assignments(rm))
+
+
+def test_edges_from_a_state_without_edges_and_the_target():
+    rm = mk(["q0", "q1", "q2"], [("q0", write("r", 1), "q1"), ("q1", AdtOp("reset"), "q0")])
+    assert rm.edges_from("q2") == ()  # the target, with no outgoing edge
+    (edge, step), = rm.edges_from("q0")
+    assert edge is rm.delta[0] and step((0,)) == (1,)
+    assert rm.edges_from("q1") == ((rm.delta[1], None),)
+    assert_edges_match_reference(rm, _all_assignments(rm))
+
+
+def test_equal_actions_of_a_machine_decode_once():
+    act = write("r", 1)
+    rm = mk(["q0", "q1"], [("q0", act, "q1"), ("q1", act, "q0"), ("q1", write("r", 1), "q1")])
+    (_, step0), = rm.edges_from("q0")
+    (_, step1), (_, step2) = rm.edges_from("q1")
+    assert step0 is step1  # one object, decoded once
+    assert step2 is not step1 and step2((0,)) == step1((0,))
+    assert rm.edges_from("q1") is rm.edges_from("q1")

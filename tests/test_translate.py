@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import net_coverable_forward
+from helpers import assert_edges_match_reference, net_coverable_forward
 from tsoreach.adt import AdtSpec, PetriTransition, mk_marking, trivial_spec
 from tsoreach.automata import CoverabilityInstance
 from tsoreach.dsl import parse_program
@@ -21,7 +21,7 @@ from tsoreach.model import (
     skp,
     write,
 )
-from tsoreach.pivot import pivot_reach
+from tsoreach.pivot import parse_omega, pivot_reach
 from tsoreach.solvers import solve_counter, solve_finite, solve_stack
 from tsoreach.translate import (
     build_register_machine,
@@ -30,7 +30,9 @@ from tsoreach.translate import (
     encode_intersection,
     encode_rm_to_coverability,
     encode_rm_to_coverability_labelled,
+    lift_pivot_witness,
 )
+from tsoreach.verdict import REACHABLE
 
 
 def test_register_set_and_domain_formulas():
@@ -265,3 +267,44 @@ def test_coverability_roundtrip_through_rm():
     from tsoreach.solvers import solve_petri
 
     assert solve_petri(rm).outcome == "reachable"
+
+
+def _gen_program(seed):
+    # gen --kind program --seed seed
+    return random_program(random.Random(seed), n_states=4, n_vars=2)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_translated_edges_from_equals_the_eager_reference(seed):
+    mem, adt, proc = _gen_program(seed)
+    rm = build_register_machine(proc, mem, adt)
+    rng = random.Random(seed)
+    assignments = [(0,) * len(rm.registers)] + [
+        tuple(rng.randrange(rm.bound + 1) for _ in rm.registers) for _ in range(40)]
+    assert_edges_match_reference(rm, assignments)
+
+
+def test_lift_decodes_only_the_states_it_reaches():
+    lifted = 0
+    for seed in range(30):
+        mem, adt, proc = _gen_program(seed)
+        v = pivot_reach(proc, mem, adt)
+        if v.outcome != REACHABLE:
+            continue
+        rm = build_register_machine(proc, mem, adt)
+        assert lift_pivot_witness(rm, parse_omega(v.witness[0])) is not None
+        # a state's edges are kept as a tuple once decoded
+        decoded = [q for q, edges in rm._edges.items() if isinstance(edges, tuple)]
+        assert 0 < len(decoded) < len(rm.states)
+        lifted += 1
+    assert lifted >= 5
+
+
+def test_equal_actions_are_one_object_within_a_build_only():
+    mem, adt, proc = _gen_program(3)
+    rm = build_register_machine(proc, mem, adt)
+    acts = [act for _, act, _ in rm.delta if isinstance(act, RegisterAction)]
+    assert len({id(act) for act in acts}) == len(set(acts)) < len(acts)
+    again = build_register_machine(proc, mem, adt)
+    assert again == rm
+    assert not {id(act) for act in acts} & {id(act) for _, act, _ in again.delta}
