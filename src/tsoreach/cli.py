@@ -44,7 +44,7 @@ from .translate import (
     lift_pivot_witness,
 )
 from .tso import OracleBounds, bounded_reach
-from .verdict import REACHABLE, UNREACHABLE, Verdict
+from .verdict import DEFAULT_BUDGET, DEFAULT_VALUE_BOUND, REACHABLE, UNREACHABLE, Verdict
 
 EXIT_INPUT_ERROR = 3
 EXIT_USAGE = 4
@@ -78,9 +78,9 @@ _FLAGS = {
     "--n-max": dict(type=int, default=3, help="oracle: max processes"),
     "--steps": dict(type=int, default=12, help="oracle: max run length"),
     "--buffer": dict(type=int, default=4, help="oracle: max buffer length"),
-    "--value-bound": dict(type=int, default=8,
+    "--value-bound": dict(type=int, default=DEFAULT_VALUE_BOUND,
                           help="data value size bound for bounded exploration"),
-    "--budget": dict(type=int, default=1_000_000,
+    "--budget": dict(type=int, default=DEFAULT_BUDGET,
                      help="max explored states before giving up"),
     "--format": dict(default="text", choices=["text", "lines"]),
     "--out": dict(default=None, help="write the report/output here"),

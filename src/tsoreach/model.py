@@ -22,8 +22,8 @@ register semantics is written once and lowering adds no registers.
 A machine decodes a state's outgoing edges when a search first asks for them
 (``RegisterMachine.edges_from``), each distinct action object once, and keeps
 them, so no step rescans the machine and unreached states are never decoded.
-``_decode_action`` is the one definition of the register semantics; it backs
-``apply_action``, and ``rm_step`` and the solvers read the decoded edges.
+``_decode_action`` is the one definition of the register semantics;
+``rm_step`` and the solvers read the decoded edges.
 """
 
 from __future__ import annotations
@@ -265,9 +265,6 @@ class RegisterMachine:
             self.q_init, (0,) * len(self.registers), self.adt.initial_value()
         )
 
-    def register_index(self, r: str) -> int:
-        return self.register_indices[r]
-
     @functools.cached_property
     def register_indices(self) -> dict[str, int]:
         return {r: i for i, r in enumerate(self.registers)}
@@ -361,14 +358,6 @@ def _decode_action(act: RegisterAction, idx: dict[str, int], bound: int) -> Acti
     if kind == "inc":
         return lambda regs: regs[:i] + (regs[i] + 1,) + regs[i + 1 :] if regs[i] < bound else None
     return lambda regs: regs[:i] + (regs[i] - 1,) + regs[i + 1 :] if regs[i] > 0 else None
-
-
-def apply_action(
-    rm: RegisterMachine, regs: tuple[int, ...], act: RegisterAction
-) -> tuple[int, ...] | None:
-    """Successor register assignment under act, a register action over rm's
-    registers, or None when act is disabled."""
-    return _decode_action(act, rm.register_indices, rm.bound)(regs)
 
 
 def rm_step(rm: RegisterMachine, c: RmConfiguration) -> list[tuple[RmEdge, RmConfiguration]]:

@@ -49,6 +49,8 @@ from .pds import RulesOnDemand, post_star
 # unused here; perfbench/tracing.py patches this name in this module
 from .translate import encode_rm_to_coverability_labelled  # noqa: F401
 from .verdict import (
+    DEFAULT_BUDGET,
+    DEFAULT_VALUE_BOUND,
     INCONCLUSIVE,
     REACHABLE,
     UNREACHABLE,
@@ -60,8 +62,6 @@ from .verdict import (
 
 # perfbench/tracing.py times the saturation under this name in this module
 pre_star = post_star
-
-DEFAULT_BUDGET = 1_000_000
 
 
 def format_rm_label(edge: RmEdge) -> str:
@@ -340,7 +340,7 @@ BACKENDS = ("auto", "finite", "counter", "stack", "petri", "wsts", "bounded")
 def solve_auto(
     rm: RegisterMachine,
     backend: str = "auto",
-    value_bound: int = 16,
+    value_bound: int = DEFAULT_VALUE_BOUND,
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
     """Route the machine to the backend matching its data type.

@@ -5,6 +5,11 @@ updates dequeue on the right.  Reads consult the buffer first (most recent
 pending write on the variable) and fall back to memory.  This module is a
 bounded-exploration oracle: it can only find witnesses or report
 not-found-within-bounds, never prove unreachability.
+
+The six rule families are written once (``_tso_rules``), and the search
+kernel ``verdict.explore`` runs them both for the bounded search
+(``bounded_reach``) and, through ``verdict.follow_labels``, for the replay
+of a witness by its printed labels (``replay_tso``).
 """
 
 from __future__ import annotations
@@ -14,7 +19,17 @@ from dataclasses import dataclass
 
 from .adt import AdtOp, AdtSpec, AdtValue, step_unchecked, value_size
 from .model import MemorySpec, Message, ProcessDescription
-from .verdict import INCONCLUSIVE, REACHABLE, REACHED, Stats, Verdict, WitnessError, explore
+from .verdict import (
+    DEFAULT_VALUE_BOUND,
+    INCONCLUSIVE,
+    REACHABLE,
+    REACHED,
+    Stats,
+    Verdict,
+    WitnessError,
+    explore,
+    follow_labels,
+)
 
 
 @dataclass(frozen=True)
@@ -122,22 +137,12 @@ def _tso_rules(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec):
     return successors
 
 
-def tso_step(
-    cfg: TsoConfiguration,
-    proc: ProcessDescription,
-    mem: MemorySpec,
-    adt: AdtSpec,
-) -> list[tuple[TsoLabel, TsoConfiguration]]:
-    """All successors under the six rule families."""
-    return _tso_rules(proc, mem, adt)(cfg)
-
-
 @dataclass(frozen=True)
 class OracleBounds:
     n_max: int = 3
     step_max: int = 12
     buffer_max: int = 4
-    adt_size_max: int = 6
+    adt_size_max: int = DEFAULT_VALUE_BOUND
 
     def __post_init__(self) -> None:
         if min(self.n_max, self.step_max, self.buffer_max) < 1 or self.adt_size_max < 0:
@@ -198,20 +203,6 @@ def bounded_reach(
     )
 
 
-def parse_tso_label(text: str) -> TsoLabel:
-    head, rest = text.split(":", 1)
-    proc = int(head.strip())
-    toks = rest.split()
-    if toks[0] in ("rd", "wr", "upd"):
-        return TsoLabel(proc, toks[0], toks[1], int(toks[2]))
-    if toks[0] == "op":
-        arg: str | int | None = None
-        if len(toks) == 3:
-            arg = int(toks[2]) if toks[2].isdigit() else toks[2]
-        return TsoLabel(proc, "op", op=AdtOp(toks[1], arg))
-    return TsoLabel(proc, toks[0])
-
-
 def replay_tso(
     proc: ProcessDescription,
     mem: MemorySpec,
@@ -220,24 +211,16 @@ def replay_tso(
     labels,
     require_final: str | None = None,
 ) -> TsoConfiguration:
-    """Replay a witness under tso_step; raises ValueError on a dead step.
-
-    A label does not pin down the target state when two transitions carry
-    the same instruction, so the replay backtracks over the matching
-    successors; with require_final set, only completions where some
-    process sits in that state are accepted.
+    """Replay a witness of n processes, one printed label per step, under the
+    TSO rules with follow_labels; returns the final configuration and raises
+    ValueError when no run of the rules prints the labels.  With
+    require_final set, only completions where some process sits in that
+    state count.
     """
-    parsed = [parse_tso_label(l) if isinstance(l, str) else l for l in labels]
-    rules = _tso_rules(proc, mem, adt)
-    init = initial_configuration(proc, mem, adt, n)
-    stack = [(init, 0)]
-    while stack:
-        cfg, i = stack.pop()
-        if i == len(parsed):
-            if require_final is None or require_final in cfg.states:
-                return cfg
-            continue
-        for lab, c2 in reversed(rules(cfg)):
-            if lab == parsed[i]:
-                stack.append((c2, i + 1))
-    raise ValueError("witness does not replay under tso_step")
+    final = follow_labels(
+        initial_configuration(proc, mem, adt, n), _tso_rules(proc, mem, adt),
+        tuple(map(str, labels)),
+        lambda cfg: require_final is None or require_final in cfg.states)
+    if final is None:
+        raise ValueError("witness does not replay under the TSO rules")
+    return final

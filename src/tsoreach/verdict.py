@@ -1,5 +1,7 @@
-"""Verdicts and the breadth-first search kernel shared by the oracle, the
-pivot search and the solvers."""
+"""Verdicts, the default resource limits, and the breadth-first search
+kernel.  The kernel serves the searches of the oracle, the pivot semantics
+and the solvers, and, through follow_labels, the replays of oracle and
+pivot witnesses by their printed labels."""
 
 from __future__ import annotations
 
@@ -8,6 +10,10 @@ from dataclasses import dataclass, field
 REACHABLE = "reachable"
 UNREACHABLE = "unreachable"
 INCONCLUSIVE = "inconclusive"
+
+# the one default of each limit, for the library and the CLI alike
+DEFAULT_BUDGET = 1_000_000  # explored states
+DEFAULT_VALUE_BOUND = 8  # data value size
 
 
 class WitnessError(RuntimeError):
@@ -154,3 +160,23 @@ def explore(init, successors, is_target, budget=None, prune=None, key=None,
         frontier = next_frontier
     outcome = BUDGET if frontier else PRUNED if pruned else CLOSED
     return Search(outcome, None, None, explored, depth, len(parents))
+
+
+def follow_labels(init, successors, lines, is_final):
+    """The last state of a run from init whose labels print as lines, one
+    per step, and that ends where is_final holds; None when there is none.
+
+    explore searches over (state, steps done) and keeps a successor only
+    when its label prints as the next line.  More than one successor can
+    match a line (two transitions may carry the same instruction), so
+    following a witness may need search.
+    """
+    def step(node):
+        s, i = node
+        if i == len(lines):
+            return []
+        return [(None, (s2, i + 1)) for label, s2 in successors(s)
+                if str(label) == lines[i]]
+
+    r = explore((init, 0), step, lambda node: node[1] == len(lines) and is_final(node[0]))
+    return r.final[0] if r.outcome == REACHED else None

@@ -5,9 +5,11 @@ dumbest possible data structures, so a bug in the library's step functions
 cannot hide in the oracle as well.  The helpers (value enumeration,
 minimal-predecessor bases, backward-search history, the net-encoding
 route for Petri machines, the counter cutoff search and binary encoding,
-the worklist pre*-saturation that post* is checked against, and the
-pushdown system of a stack machine with every rule built up front)
-exist only for tests and so live here rather than in the package.
+the worklist pre*-saturation that post* is checked against, the
+pushdown system of a stack machine with every rule built up front, the
+full-omega pivot views, and single steps of the TSO rules and of a
+register action) exist only for tests and so live here rather than in
+the package.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from tsoreach.model import (
     RegisterAction,
     RegisterMachine,
     RmEdge,
+    _decode_action,
     _Gensym,
     lower_tier2_to_tier1,
     lower_tier3_to_tier2,
@@ -57,15 +60,16 @@ from tsoreach.model import (
 )
 from tsoreach.pds import PdsRule, PushdownSystem
 from tsoreach.pivot import (
+    PivotError,
     PivotLabel,
-    UpdateSequence,
-    View,
+    PivotState,
+    _pivot_rules,
     _replace,
     format_omega,
-    initial_view,
 )
 from tsoreach.solvers import _backward_cover, _control_closure, _replayed
 from tsoreach.translate import encode_rm_to_coverability_labelled
+from tsoreach.tso import TsoConfiguration, TsoLabel, _tso_rules
 from tsoreach.verdict import (
     BUDGET,
     INCONCLUSIVE,
@@ -880,7 +884,86 @@ def wsts_backward_history(rm: RegisterMachine) -> list:
 
 # ---------------------------------------------------------------------------
 # Pivot semantics over a full omega: the literal rules and one search per
-# update sequence, independent of the package's lazy rules and search kernel
+# update sequence, independent of the package's lazy rules and search kernel,
+# and the adapter that runs the package's rules on a full-omega view
+
+
+@dataclass(frozen=True)
+class UpdateSequence:
+    """A differentiated word over the message set."""
+
+    omega: tuple[Message, ...]
+
+    def __post_init__(self) -> None:
+        if len(set(self.omega)) != len(self.omega):
+            raise PivotError("update sequence must be differentiated")
+
+    def pos(self, m: Message) -> int | None:
+        """1-based rank of m, or None when m does not occur."""
+        try:
+            return self.omega.index(m) + 1
+        except ValueError:
+            return None
+
+
+@dataclass(frozen=True)
+class View:
+    """Configuration of the pivot transition system with the full omega."""
+
+    state: str
+    value: AdtValue
+    lw: tuple[int | None, ...]  # last own write per variable, None = none
+    omega: tuple[Message, ...]
+    phi_e: int  # external pointer
+    phi_l: tuple[int, ...]  # local pointer per variable
+    phi_p: int  # progress pointer: rank this provider must supply
+
+    @property
+    def phi_l_max(self) -> int:
+        return max(self.phi_l, default=0)
+
+
+def initial_view(
+    proc: ProcessDescription,
+    mem: MemorySpec,
+    adt: AdtSpec,
+    omega: tuple[Message, ...],
+    k: int,
+) -> View:
+    """The view a fresh rank-k provider starts from."""
+    UpdateSequence(omega)
+    if not 1 <= k <= len(omega) + 1:
+        raise PivotError(f"provider rank {k} outside 1..{len(omega) + 1}")
+    nvars = len(mem.variables)
+    return View(
+        state=proc.q_init,
+        value=adt.initial_value(),
+        lw=(None,) * nvars,
+        omega=omega,
+        phi_e=0,
+        phi_l=(0,) * nvars,
+        phi_p=k,
+    )
+
+
+def pivot_step(
+    view: View,
+    proc: ProcessDescription,
+    mem: MemorySpec,
+    adt: AdtSpec,
+) -> list[tuple[PivotLabel, View]]:
+    """All successor views under the package's pivot rules, keeping a
+    handover only when its pivot is the next message of the view's omega."""
+    # the rules see the prefix below phi_p
+    s = PivotState(view.state, view.value, view.lw, view.phi_e, view.phi_l,
+                   view.omega[:view.phi_p - 1])
+    out = []
+    for label, s2 in _pivot_rules(proc, mem, adt)(s):
+        phi_p = len(s2.prefix) + 1
+        if view.omega[:phi_p - 1] == s2.prefix:
+            out.append((label, View(s2.state, s2.value, s2.lw, view.omega,
+                                    s2.phi_e, s2.phi_l, phi_p)))
+    return out
 
 
 def _var_rank(omega: tuple[Message, ...], x: str) -> int | None:
@@ -1018,3 +1101,25 @@ def pivot_reach_enumerated(
         return Verdict(INCONCLUSIVE, stats=Stats(explored, iterations, millis),
                        closed=False)
     return Verdict(UNREACHABLE, stats=Stats(explored, iterations, millis))
+
+
+# ---------------------------------------------------------------------------
+# Single steps of the package's TSO rules and register semantics
+
+
+def tso_step(
+    cfg: TsoConfiguration,
+    proc: ProcessDescription,
+    mem: MemorySpec,
+    adt: AdtSpec,
+) -> list[tuple[TsoLabel, TsoConfiguration]]:
+    """All successors under the six rule families."""
+    return _tso_rules(proc, mem, adt)(cfg)
+
+
+def apply_action(
+    rm: RegisterMachine, regs: tuple[int, ...], act: RegisterAction
+) -> tuple[int, ...] | None:
+    """Successor register assignment under act, a register action over rm's
+    registers, or None when act is disabled."""
+    return _decode_action(act, rm.register_indices, rm.bound)(regs)

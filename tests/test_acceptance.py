@@ -81,11 +81,8 @@ def _tally_pivot(proc, mem, adt, verdict):
 def _tally_tso(proc, mem, adt, verdict):
     if verdict.outcome != "reachable":
         return
-    from tsoreach.tso import parse_tso_label
-
-    labels = [parse_tso_label(s) for s in verdict.witness]
-    n = max((l.proc for l in labels), default=0) + 1
-    replay_tso(proc, mem, adt, n, labels, require_final=proc.q_final)
+    n = verdict.stats.iterations  # processes the oracle used
+    replay_tso(proc, mem, adt, n, verdict.witness, require_final=proc.q_final)
     WITNESS_TALLY["checked"] += 1
 
 

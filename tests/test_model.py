@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_edges_match_reference, register_successors, rm_reachable_brute
+from helpers import (
+    apply_action,
+    assert_edges_match_reference,
+    register_successors,
+    rm_reachable_brute,
+)
 from tsoreach.adt import AdtOp, AdtSpec, trivial_spec
 from tsoreach.dsl import parse_machine, print_machine
 from tsoreach.gen import intersection_fixtures, random_machine
@@ -16,7 +21,6 @@ from tsoreach.model import (
     RegisterAction,
     RegisterMachine,
     RmConfiguration,
-    apply_action,
     lower_tier2_to_tier1,
     lower_tier3_to_tier2,
     rd,
@@ -217,7 +221,7 @@ def test_set_literal_reaches_value():
                     seen.add(c2)
                     nxt.append(c2)
                     if c2.state == "q1":
-                        assert c2.regs[low.register_index("r")] == 3
+                        assert c2.regs[low.register_indices["r"]] == 3
                         hit = True
         frontier = nxt
     assert hit

@@ -4,20 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import differentiated_words, pivot_reach_enumerated, pivot_step_reference
+from helpers import (
+    UpdateSequence,
+    differentiated_words,
+    initial_view,
+    pivot_reach_enumerated,
+    pivot_step,
+    pivot_step_reference,
+)
 from tsoreach.adt import trivial_spec
 from tsoreach.dsl import parse_program
 from tsoreach.gen import random_program
 from tsoreach.model import MemorySpec, ProcessDescription, mf, rd, wr
-from tsoreach.pivot import (
-    PivotError,
-    UpdateSequence,
-    initial_view,
-    parse_pivot_witness,
-    pivot_reach,
-    pivot_step,
-    replay_pivot,
-)
+from tsoreach.pivot import PivotError, parse_omega, pivot_reach, replay_pivot
 from tsoreach.tso import OracleBounds, bounded_reach
 
 
@@ -131,8 +130,7 @@ def test_single_process_write_read_reachable():
     )
     v = pivot_reach(proc, mem, adt)
     assert v.outcome == "reachable"
-    omega, _ = parse_pivot_witness(v.witness)
-    assert ("x", 1) in omega
+    assert ("x", 1) in parse_omega(v.witness[0])
     final = replay_pivot(proc, mem, adt, v.witness, require_final="qf")
     assert final.state == "qf"
 
@@ -152,15 +150,10 @@ def test_differentiated_words_order_and_count():
 
 
 def _witness_invariants(witness):
-    """omega constant; phi_e nondecreasing within a provider; phi_p advances
-    exactly at write2."""
-    omega, steps = parse_pivot_witness(witness)
-    phi_p = 1
-    for rule, _ in steps:
-        if rule == "write2":
-            phi_p += 1
+    """phi_p advances exactly at write2 and stays within omega."""
+    omega = parse_omega(witness[0])
+    phi_p = 1 + sum(line.startswith("write2: ") for line in witness[1:])
     assert phi_p <= len(omega) + 1
-    return omega, steps
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -220,14 +213,11 @@ def test_view_run_invariants_along_replayed_witness():
     )
     v = pivot_reach(proc, mem, adt)
     assert v.outcome == "reachable"
-    omega, steps = parse_pivot_witness(v.witness)
+    omega = parse_omega(v.witness[0])
     view = initial_view(proc, mem, adt, omega, 1)
     seen = [view]
-    for rule, instr in steps:
-        matches = [
-            w for lab, w in pivot_step(view, proc, mem, adt)
-            if lab.rule == rule and lab.instr == instr
-        ]
+    for line in v.witness[1:]:
+        matches = [w for lab, w in pivot_step(view, proc, mem, adt) if str(lab) == line]
         view = matches[0]
         seen.append(view)
     for a, b in zip(seen, seen[1:]):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import tso_step
 from tsoreach.adt import trivial_spec
 from tsoreach.dsl import parse_program
 from tsoreach.gen import random_program
@@ -12,9 +13,7 @@ from tsoreach.tso import (
     bounded_reach,
     initial_configuration,
     lval,
-    parse_tso_label,
     rval,
-    tso_step,
 )
 
 
@@ -91,29 +90,28 @@ def test_guarded_read_with_no_writer_never_found():
     assert v.outcome == "inconclusive"
 
 
-def _replay_path(proc, mem, adt, n, labels):
-    """A configuration sequence realizing the labels and ending with the
-    target reached, found by DFS (labels do not pin down target states)."""
+def _replay_path(proc, mem, adt, n, witness):
+    """The configurations and labels of a run of n processes that prints the
+    witness and ends with the target reached, found by DFS (a printed label
+    does not pin down the target state)."""
     init = initial_configuration(proc, mem, adt, n)
-    stack = [(init, 0, [init])]
+    stack = [(init, 0, [init], [])]
     while stack:
-        cfg, i, path = stack.pop()
-        if i == len(labels):
+        cfg, i, path, labels = stack.pop()
+        if i == len(witness):
             if proc.q_final in cfg.states:
-                return path
+                return path, labels
             continue
         for lab, c2 in tso_step(cfg, proc, mem, adt):
-            if lab == labels[i]:
-                stack.append((c2, i + 1, path + [c2]))
+            if str(lab) == witness[i]:
+                stack.append((c2, i + 1, path + [c2], labels + [lab]))
     raise AssertionError("witness does not replay")
 
 
-def _replay_and_check_fifo(proc, mem, adt, witness):
+def _replay_and_check_fifo(proc, mem, adt, n, witness):
     """Replay; additionally check per-process FIFO update discipline and
     read coherence along the way."""
-    labels = [parse_tso_label(s) for s in witness]
-    n = max((l.proc for l in labels), default=0) + 1
-    path = _replay_path(proc, mem, adt, n, labels)
+    path, labels = _replay_path(proc, mem, adt, n, witness)
     pending: dict[int, list] = {i: [] for i in range(n)}
     var_index = {x: i for i, x in enumerate(mem.variables)}
     for cfg, label in zip(path, labels):
@@ -135,7 +133,7 @@ def test_witnesses_replay_with_fifo_and_coherence(seed):
     mem, adt, proc = random_program(rng, n_states=4, n_vars=2, d_max=1)
     v = bounded_reach(proc, mem, adt, OracleBounds(n_max=3, step_max=10))
     if v.outcome == "reachable":
-        cfg = _replay_and_check_fifo(proc, mem, adt, v.witness)
+        cfg = _replay_and_check_fifo(proc, mem, adt, v.stats.iterations, v.witness)
         assert proc.q_final in cfg.states
 
 
