@@ -11,9 +11,9 @@ systems" (CAV 2000; Schwoon's 2002 thesis, Algorithm 2).
 post* asks a system for its moves one (control, symbol) pair at a time,
 when it first takes a transition leaving that control on that symbol, and
 keeps the answer.  A move is (tag, p2, push): the rule (p, gamma) -> (p2,
-push).  PushdownSystem answers from its explicit rules, indexed once;
-RulesOnDemand builds the moves of a pair from a function when asked, so
-the rules of controls and symbols the start never reaches are never built.
+push).  RulesOnDemand builds the moves of a pair from a function when
+asked, so the rules of controls and symbols the start never reaches are
+never built.
 
 Automaton states are ints, numbered as saturation discovers them: the
 controls from 0 up, and below 0 one state after each start-word symbol
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import count
 
 from .verdict import REACHED, explore
@@ -70,38 +69,6 @@ class PdsRule:
     p2: object
     push: tuple[str, ...]
     tag: object = None  # carried into witnesses; None steps are internal
-
-
-@dataclass(frozen=True)
-class PushdownSystem:
-    """A pushdown system given by all its rules, validated when it is made."""
-
-    controls: tuple
-    alphabet: tuple[str, ...]  # includes the bottom marker
-    rules: tuple[PdsRule, ...]
-
-    def __post_init__(self) -> None:
-        declared, symbols = set(self.controls), set(self.alphabet)
-        if len(declared) != len(self.controls):
-            raise ValueError("controls must be distinct")
-        for r in self.rules:
-            if r.p not in declared or r.p2 not in declared:
-                raise ValueError(f"rule uses undeclared control: {r}")
-            if r.gamma not in symbols or not symbols.issuperset(r.push):
-                raise ValueError(f"rule uses undeclared symbol: {r}")
-            if len(r.push) > 2:
-                raise ValueError("normalize rules to |push| <= 2 first")
-
-    @cached_property
-    def _by_head(self) -> dict:
-        by_head: dict = {}
-        for r in self.rules:
-            by_head.setdefault((r.p, r.gamma), []).append((r.tag, r.p2, r.push))
-        return by_head
-
-    def moves(self, p, gamma):
-        """The moves (tag, p2, push) of the rules at (p, gamma), in rule order."""
-        return self._by_head.get((p, gamma), ())
 
 
 @dataclass(repr=False)
@@ -212,9 +179,10 @@ class PostStarResult:
 def post_star(pds, start, targets, budget: int | None = None) -> PostStarResult:
     """Saturate forwards from start = (control, word) until a target is left.
 
-    pds is a PushdownSystem or a RulesOnDemand; saturation asks it for the
-    moves of each (control, symbol) pair it reaches, once.  budget bounds
-    the transitions saturation adds; past it the result is marked exhausted.
+    pds has controls and moves(p, gamma), as RulesOnDemand does; saturation
+    asks it for the moves of each (control, symbol) pair it reaches, once.
+    budget bounds the transitions saturation adds; past it the result is
+    marked exhausted.
     """
     control, word = start
     word = tuple(word)

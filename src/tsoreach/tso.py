@@ -6,16 +6,30 @@ pending write on the variable) and fall back to memory.  This module is a
 bounded-exploration oracle: it can only find witnesses or report
 not-found-within-bounds, never prove unreachability.
 
-The six rule families are written once (``_tso_rules``), and the search
-kernel ``verdict.explore`` runs them both for the bounded search
-(``bounded_reach``) and, through ``verdict.follow_labels``, for the replay
-of a witness by its printed labels (``replay_tso``).
+The six rule families are written once, as the steps of one process
+(``_tso_moves``), and the search kernel ``verdict.explore`` runs them both
+for the bounded search (``bounded_reach``) and, through
+``verdict.follow_labels``, for the replay of a witness by its printed
+labels (``replay_tso``).
+
+The processes are identical, so the search keys a configuration by its
+multiset of (state, value, buffer) triples and the memory (the symmetry
+reduction of Emerson and Sistla, "Symmetry and model checking", FMSD
+1996).  It expands one process per group of identical processes: the steps
+of a later copy are index permutations of the first copy's, which come
+earlier in the successor list and have the same key, so the kernel would
+skip them as already seen.  Since no step it would have recorded is lost,
+``explored``, the witness and the report are those of expanding every
+process.  A step changes only its own process, so the search checks the
+buffer and value bounds on that process alone.  Replay expands every
+process, because a valid witness may step any copy.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .adt import AdtOp, AdtSpec, AdtValue, step_unchecked, value_size
 from .model import MemorySpec, Message, ProcessDescription
@@ -32,8 +46,7 @@ from .verdict import (
 )
 
 
-@dataclass(frozen=True)
-class TsoConfiguration:
+class TsoConfiguration(NamedTuple):
     """Per-process states, data values and buffers, plus the shared memory."""
 
     states: tuple[str, ...]
@@ -46,8 +59,7 @@ class TsoConfiguration:
         return len(self.states)
 
 
-@dataclass(frozen=True)
-class TsoLabel:
+class TsoLabel(NamedTuple):
     """An annotated step: which process did what."""
 
     proc: int
@@ -93,46 +105,58 @@ def _replace(t: tuple, i: int, v) -> tuple:
     return t[:i] + (v,) + t[i + 1 :]
 
 
-def _tso_rules(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec):
+def _tso_moves(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec):
     """The six rule families of one program, indexed once: a function from
-    a configuration to its (label, successor) pairs."""
+    a configuration and a process index to the (label, successor) pairs of
+    that process's steps.  A step changes only the state, value and buffer
+    of the process that takes it, and the memory."""
     var_index = {x: i for i, x in enumerate(mem.variables)}
     by_state: dict[str, list] = {q: [] for q in proc.states}
     for q, instr, q2 in proc.delta:
-        by_state[q].append((instr, q2))
+        by_state[q].append((instr.kind, instr.var, instr.val, instr.op, q2))
+
+    def moves(cfg: TsoConfiguration, i: int) -> list[tuple[TsoLabel, TsoConfiguration]]:
+        out: list[tuple[TsoLabel, TsoConfiguration]] = []
+        states, values, buffers, memory = cfg
+        buf = buffers[i]
+        before, after = states[:i], states[i + 1:]
+        for kind, x, d, op, q2 in by_state[states[i]]:
+            states2 = before + (q2,) + after
+            # skip, and a fence once the buffer is empty, only move process i
+            if kind == "skip" or (kind == "mf" and not buf):
+                out.append((TsoLabel(i, kind),
+                            TsoConfiguration(states2, values, buffers, memory)))
+            elif kind == "wr":
+                out.append((TsoLabel(i, kind, x, d),
+                            TsoConfiguration(states2, values,
+                                             _replace(buffers, i, ((x, d),) + buf), memory)))
+            elif kind == "rd":
+                if rval(buf, memory[var_index[x]], x) == d:
+                    out.append((TsoLabel(i, kind, x, d),
+                                TsoConfiguration(states2, values, buffers, memory)))
+            elif kind == "op":
+                if (v2 := step_unchecked(adt, values[i], op)) is not None:
+                    out.append((TsoLabel(i, kind, op=op),
+                                TsoConfiguration(states2, _replace(values, i, v2),
+                                                 buffers, memory)))
+        if buf:
+            # memory update: dequeue the oldest message, write it to memory
+            x, d = buf[-1]
+            out.append((TsoLabel(i, "upd", x, d),
+                        TsoConfiguration(states, values, _replace(buffers, i, buf[:-1]),
+                                         _replace(memory, var_index[x], d))))
+        return out
+
+    return moves
+
+
+def _tso_rules(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec):
+    """The TSO rules of one program as a function from a configuration to
+    the (label, successor) pairs of every process, process 0 first."""
+    moves = _tso_moves(proc, mem, adt)
 
     def successors(cfg: TsoConfiguration) -> list[tuple[TsoLabel, TsoConfiguration]]:
-        out: list[tuple[TsoLabel, TsoConfiguration]] = []
-        values, buffers, memory = cfg.values, cfg.buffers, cfg.memory
-        for i in range(cfg.n):
-            buf = buffers[i]
-            for instr, q2 in by_state[cfg.states[i]]:
-                states = _replace(cfg.states, i, q2)
-                # skip, and a fence once the buffer is empty, only move process i
-                if instr.kind == "skip" or (instr.kind == "mf" and not buf):
-                    out.append((TsoLabel(i, instr.kind),
-                                TsoConfiguration(states, values, buffers, memory)))
-                elif instr.kind == "wr":
-                    nb = ((instr.var, instr.val),) + buf
-                    out.append((TsoLabel(i, "wr", instr.var, instr.val),
-                                TsoConfiguration(states, values, _replace(buffers, i, nb),
-                                                 memory)))
-                elif instr.kind == "rd":
-                    if rval(buf, memory[var_index[instr.var]], instr.var) == instr.val:
-                        out.append((TsoLabel(i, "rd", instr.var, instr.val),
-                                    TsoConfiguration(states, values, buffers, memory)))
-                elif instr.kind == "op":
-                    if (v2 := step_unchecked(adt, values[i], instr.op)) is not None:
-                        out.append((TsoLabel(i, "op", op=instr.op),
-                                    TsoConfiguration(states, _replace(values, i, v2),
-                                                     buffers, memory)))
-            if buf:
-                # memory update: dequeue the oldest message, write it to memory
-                x, d = buf[-1]
-                out.append((TsoLabel(i, "upd", x, d),
-                            TsoConfiguration(cfg.states, values, _replace(buffers, i, buf[:-1]),
-                                             _replace(memory, var_index[x], d))))
-        return out
+        return [m for i in range(cfg.n) for m in moves(cfg, i)]
 
     return successors
 
@@ -151,11 +175,9 @@ class OracleBounds:
 
 def _canonical_key(cfg: TsoConfiguration):
     # processes share one description, so configurations equal up to index
-    # permutation are interchangeable
-    triples = sorted(
-        zip(cfg.states, map(repr, cfg.values), cfg.buffers)
-    )
-    return (tuple(triples), cfg.memory)
+    # permutation are interchangeable; the values of one data type are all
+    # ints or all tuples of one shape, so they sort among themselves
+    return (tuple(sorted(zip(cfg.states, cfg.values, cfg.buffers))), cfg.memory)
 
 
 def bounded_reach(
@@ -171,16 +193,36 @@ def bounded_reach(
     replayed with replay_tso before it is returned.
     """
     t0 = time.monotonic()
-    rules = _tso_rules(proc, mem, adt)
+    moves = _tso_moves(proc, mem, adt)
+    buffer_max, size_max = bounds.buffer_max, bounds.adt_size_max
+    # a configuration is within the bounds when every buffer and value is;
+    # a step changes only its own process, so from a configuration within
+    # the bounds only that process needs checking.  An initial value over
+    # the bound leaves every process but the moved one over it, so with
+    # n >= 2 nothing is kept.
+    initial_over = value_size(adt, adt.initial_value()) > size_max
 
     def successors(cfg: TsoConfiguration):
-        return [(label, c2) for label, c2 in rules(cfg)
-                if all(len(b) <= bounds.buffer_max for b in c2.buffers)
-                and all(value_size(adt, v) <= bounds.adt_size_max for v in c2.values)]
+        # one representative per group of identical processes: the steps of
+        # a later copy are index permutations of the first copy's steps,
+        # which come earlier in the list and share their canonical key
+        out = []
+        expanded = set()
+        for i, p in enumerate(zip(cfg.states, cfg.values, cfg.buffers)):
+            if p in expanded:
+                continue
+            expanded.add(p)
+            for label, c2 in moves(cfg, i):
+                if (len(c2.buffers[i]) <= buffer_max
+                        and value_size(adt, c2.values[i]) <= size_max):
+                    out.append((label, c2))
+        return out
 
     final = proc.q_final
     explored = 0
     for n in range(1, bounds.n_max + 1):
+        if initial_over and n > 1:
+            continue
         r = explore(initial_configuration(proc, mem, adt, n), successors,
                     lambda cfg: final in cfg.states, key=_canonical_key,
                     max_depth=bounds.step_max)

@@ -5,10 +5,11 @@ dumbest possible data structures, so a bug in the library's step functions
 cannot hide in the oracle as well.  The helpers (value enumeration,
 minimal-predecessor bases, backward-search history, the net-encoding
 route for Petri machines, the counter cutoff search and binary encoding,
-the worklist pre*-saturation that post* is checked against, the
-pushdown system of a stack machine with every rule built up front, the
-full-omega pivot views, and single steps of the TSO rules and of a
-register action) exist only for tests and so live here rather than in
+the worklist pre*-saturation that post* is checked against, pushdown
+systems given by explicit rules and that of a stack machine with every
+rule built up front, the full-omega pivot views, single steps of the TSO
+rules and of a register action, and the oracle search without its
+symmetry reduction) exist only for tests and so live here rather than in
 the package.
 """
 
@@ -58,7 +59,7 @@ from tsoreach.model import (
     rm_step,
     write,
 )
-from tsoreach.pds import PdsRule, PushdownSystem
+from tsoreach.pds import PdsRule
 from tsoreach.pivot import (
     PivotError,
     PivotLabel,
@@ -69,7 +70,14 @@ from tsoreach.pivot import (
 )
 from tsoreach.solvers import _backward_cover, _control_closure, _replayed
 from tsoreach.translate import encode_rm_to_coverability_labelled
-from tsoreach.tso import TsoConfiguration, TsoLabel, _tso_rules
+from tsoreach.tso import (
+    OracleBounds,
+    TsoConfiguration,
+    TsoLabel,
+    _tso_rules,
+    initial_configuration,
+    replay_tso,
+)
 from tsoreach.verdict import (
     BUDGET,
     INCONCLUSIVE,
@@ -78,6 +86,7 @@ from tsoreach.verdict import (
     UNREACHABLE,
     Stats,
     Verdict,
+    WitnessError,
     explore,
 )
 
@@ -257,6 +266,39 @@ def product_assignments(registers, bound):
 # (c, (s,)) ends saturation once it is accepted; a budget bounds the
 # transitions added.  Each added transition remembers the rule and the
 # automaton path that justified it, which lets witness unwind a run.
+
+
+@dataclass(frozen=True)
+class PushdownSystem:
+    """A pushdown system given by all its rules, validated when it is made:
+    the explicit form of pds.RulesOnDemand, read by post_star alike."""
+
+    controls: tuple
+    alphabet: tuple[str, ...]  # includes the bottom marker
+    rules: tuple[PdsRule, ...]
+
+    def __post_init__(self) -> None:
+        declared, symbols = set(self.controls), set(self.alphabet)
+        if len(declared) != len(self.controls):
+            raise ValueError("controls must be distinct")
+        for r in self.rules:
+            if r.p not in declared or r.p2 not in declared:
+                raise ValueError(f"rule uses undeclared control: {r}")
+            if r.gamma not in symbols or not symbols.issuperset(r.push):
+                raise ValueError(f"rule uses undeclared symbol: {r}")
+            if len(r.push) > 2:
+                raise ValueError("normalize rules to |push| <= 2 first")
+
+    @cached_property
+    def _by_head(self) -> dict:
+        by_head: dict = {}
+        for r in self.rules:
+            by_head.setdefault((r.p, r.gamma), []).append((r.tag, r.p2, r.push))
+        return by_head
+
+    def moves(self, p, gamma):
+        """The moves (tag, p2, push) of the rules at (p, gamma), in rule order."""
+        return self._by_head.get((p, gamma), ())
 
 
 class _Accepted(Exception):
@@ -1104,7 +1146,8 @@ def pivot_reach_enumerated(
 
 
 # ---------------------------------------------------------------------------
-# Single steps of the package's TSO rules and register semantics
+# Single steps of the package's TSO rules and register semantics, and the
+# oracle search without its symmetry reduction
 
 
 def tso_step(
@@ -1123,3 +1166,50 @@ def apply_action(
     """Successor register assignment under act, a register action over rm's
     registers, or None when act is disabled."""
     return _decode_action(act, rm.register_indices, rm.bound)(regs)
+
+
+def _canonical_key_repr(cfg: TsoConfiguration):
+    return (tuple(sorted(zip(cfg.states, map(repr, cfg.values), cfg.buffers))), cfg.memory)
+
+
+def bounded_reach_unreduced(
+    proc: ProcessDescription,
+    mem: MemorySpec,
+    adt: AdtSpec,
+    bounds: OracleBounds = OracleBounds(),
+) -> Verdict:
+    """tso.bounded_reach without its reductions: every process is expanded,
+    every buffer and value of every successor is checked against the
+    bounds, and the canonical key sorts the repr of the values.  Its
+    report must equal bounded_reach's byte for byte."""
+    t0 = time.monotonic()
+    rules = _tso_rules(proc, mem, adt)
+
+    def successors(cfg: TsoConfiguration):
+        return [(label, c2) for label, c2 in rules(cfg)
+                if all(len(b) <= bounds.buffer_max for b in c2.buffers)
+                and all(value_size(adt, v) <= bounds.adt_size_max for v in c2.values)]
+
+    final = proc.q_final
+    explored = 0
+    for n in range(1, bounds.n_max + 1):
+        r = explore(initial_configuration(proc, mem, adt, n), successors,
+                    lambda cfg: final in cfg.states, key=_canonical_key_repr,
+                    max_depth=bounds.step_max)
+        explored += r.explored
+        if r.outcome == REACHED:
+            witness = tuple(str(label) for label in r.path)
+            try:
+                replay_tso(proc, mem, adt, n, witness, require_final=final)
+            except ValueError as e:
+                raise WitnessError(f"oracle witness does not replay: {e}") from e
+            return Verdict(
+                REACHABLE, witness=witness,
+                stats=Stats(explored, n, int((time.monotonic() - t0) * 1000)),
+                closed=False,
+            )
+    return Verdict(
+        INCONCLUSIVE,
+        stats=Stats(explored, bounds.n_max, int((time.monotonic() - t0) * 1000)),
+        closed=False,
+    )

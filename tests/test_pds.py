@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from helpers import pre_star, pre_star_fixpoint
-from tsoreach.pds import PdsRule, PushdownSystem, post_star
+from helpers import PushdownSystem, pre_star, pre_star_fixpoint
+from tsoreach.pds import PdsRule, post_star
 
 
 def _pds(rules, controls=("p", "q", "t"), alphabet=("a", "b", "_btm")):

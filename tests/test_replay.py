@@ -88,6 +88,17 @@ def test_a_truncated_pivot_witness_replays_without_require_final():
     assert _replay_pivot(PIVOT_WITNESS[:-1], require_final=None).state == "q2"
 
 
+def test_an_oracle_witness_may_step_any_copy_of_identical_processes():
+    # the search expands only the first of identical processes, but replay
+    # accepts a run that steps a later copy while they are still identical
+    assert "qf" in _replay_tso(("1: wr x 1", "1: upd x 1", "0: rd x 1")).states
+    assert "qf" in _replay_tso(("2: wr x 1", "2: upd x 1", "1: rd x 1"), n=3).states
+    for n_max in (2, 3):
+        for steps in (3, 12):
+            v = bounded_reach(*TWO_PROCESSES, OracleBounds(n_max=n_max, step_max=steps))
+            assert v.witness == ORACLE_WITNESS  # the writer is process 0
+
+
 @pytest.mark.parametrize("witness,n", [
     (("0: wr x 1", "0: upd x 1", "0: rd x 1"), 2),  # wrong process index
     (("0: wr x 1", "0: upd x 1", "1: rd x 0"), 2),  # wrong value

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from helpers import tso_step
+from helpers import bounded_reach_unreduced, tso_step
 from tsoreach.adt import trivial_spec
-from tsoreach.dsl import parse_program
+from tsoreach.dsl import parse_adt_line, parse_program
 from tsoreach.gen import random_program
 from tsoreach.model import MemorySpec, ProcessDescription, rd, skip, wr, mf
 from tsoreach.tso import (
@@ -197,3 +197,50 @@ trans q0 -> qf : rd x 1
 def test_bounds_validation():
     with pytest.raises(ValueError):
         OracleBounds(n_max=0)
+
+
+# the data types of the crosscheck smoke in CI
+SMOKE_ADTS = (
+    "counter", "weakcounter", "stack alphabet a,b", "trivial", "hostack level 2 alphabet a",
+    "hocounter level 2", "howeakcounter level 2", "multistack count 2 alphabet a",
+    "petri places p,q transitions t: p -> q ; u: q -> p initial p",
+)
+
+
+def _gen_program(adt_line, seed):
+    """The program of `gen --kind program [--adt adt_line] --seed seed`."""
+    adt = None if adt_line is None else parse_adt_line(adt_line, None)
+    return random_program(random.Random(seed), adt=adt,
+                          op_weight=40 if adt and adt.kind != "trivial" else 0)
+
+
+@pytest.mark.parametrize("adt_line,bounds", [
+    *(pytest.param(adt_line, bounds, id=f"{adt_line}-{name}")
+      for name, bounds in (("default", OracleBounds()), ("3-10-4-4", OracleBounds(3, 10, 4, 4)))
+      for adt_line in SMOKE_ADTS),
+    # at value bound 0 every process starts over it, and a pop of the
+    # level-2 stack brings the moved process back under it; the unmoved
+    # processes stay over the bound, so from n = 2 on nothing is kept
+    pytest.param("hostack level 2 alphabet a", OracleBounds(3, 10, 4, 0),
+                 id="hostack level 2 alphabet a-value-bound-0"),
+])
+def test_oracle_report_equals_the_unreduced_search(adt_line, bounds):
+    # the symmetry reduction and the bound check on the moved process only
+    # change neither the verdict, nor explored, nor the witness
+    for seed in range(30):
+        mem, adt, proc = _gen_program(adt_line, seed)
+        assert (bounded_reach(proc, mem, adt, bounds).report("lines")
+                == bounded_reach_unreduced(proc, mem, adt, bounds).report("lines")), seed
+
+
+@pytest.mark.parametrize("n_max", [1, 3])
+def test_an_initial_value_over_the_bound_keeps_no_successor(n_max):
+    # every process starts over the value bound, and a program without data
+    # operations never leaves it
+    mem, _, proc = _gen_program(None, 3)
+    adt = parse_adt_line("hostack level 50 alphabet a", None)
+    bounds = OracleBounds(n_max=n_max)
+    report = bounded_reach(proc, mem, adt, bounds).report("lines")
+    assert report == bounded_reach_unreduced(proc, mem, adt, bounds).report("lines")
+    assert "explored: 0\n" in report
+
