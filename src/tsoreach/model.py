@@ -100,10 +100,6 @@ def skip() -> Instruction:
     return Instruction("skip")
 
 
-def mf() -> Instruction:
-    return Instruction("mf")
-
-
 ProcEdge = tuple[str, Instruction, str]
 
 
@@ -205,10 +201,6 @@ def write(r: str, d: int) -> RegisterAction:
 
 def read(r: str, d: int) -> RegisterAction:
     return RegisterAction("read", r, d)
-
-
-def inc(r: str) -> RegisterAction:
-    return RegisterAction("inc", r)
 
 
 RmEdge = tuple[str, "RegisterAction | AdtOp", str]

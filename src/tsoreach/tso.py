@@ -6,23 +6,30 @@ pending write on the variable) and fall back to memory.  This module is a
 bounded-exploration oracle: it can only find witnesses or report
 not-found-within-bounds, never prove unreachability.
 
-The six rule families are written once, as the steps of one process
-(``_tso_moves``), and the search kernel ``verdict.explore`` runs them both
-for the bounded search (``bounded_reach``) and, through
-``verdict.follow_labels``, for the replay of a witness by its printed
-labels (``replay_tso``).
+The six rule families are written once, as the local step of one process
+(``_local_moves``): a process's moves depend only on its own state, data
+value and buffer and on the shared memory.  ``_tso_rules`` lifts the local
+step over every process index into configurations and labels; the search
+kernel ``verdict.explore`` runs it, through ``verdict.follow_labels``, to
+replay a witness by its printed labels (``replay_tso``).
 
-The processes are identical, so the search keys a configuration by its
-multiset of (state, value, buffer) triples and the memory (the symmetry
+The bounded search (``bounded_reach``) runs over interned process states.
+Within one call it numbers each (state, value, buffer) it meets, so a
+configuration is a tuple of process ids, in process order, and the memory.
+It keeps the local moves of each (id, memory) the first time it asks for
+them, with only the moves whose new buffer and value are within the
+bounds; the numbering and this memo serve every n of the call and nothing
+outlives it.  The processes are identical, so the search keys a
+configuration by its multiset of ids and the memory (the symmetry
 reduction of Emerson and Sistla, "Symmetry and model checking", FMSD
-1996).  It expands one process per group of identical processes: the steps
-of a later copy are index permutations of the first copy's, which come
-earlier in the successor list and have the same key, so the kernel would
-skip them as already seen.  Since no step it would have recorded is lost,
+1996).  It expands one process per group of equal ids: the steps of a
+later copy are index permutations of the first copy's, which come earlier
+in the successor list and have the same key, so the kernel would skip them
+as already seen.  Since no step it would have recorded is lost,
 ``explored``, the witness and the report are those of expanding every
-process.  A step changes only its own process, so the search checks the
-buffer and value bounds on that process alone.  Replay expands every
-process, because a valid witness may step any copy.
+process.  Configurations are not sorted, so successors come in process
+order and the witness names the indices of the run that replay follows.
+Replay expands every process, because a valid witness may step any copy.
 """
 
 from __future__ import annotations
@@ -105,46 +112,41 @@ def _replace(t: tuple, i: int, v) -> tuple:
     return t[:i] + (v,) + t[i + 1 :]
 
 
-def _tso_moves(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec):
+def _local_moves(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec):
     """The six rule families of one program, indexed once: a function from
-    a configuration and a process index to the (label, successor) pairs of
-    that process's steps.  A step changes only the state, value and buffer
-    of the process that takes it, and the memory."""
+    one process's state, value and buffer and the memory to that process's
+    moves, in ``delta`` order with the memory update last.  A move is its
+    label without a process index, as the tuple (kind, var, val, op) of the
+    instruction or the update, the process's new (state, value, buffer)
+    and the new memory.  A step
+    changes only the process that takes it and the memory, so nothing else
+    of the configuration enters."""
     var_index = {x: i for i, x in enumerate(mem.variables)}
     by_state: dict[str, list] = {q: [] for q in proc.states}
     for q, instr, q2 in proc.delta:
-        by_state[q].append((instr.kind, instr.var, instr.val, instr.op, q2))
+        by_state[q].append(((instr.kind, instr.var, instr.val, instr.op), q2))
 
-    def moves(cfg: TsoConfiguration, i: int) -> list[tuple[TsoLabel, TsoConfiguration]]:
-        out: list[tuple[TsoLabel, TsoConfiguration]] = []
-        states, values, buffers, memory = cfg
-        buf = buffers[i]
-        before, after = states[:i], states[i + 1:]
-        for kind, x, d, op, q2 in by_state[states[i]]:
-            states2 = before + (q2,) + after
-            # skip, and a fence once the buffer is empty, only move process i
+    def moves(state: str, value: AdtValue, buf: tuple[Message, ...],
+              memory: tuple[int, ...]) -> list:
+        out = []
+        for label, q2 in by_state[state]:
+            kind, x, d, op = label
+            # skip, and a fence once the buffer is empty, only move the state
             if kind == "skip" or (kind == "mf" and not buf):
-                out.append((TsoLabel(i, kind),
-                            TsoConfiguration(states2, values, buffers, memory)))
+                out.append((label, (q2, value, buf), memory))
             elif kind == "wr":
-                out.append((TsoLabel(i, kind, x, d),
-                            TsoConfiguration(states2, values,
-                                             _replace(buffers, i, ((x, d),) + buf), memory)))
+                out.append((label, (q2, value, ((x, d),) + buf), memory))
             elif kind == "rd":
                 if rval(buf, memory[var_index[x]], x) == d:
-                    out.append((TsoLabel(i, kind, x, d),
-                                TsoConfiguration(states2, values, buffers, memory)))
+                    out.append((label, (q2, value, buf), memory))
             elif kind == "op":
-                if (v2 := step_unchecked(adt, values[i], op)) is not None:
-                    out.append((TsoLabel(i, kind, op=op),
-                                TsoConfiguration(states2, _replace(values, i, v2),
-                                                 buffers, memory)))
+                if (v2 := step_unchecked(adt, value, op)) is not None:
+                    out.append((label, (q2, v2, buf), memory))
         if buf:
             # memory update: dequeue the oldest message, write it to memory
             x, d = buf[-1]
-            out.append((TsoLabel(i, "upd", x, d),
-                        TsoConfiguration(states, values, _replace(buffers, i, buf[:-1]),
-                                         _replace(memory, var_index[x], d))))
+            out.append((("upd", x, d, None), (state, value, buf[:-1]),
+                        _replace(memory, var_index[x], d)))
         return out
 
     return moves
@@ -153,10 +155,16 @@ def _tso_moves(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec):
 def _tso_rules(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec):
     """The TSO rules of one program as a function from a configuration to
     the (label, successor) pairs of every process, process 0 first."""
-    moves = _tso_moves(proc, mem, adt)
+    local = _local_moves(proc, mem, adt)
 
     def successors(cfg: TsoConfiguration) -> list[tuple[TsoLabel, TsoConfiguration]]:
-        return [m for i in range(cfg.n) for m in moves(cfg, i)]
+        states, values, buffers, memory = cfg
+        return [(TsoLabel(i, *label),
+                 TsoConfiguration(_replace(states, i, q2), _replace(values, i, v2),
+                                  _replace(buffers, i, b2), memory2))
+                for i in range(cfg.n)
+                for label, (q2, v2, b2), memory2 in local(states[i], values[i], buffers[i],
+                                                          memory)]
 
     return successors
 
@@ -173,13 +181,6 @@ class OracleBounds:
             raise ValueError("oracle bounds must be positive")
 
 
-def _canonical_key(cfg: TsoConfiguration):
-    # processes share one description, so configurations equal up to index
-    # permutation are interchangeable; the values of one data type are all
-    # ints or all tuples of one shape, so they sort among themselves
-    return (tuple(sorted(zip(cfg.states, cfg.values, cfg.buffers))), cfg.memory)
-
-
 def bounded_reach(
     proc: ProcessDescription,
     mem: MemorySpec,
@@ -193,42 +194,62 @@ def bounded_reach(
     replayed with replay_tso before it is returned.
     """
     t0 = time.monotonic()
-    moves = _tso_moves(proc, mem, adt)
+    local = _local_moves(proc, mem, adt)
     buffer_max, size_max = bounds.buffer_max, bounds.adt_size_max
-    # a configuration is within the bounds when every buffer and value is;
-    # a step changes only its own process, so from a configuration within
-    # the bounds only that process needs checking.  An initial value over
-    # the bound leaves every process but the moved one over it, so with
-    # n >= 2 nothing is kept.
-    initial_over = value_size(adt, adt.initial_value()) > size_max
+    final = proc.q_final
+    # a search state is (ids, memory): ids[i] numbers process i's (state,
+    # value, buffer) in triples, in process order; the numbering, the
+    # final ids and the memo of local moves serve every n of this call
+    ids: dict = {}
+    triples: list = []
+    final_ids: set[int] = set()
+    memo: dict = {}
 
-    def successors(cfg: TsoConfiguration):
+    def intern(p) -> int:
+        pid = ids.get(p)
+        if pid is None:
+            pid = ids[p] = len(triples)
+            triples.append(p)
+            if p[0] == final:
+                final_ids.add(pid)
+        return pid
+
+    def moves(pid: int, memory: tuple[int, ...]) -> list:
+        # a step changes only its own process, so from a configuration
+        # within the bounds only the moved process needs checking.  An
+        # initial value over the bound leaves every process but the moved
+        # one over it, so with n >= 2 nothing is kept.
+        m = memo.get((pid, memory))
+        if m is None:
+            m = memo[pid, memory] = [
+                (label, intern(p2), memory2)
+                for label, p2, memory2 in local(*triples[pid], memory)
+                if len(p2[2]) <= buffer_max and value_size(adt, p2[1]) <= size_max]
+        return m
+
+    def successors(cfg):
         # one representative per group of identical processes: the steps of
         # a later copy are index permutations of the first copy's steps,
-        # which come earlier in the list and share their canonical key
-        out = []
-        expanded = set()
-        for i, p in enumerate(zip(cfg.states, cfg.values, cfg.buffers)):
-            if p in expanded:
-                continue
-            expanded.add(p)
-            for label, c2 in moves(cfg, i):
-                if (len(c2.buffers[i]) <= buffer_max
-                        and value_size(adt, c2.values[i]) <= size_max):
-                    out.append((label, c2))
-        return out
+        # which come earlier in the list and share their key
+        pids, memory = cfg
+        return [((i, label), (pids[:i] + (pid2,) + pids[i + 1:], memory2))
+                for i, pid in enumerate(pids) if pids.index(pid) == i
+                for label, pid2, memory2 in moves(pid, memory)]
 
-    final = proc.q_final
+    initial_over = value_size(adt, adt.initial_value()) > size_max
+    start = intern((proc.q_init, adt.initial_value(), ()))
+    memory0 = (mem.d_init,) * len(mem.variables)
     explored = 0
     for n in range(1, bounds.n_max + 1):
         if initial_over and n > 1:
             continue
-        r = explore(initial_configuration(proc, mem, adt, n), successors,
-                    lambda cfg: final in cfg.states, key=_canonical_key,
+        r = explore(((start,) * n, memory0), successors,
+                    lambda cfg: not final_ids.isdisjoint(cfg[0]),
+                    key=lambda cfg: (tuple(sorted(cfg[0])), cfg[1]),
                     max_depth=bounds.step_max)
         explored += r.explored
         if r.outcome == REACHED:
-            witness = tuple(str(label) for label in r.path)
+            witness = tuple(str(TsoLabel(i, *label)) for i, label in r.path)
             try:
                 replay_tso(proc, mem, adt, n, witness, require_final=final)
             except ValueError as e:

@@ -44,6 +44,7 @@ from tsoreach.adt import (
 )
 from tsoreach.coverability import BackwardResult, backward_reach
 from tsoreach.model import (
+    Instruction,
     MemorySpec,
     Message,
     ModelError,
@@ -1178,10 +1179,11 @@ def bounded_reach_unreduced(
     adt: AdtSpec,
     bounds: OracleBounds = OracleBounds(),
 ) -> Verdict:
-    """tso.bounded_reach without its reductions: every process is expanded,
-    every buffer and value of every successor is checked against the
-    bounds, and the canonical key sorts the repr of the values.  Its
-    report must equal bounded_reach's byte for byte."""
+    """tso.bounded_reach without its reductions and its memo: the search
+    runs over whole configurations, every process is expanded, every buffer
+    and value of every successor is checked against the bounds, and the
+    canonical key sorts the repr of the values.  Its report must equal
+    bounded_reach's byte for byte."""
     t0 = time.monotonic()
     rules = _tso_rules(proc, mem, adt)
 
@@ -1213,3 +1215,15 @@ def bounded_reach_unreduced(
         stats=Stats(explored, bounds.n_max, int((time.monotonic() - t0) * 1000)),
         closed=False,
     )
+
+
+# ---------------------------------------------------------------------------
+# Builders of an instruction and a register action that only tests use
+
+
+def mf() -> Instruction:
+    return Instruction("mf")
+
+
+def inc(r: str) -> RegisterAction:
+    return RegisterAction("inc", r)

@@ -8,6 +8,7 @@ from helpers import (
     UpdateSequence,
     differentiated_words,
     initial_view,
+    mf,
     pivot_reach_enumerated,
     pivot_step,
     pivot_step_reference,
@@ -15,7 +16,7 @@ from helpers import (
 from tsoreach.adt import trivial_spec
 from tsoreach.dsl import parse_program
 from tsoreach.gen import random_program
-from tsoreach.model import MemorySpec, ProcessDescription, mf, rd, wr
+from tsoreach.model import MemorySpec, ProcessDescription, rd, wr
 from tsoreach.pivot import PivotError, parse_omega, pivot_reach, replay_pivot
 from tsoreach.tso import OracleBounds, bounded_reach
 

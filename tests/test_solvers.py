@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     binarize_counter,
     counter_cutoff,
+    inc,
     net_coverable_forward,
     petri_backward_history,
     petri_net_reference,
@@ -26,7 +27,6 @@ from tsoreach.model import (
     ModelError,
     RegisterAction,
     RegisterMachine,
-    inc,
     read,
     replay_rm,
     write,

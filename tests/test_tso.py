@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from helpers import bounded_reach_unreduced, tso_step
-from tsoreach.adt import trivial_spec
+import tsoreach.tso
+from helpers import bounded_reach_unreduced, mf, tso_step
+from tsoreach.adt import step_unchecked, trivial_spec
 from tsoreach.dsl import parse_adt_line, parse_program
 from tsoreach.gen import random_program
-from tsoreach.model import MemorySpec, ProcessDescription, rd, skip, wr, mf
+from tsoreach.model import MemorySpec, ProcessDescription, rd, skip, wr
 from tsoreach.tso import (
     OracleBounds,
     TsoConfiguration,
@@ -160,8 +161,7 @@ def test_symmetry_of_successors_under_process_permutation():
     assert got == expected
 
 
-def test_counter_values_tracked_per_process():
-    text = """\
+COUNTER_INC_ISZERO = """\
 memory vars x domain 0..1
 adt counter
 process P
@@ -171,7 +171,10 @@ state qf target
 trans q0 -> q1 : op inc
 trans q1 -> qf : op iszero
 """
-    prog = parse_program(text)
+
+
+def test_counter_values_tracked_per_process():
+    prog = parse_program(COUNTER_INC_ISZERO)
     v = bounded_reach(prog.proc, prog.mem, prog.adt, OracleBounds(n_max=1))
     assert v.outcome == "inconclusive"  # own counter is 1, iszero blocked
     v2 = bounded_reach(prog.proc, prog.mem, prog.adt, OracleBounds(n_max=2))
@@ -216,7 +219,8 @@ def _gen_program(adt_line, seed):
 
 @pytest.mark.parametrize("adt_line,bounds", [
     *(pytest.param(adt_line, bounds, id=f"{adt_line}-{name}")
-      for name, bounds in (("default", OracleBounds()), ("3-10-4-4", OracleBounds(3, 10, 4, 4)))
+      for name, bounds in (("default", OracleBounds()), ("3-10-4-4", OracleBounds(3, 10, 4, 4)),
+                           ("4-8-2-4", OracleBounds(4, 8, 2, 4)))
       for adt_line in SMOKE_ADTS),
     # at value bound 0 every process starts over it, and a pop of the
     # level-2 stack brings the moved process back under it; the unmoved
@@ -225,8 +229,9 @@ def _gen_program(adt_line, seed):
                  id="hostack level 2 alphabet a-value-bound-0"),
 ])
 def test_oracle_report_equals_the_unreduced_search(adt_line, bounds):
-    # the symmetry reduction and the bound check on the moved process only
-    # change neither the verdict, nor explored, nor the witness
+    # the symmetry reduction, the bound check on the moved process only and
+    # the memo of local moves change neither the verdict, nor explored, nor
+    # the witness
     for seed in range(30):
         mem, adt, proc = _gen_program(adt_line, seed)
         assert (bounded_reach(proc, mem, adt, bounds).report("lines")
@@ -244,3 +249,28 @@ def test_an_initial_value_over_the_bound_keeps_no_successor(n_max):
     assert report == bounded_reach_unreduced(proc, mem, adt, bounds).report("lines")
     assert "explored: 0\n" in report
 
+
+def test_local_moves_are_kept_per_call():
+    # the same states, variable and initial value, but other transitions: a
+    # memo of local moves kept from the first call would give the second
+    # program the first one's skip to qf
+    bounds = OracleBounds()
+    for delta in ((("q0", skip(), "qf"),), (("q0", rd("x", 1), "qf"),)):
+        proc, mem, adt = _simple(delta, states=("q0", "qf"))
+        assert (bounded_reach(proc, mem, adt, bounds).report("lines")
+                == bounded_reach_unreduced(proc, mem, adt, bounds).report("lines"))
+
+
+def test_the_oracle_steps_data_through_its_module_global(monkeypatch):
+    # the benchmark's tracer counts data-type steps by patching
+    # tsoreach.tso.step_unchecked, so the oracle must look the name up there
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return step_unchecked(*args)
+
+    monkeypatch.setattr(tsoreach.tso, "step_unchecked", counting)
+    prog = parse_program(COUNTER_INC_ISZERO)
+    bounded_reach(prog.proc, prog.mem, prog.adt, OracleBounds(n_max=2))
+    assert calls
