@@ -1,6 +1,6 @@
 """Parameterized reachability for TSO programs with abstract data types."""
 
-from .adt import AdtOp, AdtSpec, AdtValue, adt_step, wqo_leq
+from .adt import AdtOp, AdtSpec, AdtValue, wqo_leq
 from .model import (
     Instruction,
     MemorySpec,
@@ -17,7 +17,6 @@ __all__ = [
     "AdtOp",
     "AdtSpec",
     "AdtValue",
-    "adt_step",
     "wqo_leq",
     "Instruction",
     "MemorySpec",

@@ -195,13 +195,6 @@ class AdtSpec:
                 if p not in declared:
                     raise AdtError(f"initial marking uses undeclared place {p}")
 
-    @property
-    def effective_alphabet(self) -> tuple[str, ...]:
-        # ho-counter variants behave as ho-stacks over one symbol
-        if self.kind in ("ho-counter", "ho-weak-counter"):
-            return (COUNTER_SYMBOL,)
-        return self.alphabet
-
     def initial_value(self) -> AdtValue:
         if self.kind == "trivial":
             return ()
@@ -304,53 +297,16 @@ def _ho_step(v: tuple, level: int, name: str, arg: str | int) -> tuple | None:
     return None if inner is None else v[:-1] + (inner,)
 
 
-def check_value(spec: AdtSpec, v: AdtValue) -> None:
-    """Raise AdtError unless v is well-formed for spec.kind."""
-    kind = spec.kind
-    if kind == "trivial":
-        ok = v == ()
-    elif kind in ("counter", "weak-counter"):
-        ok = isinstance(v, int) and v >= 0
-    elif kind in _NESTED_OPS:
-        ok = _check_ho(v, spec.level, spec.effective_alphabet)
-    elif kind == "multi-stack":
-        ok = (isinstance(v, tuple) and len(v) == spec.count
-              and all(_check_ho(s, 1, spec.alphabet) for s in v))
-    elif kind == "petri":
-        ok = (
-            isinstance(v, tuple)
-            and v == mk_marking(dict(v))
-            and all(p in spec.places for p, _ in v)
-        )
-    else:
-        ok = False
-    if not ok:
-        raise AdtError(f"malformed {kind} value: {v!r}")
-
-
-def _check_ho(v: AdtValue, level: int, alphabet: tuple[str, ...]) -> bool:
-    if level == 1:
-        return isinstance(v, tuple) and all(g in alphabet for g in v)
-    return isinstance(v, tuple) and all(_check_ho(e, level - 1, alphabet) for e in v)
-
-
 _MULTI_INDEX = re.compile(r"^(push|pop|isempty)(\d+)$")
 
 
-def adt_step(spec: AdtSpec, v: AdtValue, op: AdtOp) -> AdtValue | None:
+def step_unchecked(spec: AdtSpec, v: AdtValue, op: AdtOp) -> AdtValue | None:
     """The successor of v under op, or None when op is disabled at v.
 
-    Every kind is deterministic, so a step is a partial function.  An
-    operation spec does not admit, or a malformed v, raises AdtError
-    rather than reporting "disabled".
+    Nothing is checked: op must be one spec admits and v well-formed for
+    spec.kind, as the parsed model guarantees.  The tests compare this
+    step with a checked one in tests/helpers.py.
     """
-    check_value(spec, v)
-    spec.validate_op(op)
-    return step_unchecked(spec, v, op)
-
-
-def step_unchecked(spec: AdtSpec, v: AdtValue, op: AdtOp) -> AdtValue | None:
-    """adt_step without well-formedness checks (hot path for solvers)."""
     if op.name == RESET:
         return spec.initial_value()
     kind = spec.kind

@@ -239,10 +239,8 @@ def _check_program(prog, args) -> Verdict:
         return v
     rm = build_register_machine(prog.proc, prog.mem, prog.adt)
     if v.outcome == REACHABLE:
-        run = lift_pivot_witness(rm, parse_omega(v.witness[0]),
-                                 value_bound=args.value_bound, budget=args.budget)
-        if run is not None:
-            return replace(v, witness=tuple(format_rm_label(e) for e in run))
+        run = lift_pivot_witness(rm, parse_omega(v.witness[0]), value_bound=args.value_bound)
+        return replace(v, witness=tuple(format_rm_label(e) for e in run))
     return _solve_rm(rm, args)
 
 
@@ -304,6 +302,9 @@ def cmd_gen(args) -> int:
     if args.adt is not None and args.kind not in ("program", "machine"):
         print(f"error: --adt does not apply to --kind {args.kind}", file=sys.stderr)
         return EXIT_USAGE
+    if args.automata is not None and args.kind != "intersection":
+        print(f"error: --automata does not apply to --kind {args.kind}", file=sys.stderr)
+        return EXIT_USAGE
     rng = random.Random(args.seed)
     adt = None
     if args.adt:
@@ -343,8 +344,9 @@ def cmd_gen(args) -> int:
             else:
                 fixtures = gen.intersection_fixtures()
                 if not 0 <= args.fixture < len(fixtures):
-                    print(f"error: fixture index 0..{len(fixtures)-1}", file=sys.stderr)
-                    return EXIT_INPUT_ERROR
+                    print(f"error: --fixture must be in 0..{len(fixtures) - 1}",
+                          file=sys.stderr)
+                    return EXIT_USAGE
                 _, pda, fsas, _ = fixtures[args.fixture]
                 rm = encode_intersection(pda, fsas)
             chunks.append(dsl.print_machine(rm))

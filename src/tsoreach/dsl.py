@@ -307,13 +307,14 @@ def print_action(act) -> str:
 # Program and machine files
 
 
-def _parse_program_or_machine(text: str, kind: str | None):
-    """One pass over a program (kind 'process') or machine ('machine') file;
-    kind None takes the kind of the first such section.  Errors are kept
-    while the lines are read and raised in the phase order of the module
+def _parse_program_or_machine(text: str):
+    """One pass over a program or machine file, whose kind ('process' or
+    'machine') is that of the first such section.  Errors are kept while
+    the lines are read and raised in the phase order of the module
     docstring."""
+    kind = None
     preamble: list[tuple[int, str]] = []
-    header: tuple[int, str, str] | None = None  # line, text, keyword of the first section
+    header: tuple[int, str] | None = None  # line and text of the first section
     n_sections = 0
     body = None  # the first section's keyword while its lines are read
     registers: tuple[str, ...] | None = None
@@ -335,9 +336,9 @@ def _parse_program_or_machine(text: str, kind: str | None):
             if kind is None and head in ("process", "machine"):
                 kind = head
             body = None
-            if n_sections == 1:
-                header = (i, line, head)
-                body = head if head == kind else None
+            if n_sections == 1:  # kind is head, or None for an automaton
+                header = (i, line)
+                body = kind
             continue
         if n_sections == 0:
             preamble.append((i, line))
@@ -412,11 +413,11 @@ def _parse_program_or_machine(text: str, kind: str | None):
         else:
             raise DslError(f"unexpected line before section: {line!r}", i)
     adt = adt or trivial_spec()
-    if n_sections != 1 or header[2] != kind:
+    if n_sections != 1:
         raise DslError(f"expected exactly one {kind} section")
     if kind == "process" and mem is None:
         raise DslError("program needs a memory line")
-    i0, header_line, _ = header
+    i0, header_line = header
     toks = header_line.split()
     if len(toks) != 2:
         raise DslError(f"expected: {kind} NAME", i0)
@@ -452,19 +453,10 @@ def _parse_program_or_machine(text: str, kind: str | None):
         raise DslError(str(e), reg_line if e.edge is None else delta_lines[e.edge]) from e
 
 
-def parse_program(text: str) -> Program:
-    """Parse and fully validate a TSO program file."""
-    return _parse_program_or_machine(text, "process")
-
-
-def parse_machine(text: str) -> RegisterMachine:
-    """Parse and fully validate a register machine file."""
-    return _parse_program_or_machine(text, "machine")
-
-
-def parse_input(text: str):
-    """Parse a program or a machine, whichever section comes first."""
-    return _parse_program_or_machine(text, None)
+def parse_input(text: str) -> Program | RegisterMachine:
+    """Parse and fully validate a program or a machine, whichever section
+    comes first."""
+    return _parse_program_or_machine(text)
 
 
 def _state_lines(states, q_init: str, q_target: str) -> list[str]:
@@ -568,31 +560,6 @@ def _finish_automaton(s: dict | None, pdas: list, fsas: list) -> None:
         fsas.append(_at_line(i0, FiniteAutomaton, *parts, tuple(transitions)))
     else:
         pdas.append(_at_line(i0, PushdownAutomaton, *parts, s["stack"], tuple(transitions)))
-
-
-def print_automata(pdas, fsas) -> str:
-    lines: list[str] = []
-    for pda in pdas:
-        lines.append(
-            f"pda {pda.name} alphabet {','.join(pda.alphabet)} stack {','.join(pda.stack_alphabet)}"
-        )
-        for q in pda.states:
-            flags = " init" if q == pda.initial else ""
-            flags += " accept" if q in pda.accepting else ""
-            lines.append(f"state {q}{flags}")
-        for q, a, g, q2, w in pda.transitions:
-            gs = g if g is not None else "-"
-            ws = ",".join(w) if w else "-"
-            lines.append(f"trans {q} {a} [{gs}/{ws}] -> {q2}")
-    for fsa in fsas:
-        lines.append(f"fsa {fsa.name} alphabet {','.join(fsa.alphabet)}")
-        for q in fsa.states:
-            flags = " init" if q == fsa.initial else ""
-            flags += " accept" if q in fsa.accepting else ""
-            lines.append(f"state {q}{flags}")
-        for q, a, q2 in fsa.transitions:
-            lines.append(f"trans {q} {a} -> {q2}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_coverability(text: str) -> CoverabilityInstance:

@@ -72,12 +72,9 @@ def random_program(
 
 
 _TIER_ACTIONS = {
-    1: ("skp", "write", "read"),
-    2: ("skp", "write", "read", "inc", "dec", "ckz"),
-    3: (
-        "skp", "write", "read", "inc", "dec", "ckz",
-        "set", "cke", "ckne", "ckl", "ckg", "ckle", "ckge",
-    ),
+    1: RegisterAction.TIER1,
+    2: RegisterAction.TIER1 + RegisterAction.TIER2,
+    3: RegisterAction.TIER1 + RegisterAction.TIER2 + RegisterAction.TIER3,
 }
 
 

@@ -14,10 +14,10 @@ machine they were given.  ``lower_tier3_to_tier2`` and
 ``lower_tier2_to_tier1`` are reachability-preserving rewritings down to
 the smaller instruction sets, for the ``lower`` command and for the
 reductions that need tier I (``build_tso_from_rm``,
-``encode_rm_to_coverability``).  Both enumerate the bounded domain through
-``_decode_action``: each action becomes read/write paths, one per
-assignment of the registers it reads that the action enables, so the
-register semantics is written once and lowering adds no registers.
+``encode_rm_to_coverability_labelled``).  Both enumerate the bounded
+domain through ``_decode_action``: each action becomes read/write paths,
+one per assignment of the registers it reads that the action enables, so
+the register semantics is written once and lowering adds no registers.
 
 A machine decodes a state's outgoing edges when a search first asks for them
 (``RegisterMachine.edges_from``), each distinct action object once, and keeps

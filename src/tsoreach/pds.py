@@ -81,7 +81,6 @@ class RulesOnDemand:
     """
 
     controls: object
-    alphabet: tuple[str, ...]  # includes the bottom marker
     moves_at: object
     built: dict = field(default_factory=dict)  # (p, gamma) -> its moves
 
@@ -123,7 +122,6 @@ class PostStarResult:
     non-control state.
     """
 
-    pds: object
     start: tuple
     transitions: dict
     out: dict
@@ -278,7 +276,7 @@ def post_star(pds, start, targets, budget: int | None = None) -> PostStarResult:
         found = True
     except _OutOfBudget:
         exhausted = True
-    return PostStarResult(pds, (control, word), why, out, final, found, last, exhausted)
+    return PostStarResult((control, word), why, out, final, found, last, exhausted)
 
 
 # perfbench/tracing.py and the tests still name the result class this way

@@ -26,7 +26,6 @@ import functools
 import time
 
 from .adt import (
-    COUNTER_SYMBOL,
     MONOTONE_KINDS,
     RESET,
     AdtOp,
@@ -191,9 +190,8 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     targets = [c for c in edges_from if c[0] == rm.q_target]
     if not targets:
         return Verdict(UNREACHABLE, stats=stats())
-    stack_syms = (COUNTER_SYMBOL,) if counter else rm.adt.alphabet
     bottom = "_btm"
-    while bottom in stack_syms:
+    while bottom in rm.adt.alphabet:  # a counter pushes only COUNTER_SYMBOL
         bottom += "_"
 
     def moves_at(control, g):
@@ -222,7 +220,7 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
                 raise ModelError(f"unexpected stack op {act}")
         return moves
 
-    pds = RulesOnDemand(edges_from, stack_syms + (bottom,), moves_at)
+    pds = RulesOnDemand(edges_from, moves_at)
     start = (init, (bottom,))
     result = pre_star(pds, start, targets, budget=budget)
     iterations = len(result.transitions)

@@ -8,8 +8,12 @@ build_tso_from_rm        a register machine, as a parameterized TSO program
                          (simulator / scheduler / verifier roles)
 encode_intersection      PDA-and-FSAs language intersection emptiness, as a
                          stack register machine
-encode_rm_to_coverability   tier-I Petri register machine, as a net
-                            coverability instance (and back)
+encode_rm_to_coverability_labelled
+                         tier-I Petri register machine, as a net
+                         coverability instance with the machine edge of
+                         each net transition
+encode_coverability_to_rm
+                         net coverability instance, as a register machine
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .model import (
     write,
 )
 from .model import Instruction, Message, RegisterAction
-from .verdict import BUDGET, REACHED, WitnessError, explore
+from .verdict import REACHED, WitnessError, explore
 
 
 def _rank_register(m: Message) -> str:
@@ -199,8 +203,7 @@ def lift_pivot_witness(
     rm: RegisterMachine,
     omega: tuple[Message, ...],
     value_bound: int | None = None,
-    budget: int | None = None,
-) -> tuple[RmEdge, ...] | None:
+) -> tuple[RmEdge, ...]:
     """A run of rm = build_register_machine(proc, mem, adt) to its target,
     given that the pivot search reaches the process target providing the
     messages of omega in that order.
@@ -209,10 +212,12 @@ def lift_pivot_witness(
     the progress pointer to 1.  The rank registers never change after
     that, so a breadth-first search over rm_step from there, with values
     above value_bound pruned as in the pivot search, only has to find a
-    pivot run for this one update sequence.  Returns None when the budget
-    stops that search first.  The whole run is replayed with replay_rm
-    before it is returned; a search that ends without the target, or a run
-    that does not replay to it, raises WitnessError.
+    pivot run for this one update sequence.  With the ranks fixed and the
+    values bounded that space is finite and holds the run that simulates
+    the pivot run, so the search needs no budget.  The whole run is
+    replayed with replay_rm before it is returned; a search that ends
+    without the target, or a run that does not replay to it, raises
+    WitnessError.
     """
     def edge_from(q: str, act=None) -> RmEdge:
         # the guess-phase edges from q, or the one among them carrying act
@@ -237,9 +242,7 @@ def lift_pivot_witness(
             return value_size(rm.adt, c.value) > value_bound
     target = rm.q_target
     r = explore(start, functools.partial(rm_step, rm), lambda c: c.state == target,
-                budget=budget, prune=prune)
-    if r.outcome == BUDGET:
-        return None
+                prune=prune)
     if r.outcome != REACHED:
         raise WitnessError("the machine does not reach its target under the ranks "
                            "of the pivot witness")
@@ -511,10 +514,6 @@ def encode_rm_to_coverability_labelled(
             (frozenset(p_reg[(r, d)] for d in range(rm.bound + 1)), 1)
         )
     return instance, labels, tuple(invariants)
-
-
-def encode_rm_to_coverability(rm: RegisterMachine) -> CoverabilityInstance:
-    return encode_rm_to_coverability_labelled(rm)[0]
 
 
 def encode_coverability_to_rm(inst: CoverabilityInstance) -> RegisterMachine:

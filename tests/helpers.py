@@ -9,8 +9,9 @@ the worklist pre*-saturation that post* is checked against, pushdown
 systems given by explicit rules and that of a stack machine with every
 rule built up front, the full-omega pivot views, single steps of the TSO
 rules and of a register action, and the oracle search without its
-symmetry reduction) exist only for tests and so live here rather than in
-the package.
+symmetry reduction, the checked data-type step, parsers that accept one
+kind of file, the automata printer and the net encoding without its
+labels) exist only for tests and so live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from functools import cached_property
 from tsoreach.adt import (
     COUNTER_SYMBOL,
     RESET,
+    _NESTED_OPS,
     AdtError,
     AdtOp,
     AdtSpec,
@@ -42,13 +44,16 @@ from tsoreach.adt import (
     value_size,
     wqo_leq,
 )
+from tsoreach.automata import CoverabilityInstance
 from tsoreach.coverability import BackwardResult, backward_reach
+from tsoreach.dsl import DslError, parse_input
 from tsoreach.model import (
     Instruction,
     MemorySpec,
     Message,
     ModelError,
     ProcessDescription,
+    Program,
     RegisterAction,
     RegisterMachine,
     RmEdge,
@@ -781,7 +786,7 @@ def enumerate_values(spec: AdtSpec, max_size: int) -> list:
             if sum(len(s) for s in v) <= max_size
         ]
     if kind in ("ho-stack", "ho-counter", "ho-weak-counter"):
-        return _enumerate_ho(spec.effective_alphabet, spec.level, max_size)
+        return _enumerate_ho(effective_alphabet(spec), spec.level, max_size)
     raise AdtError(kind)
 
 
@@ -1227,3 +1232,102 @@ def mf() -> Instruction:
 
 def inc(r: str) -> RegisterAction:
     return RegisterAction("inc", r)
+
+
+# ---------------------------------------------------------------------------
+# The checked data-type step, parsers that accept one kind of file, the
+# automata printer and the net encoding without its labels
+
+
+def effective_alphabet(spec: AdtSpec) -> tuple[str, ...]:
+    # ho-counter variants behave as ho-stacks over one symbol
+    if spec.kind in ("ho-counter", "ho-weak-counter"):
+        return (COUNTER_SYMBOL,)
+    return spec.alphabet
+
+
+def check_value(spec: AdtSpec, v: AdtValue) -> None:
+    """Raise AdtError unless v is well-formed for spec.kind."""
+    kind = spec.kind
+    if kind == "trivial":
+        ok = v == ()
+    elif kind in ("counter", "weak-counter"):
+        ok = isinstance(v, int) and v >= 0
+    elif kind in _NESTED_OPS:
+        ok = _check_ho(v, spec.level, effective_alphabet(spec))
+    elif kind == "multi-stack":
+        ok = (isinstance(v, tuple) and len(v) == spec.count
+              and all(_check_ho(s, 1, spec.alphabet) for s in v))
+    elif kind == "petri":
+        ok = (
+            isinstance(v, tuple)
+            and v == mk_marking(dict(v))
+            and all(p in spec.places for p, _ in v)
+        )
+    else:
+        ok = False
+    if not ok:
+        raise AdtError(f"malformed {kind} value: {v!r}")
+
+
+def _check_ho(v: AdtValue, level: int, alphabet: tuple[str, ...]) -> bool:
+    if level == 1:
+        return isinstance(v, tuple) and all(g in alphabet for g in v)
+    return isinstance(v, tuple) and all(_check_ho(e, level - 1, alphabet) for e in v)
+
+
+def adt_step(spec: AdtSpec, v: AdtValue, op: AdtOp) -> AdtValue | None:
+    """The successor of v under op, or None when op is disabled at v.
+
+    Every kind is deterministic, so a step is a partial function.  An
+    operation spec does not admit, or a malformed v, raises AdtError
+    rather than reporting "disabled".
+    """
+    check_value(spec, v)
+    spec.validate_op(op)
+    return step_unchecked(spec, v, op)
+
+
+def parse_program(text: str) -> Program:
+    """Parse and fully validate a TSO program file."""
+    prog = parse_input(text)
+    if not isinstance(prog, Program):
+        raise DslError("expected exactly one process section")
+    return prog
+
+
+def parse_machine(text: str) -> RegisterMachine:
+    """Parse and fully validate a register machine file."""
+    rm = parse_input(text)
+    if not isinstance(rm, RegisterMachine):
+        raise DslError("expected exactly one machine section")
+    return rm
+
+
+def print_automata(pdas, fsas) -> str:
+    lines: list[str] = []
+    for pda in pdas:
+        lines.append(
+            f"pda {pda.name} alphabet {','.join(pda.alphabet)} stack {','.join(pda.stack_alphabet)}"
+        )
+        for q in pda.states:
+            flags = " init" if q == pda.initial else ""
+            flags += " accept" if q in pda.accepting else ""
+            lines.append(f"state {q}{flags}")
+        for q, a, g, q2, w in pda.transitions:
+            gs = g if g is not None else "-"
+            ws = ",".join(w) if w else "-"
+            lines.append(f"trans {q} {a} [{gs}/{ws}] -> {q2}")
+    for fsa in fsas:
+        lines.append(f"fsa {fsa.name} alphabet {','.join(fsa.alphabet)}")
+        for q in fsa.states:
+            flags = " init" if q == fsa.initial else ""
+            flags += " accept" if q in fsa.accepting else ""
+            lines.append(f"state {q}{flags}")
+        for q, a, q2 in fsa.transitions:
+            lines.append(f"trans {q} {a} -> {q2}")
+    return "\n".join(lines) + "\n"
+
+
+def encode_rm_to_coverability(rm: RegisterMachine) -> CoverabilityInstance:
+    return encode_rm_to_coverability_labelled(rm)[0]

@@ -13,13 +13,15 @@ import time
 from helpers import (
     binarize_counter,
     counter_cutoff,
+    encode_rm_to_coverability,
     net_coverable_forward,
+    parse_machine,
     petri_backward_history,
     petri_net_reference,
     rm_reachable_brute,
 )
 from tsoreach.adt import AdtSpec, wqo_leq
-from tsoreach.dsl import parse_action, parse_machine
+from tsoreach.dsl import parse_action
 from tsoreach.gen import (
     intersection_fixtures,
     random_counter_machine,
@@ -42,7 +44,6 @@ from tsoreach.translate import (
     build_tso_from_rm,
     encode_coverability_to_rm,
     encode_intersection,
-    encode_rm_to_coverability,
 )
 from tsoreach.tso import OracleBounds, bounded_reach, replay_tso
 

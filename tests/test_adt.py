@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import UpwardBasis, enumerate_values, minimize, pre_min_upward
+from helpers import (
+    UpwardBasis,
+    adt_step,
+    check_value,
+    enumerate_values,
+    minimize,
+    pre_min_upward,
+)
 from tsoreach.adt import (
     AdtError,
     AdtOp,
     AdtSpec,
     PetriTransition,
     UnsupportedOrderError,
-    adt_step,
-    check_value,
     mk_marking,
     step_unchecked,
     trivial_spec,

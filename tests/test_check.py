@@ -12,8 +12,9 @@ import random
 import pytest
 
 import tsoreach.cli
+from helpers import parse_program
 from tsoreach.cli import main
-from tsoreach.dsl import Program, parse_adt_line, parse_program, print_program
+from tsoreach.dsl import Program, parse_adt_line, print_program
 from tsoreach.gen import random_program
 from tsoreach.model import replay_rm
 from tsoreach.solvers import format_rm_label, solve_auto
@@ -126,5 +127,24 @@ def test_lift_rejects_ranks_under_which_the_target_is_unreachable():
     # without x=1 in the update sequence no provider can read it
     with pytest.raises(WitnessError):
         lift_pivot_witness(rm, ())
-    # a budget that stops the search is no verdict either way
-    assert lift_pivot_witness(rm, (("x", 1),), budget=1) is None
+
+
+def test_check_keeps_a_reachable_pivot_verdict_at_every_budget(tmp_path, capsys):
+    # the lift used to stop at --budget and check then ran the machine
+    # route, which ran out of the same budget: inconclusive at budgets 3-18
+    path = tmp_path / "p.tso"
+    path.write_text(HANDSHAKE)
+    prog = parse_program(HANDSHAKE)
+    rm = build_register_machine(prog.proc, prog.mem, prog.adt)
+    reachable = 0
+    for budget in range(1, 31):
+        flags = ["--format", "lines", "--budget", str(budget)]
+        _, pivot = _lines(capsys, ["pivot", str(path), *flags])
+        if pivot["verdict"] != "reachable":
+            continue
+        code, check = _lines(capsys, ["check", str(path), *flags])
+        assert (code, check["verdict"]) == (0, "reachable"), f"budget {budget}"
+        assert (check["explored"], check["iterations"]) == (pivot["explored"], pivot["iterations"])
+        _assert_replays(rm, check["witness"])
+        reachable += 1
+    assert reachable == 28  # every budget from 3 on

@@ -12,9 +12,10 @@ import tsoreach
 import tsoreach.cli
 import tsoreach.pivot
 import tsoreach.tso
+from helpers import parse_program
 from tsoreach.adt import MAX_LEVEL
 from tsoreach.cli import main
-from tsoreach.dsl import parse_program, print_machine
+from tsoreach.dsl import print_machine
 from tsoreach.gen import random_stack_machine
 from tsoreach.pivot import pivot_reach
 from tsoreach.tso import bounded_reach
@@ -309,6 +310,24 @@ def test_gen_adt_for_a_kind_with_a_fixed_type_is_a_usage_error(capsys, kind):
     code, out, err = _run(capsys, "gen", "--kind", kind, "--adt", "bogus")
     assert (code, out) == (4, "")
     assert err == f"error: --adt does not apply to --kind {kind}\n"
+
+
+@pytest.mark.parametrize("fixture", ["-1", "9"])
+def test_gen_fixture_out_of_range_is_a_usage_error(capsys, fixture):
+    # no input file is involved, yet this used to exit 3, an input error
+    code, out, err = _run(capsys, "gen", "--kind", "intersection", "--fixture", fixture)
+    assert (code, out) == (4, "")
+    assert err == "error: --fixture must be in 0..5\n"
+
+
+@pytest.mark.parametrize("kind", ["program", "machine", "counter-machine", "stack-machine",
+                                  "net"])
+def test_gen_automata_for_another_kind_is_a_usage_error(tmp_path, capsys, kind):
+    # gen used to ignore the flag, and the file it names, for these kinds
+    missing = str(tmp_path / "missing.aut")
+    code, out, err = _run(capsys, "gen", "--kind", kind, "--automata", missing)
+    assert (code, out) == (4, "")
+    assert err == f"error: --automata does not apply to --kind {kind}\n"
 
 
 def test_gen_intersection_fixture_checkable(tmp_path, capsys):

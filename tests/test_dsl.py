@@ -1,15 +1,13 @@
 import pytest
 
+from helpers import parse_machine, parse_program, print_automata
 from tsoreach.dsl import (
     DslError,
     parse_adt_line,
     parse_automata,
     parse_coverability,
     parse_input,
-    parse_machine,
-    parse_program,
     print_adt,
-    print_automata,
     print_coverability,
     print_program,
 )

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from helpers import (
     apply_action,
     assert_edges_match_reference,
+    parse_machine,
     register_successors,
     rm_reachable_brute,
 )
 from tsoreach.adt import AdtOp, AdtSpec, trivial_spec
-from tsoreach.dsl import parse_machine, print_machine
+from tsoreach.dsl import print_machine
 from tsoreach.gen import intersection_fixtures, random_machine
 from tsoreach.model import (
     MemorySpec,

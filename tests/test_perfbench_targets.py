@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import tsoreach.cli  # noqa: F401  (imports every module the tracer patches)
-from tsoreach.dsl import parse_program, print_machine
+from helpers import parse_program
+from tsoreach.dsl import print_machine
 from tsoreach.translate import build_register_machine
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

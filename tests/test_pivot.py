@@ -9,12 +9,12 @@ from helpers import (
     differentiated_words,
     initial_view,
     mf,
+    parse_program,
     pivot_reach_enumerated,
     pivot_step,
     pivot_step_reference,
 )
 from tsoreach.adt import trivial_spec
-from tsoreach.dsl import parse_program
 from tsoreach.gen import random_program
 from tsoreach.model import MemorySpec, ProcessDescription, rd, wr
 from tsoreach.pivot import PivotError, parse_omega, pivot_reach, replay_pivot

@@ -6,8 +6,10 @@ import pytest
 from helpers import (
     binarize_counter,
     counter_cutoff,
+    encode_rm_to_coverability,
     inc,
     net_coverable_forward,
+    parse_program,
     petri_backward_history,
     petri_net_reference,
     pre_star,
@@ -347,7 +349,7 @@ def test_solve_stack_budget_is_inconclusive(tmp_path, capsys):
 ])
 def test_solve_stack_640_states_matches_pre_star(monkeypatch, seed, outcome):
     # post* on the pushdown system solve_stack builds, against the worklist
-    # pre* reference on the same system
+    # pre* reference on the same system with every rule built
     import tsoreach.solvers as solvers
 
     real = solvers.pre_star
@@ -355,7 +357,9 @@ def test_solve_stack_640_states_matches_pre_star(monkeypatch, seed, outcome):
 
     def both(pds, start, targets, budget=None):
         res = real(pds, start, targets, budget=budget)
-        ref = pre_star(pds, targets, stop=start, budget=budget)
+        eager, eager_start, eager_targets = stack_pds_reference(rm)
+        assert (eager_start, eager_targets) == (start, targets)
+        ref = pre_star(eager, eager_targets, stop=start, budget=budget)
         seen.append((res.accepts(*start), ref.accepts(*start)))
         return res
 
@@ -437,7 +441,8 @@ def test_solve_stack_builds_only_the_rules_post_star_reaches(monkeypatch):
     init, _, edges_from = _control_closure(rm)
     (pds,) = systems
     assert list(pds.built) == [(init, "_btm")]
-    assert len(pds.rules) <= len(edges_from[init]) * len(pds.alphabet)
+    # one rule per edge and stack symbol, the bottom marker included
+    assert len(pds.rules) <= len(edges_from[init]) * (len(rm.adt.alphabet) + 1)
     assert len(stack_pds_reference(rm)[0].rules) == 5192
 
 
@@ -461,8 +466,6 @@ def test_petri_backends_agree_and_match_forward(seed):
     vp = petri_net_reference(rm)
     vw = solve_wsts(rm)
     assert vp.outcome == vw.outcome
-    from tsoreach.translate import encode_rm_to_coverability
-
     inst = encode_rm_to_coverability(rm)
     cov, closed = net_coverable_forward(
         inst.transitions, inst.initial, inst.target, token_bound=6
@@ -487,8 +490,6 @@ def test_backward_bases_are_antichains_every_iteration(seed):
     rng = random.Random(50 + seed)
     net = random_net(rng)
     rm = encode_coverability_to_rm(net)
-    from tsoreach.translate import encode_rm_to_coverability
-
     spec = encode_rm_to_coverability(rm).adt_spec()
     for basis in petri_backward_history(rm):
         assert _is_antichain(spec, basis)
@@ -652,7 +653,6 @@ def test_finite_search_hashes_no_machine_per_step(monkeypatch):
 
 
 def test_petri_pivot_search_hashes_no_spec_per_step(monkeypatch):
-    from tsoreach.dsl import parse_program
     from tsoreach.pivot import pivot_reach
 
     def search(value_bound):

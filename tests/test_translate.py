@@ -2,10 +2,14 @@ import random
 
 import pytest
 
-from helpers import assert_edges_match_reference, net_coverable_forward
+from helpers import (
+    assert_edges_match_reference,
+    encode_rm_to_coverability,
+    net_coverable_forward,
+    parse_program,
+)
 from tsoreach.adt import AdtSpec, PetriTransition, mk_marking, trivial_spec
 from tsoreach.automata import CoverabilityInstance
-from tsoreach.dsl import parse_program
 from tsoreach.gen import (
     anbnc_pda,
     intersection_fixtures,
@@ -28,7 +32,6 @@ from tsoreach.translate import (
     build_tso_from_rm,
     encode_coverability_to_rm,
     encode_intersection,
-    encode_rm_to_coverability,
     encode_rm_to_coverability_labelled,
     lift_pivot_witness,
 )

@@ -3,9 +3,9 @@ import random
 import pytest
 
 import tsoreach.tso
-from helpers import bounded_reach_unreduced, mf, tso_step
+from helpers import bounded_reach_unreduced, mf, parse_program, tso_step
 from tsoreach.adt import step_unchecked, trivial_spec
-from tsoreach.dsl import parse_adt_line, parse_program
+from tsoreach.dsl import parse_adt_line
 from tsoreach.gen import random_program
 from tsoreach.model import MemorySpec, ProcessDescription, rd, skip, wr
 from tsoreach.tso import (
