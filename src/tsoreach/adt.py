@@ -361,6 +361,13 @@ def value_size(spec: AdtSpec, v: AdtValue) -> int:
     raise AdtError(kind)
 
 
+def value_pruner(spec: AdtSpec, bound: int | None):
+    """explore's prune test for a value larger than bound; None for no bound."""
+    def prune(c) -> bool:
+        return value_size(spec, c.value) > bound
+    return None if bound is None else prune
+
+
 def _ho_size(v: tuple, level: int) -> int:
     # symbols plus nested sub-stacks, so that bounded size means finitely
     # many values (symbol count alone admits unboundedly many empty nests)

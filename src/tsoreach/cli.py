@@ -2,9 +2,10 @@
 
 Subcommands: check (decide a program or a machine), oracle (bounded
 concrete search), pivot (pivot-semantics search), translate (either
-reduction), lower (tier lowerings), gen (benchmark instances), crosscheck
+reduction), lower (tier lowerings), gen (one benchmark instance), crosscheck
 (all three pipelines on one input, flagging any disagreement).  Each
-subcommand takes only the flags it reads; any other flag is a usage error.
+subcommand, and each gen --kind, takes only the flags it reads; any other
+flag is a usage error.
 
 check decides a program with the lazy pivot search first: a closed search
 is an exact unreachable, and a reached target is lifted to a run of the
@@ -64,6 +65,25 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter,
     pass
 
 
+class _Given(argparse.Action):
+    """Stores the value and records the flag in args.given, default or not."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*getattr(namespace, "given", ()), self.option_strings[0])
+
+
+# gen --kind -> the flags it reads besides --kind and --out; intersection
+# reads --fixture or --automata, not both
+_GEN_KINDS = {
+    "program": "--adt --seed --states --vars",
+    "machine": "--adt --seed --states --regs --bound --tier",
+    "counter-machine": "--seed",
+    "stack-machine": "--seed --states",
+    "net": "--seed",
+    "intersection": "--fixture --automata",
+}
+
 # every flag with its argparse settings; a subcommand takes only the flags
 # its handler reads
 _FLAGS = {
@@ -75,9 +95,9 @@ _FLAGS = {
                            "coverability for Petri machines, bounded search "
                            "for the rest); wsts runs that coverability search "
                            "on any monotone type"),
-    "--n-max": dict(type=int, default=3, help="oracle: max processes"),
-    "--steps": dict(type=int, default=12, help="oracle: max run length"),
-    "--buffer": dict(type=int, default=4, help="oracle: max buffer length"),
+    "--n-max": dict(type=int, default=OracleBounds.n_max, help="oracle: max processes"),
+    "--steps": dict(type=int, default=OracleBounds.step_max, help="oracle: max run length"),
+    "--buffer": dict(type=int, default=OracleBounds.buffer_max, help="oracle: max buffer length"),
     "--value-bound": dict(type=int, default=DEFAULT_VALUE_BOUND,
                           help="data value size bound for bounded exploration"),
     "--budget": dict(type=int, default=DEFAULT_BUDGET,
@@ -87,16 +107,13 @@ _FLAGS = {
     "--reverse": dict(action="store_true",
                       help="machine -> TSO program instead of program -> machine"),
     "--to": dict(type=int, default=1, choices=[1, 2]),
-    "--seed": dict(type=int, default=0),
-    "--kind": dict(required=True,
-                   choices=["program", "machine", "counter-machine",
-                            "stack-machine", "net", "intersection"]),
-    "--count": dict(type=int, default=1),
-    "--states": dict(type=int, default=4),
-    "--vars": dict(type=int, default=2),
-    "--regs": dict(type=int, default=2),
-    "--bound": dict(type=int, default=1),
-    "--tier": dict(type=int, default=1, choices=[1, 2, 3]),
+    "--seed": dict(type=int, default=0, help="random seed"),
+    "--kind": dict(required=True, choices=list(_GEN_KINDS)),
+    "--states": dict(type=int, default=4, help="control states"),
+    "--vars": dict(type=int, default=2, help="shared variables"),
+    "--regs": dict(type=int, default=2, help="registers"),
+    "--bound": dict(type=int, default=1, help="register value bound"),
+    "--tier": dict(type=int, default=1, choices=[1, 2, 3], help="highest action tier"),
     "--fixture": dict(type=int, default=0,
                       help="intersection: use built-in fixture 0..5"),
     "--automata": dict(default=None,
@@ -116,9 +133,9 @@ _SUBCOMMANDS = {
               "--adt --value-bound --budget --format --out"),
     "translate": ("emit the translated model", "--adt --out --reverse"),
     "lower": ("lower machine instruction tiers", "--adt --out --to"),
-    "gen": ("emit benchmark instances",
-            "--adt --seed --out --kind --count --states --vars --regs --bound "
-            "--tier --fixture --automata"),
+    "gen": ("emit one benchmark instance",
+            "--adt --seed --out --kind --states --vars --regs --bound --tier "
+            "--fixture --automata"),
     "crosscheck": ("run oracle, pivot and check; fail on disagreement",
                    "--adt --backend --n-max --steps --buffer --value-bound "
                    "--budget --out"),
@@ -127,8 +144,7 @@ _SUBCOMMANDS = {
 # (flag, least value) in the order they are checked, each only where the
 # subcommand takes it
 _LEAST = (("--n-max", 1), ("--steps", 1), ("--buffer", 1), ("--budget", 1),
-          ("--count", 1), ("--states", 1), ("--vars", 1),
-          ("--value-bound", 0), ("--regs", 0), ("--bound", 0))
+          ("--states", 1), ("--vars", 1), ("--value-bound", 0), ("--regs", 0), ("--bound", 0))
 
 
 def _build_parser() -> _Parser:
@@ -140,8 +156,9 @@ def _build_parser() -> _Parser:
         sp = sub.add_parser(name, help=help_, formatter_class=_HelpFormatter)
         if name != "gen":
             sp.add_argument("input", help="input file (DSL text)")
+        given = {"action": _Given} if name == "gen" else {}
         for flag in flags.split():
-            sp.add_argument(flag, **_FLAGS[flag])
+            sp.add_argument(flag, **_FLAGS[flag], **given)
     return p
 
 
@@ -299,58 +316,43 @@ def cmd_lower(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.adt is not None and args.kind not in ("program", "machine"):
-        print(f"error: --adt does not apply to --kind {args.kind}", file=sys.stderr)
+    reads = ("--kind", "--out", *_GEN_KINDS[args.kind].split())
+    stray = [flag for flag in args.given if flag not in reads]
+    if stray:
+        print(f"error: {stray[0]} does not apply to --kind {args.kind}", file=sys.stderr)
         return EXIT_USAGE
-    if args.automata is not None and args.kind != "intersection":
-        print(f"error: --automata does not apply to --kind {args.kind}", file=sys.stderr)
+    if "--fixture" in args.given and "--automata" in args.given:
+        print("error: --fixture and --automata exclude each other", file=sys.stderr)
         return EXIT_USAGE
     rng = random.Random(args.seed)
-    adt = None
-    if args.adt:
-        adt = dsl.parse_adt_line(args.adt, None)
+    adt = dsl.parse_adt_line(args.adt, None) if args.adt else None
     op_weight = 40 if adt and adt.kind != "trivial" else 0
-    chunks: list[str] = []
-    for _ in range(args.count):
-        if args.kind == "program":
-            mem, a, proc = gen.random_program(
-                rng, n_states=args.states, n_vars=args.vars, adt=adt,
-                op_weight=op_weight,
-            )
-            chunks.append(dsl.print_program(Program(mem=mem, adt=a, proc=proc)))
-        elif args.kind == "machine":
-            rm = gen.random_machine(
-                rng, n_states=args.states, n_regs=args.regs, bound=args.bound,
-                adt=adt, tier=args.tier, op_weight=op_weight,
-            )
-            chunks.append(dsl.print_machine(rm))
-        elif args.kind == "counter-machine":
-            chunks.append(dsl.print_machine(gen.random_counter_machine(rng)))
-        elif args.kind == "stack-machine":
-            chunks.append(dsl.print_machine(gen.random_stack_machine(rng, args.states)))
-        elif args.kind == "net":
-            chunks.append(dsl.print_coverability(gen.random_net(rng)))
-        else:  # intersection
-            if args.automata:
-                try:
-                    pdas, fsas = dsl.parse_automata(_read(args.automata))
-                    if len(pdas) != 1:
-                        print("error: need exactly one pda section", file=sys.stderr)
-                        return EXIT_INPUT_ERROR
-                    rm = encode_intersection(pdas[0], tuple(fsas))
-                except _INPUT_ERRORS as e:
-                    print(f"error: {e}", file=sys.stderr)
-                    return EXIT_INPUT_ERROR
-            else:
-                fixtures = gen.intersection_fixtures()
-                if not 0 <= args.fixture < len(fixtures):
-                    print(f"error: --fixture must be in 0..{len(fixtures) - 1}",
-                          file=sys.stderr)
-                    return EXIT_USAGE
-                _, pda, fsas, _ = fixtures[args.fixture]
-                rm = encode_intersection(pda, fsas)
-            chunks.append(dsl.print_machine(rm))
-    _emit("# ---\n".join(chunks), args.out)
+    if args.kind == "program":
+        text = dsl.print_program(Program(*gen.random_program(
+            rng, n_states=args.states, n_vars=args.vars, adt=adt, op_weight=op_weight)))
+    elif args.kind == "machine":
+        text = dsl.print_machine(gen.random_machine(
+            rng, n_states=args.states, n_regs=args.regs, bound=args.bound,
+            adt=adt, tier=args.tier, op_weight=op_weight))
+    elif args.kind == "counter-machine":
+        text = dsl.print_machine(gen.random_counter_machine(rng))
+    elif args.kind == "stack-machine":
+        text = dsl.print_machine(gen.random_stack_machine(rng, args.states))
+    elif args.kind == "net":
+        text = dsl.print_coverability(gen.random_net(rng))
+    elif args.automata:
+        pdas, fsas = dsl.parse_automata(_read(args.automata))
+        if len(pdas) != 1:
+            raise dsl.DslError("need exactly one pda section")
+        text = dsl.print_machine(encode_intersection(pdas[0], tuple(fsas)))
+    else:
+        fixtures = gen.intersection_fixtures()
+        if not 0 <= args.fixture < len(fixtures):
+            print(f"error: --fixture must be in 0..{len(fixtures) - 1}", file=sys.stderr)
+            return EXIT_USAGE
+        _, pda, fsas, _ = fixtures[args.fixture]
+        text = dsl.print_machine(encode_intersection(pda, fsas))
+    _emit(text, args.out)
     return 0
 
 

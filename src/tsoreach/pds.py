@@ -279,5 +279,5 @@ def post_star(pds, start, targets, budget: int | None = None) -> PostStarResult:
     return PostStarResult((control, word), why, out, final, found, last, exhausted)
 
 
-# perfbench/tracing.py and the tests still name the result class this way
+# perfbench/tracing.py still names the result class this way
 PreStarResult = PostStarResult

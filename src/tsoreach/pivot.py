@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .adt import AdtSpec, AdtValue, step_unchecked, value_size
+from .adt import AdtSpec, AdtValue, step_unchecked, value_pruner
 from .model import Instruction, MemorySpec, Message, ProcessDescription
 from .verdict import (
     DEFAULT_BUDGET,
@@ -175,13 +175,10 @@ def pivot_reach(
     replayed with replay_pivot before it is returned.
     """
     t0 = time.monotonic()
-    prune = None
-    if value_bound is not None:
-        def prune(s: PivotState) -> bool:
-            return value_size(adt, s.value) > value_bound
     final = proc.q_final
     r = explore(_fresh_provider(proc, mem, adt, ()), _pivot_rules(proc, mem, adt),
-                lambda s: s.state == final, budget=budget, prune=prune)
+                lambda s: s.state == final, budget=budget,
+                prune=value_pruner(adt, value_bound))
     witness = None
     if r.outcome == REACHED:
         witness = (format_omega(r.final.prefix),) + tuple(str(l) for l in r.path)

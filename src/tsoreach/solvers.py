@@ -32,7 +32,7 @@ from .adt import (
     min_value,
     pre_upward_element,
     stack_op,
-    value_size,
+    value_pruner,
     wqo_leq,
 )
 from .coverability import BackwardResult, backward_reach
@@ -88,14 +88,10 @@ def _bfs(rm: RegisterMachine, budget: int, bound: int | None = None) -> Verdict:
     lost coverage: the search can then only end inconclusive.
     """
     t0 = time.monotonic()
-    adt = rm.adt
-    prune = None
-    if bound is not None:
-        def prune(c):
-            return value_size(adt, c.value) > bound
     target = rm.q_target
     r = explore(rm.initial_configuration(), functools.partial(rm_step, rm),
-                lambda c: c.state == target, budget=budget, prune=prune)
+                lambda c: c.state == target, budget=budget,
+                prune=value_pruner(rm.adt, bound))
     witness = None if r.path is None else _replayed(rm, r.path, "search")
     return r.verdict(Stats(r.explored, r.depth, int((time.monotonic() - t0) * 1000)),
                      witness)

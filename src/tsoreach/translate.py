@@ -28,7 +28,7 @@ from .adt import (
     PetriTransition,
     marking_add,
     mk_marking,
-    value_size,
+    value_pruner,
 )
 from .automata import CoverabilityInstance, FiniteAutomaton, PushdownAutomaton
 from .model import (
@@ -236,13 +236,9 @@ def lift_pivot_witness(
         start = replay_rm(rm, run)
     except ModelError as e:
         raise WitnessError(f"guess phase does not replay: {e}") from e
-    prune = None
-    if value_bound is not None:
-        def prune(c):
-            return value_size(rm.adt, c.value) > value_bound
     target = rm.q_target
     r = explore(start, functools.partial(rm_step, rm), lambda c: c.state == target,
-                prune=prune)
+                prune=value_pruner(rm.adt, value_bound))
     if r.outcome != REACHED:
         raise WitnessError("the machine does not reach its target under the ranks "
                            "of the pivot witness")

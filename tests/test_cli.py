@@ -278,19 +278,48 @@ trans a -> t : cke r1 r2
 
 
 def test_gen_deterministic_per_seed(capsys):
-    _, out1, _ = _run(capsys, "gen", "--kind", "program", "--seed", "11", "--count", "3")
-    _, out2, _ = _run(capsys, "gen", "--kind", "program", "--seed", "11", "--count", "3")
-    _, out3, _ = _run(capsys, "gen", "--kind", "program", "--seed", "12", "--count", "3")
+    _, out1, _ = _run(capsys, "gen", "--kind", "program", "--seed", "11")
+    _, out2, _ = _run(capsys, "gen", "--kind", "program", "--seed", "11")
+    _, out3, _ = _run(capsys, "gen", "--kind", "program", "--seed", "12")
     assert out1[0] == "m"  # memory line first
     assert out1 == out2
     assert out1 != out3
+    # gen emits exactly one instance; no subcommand reads several joined
+    code, out, err = _run(capsys, "gen", "--kind", "program", "--count", "2")
+    assert (code, out) == (4, "")
+    assert "unrecognized arguments: --count 2" in err
 
 
-def test_gen_net_is_checkable(tmp_path, capsys):
-    _, out, _ = _run(capsys, "gen", "--kind", "net", "--seed", "3")
-    path = _write(tmp_path, "net.tso", out)
+# gen --kind -> the flags it reads besides --kind and --out; intersection
+# reads --fixture or --automata, not both
+GEN_KIND_FLAGS = {
+    "program": "--adt --seed --states --vars",
+    "machine": "--adt --seed --states --regs --bound --tier",
+    "counter-machine": "--seed",
+    "stack-machine": "--seed --states",
+    "net": "--seed",
+    "intersection": "--fixture --automata",
+}
+# a value for each of those flags, its default where it has one: a flag a
+# kind does not read is rejected whatever its value
+GEN_DEFAULTS = {"--adt": "trivial", "--seed": "0", "--states": "4", "--vars": "2",
+                "--regs": "2", "--bound": "1", "--tier": "1", "--fixture": "0",
+                "--automata": "missing.aut"}
+
+
+def _with_defaults(flags):
+    return [word for flag in flags for word in (flag, GEN_DEFAULTS[flag])]
+
+
+@pytest.mark.parametrize("kind", GEN_KIND_FLAGS)
+def test_gen_output_is_checkable(tmp_path, capsys, kind):
+    # every flag of the kind's row but --automata, which excludes --fixture
+    flags = [f for f in GEN_KIND_FLAGS[kind].split() if f != "--automata"]
+    code, out, _ = _run(capsys, "gen", "--kind", kind, *_with_defaults(flags))
+    assert code == 0
+    path = _write(tmp_path, "g.tso", out)
     code, body, _ = _run(capsys, "check", path, "--format", "lines")
-    assert code in (0, 1)
+    assert code in (0, 1, 2)
     assert body.splitlines()[0].startswith("verdict:")
 
 
@@ -304,12 +333,27 @@ def test_adt_on_a_cover_file_is_an_input_error(tmp_path, capsys):
     assert err == "error: --adt does not apply to a cover file\n"
 
 
-@pytest.mark.parametrize("kind", ["net", "counter-machine", "stack-machine", "intersection"])
-def test_gen_adt_for_a_kind_with_a_fixed_type_is_a_usage_error(capsys, kind):
-    # gen used to ignore the flag for these kinds
-    code, out, err = _run(capsys, "gen", "--kind", kind, "--adt", "bogus")
-    assert (code, out) == (4, "")
-    assert err == f"error: --adt does not apply to --kind {kind}\n"
+# (kind, flags after it, the error)
+GEN_STRAY = [
+    (kind, _with_defaults([flag]), f"error: {flag} does not apply to --kind {kind}")
+    for kind in GEN_KIND_FLAGS
+    for flag in GEN_DEFAULTS
+    if flag not in GEN_KIND_FLAGS[kind].split()
+] + [
+    ("counter-machine", ["--tier", "3", "--regs", "5", "--states", "9"],
+     "error: --tier does not apply to --kind counter-machine"),
+    ("program", ["--fixture", "3"], "error: --fixture does not apply to --kind program"),
+    ("intersection", ["--fixture", "1", "--automata", "F"],
+     "error: --fixture and --automata exclude each other"),
+]
+
+
+@pytest.mark.parametrize("kind,flags,error", GEN_STRAY,
+                         ids=["-".join([k, *f]) for k, f, _ in GEN_STRAY])
+def test_gen_flags_a_kind_does_not_read_are_usage_errors(capsys, kind, flags, error):
+    # gen used to ignore all of these but --adt and --automata
+    code, out, err = _run(capsys, "gen", "--kind", kind, *flags)
+    assert (code, out, err) == (4, "", error + "\n")
 
 
 @pytest.mark.parametrize("fixture", ["-1", "9"])
@@ -318,16 +362,6 @@ def test_gen_fixture_out_of_range_is_a_usage_error(capsys, fixture):
     code, out, err = _run(capsys, "gen", "--kind", "intersection", "--fixture", fixture)
     assert (code, out) == (4, "")
     assert err == "error: --fixture must be in 0..5\n"
-
-
-@pytest.mark.parametrize("kind", ["program", "machine", "counter-machine", "stack-machine",
-                                  "net"])
-def test_gen_automata_for_another_kind_is_a_usage_error(tmp_path, capsys, kind):
-    # gen used to ignore the flag, and the file it names, for these kinds
-    missing = str(tmp_path / "missing.aut")
-    code, out, err = _run(capsys, "gen", "--kind", kind, "--automata", missing)
-    assert (code, out) == (4, "")
-    assert err == f"error: --automata does not apply to --kind {kind}\n"
 
 
 def test_gen_intersection_fixture_checkable(tmp_path, capsys):
@@ -555,7 +589,6 @@ def test_stack_check_output_independent_of_hash_seed(tmp_path, seed, verdict):
     ("machine", "--bound", "-1", ">= 0"),
     ("machine", "--regs", "-1", ">= 0"),
     ("stack-machine", "--states", "0", "positive"),
-    ("net", "--count", "-1", "positive"),
 ])
 def test_gen_bad_sizes_are_usage_errors(capsys, kind, flag, value, rule):
     code, out, err = _run(capsys, "gen", "--kind", kind, flag, value)
@@ -583,7 +616,7 @@ SUBCOMMAND_FLAGS = {
     "crosscheck": "--adt --backend --n-max --steps --buffer --value-bound --budget --out",
     "translate": "--adt --out --reverse",
     "lower": "--adt --out --to",
-    "gen": "--adt --seed --out --kind --count --states --vars --regs --bound --tier "
+    "gen": "--adt --seed --out --kind --states --vars --regs --bound --tier "
            "--fixture --automata",
 }
 
@@ -605,8 +638,27 @@ def test_each_subcommand_takes_exactly_its_flags():
     taken = {name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
              for name, sp in sub.choices.items()}
     assert taken == {name: set(flags.split()) for name, flags in SUBCOMMAND_FLAGS.items()}
-    assert sum(map(len, taken.values())) == 44
+    assert sum(map(len, taken.values())) == 43
     assert len(REMOVED) == 37  # of the 81 settings accepted before
+
+
+def _readme_table(header):
+    """{first cell: the flags in the second} for the README table with header."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    rows = {}
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        name, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[name] = flags.strip("`")
+    return rows
+
+
+def test_readme_flag_tables_match_the_parser():
+    assert _readme_table("| subcommand | flags |") == {
+        name: flags for name, (_, flags) in tsoreach.cli._SUBCOMMANDS.items()}
+    assert _readme_table("| kind | flags it reads |") == tsoreach.cli._GEN_KINDS
 
 
 @pytest.mark.parametrize("command,flag", REMOVED)

@@ -45,7 +45,7 @@ from tsoreach.solvers import (
     solve_stack,
     solve_wsts,
 )
-from tsoreach.pds import PreStarResult, post_star
+from tsoreach.pds import PostStarResult, post_star
 from tsoreach.translate import encode_coverability_to_rm
 from tsoreach.cli import main
 from tsoreach.dsl import parse_action, print_machine
@@ -448,7 +448,7 @@ def test_solve_stack_builds_only_the_rules_post_star_reaches(monkeypatch):
 
 def test_solve_stack_rejects_a_witness_that_fails_replay(tmp_path, capsys, monkeypatch):
     rm = random_stack_machine(random.Random(1), 40)
-    monkeypatch.setattr(PreStarResult, "witness", lambda self, control, word: [])
+    monkeypatch.setattr(PostStarResult, "witness", lambda self, control, word: [])
     with pytest.raises(WitnessError):
         solve_stack(rm)
     path = tmp_path / "stack.rm"
@@ -709,7 +709,7 @@ def test_backend_witness_that_fails_replay_is_an_internal_error(
 
     # the search loses the last step of its witness
     real_explore, real_backward = solvers.explore, solvers.backward_reach
-    real_witness = PreStarResult.witness
+    real_witness = PostStarResult.witness
 
     def explore(*args, **kwargs):
         r = real_explore(*args, **kwargs)
@@ -725,7 +725,7 @@ def test_backend_witness_that_fails_replay_is_an_internal_error(
 
     monkeypatch.setattr(solvers, "explore", explore)
     monkeypatch.setattr(solvers, "backward_reach", backward_reach)
-    monkeypatch.setattr(PreStarResult, "witness", witness)
+    monkeypatch.setattr(PostStarResult, "witness", witness)
     with pytest.raises(WitnessError):
         solve_auto(rm, backend=backend)
     assert main(["check", str(path), "--backend", backend]) == 6
