@@ -91,16 +91,11 @@ class AdtOp:
 
 @dataclass(frozen=True)
 class PetriTransition:
-    """A named net transition with input/output multisets.
-
-    ``resets`` lists places emptied before the outputs are added; it is only
-    produced by the register-machine encoding (never by user nets).
-    """
+    """A named net transition with input/output multisets."""
 
     name: str
     inputs: Marking
     outputs: Marking
-    resets: tuple[str, ...] = ()
 
 
 def mk_marking(counts: dict[str, int]) -> Marking:
@@ -336,10 +331,6 @@ def step_unchecked(spec: AdtSpec, v: AdtValue, op: AdtOp) -> AdtValue | None:
         after_inputs = marking_sub(v, t.inputs)
         if after_inputs is None:
             return None
-        if t.resets:
-            after_inputs = mk_marking(
-                {p: c for p, c in after_inputs if p not in t.resets}
-            )
         return marking_add(after_inputs, t.outputs)
 
     raise AdtError(f"no step relation for kind {kind}")
@@ -403,18 +394,9 @@ def min_value(spec: AdtSpec) -> AdtValue:
     raise UnsupportedOrderError(f"no well-quasi-ordering for kind {spec.kind}")
 
 
-def marking_pre_upward(t: PetriTransition, m: Marking) -> Marking | None:
-    """Minimal marking whose t-successor covers m, or None if impossible.
-
-    For ordinary transitions this is max(m - outputs, 0) + inputs; places
-    the transition resets come out empty and so cannot supply tokens.
-    """
-    need = marking_sub_clamped(m, t.outputs)
-    if t.resets:
-        if any(p in t.resets for p, _ in need):
-            return None
-        need = mk_marking({p: c for p, c in need if p not in t.resets})
-    return marking_add(need, t.inputs)
+def marking_pre_upward(t: PetriTransition, m: Marking) -> Marking:
+    """Minimal marking whose t-successor covers m: max(m - outputs, 0) + inputs."""
+    return marking_add(marking_sub_clamped(m, t.outputs), t.inputs)
 
 
 def pre_upward_element(spec: AdtSpec, op: AdtOp, v: AdtValue) -> AdtValue | None:

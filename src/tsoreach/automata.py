@@ -91,9 +91,6 @@ class CoverabilityInstance:
             for p, _ in t.inputs + t.outputs:
                 if p not in declared:
                     raise AutomatonError(f"transition {t.name} uses undeclared {p}")
-            for p in t.resets:
-                if p not in declared:
-                    raise AutomatonError(f"transition {t.name} resets undeclared {p}")
         for p, _ in self.initial + self.target:
             if p not in declared:
                 raise AutomatonError(f"marking uses undeclared place {p}")

@@ -102,11 +102,12 @@ _FLAGS = {
                           help="data value size bound for bounded exploration"),
     "--budget": dict(type=int, default=DEFAULT_BUDGET,
                      help="max explored states before giving up"),
-    "--format": dict(default="text", choices=["text", "lines"]),
+    "--format": dict(default="text", choices=["text", "lines"],
+                     help="lines: one 'key: value' per line, no timing"),
     "--out": dict(default=None, help="write the report/output here"),
     "--reverse": dict(action="store_true",
                       help="machine -> TSO program instead of program -> machine"),
-    "--to": dict(type=int, default=1, choices=[1, 2]),
+    "--to": dict(type=int, default=1, choices=[1, 2], help="tier to lower to"),
     "--seed": dict(type=int, default=0, help="random seed"),
     "--kind": dict(required=True, choices=list(_GEN_KINDS)),
     "--states": dict(type=int, default=4, help="control states"),

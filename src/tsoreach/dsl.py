@@ -55,6 +55,7 @@ import re
 from .adt import AdtError, AdtOp, AdtSpec, Marking, PetriTransition, mk_marking, trivial_spec
 from .automata import AutomatonError, CoverabilityInstance, FiniteAutomaton, PushdownAutomaton
 from .model import (
+    ACTION_SHAPES,
     Instruction,
     MemorySpec,
     ModelError,
@@ -267,10 +268,14 @@ def parse_instruction(text: str, line: int) -> Instruction:
     raise DslError(f"bad instruction: {text!r}", line)
 
 
-_ACTION_ARITY = {
-    "skp": 0, "write": 2, "read": 2, "inc": 1, "dec": 1, "ckz": 1,
-    "set": 2, "cke": 2, "ckne": 2, "ckl": 2, "ckg": 2, "ckle": 2, "ckge": 2,
-}
+def _operand(role: str, tok: str, line: int) -> str | int:
+    """One operand of an action, by its role in ACTION_SHAPES."""
+    if role == "N":
+        return _int(tok, "value", line)
+    if role != "V":
+        return _check_name(tok, "register", line)
+    # a register name, or a literal with any number of leading minus signs
+    return _int(tok, "operand", line) if tok.lstrip("-").isdigit() else tok
 
 
 def parse_action(text: str, line: int):
@@ -278,25 +283,13 @@ def parse_action(text: str, line: int):
     if toks[0] == "op" and len(toks) >= 2:
         return _parse_op_tokens(toks[1:], line)
     kind = toks[0]
-    if kind not in _ACTION_ARITY:
+    if kind not in ACTION_SHAPES:
         raise DslError(f"bad machine action: {text!r}", line)
-    if len(toks) - 1 != _ACTION_ARITY[kind]:
-        raise DslError(f"{kind} takes {_ACTION_ARITY[kind]} operand(s)", line)
-
-    def operand(tok: str) -> str | int:
-        # a register name, or a literal with any number of leading minus signs
-        return _int(tok, "operand", line) if tok.lstrip("-").isdigit() else tok
-
-    if kind == "skp":
-        return RegisterAction("skp")
-    if kind in ("write", "read"):
-        return RegisterAction(kind, _check_name(toks[1], "register", line),
-                              _int(toks[2], "value", line))
-    if kind in ("inc", "dec", "ckz"):
-        return RegisterAction(kind, _check_name(toks[1], "register", line))
-    if kind == "set":
-        return RegisterAction(kind, _check_name(toks[1], "register", line), operand(toks[2]))
-    return RegisterAction(kind, operand(toks[1]), operand(toks[2]))
+    roles = ACTION_SHAPES[kind][1]
+    if len(toks) - 1 != len(roles):
+        raise DslError(f"{kind} takes {len(roles)} operand(s)", line)
+    operands = [_operand(role, tok, line) for role, tok in zip(roles, toks[1:])]
+    return RegisterAction(kind, *operands)
 
 
 def print_action(act) -> str:
@@ -307,11 +300,10 @@ def print_action(act) -> str:
 # Program and machine files
 
 
-def _parse_program_or_machine(text: str):
-    """One pass over a program or machine file, whose kind ('process' or
-    'machine') is that of the first such section.  Errors are kept while
-    the lines are read and raised in the phase order of the module
-    docstring."""
+def parse_input(text: str) -> Program | RegisterMachine:
+    """Parse and fully validate a program or a machine, whichever section
+    comes first, in one pass over the file.  Errors are kept while the
+    lines are read and raised in the phase order of the module docstring."""
     kind = None
     preamble: list[tuple[int, str]] = []
     header: tuple[int, str] | None = None  # line and text of the first section
@@ -451,12 +443,6 @@ def _parse_program_or_machine(text: str):
         # an error of one transition names its line; the one other error a
         # parsed file can raise here is duplicate register names
         raise DslError(str(e), reg_line if e.edge is None else delta_lines[e.edge]) from e
-
-
-def parse_input(text: str) -> Program | RegisterMachine:
-    """Parse and fully validate a program or a machine, whichever section
-    comes first."""
-    return _parse_program_or_machine(text)
 
 
 def _state_lines(states, q_init: str, q_target: str) -> list[str]:

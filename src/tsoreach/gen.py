@@ -11,6 +11,7 @@ import random
 from .adt import AdtOp, AdtSpec, PetriTransition, mk_marking, trivial_spec
 from .automata import CoverabilityInstance, FiniteAutomaton, PushdownAutomaton
 from .model import (
+    ACTION_SHAPES,
     Instruction,
     MemorySpec,
     ProcessDescription,
@@ -71,13 +72,6 @@ def random_program(
     return mem, adt, proc
 
 
-_TIER_ACTIONS = {
-    1: RegisterAction.TIER1,
-    2: RegisterAction.TIER1 + RegisterAction.TIER2,
-    3: RegisterAction.TIER1 + RegisterAction.TIER2 + RegisterAction.TIER3,
-}
-
-
 def random_machine(
     rng: random.Random,
     n_states: int = 5,
@@ -93,6 +87,13 @@ def random_machine(
     states = tuple(f"q{i}" for i in range(n_states))
     registers = tuple(f"r{i}" for i in range(n_regs))
     n_edges = max(1, int(edge_factor * n_states))
+    kinds = [kind for kind, (t, _) in ACTION_SHAPES.items() if t <= tier]
+
+    def draw(role: str) -> str | int:
+        if role == "V":
+            role = "R" if rng.random() < 0.5 else "N"
+        return rng.randrange(bound + 1) if role == "N" else rng.choice(registers)
+
     delta = []
     for _ in range(n_edges):
         q, q2 = rng.choice(states), rng.choice(states)
@@ -101,24 +102,8 @@ def random_machine(
             if op is not None:
                 delta.append((q, op, q2))
                 continue
-        kinds = _TIER_ACTIONS[tier]
         kind = rng.choice(kinds if registers else ("skp",))
-        if kind == "skp":
-            act = RegisterAction("skp")
-        elif kind in ("write", "read"):
-            act = RegisterAction(kind, rng.choice(registers), rng.randrange(bound + 1))
-        elif kind in ("inc", "dec", "ckz"):
-            act = RegisterAction(kind, rng.choice(registers))
-        else:
-            def operand():
-                if rng.random() < 0.5:
-                    return rng.choice(registers)
-                return rng.randrange(bound + 1)
-
-            if kind == "set":
-                act = RegisterAction(kind, rng.choice(registers), operand())
-            else:
-                act = RegisterAction(kind, operand(), operand())
+        act = RegisterAction(kind, *[draw(role) for role in ACTION_SHAPES[kind][1]])
         delta.append((q, act, q2))
     return RegisterMachine(
         name="M",

@@ -3,11 +3,10 @@
 A process is a finite transition system over read/write/skip/fence
 instructions plus data-type operations.  A register machine is a finite
 control with finitely many registers over a bounded domain {0..N} and one
-attached data type.  Register actions come in three tiers:
-
-    I    skp, write, read
-    II   + inc, dec, ckz
-    III  + set and the comparisons (cke, ckne, ckl, ckg, ckle, ckge)
+attached data type.  Register actions come in three tiers.
+``ACTION_SHAPES`` is the one place where the action kinds live, each with
+its tier and the role of each operand; the parser, the generator, the tier
+lowerings and ``RegisterAction.tier`` read it.
 
 Solvers interpret all tiers directly, so their witnesses are runs of the
 machine they were given.  ``lower_tier3_to_tier2`` and
@@ -161,27 +160,30 @@ class Program:
 # Register machines
 
 
+# action kind -> (tier, the role of each operand, in order): R a register
+# the action reads, W one it writes, U one it reads and writes, N a literal,
+# V a register or a literal that it reads
+ACTION_SHAPES = {
+    "skp": (1, ""), "write": (1, "WN"), "read": (1, "RN"),
+    "inc": (2, "U"), "dec": (2, "U"), "ckz": (2, "R"),
+    "set": (3, "WV"), "cke": (3, "VV"), "ckne": (3, "VV"), "ckl": (3, "VV"),
+    "ckg": (3, "VV"), "ckle": (3, "VV"), "ckge": (3, "VV"),
+}
+
+
 @dataclass(frozen=True)
 class RegisterAction:
     """One action of the register machine; operands are registers or values."""
 
-    kind: str  # skp|write|read|inc|dec|ckz|set|cke|ckne|ckl|ckg|ckle|ckge
+    kind: str  # a key of ACTION_SHAPES
     x: str | int | None = None
     y: str | int | None = None
 
-    TIER1 = ("skp", "write", "read")
-    TIER2 = ("inc", "dec", "ckz")
-    TIER3 = ("set", "cke", "ckne", "ckl", "ckg", "ckle", "ckge")
-
     @property
     def tier(self) -> int:
-        if self.kind in self.TIER1:
-            return 1
-        if self.kind in self.TIER2:
-            return 2
-        if self.kind in self.TIER3:
-            return 3
-        raise ModelError(f"unknown action kind {self.kind}")
+        if self.kind not in ACTION_SHAPES:
+            raise ModelError(f"unknown action kind {self.kind}")
+        return ACTION_SHAPES[self.kind][0]
 
     def __str__(self) -> str:
         if self.kind == "skp":
@@ -416,9 +418,10 @@ def _lower(rm: RegisterMachine, tiers: tuple[int, ...]) -> RegisterMachine:
         if isinstance(act, AdtOp) or act.tier not in tiers:
             edges.append((q, act, q2))
             continue
-        sets = act.x if act.kind in ("set", "inc", "dec") else None
-        operands = (act.y,) if act.kind == "set" else (act.x, act.y)
-        reads = tuple(dict.fromkeys(r for r in operands if isinstance(r, str)))
+        shape = tuple(zip(ACTION_SHAPES[act.kind][1], (act.x, act.y)))
+        sets = next((r for role, r in shape if role in "WU"), None)
+        reads = tuple(dict.fromkeys(
+            r for role, r in shape if role in "RUV" and isinstance(r, str)))
         regs = reads + ((sets,) if sets is not None and sets not in reads else ())
         idx = {r: i for i, r in enumerate(regs)}
         step = _decode_action(act, idx, rm.bound)

@@ -9,7 +9,7 @@ build_tso_from_rm        a register machine, as a parameterized TSO program
 encode_intersection      PDA-and-FSAs language intersection emptiness, as a
                          stack register machine
 encode_rm_to_coverability_labelled
-                         tier-I Petri register machine, as a net
+                         tier-I Petri register machine without reset, as a net
                          coverability instance with the machine edge of
                          each net transition
 encode_coverability_to_rm
@@ -428,7 +428,8 @@ def encode_rm_to_coverability_labelled(
     rm: RegisterMachine,
 ) -> tuple[CoverabilityInstance, dict[str, RmEdge], tuple[tuple[frozenset, int], ...]]:
     """Coverability instance, a net-transition -> machine-edge map, and the
-    place invariants the construction guarantees.
+    place invariants the construction guarantees, for a tier-I Petri
+    machine with no reset edge.
 
     Each invariant (places, k) states that every reachable marking carries
     exactly k tokens across those places: one control token, and one token
@@ -449,8 +450,8 @@ def encode_rm_to_coverability_labelled(
     transitions: list[PetriTransition] = []
     labels: dict[str, RmEdge] = {}
 
-    def add(name: str, inputs: Marking, outputs: Marking, resets, edge: RmEdge) -> None:
-        transitions.append(PetriTransition(name, inputs, outputs, tuple(resets)))
+    def add(name: str, inputs: Marking, outputs: Marking, edge: RmEdge) -> None:
+        transitions.append(PetriTransition(name, inputs, outputs))
         labels[name] = edge
 
     for i, edge in enumerate(rm.delta):
@@ -459,37 +460,29 @@ def encode_rm_to_coverability_labelled(
         base_out = {p_state[q2]: 1}
         if isinstance(act, AdtOp):
             if act.name == RESET:
-                add(
-                    f"t{i}",
-                    mk_marking(base_in),
-                    marking_add(mk_marking(base_out), rm.adt.initial_marking),
-                    adt_places,
-                    edge,
-                )
-            else:
-                t = rm.adt.net_transition(act.name)
-                add(
-                    f"t{i}",
-                    marking_add(mk_marking(base_in), t.inputs),
-                    marking_add(mk_marking(base_out), t.outputs),
-                    t.resets,
-                    edge,
-                )
+                raise ModelError("the net encoding has no reset operation", i)
+            t = rm.adt.net_transition(act.name)
+            add(
+                f"t{i}",
+                marking_add(mk_marking(base_in), t.inputs),
+                marking_add(mk_marking(base_out), t.outputs),
+                edge,
+            )
         elif act.kind == "skp":
-            add(f"t{i}", mk_marking(base_in), mk_marking(base_out), (), edge)
+            add(f"t{i}", mk_marking(base_in), mk_marking(base_out), edge)
         elif act.kind == "read":
             ins = dict(base_in)
             ins[p_reg[(act.x, act.y)]] = 1
             outs = dict(base_out)
             outs[p_reg[(act.x, act.y)]] = 1
-            add(f"t{i}", mk_marking(ins), mk_marking(outs), (), edge)
+            add(f"t{i}", mk_marking(ins), mk_marking(outs), edge)
         elif act.kind == "write":
             for d2 in range(rm.bound + 1):
                 ins = dict(base_in)
                 ins[p_reg[(act.x, d2)]] = ins.get(p_reg[(act.x, d2)], 0) + 1
                 outs = dict(base_out)
                 outs[p_reg[(act.x, act.y)]] = outs.get(p_reg[(act.x, act.y)], 0) + 1
-                add(f"t{i}_d{d2}", mk_marking(ins), mk_marking(outs), (), edge)
+                add(f"t{i}_d{d2}", mk_marking(ins), mk_marking(outs), edge)
         else:  # pragma: no cover - tier guard above
             raise ModelError(act.kind)
 

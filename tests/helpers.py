@@ -208,8 +208,6 @@ def net_forward_markings(transitions, initial, token_bound: int):
             m2[p] = m2.get(p, 0) - c
             if m2[p] < 0:
                 return None
-        for p in t.resets:
-            m2[p] = 0
         for p, c in t.outputs:
             m2[p] = m2.get(p, 0) + c
         return tuple(sorted((p, c) for p, c in m2.items() if c > 0))
