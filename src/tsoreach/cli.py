@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: check (decide a program or a machine), oracle (bounded
-concrete search), pivot (pivot-semantics search), translate (either
-reduction), lower (tier lowerings), gen (one benchmark instance), crosscheck
-(all three pipelines on one input, flagging any disagreement).  Each
-subcommand, and each gen --kind, takes only the flags it reads; any other
-flag is a usage error.
+concrete search), pivot (pivot-semantics search), translate (a program to
+a register machine, a machine or a cover file to a TSO program), lower
+(tier lowerings), gen (one benchmark instance), crosscheck (all three
+pipelines on one input, flagging any disagreement).  Each subcommand, and
+each gen --kind, takes only the flags it reads; any other flag is a usage
+error.
 
 check decides a program with the lazy pivot search first: a closed search
 is an exact unreachable, and a reached target is lifted to a run of the
@@ -16,6 +17,8 @@ inputs, check translates the program and solves the machine.
 Exit codes: 0 reachable, 1 unreachable, 2 inconclusive, 3 input error,
 4 usage error, 5 crosscheck disagreement, 6 internal error (a fault of the
 program, such as a witness that fails its replay; no verdict is printed).
+main reports every input and usage error as one 'error: ...' line, apart
+from argparse's own usage errors, which the parser prints.
 """
 
 from __future__ import annotations
@@ -28,13 +31,7 @@ from dataclasses import replace
 
 from . import dsl, gen
 from .adt import AdtError
-from .model import (
-    ModelError,
-    Program,
-    lower_tier2_to_tier1,
-    lower_tier3_to_tier2,
-    validate_program,
-)
+from .model import ModelError, Program, lower_tier2_to_tier1, lower_tier3_to_tier2
 from .pivot import parse_omega, pivot_reach
 from .solvers import BACKENDS, format_rm_label, solve_auto
 from .translate import (
@@ -51,6 +48,10 @@ EXIT_INPUT_ERROR = 3
 EXIT_USAGE = 4
 EXIT_DISAGREEMENT = 5
 EXIT_INTERNAL = 6
+
+
+class _UsageError(Exception):
+    """A flag value or combination that the command does not accept."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,8 +106,6 @@ _FLAGS = {
     "--format": dict(default="text", choices=["text", "lines"],
                      help="lines: one 'key: value' per line, no timing"),
     "--out": dict(default=None, help="write the report/output here"),
-    "--reverse": dict(action="store_true",
-                      help="machine -> TSO program instead of program -> machine"),
     "--to": dict(type=int, default=1, choices=[1, 2], help="tier to lower to"),
     "--seed": dict(type=int, default=0, help="random seed"),
     "--kind": dict(required=True, choices=list(_GEN_KINDS)),
@@ -132,7 +131,8 @@ _SUBCOMMANDS = {
                "--adt --n-max --steps --buffer --value-bound --format --out"),
     "pivot": ("pivot-semantics search",
               "--adt --value-bound --budget --format --out"),
-    "translate": ("emit the translated model", "--adt --out --reverse"),
+    "translate": ("emit the translated model: a program as a register machine, "
+                  "a machine or a cover file as a TSO program", "--adt --out"),
     "lower": ("lower machine instruction tiers", "--adt --out --to"),
     "gen": ("emit one benchmark instance",
             "--adt --seed --out --kind --states --vars --regs --bound --tier "
@@ -167,9 +167,7 @@ def _check_ranges(args) -> None:
     for flag, least in _LEAST:
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None and value < least:
-            rule = "positive" if least else ">= 0"
-            print(f"error: {flag} must be {rule}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            raise _UsageError(f"{flag} must be {'positive' if least else '>= 0'}")
 
 
 # what a bad input file raises while it is read, parsed or translated
@@ -190,33 +188,22 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load(args):
-    """Returns ('program', Program) | ('machine', rm) | ('cover', rm)."""
-    try:
-        text = _read(args.input)
-        kind_line = next(
-            (ln.split()[0] for _, ln in dsl._lines(text)
-             if ln.split()[0] in ("process", "machine", "cover")),
-            None,
-        )
-        if kind_line == "cover":
-            if args.adt is not None:
-                raise dsl.DslError("--adt does not apply to a cover file")
-            inst = dsl.parse_coverability(text)
-            return "cover", encode_coverability_to_rm(inst)
-        obj = dsl.parse_input(text)
-    except _INPUT_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT_ERROR)
+    """The input file as a Program or a RegisterMachine, under --adt when
+    given; a cover file comes back as its coverability machine."""
+    text = _read(args.input)
+    kind_line = next(
+        (ln.split()[0] for _, ln in dsl._lines(text)
+         if ln.split()[0] in ("process", "machine", "cover")),
+        None,
+    )
+    if kind_line == "cover":
+        if args.adt is not None:
+            raise dsl.DslError("--adt does not apply to a cover file")
+        return encode_coverability_to_rm(dsl.parse_coverability(text))
+    obj = dsl.parse_input(text)
     if args.adt is not None:
-        try:
-            new_adt = dsl.parse_adt_line(args.adt, None)
-            if isinstance(obj, Program):
-                validate_program(obj.mem, new_adt, obj.proc)
-            obj = replace(obj, adt=new_adt)
-        except (dsl.DslError, AdtError, ModelError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            raise SystemExit(EXIT_INPUT_ERROR)
-    return ("program" if isinstance(obj, Program) else "machine"), obj
+        obj = replace(obj, adt=dsl.parse_adt_line(args.adt, None))
+    return obj
 
 
 def _report(v: Verdict, args) -> int:
@@ -262,16 +249,15 @@ def _check_program(prog, args) -> Verdict:
     return _solve_rm(rm, args)
 
 
-def _need_program(kind, obj, what: str):
-    if kind != "program":
-        print(f"error: {what} needs a program input", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT_ERROR)
+def _need_program(obj, what: str) -> Program:
+    if not isinstance(obj, Program):
+        raise ModelError(f"{what} needs a program input")
     return obj
 
 
 def cmd_check(args) -> int:
-    kind, obj = _load(args)
-    if kind != "program":
+    obj = _load(args)
+    if not isinstance(obj, Program):
         v = _solve_rm(obj, args)
     elif args.backend == "auto":
         v = _check_program(obj, args)
@@ -281,34 +267,29 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    prog = _need_program(*_load(args), "oracle")
+    prog = _need_program(_load(args), "oracle")
     return _report(_oracle(prog, args), args)
 
 
 def cmd_pivot(args) -> int:
-    prog = _need_program(*_load(args), "pivot")
+    prog = _need_program(_load(args), "pivot")
     return _report(_pivot(prog, args), args)
 
 
 def cmd_translate(args) -> int:
-    kind, obj = _load(args)
-    if args.reverse:
-        if kind == "program":
-            print("error: --reverse needs a machine input", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        text = dsl.print_program(build_tso_from_rm(obj))
+    obj = _load(args)
+    if isinstance(obj, Program):
+        text = dsl.print_machine(build_register_machine(obj.proc, obj.mem, obj.adt))
     else:
-        prog = _need_program(kind, obj, "translate")
-        text = dsl.print_machine(build_register_machine(prog.proc, prog.mem, prog.adt))
+        text = dsl.print_program(build_tso_from_rm(obj))
     _emit(text, args.out)
     return 0
 
 
 def cmd_lower(args) -> int:
-    kind, obj = _load(args)
-    if kind == "program":
-        print("error: lower needs a machine input", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    obj = _load(args)
+    if isinstance(obj, Program):
+        raise ModelError("lower needs a machine input")
     rm = lower_tier3_to_tier2(obj)
     if args.to == 1:
         rm = lower_tier2_to_tier1(rm)
@@ -320,11 +301,9 @@ def cmd_gen(args) -> int:
     reads = ("--kind", "--out", *_GEN_KINDS[args.kind].split())
     stray = [flag for flag in args.given if flag not in reads]
     if stray:
-        print(f"error: {stray[0]} does not apply to --kind {args.kind}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"{stray[0]} does not apply to --kind {args.kind}")
     if "--fixture" in args.given and "--automata" in args.given:
-        print("error: --fixture and --automata exclude each other", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--fixture and --automata exclude each other")
     rng = random.Random(args.seed)
     adt = dsl.parse_adt_line(args.adt, None) if args.adt else None
     op_weight = 40 if adt and adt.kind != "trivial" else 0
@@ -349,8 +328,7 @@ def cmd_gen(args) -> int:
     else:
         fixtures = gen.intersection_fixtures()
         if not 0 <= args.fixture < len(fixtures):
-            print(f"error: --fixture must be in 0..{len(fixtures) - 1}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError(f"--fixture must be in 0..{len(fixtures) - 1}")
         _, pda, fsas, _ = fixtures[args.fixture]
         text = dsl.print_machine(encode_intersection(pda, fsas))
     _emit(text, args.out)
@@ -358,7 +336,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    prog = _need_program(*_load(args), "crosscheck")
+    prog = _need_program(_load(args), "crosscheck")
     oracle_v = _oracle(prog, args)
     pivot_v = _pivot(prog, args)
     check_v = _rm_route(prog, args)  # independent of the pivot search above
@@ -406,9 +384,12 @@ def main(argv=None) -> int:
     if _PARSER is None:
         _PARSER = _build_parser()
     args = _PARSER.parse_args(argv)
-    _check_ranges(args)
     try:
+        _check_ranges(args)
         return _HANDLERS[args.subcommand](args)
+    except _UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -63,7 +63,6 @@ from .model import (
     Program,
     RegisterAction,
     RegisterMachine,
-    validate_program,
 )
 
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -437,7 +436,6 @@ def parse_input(text: str) -> Program | RegisterMachine:
                                    registers, bound, adt, tuple(delta))
         proc = ProcessDescription(name, tuple(states), marked["init"], marked["target"],
                                   tuple(delta))
-        validate_program(mem, adt, proc)
         return Program(mem=mem, adt=adt, proc=proc)
     except ModelError as e:
         # an error of one transition names its line; the one other error a

@@ -155,6 +155,9 @@ class Program:
     adt: AdtSpec
     proc: ProcessDescription
 
+    def __post_init__(self) -> None:
+        validate_program(self.mem, self.adt, self.proc)
+
 
 # ---------------------------------------------------------------------------
 # Register machines

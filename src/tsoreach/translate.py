@@ -14,6 +14,10 @@ encode_rm_to_coverability_labelled
                          each net transition
 encode_coverability_to_rm
                          net coverability instance, as a register machine
+
+The translated machines are built from two gadget shapes: _path, a chain
+of steps through fresh states, and _max_update, the diamond a := max(a, b)
+that every pointer update of the pivot rules is.
 """
 
 from __future__ import annotations
@@ -53,6 +57,33 @@ from .verdict import REACHED, WitnessError, explore
 
 def _rank_register(m: Message) -> str:
     return f"rk_{m[0]}_{m[1]}"
+
+
+def _path(edges: list[RmEdge], gs: _Gensym, src: str, steps, dst: str | None = None) -> str:
+    """Append steps in a row from src through fresh states, the last one
+    into dst (a fresh state when None), and return that last state.  A step
+    is one action, or a tuple of actions that become parallel edges."""
+    last = len(steps) - 1
+    for i, step in enumerate(steps):
+        nxt = dst if dst and i == last else gs.fresh()
+        if isinstance(step, tuple):
+            for act in step:
+                edges.append((src, act, nxt))
+        else:
+            edges.append((src, step, nxt))
+        src = nxt
+    return src
+
+
+def _max_update(edges: list[RmEdge], gs: _Gensym, act, src: str, a: str, b: str,
+                dst: str | None = None) -> str:
+    """Append a := max(a, b) from src to dst (a fresh state when None) and
+    return dst: ckge a b straight there, or ckl a b and then set a b through
+    a fresh branch state, allocated first.  act builds the actions."""
+    branch, join = gs.fresh(), dst or gs.fresh()
+    edges += [(src, act("ckge", a, b), join), (src, act("ckl", a, b), branch),
+              (branch, act("set", a, b), join)]
+    return join
 
 
 # ---------------------------------------------------------------------------
@@ -100,28 +131,15 @@ def build_register_machine(
     # next rank, and nondeterministically stop into the first provider
     edges.append(("boot", _act("set", rknxt, 1), "guess"))
     for m in messages:
-        a, b = gs.fresh(), gs.fresh()
-        edges += [
-            ("guess", _act("cke", rk[m], 0), a),
-            (a, _act("set", rk[m], rknxt), b),
-            (b, _act("inc", rknxt), "guess"),
-        ]
+        _path(edges, gs, "guess",
+              [_act("cke", rk[m], 0), _act("set", rk[m], rknxt), _act("inc", rknxt)], "guess")
     edges.append(("guess", _act("set", php, 1), s[proc.q_init]))
 
     # pointer initializer: reset every pointer except the progress pointer,
     # advance the progress pointer, and hand a fresh data value to the
     # next provider
-    cur = "ptrinit"
-    steps: list[RegisterAction | AdtOp] = [_act("set", phe, 0)]
-    steps += [_act("set", phl[x], 0) for x in mem.variables]
-    steps.append(_act("set", phlmax, 0))
-    steps += [_act("set", lw[x], 0) for x in mem.variables]
-    steps.append(_act("inc", php))
-    steps.append(AdtOp(RESET))
-    for i, step in enumerate(steps):
-        nxt = s[proc.q_init] if i == len(steps) - 1 else gs.fresh()
-        edges.append((cur, step, nxt))
-        cur = nxt
+    resets = [_act("set", reg, 0) for reg in (phe, *phl.values(), phlmax, *lw.values())]
+    _path(edges, gs, "ptrinit", [*resets, _act("inc", php), AdtOp(RESET)], s[proc.q_init])
 
     # the simulator: one gadget per process transition
     for q, instr, q2 in proc.delta:
@@ -131,59 +149,32 @@ def build_register_machine(
         elif instr.kind == "op":
             edges.append((src, instr.op, dst))
         elif instr.kind == "mf":
-            u = gs.fresh()
-            edges += [
-                (src, _act("ckge", phe, phlmax), dst),
-                (src, _act("ckl", phe, phlmax), u),
-                (u, _act("set", phe, phlmax), dst),
-            ]
+            _max_update(edges, gs, _act, src, phe, phlmax, dst)
         elif instr.kind == "wr":
             x, d = instr.var, instr.val
             r = rk[(x, d)]
             # the provider's own pivot: hand over to the next provider
             edges.append((src, _act("cke", r, php), "ptrinit"))
             # an already provided message: record the own write
-            u1, u2, u3, u4, u5 = (gs.fresh() for _ in range(5))
-            edges += [
-                (src, _act("ckge", r, 1), u1),
-                (u1, _act("ckl", r, php), u2),
-                (u2, _act("set", lw[x], d + 1), u3),
-                (u3, _act("ckge", phlmax, r), u5),
-                (u3, _act("ckl", phlmax, r), u4),
-                (u4, _act("set", phlmax, r), u5),
-                (u5, _act("set", phl[x], phlmax), dst),
-            ]
+            u = _path(edges, gs, src,
+                      [_act("ckge", r, 1), _act("ckl", r, php), _act("set", lw[x], d + 1)])
+            u = _max_update(edges, gs, _act, u, phlmax, r)
+            edges.append((u, _act("set", phl[x], phlmax), dst))
         elif instr.kind == "rd":
             x, d = instr.var, instr.val
             r = rk[(x, d)]
             # read own last write
             edges.append((src, _act("cke", lw[x], d + 1), dst))
             # read a message some earlier provider propagated
-            v1, v2, v4, v5 = (gs.fresh() for _ in range(4))
-            v3 = gs.fresh()
-            edges += [
-                (src, _act("ckge", r, 1), v1),
-                (v1, _act("ckl", r, php), v2),
-                (v2, _act("ckge", phe, phl[x]), v4),
-                (v2, _act("ckl", phe, phl[x]), v3),
-                (v3, _act("set", phe, phl[x]), v4),
-                (v4, _act("ckge", phe, r), dst),
-                (v4, _act("ckl", phe, r), v5),
-                (v5, _act("set", phe, r), dst),
-            ]
+            v = _path(edges, gs, src, [_act("ckge", r, 1), _act("ckl", r, php)])
+            v = _max_update(edges, gs, _act, v, phe, phl[x])
+            _max_update(edges, gs, _act, v, phe, r, dst)
             if d == mem.d_init:
                 # read the initial value: no own write, and no message on x
                 # ranked at or below the external pointer
-                cur = gs.fresh()
-                edges.append((src, _act("cke", lw[x], 0), cur))
-                for j, d2 in enumerate(mem.domain):
-                    nxt = dst if j == len(mem.domain) - 1 else gs.fresh()
-                    r2 = rk[(x, d2)]
-                    edges += [
-                        (cur, _act("cke", r2, 0), nxt),
-                        (cur, _act("ckg", r2, phe), nxt),
-                    ]
-                    cur = nxt
+                checks = [(_act("cke", rk[(x, d2)], 0), _act("ckg", rk[(x, d2)], phe))
+                          for d2 in mem.domain]
+                _path(edges, gs, src, [_act("cke", lw[x], 0), *checks], dst)
 
     states = ["boot", "guess", "ptrinit"] + [s[q] for q in proc.states]
     states += sorted({q for e in edges for q in (e[0], e[2])} - set(states))
@@ -353,13 +344,9 @@ def encode_intersection(
     edges: list[RmEdge] = []
 
     # initialize the state registers with the numbered initial states
-    cur = "boot"
-    inits: list[tuple[str, int]] = [(r_k, pda_num[pda.initial])]
-    inits += [(r_f[i], fsa_nums[i][f.initial]) for i, f in enumerate(fsas)]
-    for j, (reg, val) in enumerate(inits):
-        nxt = "loop" if j == len(inits) - 1 else gs.fresh()
-        edges.append((cur, write(reg, val), nxt))
-        cur = nxt
+    inits = [write(r_k, pda_num[pda.initial])]
+    inits += [write(r_f[i], fsa_nums[i][f.initial]) for i, f in enumerate(fsas)]
+    _path(edges, gs, "boot", inits, "loop")
 
     # guess the next input letter
     for a in pda.alphabet:
@@ -375,21 +362,15 @@ def encode_intersection(
             chain.append(AdtOp("pop", gamma))
         chain += [AdtOp("push", g) for g in w]
         chain.append(write(r_k, pda_num[q2]))
-        cur = "stage0"
-        for j, step in enumerate(chain):
-            nxt = stage_target(0) if j == len(chain) - 1 else gs.fresh()
-            edges.append((cur, step, nxt))
-            cur = nxt
+        _path(edges, gs, "stage0", chain, stage_target(0))
 
     # one move of each FSA on the same letter
     for i, fsa in enumerate(fsas):
         for p, a, p2 in fsa.transitions:
-            m1, m2 = gs.fresh(), gs.fresh()
-            edges += [
-                (stages[i + 1], read(r_f[i], fsa_nums[i][p]), m1),
-                (m1, read(r_s, sigma[a]), m2),
-                (m2, write(r_f[i], fsa_nums[i][p2]), stage_target(i + 1)),
-            ]
+            _path(edges, gs, stages[i + 1],
+                  [read(r_f[i], fsa_nums[i][p]), read(r_s, sigma[a]),
+                   write(r_f[i], fsa_nums[i][p2])],
+                  stage_target(i + 1))
 
     # stop guessing and check that every automaton accepts
     acc = ["loop"] + [gs.fresh() for _ in range(n)] + ["found"]

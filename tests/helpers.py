@@ -879,7 +879,7 @@ def petri_net_backward(
         out = []
         for name, t in relevant.items():
             m2 = marking_pre_upward(t, m)
-            if m2 is not None and not violates_invariant(m2):
+            if not violates_invariant(m2):
                 out.append((name, m2))
         return out
 

@@ -245,7 +245,8 @@ trans a -> b : write r 1
 trans b -> t : read r 1
 """
     path = _write(tmp_path, "m.tso", mtext)
-    code, out, _ = _run(capsys, "translate", path, "--reverse")
+    assert _run(capsys, "translate", path, "--reverse")[0] == 4
+    code, out, _ = _run(capsys, "translate", path)
     assert code == 0 and "process" in out
     ppath = _write(tmp_path, "p.tso", out)
     code2, out2, _ = _run(capsys, "pivot", ppath, "--format", "lines")
@@ -614,7 +615,7 @@ SUBCOMMAND_FLAGS = {
     "pivot": "--adt --value-bound --budget --format --out",
     "oracle": "--adt --n-max --steps --buffer --value-bound --format --out",
     "crosscheck": "--adt --backend --n-max --steps --buffer --value-bound --budget --out",
-    "translate": "--adt --out --reverse",
+    "translate": "--adt --out",
     "lower": "--adt --out --to",
     "gen": "--adt --seed --out --kind --states --vars --regs --bound --tier "
            "--fixture --automata",
@@ -638,7 +639,7 @@ def test_each_subcommand_takes_exactly_its_flags():
     taken = {name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
              for name, sp in sub.choices.items()}
     assert taken == {name: set(flags.split()) for name, flags in SUBCOMMAND_FLAGS.items()}
-    assert sum(map(len, taken.values())) == 43
+    assert sum(map(len, taken.values())) == 42
     assert len(REMOVED) == 37  # of the 81 settings accepted before
 
 

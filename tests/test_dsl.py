@@ -319,9 +319,7 @@ def test_malformed_numbers_exit_three(tmp_path, capsys, text):
 
     path = tmp_path / "m.tso"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(SystemExit) as e:
-        cli.main(["check", str(path)])
-    assert e.value.code == 3
+    assert cli.main(["check", str(path)]) == 3
     assert capsys.readouterr().err.startswith("error: line ")
 
 

@@ -5,7 +5,8 @@ of ``dsl.py`` (and the model and data-type errors a file can raise through
 it), plus files with several errors that pin which one is reported.
 ``*.tso`` files go through ``check``; ``*.aut`` automata files through
 ``gen --kind intersection --automata``.  ``expected.json`` maps each file
-to its exit code and standard error; regenerate it with
+to its exit code and standard error; every other subcommand that reads a
+file must report a ``*.tso`` file the same way.  Regenerate it with
 
     PYTHONPATH=src python tests/test_dsl_corpus.py --record
 """
@@ -30,18 +31,18 @@ def corpus_files() -> list[Path]:
     return sorted(p for p in CORPUS.iterdir() if p.suffix in (".tso", ".aut"))
 
 
-def argv_for(path: Path) -> list[str]:
+def argv_for(path: Path, command: str = "check") -> list[str]:
     if path.suffix == ".aut":
         return ["gen", "--kind", "intersection", "--automata", str(path)]
-    return ["check", str(path)]
+    return [command, str(path)]
 
 
-def run(path: Path) -> tuple[int, str]:
+def run(path: Path, command: str = "check") -> tuple[int, str]:
     """Exit code and standard error of the CLI on one corpus file."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(argv_for(path))
+            code = cli.main(argv_for(path, command))
         except SystemExit as e:
             code = e.code
     return code, err.getvalue()
@@ -61,6 +62,13 @@ def test_malformed_input_message_and_exit_code(name):
     code, err = run(CORPUS / name)
     assert (code, err) == (want["exit"], want["stderr"])
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["pivot", "oracle", "crosscheck", "translate", "lower"])
+@pytest.mark.parametrize("name", [p.name for p in corpus_files() if p.suffix == ".tso"])
+def test_every_file_command_reports_what_check_does(name, command):
+    want = _expected()[name]
+    assert run(CORPUS / name, command) == (want["exit"], want["stderr"])
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

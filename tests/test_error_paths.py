@@ -80,8 +80,9 @@ def test_program_commands_on_a_machine(tmp_path, capsys, command):
 
 
 def test_translate_reverse_on_a_program(tmp_path, capsys):
-    assert _run(tmp_path, capsys, PROGRAM, "translate", "--reverse") == (
-        3, "", "error: --reverse needs a machine input\n")
+    code, out, err = _run(tmp_path, capsys, PROGRAM, "translate", "--reverse")
+    assert (code, out) == (4, "")
+    assert err.endswith("\ntsoreach: error: unrecognized arguments: --reverse\n")
 
 
 def test_lower_on_a_program(tmp_path, capsys):

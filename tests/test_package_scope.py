@@ -159,7 +159,7 @@ def _runs(d: Path):
         yield ["check", f(name), *lines], VERDICT
     yield ["lower", f("m3.tso"), "--to", "2"], OK
     yield ["lower", f("m3.tso"), "--out", f("low.tso")], OK
-    yield ["translate", f("low.tso"), "--reverse"], OK
+    yield ["translate", f("low.tso")], OK
     yield ["check", f("bad.tso")], (3,)
     yield ["check", f("p.tso"), "--no-such-flag"], (4,)
 
