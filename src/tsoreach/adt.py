@@ -8,10 +8,12 @@ operation is a partial function: a step gives the one successor value, or
 None when the operation is disabled at that value.  An operation the
 instance does not admit is an AdtError, never a disabled step.
 
+Each kind is declared once, as a row of KINDS; AdtSpec's checks,
+op_universe and the DSL's adt line parser and printer all read it.
+
 A stack is the level-1 nested stack, and the ho-counters are nested stacks
 over the one symbol COUNTER_SYMBOL with renamed operations, so the four
-nested-stack kinds share one initial value, operation set, well-formedness
-check, step and size.
+NESTED_KINDS share one initial value, well-formedness check, step and size.
 
 Every kind additionally supports the distinguished operation ``reset``,
 which jumps back to the initial value.  It is used by the translation to
@@ -30,17 +32,19 @@ Marking = tuple[tuple[str, int], ...]
 
 AdtValue = object  # int | tuple | Marking depending on the kind
 
-KINDS = (
-    "trivial",
-    "counter",
-    "weak-counter",
-    "stack",
-    "ho-stack",
-    "ho-counter",
-    "ho-weak-counter",
-    "multi-stack",
-    "petri",
-)
+# kind -> (the parameters its declaration names, in order; the names of its
+# push, pop and emptiness test).  A counter's push and pop name no symbol.
+KINDS = {
+    "trivial": ((), ()),
+    "counter": ((), ("inc", "dec", "iszero")),
+    "weak-counter": ((), ("inc", "dec")),
+    "stack": (("alphabet",), ("push", "pop", "isempty")),
+    "ho-stack": (("level", "alphabet"), ("push", "pop", "isempty")),
+    "ho-counter": (("level",), ("inc", "dec", "iszero")),
+    "ho-weak-counter": (("level",), ("inc", "dec")),
+    "multi-stack": (("count", "alphabet"), ("push", "pop", "isempty")),
+    "petri": ((), ()),
+}
 
 WELL_STRUCTURED_KINDS = ("trivial", "counter", "weak-counter", "petri")
 
@@ -51,15 +55,9 @@ MONOTONE_KINDS = ("trivial", "weak-counter", "petri")
 
 RESET = "reset"
 
-# The nested-stack kinds with the names of their push, pop and emptiness
-# test; the level-k operations add "k" to a name.  The ho-counters push and
-# pop COUNTER_SYMBOL, and the weak one has no test.
-_NESTED_OPS = {
-    "stack": ("push", "pop", "isempty"),
-    "ho-stack": ("push", "pop", "isempty"),
-    "ho-counter": ("inc", "dec", "iszero"),
-    "ho-weak-counter": ("inc", "dec"),
-}
+# The kinds whose values nest: the level-k operations add "k" to a name,
+# and the ho-counters push and pop COUNTER_SYMBOL.
+NESTED_KINDS = ("stack", "ho-stack", "ho-counter", "ho-weak-counter")
 COUNTER_SYMBOL = "a"
 _STACK_NAMES = dict(zip(("inc", "dec", "iszero", "inck", "deck", "iszerok"),
                         ("push", "pop", "isempty", "pushk", "popk", "isemptyk")))
@@ -170,16 +168,17 @@ class AdtSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise AdtError(f"unknown ADT kind: {self.kind}")
-        if self.kind in ("stack", "ho-stack", "multi-stack") and not self.alphabet:
+        params = KINDS[self.kind][0]
+        if "alphabet" in params and not self.alphabet:
             raise AdtError(f"{self.kind} requires a nonempty alphabet")
-        if self.kind == "stack" and self.level != 1:
-            raise AdtError("stack level must be 1")
-        if self.kind.startswith("ho-") and self.level < 1:
+        if "level" not in params and self.level != 1:
+            raise AdtError(f"{self.kind} level must be 1")
+        if self.level < 1:
             raise AdtError("level must be >= 1")
-        if self.kind.startswith("ho-") and self.level > MAX_LEVEL:
+        if self.level > MAX_LEVEL:
             raise AdtError(f"level must be <= {MAX_LEVEL}")
-        if self.kind == "multi-stack" and self.count < 1:
-            raise AdtError("multi-stack count must be >= 1")
+        if "count" in params and self.count < 1:
+            raise AdtError(f"{self.kind} count must be >= 1")
         if self.kind == "petri":
             declared = set(self.places)
             for t in self.transitions:
@@ -195,7 +194,7 @@ class AdtSpec:
             return ()
         if self.kind in ("counter", "weak-counter"):
             return 0
-        if self.kind in _NESTED_OPS:
+        if self.kind in NESTED_KINDS:
             return _ho_initial(self.level)
         if self.kind == "multi-stack":
             return ((),) * self.count
@@ -210,27 +209,21 @@ class AdtSpec:
         return t
 
     def op_universe(self) -> tuple[AdtOp, ...]:
-        """Every operation this instance admits (reset included)."""
+        """Every operation this instance admits: per stack (stacks 1..count
+        of a multi-stack, else one unnumbered), push and pop of every
+        symbol, then the tests; then the level-k operations, the net
+        transitions and reset."""
+        params, names = KINDS[self.kind]
         ops: list[AdtOp] = []
-        if self.kind in ("counter", "weak-counter"):
-            ops = [AdtOp("inc"), AdtOp("dec")]
-            if self.kind == "counter":
-                ops.append(AdtOp("iszero"))
-        elif self.kind in _NESTED_OPS:
-            push, pop, *test = _NESTED_OPS[self.kind]
-            # a counter's push and pop name no symbol
-            for g in self.alphabet if push == "push" else (None,):
-                ops += [AdtOp(push, g), AdtOp(pop, g)]
-            ops += [AdtOp(name) for name in test]
+        if names:
+            push, pop, *tests = names
+            for i in map(str, range(1, self.count + 1)) if "count" in params else ("",):
+                for g in self.alphabet if push == "push" else (None,):
+                    ops += AdtOp(push + i, g), AdtOp(pop + i, g)
+                ops += [AdtOp(name + i) for name in tests]
             for k in range(2, self.level + 1):
-                ops += [AdtOp(name + "k", k) for name in _NESTED_OPS[self.kind]]
-        elif self.kind == "multi-stack":
-            for i in range(1, self.count + 1):
-                for g in self.alphabet:
-                    ops += [AdtOp(f"push{i}", g), AdtOp(f"pop{i}", g)]
-                ops.append(AdtOp(f"isempty{i}"))
-        elif self.kind == "petri":
-            ops = [AdtOp(t.name) for t in self.transitions]
+                ops += [AdtOp(name + "k", k) for name in names]
+        ops += [AdtOp(t.name) for t in self.transitions]
         ops.append(AdtOp(RESET))
         return tuple(ops)
 
@@ -314,7 +307,7 @@ def step_unchecked(spec: AdtSpec, v: AdtValue, op: AdtOp) -> AdtValue | None:
         if op.name == "iszero":
             return v if v == 0 else None
 
-    if kind in _NESTED_OPS:
+    if kind in NESTED_KINDS:
         return _ho_step(v, spec.level, *stack_op(op))
 
     if kind == "multi-stack":
@@ -343,7 +336,7 @@ def value_size(spec: AdtSpec, v: AdtValue) -> int:
         return 0
     if kind in ("counter", "weak-counter"):
         return v
-    if kind in _NESTED_OPS:
+    if kind in NESTED_KINDS:
         return _ho_size(v, spec.level)
     if kind == "multi-stack":
         return sum(len(s) for s in v)

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import re
 
-from .adt import AdtError, AdtOp, AdtSpec, Marking, PetriTransition, mk_marking, trivial_spec
+from .adt import KINDS, AdtError, AdtOp, AdtSpec, Marking, PetriTransition, mk_marking, trivial_spec
 from .automata import AutomatonError, CoverabilityInstance, FiniteAutomaton, PushdownAutomaton
 from .model import (
     ACTION_SHAPES,
@@ -81,6 +81,9 @@ _FSA_TRANS = re.compile(r"^trans\s+(\w+)\s+(\w+)\s*->\s*(\w+)$")
 _PDA_TRANS = re.compile(r"^trans\s+(\w+)\s+(\w+)\s+\[([^/\]]+)/([^/\]]+)\]\s*->\s*(\w+)$")
 
 _SECTIONS = ("process", "machine", "fsa", "pda")
+
+# adt line keyword -> kind: the kind's name without hyphens, and weak-counter
+_ADT_KEYWORDS = {kind.replace("-", ""): kind for kind in KINDS} | {"weak-counter": "weak-counter"}
 
 
 class DslError(ValueError):
@@ -143,46 +146,26 @@ def _parse_marking_tokens(tok: str, line: int | None) -> Marking:
 
 
 def parse_adt_line(rest: str, line: int | None) -> AdtSpec:
+    """The spec of an adt line after 'adt': the keyword, then the parameters
+    of its row in KINDS, each up to the next one's keyword or the line end."""
     toks = rest.split()
     if not toks:
         raise DslError("adt line needs a kind", line)
-    kind = toks[0]
-    args = toks[1:]
-
-    def kw(name: str, upto: str | None = None) -> str:
-        if name not in args:
-            raise DslError(f"adt {kind} needs '{name} ...'", line)
-        i = args.index(name)
-        j = len(args)
-        if upto and upto in args[i + 1 :]:
-            j = args.index(upto, i + 1)
-        return " ".join(args[i + 1 : j])
-
-    if kind == "trivial":
-        return trivial_spec()
-    if kind in ("counter", "weak-counter", "weakcounter"):
-        k = "weak-counter" if kind != "counter" else "counter"
-        return AdtSpec(kind=k)
-    if kind == "stack":
-        return AdtSpec(kind="stack", alphabet=_split_names(kw("alphabet"), "symbol", line))
-    if kind == "hostack":
-        return AdtSpec(
-            kind="ho-stack",
-            level=_int(kw("level", "alphabet"), "level", line),
-            alphabet=_split_names(kw("alphabet"), "symbol", line),
-        )
-    if kind in ("hocounter", "howeakcounter"):
-        k = "ho-counter" if kind == "hocounter" else "ho-weak-counter"
-        return AdtSpec(kind=k, level=_int(kw("level"), "level", line))
-    if kind == "multistack":
-        return AdtSpec(
-            kind="multi-stack",
-            count=_int(kw("count", "alphabet"), "count", line),
-            alphabet=_split_names(kw("alphabet"), "symbol", line),
-        )
-    if kind == "petri":
+    word, args = toks[0], toks[1:]
+    if word == "petri":
         return _parse_petri(rest, line)
-    raise DslError(f"unknown adt kind: {kind}", line)
+    kind = _ADT_KEYWORDS.get(word)
+    if kind is None:
+        raise DslError(f"unknown adt kind: {word}", line)
+    params = KINDS[kind][0]
+    values = {}
+    for p, upto in zip(params, params[1:] + (None,)):
+        if p not in args:
+            raise DslError(f"adt {word} needs '{p} ...'", line)
+        i = args.index(p) + 1
+        text = " ".join(args[i : args.index(upto, i) if upto in args[i:] else len(args)])
+        values[p] = _split_names(text, "symbol", line) if p == "alphabet" else _int(text, p, line)
+    return AdtSpec(kind, **values)
 
 
 def _parse_petri(rest: str, line: int | None) -> AdtSpec:
@@ -215,12 +198,9 @@ def _parse_petri(rest: str, line: int | None) -> AdtSpec:
 def print_adt(adt: AdtSpec) -> str:
     if adt.kind != "petri":
         parts = ["adt", adt.kind.replace("-", "")]
-        if adt.kind.startswith("ho-"):
-            parts += ["level", str(adt.level)]
-        if adt.kind == "multi-stack":
-            parts += ["count", str(adt.count)]
-        if adt.kind in ("stack", "ho-stack", "multi-stack"):
-            parts += ["alphabet", ",".join(adt.alphabet)]
+        for p in KINDS[adt.kind][0]:
+            value = getattr(adt, p)
+            parts += [p, ",".join(value) if p == "alphabet" else str(value)]
         return " ".join(parts)
     parts = [f"adt petri places {','.join(adt.places)}"]
     if adt.transitions:

@@ -117,15 +117,11 @@ def random_machine(
     )
 
 
-def random_counter_machine(rng: random.Random, max_n: int = 8) -> RegisterMachine:
+def random_counter_machine(rng: random.Random) -> RegisterMachine:
     """Small tier-I counter machines: states times register assignments,
-    |Q| * (bound+1)^|R|, stays at or below max_n.
+    |Q| * (bound+1)^|R|, stays at or below 8.
     """
-    shapes = [(rng.randrange(2, max_n + 1), 0, 0)]
-    if max_n >= 4:
-        shapes.append((rng.randrange(2, max_n // 2 + 1), 1, 1))
-    if max_n >= 8:
-        shapes.append((2, 2, 1))
+    shapes = [(rng.randrange(2, 9), 0, 0), (rng.randrange(2, 5), 1, 1), (2, 2, 1)]
     n_states, n_regs, bound = rng.choice(shapes)
     return random_machine(
         rng,
@@ -152,18 +148,12 @@ def random_stack_machine(rng: random.Random, n_states: int = 5) -> RegisterMachi
     )
 
 
-def random_net(
-    rng: random.Random,
-    max_places: int = 3,
-    max_transitions: int = 3,
-    max_target_tokens: int = 2,
-) -> CoverabilityInstance:
-    """A small random net with a random coverability target."""
-    n_places = rng.randrange(1, max_places + 1)
-    places = tuple(f"p{i}" for i in range(n_places))
-    n_trans = rng.randrange(1, max_transitions + 1)
+def random_net(rng: random.Random) -> CoverabilityInstance:
+    """A small random net, 1-3 places and 1-3 transitions, with a random
+    coverability target of 1-2 tokens."""
+    places = tuple(f"p{i}" for i in range(rng.randrange(1, 4)))
     transitions = []
-    for i in range(n_trans):
+    for i in range(rng.randrange(1, 4)):
         ins = {p: rng.randrange(0, 2) for p in places}
         outs = {p: rng.randrange(0, 2) for p in places}
         if rng.random() < 0.2:
@@ -172,9 +162,7 @@ def random_net(
             PetriTransition(f"t{i}", mk_marking(ins), mk_marking(outs))
         )
     initial = mk_marking({p: rng.randrange(0, 2) for p in places})
-    target = mk_marking(
-        {rng.choice(places): rng.randrange(1, max_target_tokens + 1)}
-    )
+    target = mk_marking({rng.choice(places): rng.randrange(1, 3)})
     return CoverabilityInstance(
         places=places,
         transitions=tuple(transitions),

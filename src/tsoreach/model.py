@@ -53,13 +53,10 @@ class MemorySpec:
 
     variables: tuple[str, ...]
     d_max: int
-    d_init: int = 0
 
     def __post_init__(self) -> None:
         if len(set(self.variables)) != len(self.variables):
             raise ModelError("duplicate variable names")
-        if not 0 <= self.d_init <= self.d_max:
-            raise ModelError("initial value outside the domain")
 
     @property
     def domain(self) -> range:

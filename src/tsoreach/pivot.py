@@ -20,12 +20,14 @@ search that this engine is validated against live in the test suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .adt import AdtSpec, AdtValue, step_unchecked, value_pruner
+from .adt import AdtSpec, AdtValue, step_unchecked, trivial_spec, value_pruner
 from .model import Instruction, MemorySpec, Message, ProcessDescription
 from .verdict import (
+    CLOSED,
     DEFAULT_BUDGET,
+    PRUNED,
     REACHED,
     Stats,
     Verdict,
@@ -113,7 +115,7 @@ def _pivot_rules(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec):
                 i = var_index[instr.var]
                 if s.lw[i] == instr.val:
                     out.append((PivotLabel("read1", instr), moved))
-                if instr.val == mem.d_init and s.lw[i] is None:
+                if instr.val == 0 and s.lw[i] is None:
                     # the first message on x; one beyond the prefix also lies
                     # beyond phi_e, which never reaches the progress pointer
                     vr = min((r for mm, r in rank.items() if mm[0] == instr.var),
@@ -173,12 +175,28 @@ def pivot_reach(
     provided prefix of omega instead of a full guessed sequence; a finished
     provider extends the prefix with its pivot.  A reachable witness is
     replayed with replay_pivot before it is returned.
+
+    A search that pruned values is followed by a data-free one with the
+    budget left, every op a skip under the trivial type.  Data operations
+    only guard the provider's own steps, so dropping them only adds runs:
+    if that search closes, the target is unreachable.  Counts add up both.
     """
     t0 = time.monotonic()
     final = proc.q_final
-    r = explore(_fresh_provider(proc, mem, adt, ()), _pivot_rules(proc, mem, adt),
-                lambda s: s.state == final, budget=budget,
-                prune=value_pruner(adt, value_bound))
+
+    def search(process, spec, limit, prune=None):
+        return explore(_fresh_provider(process, mem, spec, ()), _pivot_rules(process, mem, spec),
+                       lambda s: s.state == final, budget=limit, prune=prune)
+
+    r = search(proc, adt, budget, value_pruner(adt, value_bound))
+    explored, iterations = r.explored, r.explored + 1
+    if r.outcome == PRUNED:
+        free = replace(proc, delta=tuple((q, Instruction("skip") if i.kind == "op" else i, q2)
+                                         for q, i, q2 in proc.delta))
+        free_r = search(free, trivial_spec(), budget - r.explored)
+        explored, iterations = explored + free_r.explored, iterations + free_r.explored + 1
+        if free_r.outcome == CLOSED:
+            r = free_r
     witness = None
     if r.outcome == REACHED:
         witness = (format_omega(r.final.prefix),) + tuple(str(l) for l in r.path)
@@ -186,7 +204,7 @@ def pivot_reach(
             replay_pivot(proc, mem, adt, witness, require_final=final)
         except PivotError as e:
             raise WitnessError(f"pivot witness does not replay: {e}") from e
-    return r.verdict(Stats(r.explored, r.seen, int((time.monotonic() - t0) * 1000)),
+    return r.verdict(Stats(explored, iterations, int((time.monotonic() - t0) * 1000)),
                      witness)
 
 

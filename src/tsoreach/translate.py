@@ -169,7 +169,7 @@ def build_register_machine(
             v = _path(edges, gs, src, [_act("ckge", r, 1), _act("ckl", r, php)])
             v = _max_update(edges, gs, _act, v, phe, phl[x])
             _max_update(edges, gs, _act, v, phe, r, dst)
-            if d == mem.d_init:
+            if d == 0:
                 # read the initial value: no own write, and no message on x
                 # ranked at or below the external pointer
                 checks = [(_act("cke", rk[(x, d2)], 0), _act("ckg", rk[(x, d2)], phe))

@@ -90,7 +90,7 @@ def initial_configuration(
         states=(proc.q_init,) * n,
         values=(adt.initial_value(),) * n,
         buffers=((),) * n,
-        memory=(mem.d_init,) * len(mem.variables),
+        memory=(0,) * len(mem.variables),
     )
 
 
@@ -238,7 +238,7 @@ def bounded_reach(
 
     initial_over = value_size(adt, adt.initial_value()) > size_max
     start = intern((proc.q_init, adt.initial_value(), ()))
-    memory0 = (mem.d_init,) * len(mem.variables)
+    memory0 = (0,) * len(mem.variables)
     explored = 0
     for n in range(1, bounds.n_max + 1):
         if initial_over and n > 1:

@@ -90,8 +90,8 @@ class Search:
                states were left unexpanded;
       pruned   every kept state was expanded, but prune dropped some;
       closed   every reachable state was expanded and none is a target.
-    explored counts the states recorded after the initial one, depth the
-    layers expanded, and seen every recorded state (the parents map).
+    explored counts the states recorded after the initial one, and depth
+    the layers expanded.
     """
 
     outcome: str
@@ -99,7 +99,6 @@ class Search:
     final: object
     explored: int
     depth: int
-    seen: int
 
     def verdict(self, stats: Stats, witness: tuple[str, ...] | None = None) -> Verdict:
         """reached is reachable with the witness, closed is unreachable, and a
@@ -129,7 +128,7 @@ def explore(init, successors, is_target, budget=None, prune=None, key=None,
     explored = depth = 0
     pruned = False
     if is_target(init):
-        return Search(REACHED, (), init, 0, 0, 1)
+        return Search(REACHED, (), init, 0, 0)
     frontier = [init]
     while frontier and (max_depth is None or depth < max_depth):
         depth += 1
@@ -152,14 +151,13 @@ def explore(init, successors, is_target, budget=None, prune=None, key=None,
                         labels.append(label)
                         entry = parents[parent if key is None else key(parent)]
                     labels.reverse()
-                    return Search(REACHED, tuple(labels), s2, explored, depth,
-                                  len(parents))
+                    return Search(REACHED, tuple(labels), s2, explored, depth)
                 if budget is not None and explored >= budget:
-                    return Search(BUDGET, None, None, explored, depth, len(parents))
+                    return Search(BUDGET, None, None, explored, depth)
                 next_frontier.append(s2)
         frontier = next_frontier
     outcome = BUDGET if frontier else PRUNED if pruned else CLOSED
-    return Search(outcome, None, None, explored, depth, len(parents))
+    return Search(outcome, None, None, explored, depth)
 
 
 def follow_labels(init, successors, lines, is_final):

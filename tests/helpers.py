@@ -26,8 +26,8 @@ from functools import cached_property
 
 from tsoreach.adt import (
     COUNTER_SYMBOL,
+    NESTED_KINDS,
     RESET,
-    _NESTED_OPS,
     AdtError,
     AdtOp,
     AdtSpec,
@@ -1059,7 +1059,7 @@ def pivot_step_reference(
                 out.append((PivotLabel("read1", instr),
                             View(q2, view.value, view.lw, view.omega,
                                  view.phi_e, view.phi_l, view.phi_p)))
-            if instr.val == mem.d_init and view.lw[i] is None:
+            if instr.val == 0 and view.lw[i] is None:
                 vr = _var_rank(view.omega, instr.var)
                 if vr is None or vr > view.phi_e:
                     out.append((PivotLabel("read2", instr),
@@ -1251,7 +1251,7 @@ def check_value(spec: AdtSpec, v: AdtValue) -> None:
         ok = v == ()
     elif kind in ("counter", "weak-counter"):
         ok = isinstance(v, int) and v >= 0
-    elif kind in _NESTED_OPS:
+    elif kind in NESTED_KINDS:
         ok = _check_ho(v, spec.level, effective_alphabet(spec))
     elif kind == "multi-stack":
         ok = (isinstance(v, tuple) and len(v) == spec.count

@@ -246,14 +246,23 @@ trans q1 -> qf : op iszero
 
 
 def test_counter_program_pruned_is_inconclusive():
+    # the path to the target takes the counter to 5, above the bound; without
+    # the counter the target is reachable, so pruning never yields unreachable
     text = """\
 memory vars x domain 0..1
 adt counter
 process P
 state q0 init
+state q1
+state q2
+state q3
+state q4
 state qf target
-trans q0 -> q0 : op inc
-trans q0 -> qf : rd x 1
+trans q0 -> q1 : op inc
+trans q1 -> q2 : op inc
+trans q2 -> q3 : op inc
+trans q3 -> q4 : op inc
+trans q4 -> qf : op inc
 """
     prog = parse_program(text)
     v = pivot_reach(prog.proc, prog.mem, prog.adt, value_bound=3)
