@@ -213,6 +213,11 @@ class AdtSpec:
         of a multi-stack, else one unnumbered), push and pop of every
         symbol, then the tests; then the level-k operations, the net
         transitions and reset."""
+        return self._ops
+
+    # built once per instance, on first use
+    @functools.cached_property
+    def _ops(self) -> tuple[AdtOp, ...]:
         params, names = KINDS[self.kind]
         ops: list[AdtOp] = []
         if names:
@@ -231,10 +236,9 @@ class AdtSpec:
         if op not in self._op_set:
             raise AdtError(f"operation '{op}' not valid for adt {self.kind}")
 
-    # built once per instance, on first use
     @functools.cached_property
     def _op_set(self) -> frozenset:
-        return frozenset(self.op_universe())
+        return frozenset(self._ops)
 
     @functools.cached_property
     def _transition_map(self) -> dict[str, PetriTransition]:

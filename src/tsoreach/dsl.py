@@ -29,9 +29,16 @@ state (word characters), N an integer, NAMES 'a,b,...' or '-' for none.
               | petri places NAMES [transitions T: NAMES -> NAMES ; ...]
                 [initial NAMES]
 
-A program or machine file is read in one pass; each distinct instruction
-or action text is parsed once, and equal texts share one object.  A
-second adt, memory, registers or cover line is an error.  Every error
+A program or machine file in the layout print_program and print_machine
+write is scanned: after its header lines, one pattern matches every state
+line (flags in the order init, target) and every trans line (single
+spaces, no comment), and the model's one pass over the transitions checks
+the rest.  Every other file, and every file with an error, is read by the
+line loop in one pass, and only the loop reports errors.  On both paths
+each distinct instruction or action text is parsed once, and equal texts
+share one object.
+
+A second adt, memory, registers or cover line is an error.  Every error
 names its line, if it has one; an error the data type or model finds
 names its adt, memory or registers line, or the first trans line at
 fault.  Of several errors the one reported is in the first of these
@@ -81,6 +88,16 @@ _FSA_TRANS = re.compile(r"^trans\s+(\w+)\s+(\w+)\s*->\s*(\w+)$")
 _PDA_TRANS = re.compile(r"^trans\s+(\w+)\s+(\w+)\s+\[([^/\]]+)/([^/\]]+)\]\s*->\s*(\w+)$")
 
 _SECTIONS = ("process", "machine", "fsa", "pda")
+
+# the body of a program or machine file as the printers write it: a state
+# line with its flags in this order, or a trans line whose text has no '#'
+# and no leading, trailing or doubled whitespace
+_FIRST_STATE = re.compile(r"^state ", re.M)
+_SCAN = re.compile(
+    r"^(?:state ([A-Za-z_][A-Za-z0-9_]*)( init)?( target)?"
+    r"|trans (\w+) -> (\w+) : ([^\s#]+(?: [^\s#]+)*))\n",
+    re.M,
+)
 
 # adt line keyword -> kind: the kind's name without hyphens, and weak-counter
 _ADT_KEYWORDS = {kind.replace("-", ""): kind for kind in KINDS} | {"weak-counter": "weak-counter"}
@@ -147,7 +164,8 @@ def _parse_marking_tokens(tok: str, line: int | None) -> Marking:
 
 def parse_adt_line(rest: str, line: int | None) -> AdtSpec:
     """The spec of an adt line after 'adt': the keyword, then the parameters
-    of its row in KINDS, each up to the next one's keyword or the line end."""
+    of its row in KINDS in row order, each up to the next one's keyword or
+    the line end.  A token where a parameter's keyword belongs is an error."""
     toks = rest.split()
     if not toks:
         raise DslError("adt line needs a kind", line)
@@ -159,12 +177,21 @@ def parse_adt_line(rest: str, line: int | None) -> AdtSpec:
         raise DslError(f"unknown adt kind: {word}", line)
     params = KINDS[kind][0]
     values = {}
+    i = 0  # where the next parameter's keyword belongs
     for p, upto in zip(params, params[1:] + (None,)):
         if p not in args:
             raise DslError(f"adt {word} needs '{p} ...'", line)
-        i = args.index(p) + 1
-        text = " ".join(args[i : args.index(upto, i) if upto in args[i:] else len(args)])
+        if args[i] != p:
+            break
+        end = args.index(upto, i + 1) if upto in args[i + 1 :] else len(args)
+        text = " ".join(args[i + 1 : end])
         values[p] = _split_names(text, "symbol", line) if p == "alphabet" else _int(text, p, line)
+        i = end
+    if i < len(args):  # a token where a keyword belongs
+        if args[i] in params:
+            order = " ".join(f"{p} ..." for p in params)
+            raise DslError(f"adt {word} parameters out of order: want '{order}'", line)
+        raise DslError(f"adt {word} has no parameter {args[i]!r}", line)
     return AdtSpec(kind, **values)
 
 
@@ -281,8 +308,77 @@ def print_action(act) -> str:
 
 def parse_input(text: str) -> Program | RegisterMachine:
     """Parse and fully validate a program or a machine, whichever section
-    comes first, in one pass over the file.  Errors are kept while the
-    lines are read and raised in the phase order of the module docstring."""
+    comes first: by _scan if the file is in the printers' layout, else by
+    _parse_lines, which reports every error."""
+    parsed = _scan(text)
+    return _parse_lines(text) if parsed is None else parsed
+
+
+def _scan(text: str) -> Program | RegisterMachine | None:
+    """The file's program or machine if it is well formed and in the layout
+    print_program and print_machine write, else None.
+
+    The lines before the first state line are read as _parse_lines reads
+    them, and must be the adt and memory lines, the section line and, in
+    a machine, its registers line.  Every later line must match _SCAN.
+    Each distinct instruction or action text is parsed once, and the model
+    checks the rest.  Any check that fails returns None, so no error is
+    reported from here."""
+    first = _FIRST_STATE.search(text)
+    if first is None:
+        return None
+    kind = name = mem = adt = registers = None
+    try:
+        for _, line in _lines(text[: first.start()]):
+            toks = line.split()
+            head = toks[0]
+            if kind is None and head == "adt" and adt is None:
+                adt = parse_adt_line(line[len("adt") :].strip(), None)
+            elif kind is None and head == "memory" and mem is None and (m := _MEMORY.match(line)):
+                mem = MemorySpec(_split_names(m.group(1), "variable", None), int(m.group(2)))
+            elif kind is None and head in ("process", "machine") and len(toks) == 2:
+                kind, name = head, _check_name(toks[1], head, None)
+            elif kind == "machine" and registers is None and (m := _REGISTERS.match(line)):
+                registers = _split_names(m.group(1) or "-", "register", None)
+                bound = int(m.group(2))
+            else:
+                return None
+        if (mem is None) != (kind == "machine") or (registers is None) != (kind == "process"):
+            return None
+        body = text[first.start() :].rstrip("\n") + "\n"
+        rows = _SCAN.findall(body)
+        if len(rows) != body.count("\n"):  # a line _SCAN does not match
+            return None
+        parse = parse_action if kind == "machine" else parse_instruction
+        states, inits, targets, delta = [], [], [], []
+        parsed: dict[str, object] = {}  # instruction or action text -> object
+        for q, init, target, src, dst, what in rows:
+            if q:
+                states.append(q)
+                if init:
+                    inits.append(q)
+                if target:
+                    targets.append(q)
+            else:
+                if (item := parsed.get(what)) is None:
+                    item = parsed[what] = parse(what, None)
+                delta.append((src, item, dst))
+        if len(inits) != 1 or len(targets) != 1:
+            return None
+        adt = adt or trivial_spec()
+        if kind == "machine":
+            return RegisterMachine(name, tuple(states), inits[0], targets[0],
+                                   registers, bound, adt, tuple(delta))
+        proc = ProcessDescription(name, tuple(states), inits[0], targets[0], tuple(delta))
+        return Program(mem=mem, adt=adt, proc=proc)
+    except ValueError:  # DslError, AdtError, ModelError or int()'s digit limit
+        return None
+
+
+def _parse_lines(text: str) -> Program | RegisterMachine:
+    """parse_input in one pass over the lines of the file.  Errors are kept
+    while the lines are read and raised in the phase order of the module
+    docstring."""
     kind = None
     preamble: list[tuple[int, str]] = []
     header: tuple[int, str] | None = None  # line and text of the first section

@@ -18,9 +18,12 @@ domain through ``_decode_action``: each action becomes read/write paths,
 one per assignment of the registers it reads that the action enables, so
 the register semantics is written once and lowering adds no registers.
 
-A machine decodes a state's outgoing edges when a search first asks for them
-(``RegisterMachine.edges_from``), each distinct action object once, and keeps
-them, so no step rescans the machine and unreached states are never decoded.
+A machine's constructor makes one pass over its transitions: it checks
+each edge's endpoints and each distinct action object once, and groups the
+edges by source state.  The machine decodes a state's outgoing edges when a
+search first asks for them (``RegisterMachine.edges_from``), each distinct
+action object once, and keeps them, so no step rescans the machine and
+unreached states are never decoded.
 ``_decode_action`` is the one definition of the register semantics;
 ``rm_step`` and the solvers read the decoded edges.
 """
@@ -220,31 +223,37 @@ class RegisterMachine:
     delta: tuple[RmEdge, ...]
 
     def __post_init__(self) -> None:
-        declared = set(self.states)
         regs = set(self.registers)
         if len(regs) != len(self.registers):
             raise ModelError("duplicate register names")
-        if self.q_init not in declared or self.q_target not in declared:
+        # keyed by the declared states: the endpoint check and the grouping
+        by_state: dict[str, list[RmEdge]] = {q: [] for q in self.states}
+        if self.q_init not in by_state or self.q_target not in by_state:
             raise ModelError("initial/target state undeclared")
         if self.bound < 0:
             raise ModelError("register bound must be >= 0")
-        checked_ops: set[int] = set()  # data-type operation objects, checked once each
-        good: set = {None, *regs}  # operands checked so far
-        for k, (q, act, q2) in enumerate(self.delta):
-            if q not in declared or q2 not in declared:
+        checked: set[int] = set()
+        for k, edge in enumerate(self.delta):
+            q, act, q2 = edge
+            if q not in by_state or q2 not in by_state:
                 raise ModelError(f"transition endpoint undeclared: {q} -> {q2}", k)
+            by_state[q].append(edge)
+            if id(act) in checked:
+                continue
+            checked.add(id(act))
             if isinstance(act, AdtOp):
-                if id(act) not in checked_ops:
-                    checked_ops.add(id(act))
-                    _validate_op(self.adt, act, k)
-            elif act.x not in good or act.y not in good:
-                for operand in (act.x, act.y):
-                    if isinstance(operand, str) and operand not in regs:
-                        raise ModelError(f"undeclared register {operand}", k)
-                    if isinstance(operand, int) and not 0 <= operand <= self.bound:
-                        raise ModelError(f"literal {operand} outside 0..{self.bound}", k)
-                    if isinstance(operand, (str, int)):
-                        good.add(operand)
+                _validate_op(self.adt, act, k)
+                continue
+            for operand in (act.x, act.y):
+                if isinstance(operand, str) and operand not in regs:
+                    raise ModelError(f"undeclared register {operand}", k)
+                if isinstance(operand, int) and not 0 <= operand <= self.bound:
+                    raise ModelError(f"literal {operand} outside 0..{self.bound}", k)
+        # a state's edges, as a list until edges_from decodes them, and the
+        # decoded actions by id: delta holds every action decoded there, so
+        # no other object takes the id of one while the machine lives
+        object.__setattr__(self, "_edges", by_state)
+        object.__setattr__(self, "_steps", {})
 
     def tier(self) -> int:
         """Highest instruction tier that occurs syntactically."""
@@ -263,35 +272,23 @@ class RegisterMachine:
     def register_indices(self) -> dict[str, int]:
         return {r: i for i, r in enumerate(self.registers)}
 
-    @functools.cached_property
-    def _edges(self) -> dict[str, list[RmEdge] | tuple[tuple[RmEdge, ActionStep | None], ...]]:
-        # a state's delta edges, as a list until edges_from decodes them
-        by_state: dict[str, list] = {}
-        for edge in self.delta:
-            by_state.setdefault(edge[0], []).append(edge)
-        return by_state
-
-    @functools.cached_property
-    def _steps(self) -> dict[int, ActionStep]:
-        # keyed by id: delta holds every action decoded here, so no other
-        # object takes the id of one while the machine lives
-        return {}
-
-    def _step(self, act: RegisterAction) -> ActionStep:
-        if (step := self._steps.get(id(act))) is None:
-            step = self._steps[id(act)] = _decode_action(act, self.register_indices, self.bound)
-        return step
-
     def edges_from(self, q: str) -> tuple[tuple[RmEdge, ActionStep | None], ...]:
         """q's outgoing edges in delta order, each with its decoded action
         (None for a data-type operation).  They are decoded the first time q
-        is asked for and kept on the instance."""
+        is asked for, each distinct action object once, and kept on the
+        instance."""
         edges = self._edges.get(q, ())
         if type(edges) is list:
-            edges = self._edges[q] = tuple(
-                (edge, None if isinstance(edge[1], AdtOp) else self._step(edge[1]))
-                for edge in edges
-            )
+            steps = self._steps
+            decoded = []
+            for edge in edges:
+                act = edge[1]
+                if isinstance(act, AdtOp):
+                    step = None
+                elif (step := steps.get(id(act))) is None:
+                    step = steps[id(act)] = _decode_action(act, self.register_indices, self.bound)
+                decoded.append((edge, step))
+            edges = self._edges[q] = tuple(decoded)
         return edges
 
 

@@ -90,3 +90,20 @@ def test_dsl_docstring_lists_the_table():
             for kind, (params, _) in KINDS.items()]
     assert alternatives[:-1] == want[:-1]
     assert alternatives[-1].startswith("petri places NAMES")
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "petri"])
+def test_token_that_names_no_parameter(kind):
+    word, *params = _declaration(kind)
+    assert _error(" ".join([word, "extra", *params])) == (
+        f"line 1: adt {word} has no parameter 'extra'")
+
+
+@pytest.mark.parametrize("kind", [k for k, (params, _) in KINDS.items() if len(params) == 2])
+def test_parameters_out_of_order(kind):
+    word, *toks = _declaration(kind)
+    first, second = KINDS[kind][0]
+    i = toks.index(second)
+    order = f"{first} ... {second} ..."
+    assert _error(" ".join([word, *toks[i:], *toks[:i]])) == (
+        f"line 1: adt {word} parameters out of order: want '{order}'")

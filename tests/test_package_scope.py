@@ -82,7 +82,8 @@ trans q0 -> qf : rd x 1
 trans q0 -> q0 : wr x 1
 """
 
-# every tier-III action, and a comparison of two literals
+# every tier-III action, and a comparison of two literals; the comment
+# sends this well-formed file to dsl's line loop instead of its scan
 TIER3_MACHINE = """\
 machine M
 registers r,s bound 2
@@ -93,7 +94,7 @@ trans a -> b : set r 2
 trans b -> c : cke r s
 trans b -> b : inc s
 trans b -> a : ckz r
-trans a -> c : ckl 1 2
+trans a -> c : ckl 1 2  # two literals
 """
 
 AUTOMATA = """\
