@@ -31,6 +31,7 @@ from dataclasses import replace
 
 from . import dsl, gen
 from .adt import AdtError
+from .automata import CoverabilityInstance
 from .model import ModelError, Program, lower_tier2_to_tier1, lower_tier3_to_tier2
 from .pivot import parse_omega, pivot_reach
 from .solvers import BACKENDS, format_rm_label, solve_auto
@@ -190,17 +191,11 @@ def _emit(text: str, out: str | None) -> None:
 def _load(args):
     """The input file as a Program or a RegisterMachine, under --adt when
     given; a cover file comes back as its coverability machine."""
-    text = _read(args.input)
-    kind_line = next(
-        (ln.split()[0] for _, ln in dsl._lines(text)
-         if ln.split()[0] in ("process", "machine", "cover")),
-        None,
-    )
-    if kind_line == "cover":
+    obj = dsl.parse_input(_read(args.input))
+    if isinstance(obj, CoverabilityInstance):
         if args.adt is not None:
             raise dsl.DslError("--adt does not apply to a cover file")
-        return encode_coverability_to_rm(dsl.parse_coverability(text))
-    obj = dsl.parse_input(text)
+        return encode_coverability_to_rm(obj)
     if args.adt is not None:
         obj = replace(obj, adt=dsl.parse_adt_line(args.adt, None))
     return obj

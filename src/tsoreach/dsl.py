@@ -29,14 +29,12 @@ state (word characters), N an integer, NAMES 'a,b,...' or '-' for none.
               | petri places NAMES [transitions T: NAMES -> NAMES ; ...]
                 [initial NAMES]
 
-A program or machine file in the layout print_program and print_machine
-write is scanned: after its header lines, one pattern matches every state
-line (flags in the order init, target) and every trans line (single
-spaces, no comment), and the model's one pass over the transitions checks
-the rest.  Every other file, and every file with an error, is read by the
-line loop in one pass, and only the loop reports errors.  On both paths
-each distinct instruction or action text is parsed once, and equal texts
-share one object.
+parse_input reads a program or machine file in one pass, and a file with
+a cover line before any process or machine line as a cover file.  Lines
+end where str.splitlines ends them: a file with a line end other than a
+newline (a carriage return, a form feed, U+2028 ...) is read as its lines
+joined by newlines.  Each distinct instruction or action text is parsed
+once, and equal texts share one object.
 
 A second adt, memory, registers or cover line is an error.  Every error
 names its line, if it has one; an error the data type or model finds
@@ -89,15 +87,18 @@ _PDA_TRANS = re.compile(r"^trans\s+(\w+)\s+(\w+)\s+\[([^/\]]+)/([^/\]]+)\]\s*->\
 
 _SECTIONS = ("process", "machine", "fsa", "pda")
 
-# the body of a program or machine file as the printers write it: a state
-# line with its flags in this order, or a trans line whose text has no '#'
-# and no leading, trailing or doubled whitespace
-_FIRST_STATE = re.compile(r"^state ", re.M)
-_SCAN = re.compile(
-    r"^(?:state ([A-Za-z_][A-Za-z0-9_]*)( init)?( target)?"
-    r"|trans (\w+) -> (\w+) : ([^\s#]+(?: [^\s#]+)*))\n",
+# one row per line of a program or machine file: a body line in the layout
+# the printers write comes back split, as a state line with its flags in
+# this order or a trans line whose text has no '#' and no leading, trailing
+# or doubled whitespace; any other line comes back raw
+_ROW = re.compile(
+    r"^(?:state ([A-Za-z_][A-Za-z0-9_]*)((?: init)?(?: target)?)\n"
+    r"|trans (\w+) -> (\w+) : ([^\s#]+(?: [^\s#]+)*)\n"
+    r"|(.*)\n?)",
     re.M,
 )
+# the line ends of str.splitlines other than '\n'; only a raw row holds one
+_LINE_ENDS = frozenset("\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 
 # adt line keyword -> kind: the kind's name without hyphens, and weak-counter
 _ADT_KEYWORDS = {kind.replace("-", ""): kind for kind in KINDS} | {"weak-counter": "weak-counter"}
@@ -126,6 +127,8 @@ def _int(tok: str, what: str, line: int | None) -> int:
     try:
         return int(tok)
     except ValueError:
+        if tok.isdecimal():  # int() reads any decimal string up to its digit limit
+            raise DslError(f"{what} has {len(tok)} digits, too many to read", line) from None
         raise DslError(f"expected integer for {what}, got {tok!r}", line)
 
 
@@ -306,160 +309,109 @@ def print_action(act) -> str:
 # Program and machine files
 
 
-def parse_input(text: str) -> Program | RegisterMachine:
+def parse_input(text: str) -> Program | RegisterMachine | CoverabilityInstance:
     """Parse and fully validate a program or a machine, whichever section
-    comes first: by _scan if the file is in the printers' layout, else by
-    _parse_lines, which reports every error."""
-    parsed = _scan(text)
-    return _parse_lines(text) if parsed is None else parsed
-
-
-def _scan(text: str) -> Program | RegisterMachine | None:
-    """The file's program or machine if it is well formed and in the layout
-    print_program and print_machine write, else None.
-
-    The lines before the first state line are read as _parse_lines reads
-    them, and must be the adt and memory lines, the section line and, in
-    a machine, its registers line.  Every later line must match _SCAN.
-    Each distinct instruction or action text is parsed once, and the model
-    checks the rest.  Any check that fails returns None, so no error is
-    reported from here."""
-    first = _FIRST_STATE.search(text)
-    if first is None:
-        return None
-    kind = name = mem = adt = registers = None
-    try:
-        for _, line in _lines(text[: first.start()]):
-            toks = line.split()
-            head = toks[0]
-            if kind is None and head == "adt" and adt is None:
-                adt = parse_adt_line(line[len("adt") :].strip(), None)
-            elif kind is None and head == "memory" and mem is None and (m := _MEMORY.match(line)):
-                mem = MemorySpec(_split_names(m.group(1), "variable", None), int(m.group(2)))
-            elif kind is None and head in ("process", "machine") and len(toks) == 2:
-                kind, name = head, _check_name(toks[1], head, None)
-            elif kind == "machine" and registers is None and (m := _REGISTERS.match(line)):
-                registers = _split_names(m.group(1) or "-", "register", None)
-                bound = int(m.group(2))
-            else:
-                return None
-        if (mem is None) != (kind == "machine") or (registers is None) != (kind == "process"):
-            return None
-        body = text[first.start() :].rstrip("\n") + "\n"
-        rows = _SCAN.findall(body)
-        if len(rows) != body.count("\n"):  # a line _SCAN does not match
-            return None
-        parse = parse_action if kind == "machine" else parse_instruction
-        states, inits, targets, delta = [], [], [], []
-        parsed: dict[str, object] = {}  # instruction or action text -> object
-        for q, init, target, src, dst, what in rows:
-            if q:
-                states.append(q)
-                if init:
-                    inits.append(q)
-                if target:
-                    targets.append(q)
-            else:
-                if (item := parsed.get(what)) is None:
-                    item = parsed[what] = parse(what, None)
-                delta.append((src, item, dst))
-        if len(inits) != 1 or len(targets) != 1:
-            return None
-        adt = adt or trivial_spec()
-        if kind == "machine":
-            return RegisterMachine(name, tuple(states), inits[0], targets[0],
-                                   registers, bound, adt, tuple(delta))
-        proc = ProcessDescription(name, tuple(states), inits[0], targets[0], tuple(delta))
-        return Program(mem=mem, adt=adt, proc=proc)
-    except ValueError:  # DslError, AdtError, ModelError or int()'s digit limit
-        return None
-
-
-def _parse_lines(text: str) -> Program | RegisterMachine:
-    """parse_input in one pass over the lines of the file.  Errors are kept
-    while the lines are read and raised in the phase order of the module
-    docstring."""
+    comes first, in one pass over the rows of _ROW; a file with a cover
+    line before any process or machine line is read by parse_coverability.
+    Errors are kept while the lines are read and raised in the phase order
+    of the module docstring."""
     kind = None
     preamble: list[tuple[int, str]] = []
     header: tuple[int, str] | None = None  # line and text of the first section
     n_sections = 0
     body = None  # the first section's keyword while its lines are read
+    parse = None  # the body's instruction or action reader
     registers: tuple[str, ...] | None = None
     bound = 0
     states: list[str] = []
-    declared: set[str] = set()
     marked: dict[str, str | None] = {"init": None, "target": None}
     delta: list = []
     delta_lines: list[int] = []  # each transition's line
     reg_line = None
     parsed: dict[str, object] = {}  # instruction or action text -> object or DslError
     reg_error = line_error = extra_error = None
-    suspect: list[tuple[int, int]] = []  # (edge, line): text failed, or endpoint undeclared yet
-    for i, line in _lines(text):
-        toks = line.split(None, 5)
-        head = toks[0]
-        if head in _SECTIONS:
-            n_sections += 1
-            if kind is None and head in ("process", "machine"):
-                kind = head
-            body = None
-            if n_sections == 1:  # kind is head, or None for an automaton
-                header = (i, line)
-                body = kind
-            continue
-        if n_sections == 0:
-            preamble.append((i, line))
-        elif body is None:
-            continue
-        elif head == "trans":
-            # 'trans Q -> Q : TEXT' with alphanumeric Q: the groups _TRANS gives
-            if (len(toks) == 6 and toks[2] == "->" and toks[4] == ":"
-                    and toks[1].isalnum() and toks[3].isalnum()):
-                _, q, _, q2, _, what = toks
+    bad_text = False  # some instruction or action text failed to parse
+    i = 0
+    for q, flags, src, dst, what, line in _ROW.findall(text):
+        i += 1
+        if src and body:  # a trans row _ROW split
+            pass
+        elif q and body:  # a state row _ROW split
+            flags = flags.split()
+        else:  # a raw row, or a split one outside the body
+            if q or src:
+                line = f"state {q}{flags}" if q else f"trans {src} -> {dst} : {what}"
             else:
+                if not line.isprintable() and not _LINE_ENDS.isdisjoint(line):
+                    return parse_input("\n".join(text.splitlines()))
+                line = (line.split("#", 1)[0] if "#" in line else line).strip()
+                if not line:
+                    continue
+            toks = line.split()
+            head = toks[0]
+            if head in _SECTIONS:
+                n_sections += 1
+                if kind is None and head in ("process", "machine"):
+                    kind = head
+                body = None
+                if n_sections == 1:  # kind is head, or None for an automaton
+                    header = (i, line)
+                    body = kind
+                    parse = parse_action if body == "machine" else parse_instruction
+                continue
+            if head == "cover" and kind is None:
+                return parse_coverability(text)
+            if n_sections == 0:
+                preamble.append((i, line))
+                continue
+            if body is None:
+                continue
+            if head == "trans":
                 m = _TRANS.match(line)
                 if m is None:
                     line_error = line_error or DslError(f"bad trans line: {line!r}", i)
                     continue
-                q, q2, what = m.groups()
+                src, dst, what = m.groups()
+            elif head == "state":
+                try:
+                    q = _state_name(toks, i)
+                except DslError as e:
+                    line_error = line_error or e
+                    continue
+                flags = toks[2:]
+            elif body == "machine" and head == "registers" and (m := _REGISTERS.match(line)):
+                try:
+                    if registers is not None:
+                        raise DslError("duplicate registers line", i)
+                    registers = _split_names(m.group(1) or "-", "register", i)
+                    bound = _int(m.group(2), "registers bound", i)
+                    reg_line = i
+                except DslError as e:
+                    reg_error = reg_error or e
+                continue
+            else:
+                extra_error = extra_error or DslError(f"unexpected line: {line!r}", i)
+                continue
+        if src:
             item = parsed.get(what)
             if item is None:
                 try:
-                    item = (parse_action if body == "machine" else parse_instruction)(what, i)
+                    item = parse(what, i)
                 except DslError as e:
                     item = e
-                    suspect.append((len(delta), i))
+                    bad_text = True
                 parsed[what] = item
-            if q not in declared or q2 not in declared:
-                suspect.append((len(delta), i))
-            delta.append((q, item, q2))
+            delta.append((src, item, dst))
             delta_lines.append(i)
-        elif head == "state":
-            if len(toks) == 6:  # the sixth is the rest of the line
-                toks = line.split()
-            try:
-                name = _state_name(toks, i)
-                states.append(name)
-                declared.add(name)
-                for flag in toks[2:]:
-                    if flag not in marked:
-                        raise DslError(f"unknown state flag {flag!r}", i)
-                    if marked[flag] is not None:
-                        raise DslError(f"duplicate {flag} state", i)
-                    marked[flag] = name
-            except DslError as e:
-                line_error = line_error or e
-        elif body == "machine" and head == "registers" and (m := _REGISTERS.match(line)):
-            try:
-                if registers is not None:
-                    raise DslError("duplicate registers line", i)
-                registers = _split_names(m.group(1) or "-", "register", i)
-                bound = int(m.group(2))
-                reg_line = i
-            except DslError as e:
-                reg_error = reg_error or e
-        else:
-            extra_error = extra_error or DslError(f"unexpected line: {line!r}", i)
+            continue
+        states.append(q)
+        for flag in flags:
+            if flag not in marked:
+                line_error = line_error or DslError(f"unknown state flag {flag!r}", i)
+            elif marked[flag] is not None:
+                line_error = line_error or DslError(f"duplicate {flag} state", i)
+            else:
+                marked[flag] = q
 
     if kind is None:
         raise DslError("no process or machine section found")
@@ -472,7 +424,8 @@ def _parse_lines(text: str) -> Program | RegisterMachine:
             m = _MEMORY.match(line)
             if not m:
                 raise DslError("expected: memory vars x,y domain 0..k", i)
-            mem = _at_line(i, MemorySpec, _split_names(m.group(1), "variable", i), int(m.group(2)))
+            names = _split_names(m.group(1), "variable", i)
+            mem = _at_line(i, MemorySpec, names, _int(m.group(2), "memory domain", i))
         elif head == "adt":
             if adt is not None:
                 raise DslError("duplicate adt line", i)
@@ -500,23 +453,27 @@ def _parse_lines(text: str) -> Program | RegisterMachine:
             raise DslError(f"{kind} needs a state marked {flag}", i0)
     if extra_error:
         raise extra_error
-    for k, i in suspect:
-        q, item, q2 = delta[k]
+    error = None
+    if not bad_text:
+        try:
+            if kind == "machine":
+                return RegisterMachine(name, tuple(states), marked["init"], marked["target"],
+                                       registers, bound, adt, tuple(delta))
+            proc = ProcessDescription(name, tuple(states), marked["init"], marked["target"],
+                                      tuple(delta))
+            return Program(mem=mem, adt=adt, proc=proc)
+        except ModelError as e:
+            error = e
+    # a bad text or an undeclared endpoint comes before the model's errors
+    declared = set(states)
+    for (q, item, q2), i in zip(delta, delta_lines):
         if isinstance(item, DslError):
             raise item
         if q not in declared or q2 not in declared:
             raise DslError(f"transition uses undeclared state: {q} -> {q2}", i)
-    try:
-        if kind == "machine":
-            return RegisterMachine(name, tuple(states), marked["init"], marked["target"],
-                                   registers, bound, adt, tuple(delta))
-        proc = ProcessDescription(name, tuple(states), marked["init"], marked["target"],
-                                  tuple(delta))
-        return Program(mem=mem, adt=adt, proc=proc)
-    except ModelError as e:
-        # an error of one transition names its line; the one other error a
-        # parsed file can raise here is duplicate register names
-        raise DslError(str(e), reg_line if e.edge is None else delta_lines[e.edge]) from e
+    # an error of one transition names its line; the one other error a
+    # parsed file can raise here is duplicate register names
+    raise DslError(str(error), reg_line if error.edge is None else delta_lines[error.edge]) from error
 
 
 def _state_lines(states, q_init: str, q_target: str) -> list[str]:

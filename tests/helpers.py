@@ -10,8 +10,9 @@ systems given by explicit rules and that of a stack machine with every
 rule built up front, the full-omega pivot views, single steps of the TSO
 rules and of a register action, and the oracle search without its
 symmetry reduction, the checked data-type step, parsers that accept one
-kind of file, the automata printer and the net encoding without its
-labels) exist only for tests and so live here rather than in the package.
+kind of file, the line loop the program and machine reader is checked
+against, the automata printer and the net encoding without its labels)
+exist only for tests and so live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -46,7 +47,23 @@ from tsoreach.adt import (
 )
 from tsoreach.automata import CoverabilityInstance
 from tsoreach.coverability import BackwardResult, backward_reach
-from tsoreach.dsl import DslError, parse_input
+from tsoreach.dsl import (
+    _MEMORY,
+    _REGISTERS,
+    _SECTIONS,
+    _TRANS,
+    DslError,
+    _at_line,
+    _check_name,
+    _lines,
+    _split_names,
+    _state_name,
+    parse_action,
+    parse_adt_line,
+    parse_coverability,
+    parse_input,
+    parse_instruction,
+)
 from tsoreach.model import (
     Instruction,
     MemorySpec,
@@ -1300,6 +1317,166 @@ def parse_machine(text: str) -> RegisterMachine:
     if not isinstance(rm, RegisterMachine):
         raise DslError("expected exactly one machine section")
     return rm
+
+
+def _parse_lines(text: str) -> Program | RegisterMachine:
+    """The reference reader of program and machine files that
+    dsl.parse_input is checked against: one loop over the file's lines,
+    with no row pattern.
+    Errors are kept while the lines are read and raised in the phase order
+    of the dsl module docstring."""
+    kind = None
+    preamble: list[tuple[int, str]] = []
+    header: tuple[int, str] | None = None  # line and text of the first section
+    n_sections = 0
+    body = None  # the first section's keyword while its lines are read
+    registers: tuple[str, ...] | None = None
+    bound = 0
+    states: list[str] = []
+    declared: set[str] = set()
+    marked: dict[str, str | None] = {"init": None, "target": None}
+    delta: list = []
+    delta_lines: list[int] = []  # each transition's line
+    reg_line = None
+    parsed: dict[str, object] = {}  # instruction or action text -> object or DslError
+    reg_error = line_error = extra_error = None
+    suspect: list[tuple[int, int]] = []  # (edge, line): text failed, or endpoint undeclared yet
+    for i, line in _lines(text):
+        toks = line.split(None, 5)
+        head = toks[0]
+        if head in _SECTIONS:
+            n_sections += 1
+            if kind is None and head in ("process", "machine"):
+                kind = head
+            body = None
+            if n_sections == 1:  # kind is head, or None for an automaton
+                header = (i, line)
+                body = kind
+            continue
+        if n_sections == 0:
+            preamble.append((i, line))
+        elif body is None:
+            continue
+        elif head == "trans":
+            # 'trans Q -> Q : TEXT' with alphanumeric Q: the groups _TRANS gives
+            if (len(toks) == 6 and toks[2] == "->" and toks[4] == ":"
+                    and toks[1].isalnum() and toks[3].isalnum()):
+                _, q, _, q2, _, what = toks
+            else:
+                m = _TRANS.match(line)
+                if m is None:
+                    line_error = line_error or DslError(f"bad trans line: {line!r}", i)
+                    continue
+                q, q2, what = m.groups()
+            item = parsed.get(what)
+            if item is None:
+                try:
+                    item = (parse_action if body == "machine" else parse_instruction)(what, i)
+                except DslError as e:
+                    item = e
+                    suspect.append((len(delta), i))
+                parsed[what] = item
+            if q not in declared or q2 not in declared:
+                suspect.append((len(delta), i))
+            delta.append((q, item, q2))
+            delta_lines.append(i)
+        elif head == "state":
+            if len(toks) == 6:  # the sixth is the rest of the line
+                toks = line.split()
+            try:
+                name = _state_name(toks, i)
+                states.append(name)
+                declared.add(name)
+                for flag in toks[2:]:
+                    if flag not in marked:
+                        raise DslError(f"unknown state flag {flag!r}", i)
+                    if marked[flag] is not None:
+                        raise DslError(f"duplicate {flag} state", i)
+                    marked[flag] = name
+            except DslError as e:
+                line_error = line_error or e
+        elif body == "machine" and head == "registers" and (m := _REGISTERS.match(line)):
+            try:
+                if registers is not None:
+                    raise DslError("duplicate registers line", i)
+                registers = _split_names(m.group(1) or "-", "register", i)
+                bound = int(m.group(2))
+                reg_line = i
+            except DslError as e:
+                reg_error = reg_error or e
+        else:
+            extra_error = extra_error or DslError(f"unexpected line: {line!r}", i)
+
+    if kind is None:
+        raise DslError("no process or machine section found")
+    mem = adt = None
+    for i, line in preamble:
+        head = line.split(None, 1)[0]
+        if head == "memory" and kind == "process":
+            if mem is not None:
+                raise DslError("duplicate memory line", i)
+            m = _MEMORY.match(line)
+            if not m:
+                raise DslError("expected: memory vars x,y domain 0..k", i)
+            mem = _at_line(i, MemorySpec, _split_names(m.group(1), "variable", i), int(m.group(2)))
+        elif head == "adt":
+            if adt is not None:
+                raise DslError("duplicate adt line", i)
+            adt = _at_line(i, parse_adt_line, line[len("adt") :].strip(), i)
+        else:
+            raise DslError(f"unexpected line before section: {line!r}", i)
+    adt = adt or trivial_spec()
+    if n_sections != 1:
+        raise DslError(f"expected exactly one {kind} section")
+    if kind == "process" and mem is None:
+        raise DslError("program needs a memory line")
+    i0, header_line = header
+    toks = header_line.split()
+    if len(toks) != 2:
+        raise DslError(f"expected: {kind} NAME", i0)
+    name = _check_name(toks[1], kind, i0)
+    if reg_error:
+        raise reg_error
+    if kind == "machine" and registers is None:
+        raise DslError("machine needs a 'registers [names] bound N' line", i0)
+    if line_error:
+        raise line_error
+    for flag in marked:
+        if marked[flag] is None:
+            raise DslError(f"{kind} needs a state marked {flag}", i0)
+    if extra_error:
+        raise extra_error
+    for k, i in suspect:
+        q, item, q2 = delta[k]
+        if isinstance(item, DslError):
+            raise item
+        if q not in declared or q2 not in declared:
+            raise DslError(f"transition uses undeclared state: {q} -> {q2}", i)
+    try:
+        if kind == "machine":
+            return RegisterMachine(name, tuple(states), marked["init"], marked["target"],
+                                   registers, bound, adt, tuple(delta))
+        proc = ProcessDescription(name, tuple(states), marked["init"], marked["target"],
+                                  tuple(delta))
+        return Program(mem=mem, adt=adt, proc=proc)
+    except ModelError as e:
+        # an error of one transition names its line; the one other error a
+        # parsed file can raise here is duplicate register names
+        raise DslError(str(e), reg_line if e.edge is None else delta_lines[e.edge]) from e
+
+
+def parse_input_reference(text: str):
+    """What dsl.parse_input gives, by the reference readers: a file whose
+    first process, machine or cover line is a cover line is a coverability
+    file, any other a program or machine file."""
+    kind_line = next(
+        (ln.split()[0] for _, ln in _lines(text)
+         if ln.split()[0] in ("process", "machine", "cover")),
+        None,
+    )
+    if kind_line == "cover":
+        return parse_coverability(text)
+    return _parse_lines(text)
 
 
 def print_automata(pdas, fsas) -> str:

@@ -338,6 +338,13 @@ def test_adt_on_a_cover_file_is_an_input_error(tmp_path, capsys):
     assert err == "error: --adt does not apply to a cover file\n"
 
 
+def test_a_malformed_cover_file_reports_its_own_error_first(tmp_path, capsys):
+    # the file is read before --adt is looked at
+    path = _write(tmp_path, "bad.tso", "cover p\ncover q\n")
+    code, body, err = _run(capsys, "check", path, "--adt", "counter")
+    assert (code, body, err) == (3, "", "error: line 2: duplicate cover line\n")
+
+
 # (kind, flags after it, the error)
 GEN_STRAY = [
     (kind, _with_defaults([flag]), f"error: {flag} does not apply to --kind {kind}")

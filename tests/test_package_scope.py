@@ -83,7 +83,7 @@ trans q0 -> q0 : wr x 1
 """
 
 # every tier-III action, and a comparison of two literals; the comment
-# sends this well-formed file to dsl's line loop instead of its scan
+# makes the last line a raw row of dsl's reader, not a split one
 TIER3_MACHINE = """\
 machine M
 registers r,s bound 2
