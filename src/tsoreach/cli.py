@@ -232,16 +232,15 @@ def _check_program(prog, args) -> Verdict:
 
     The verdict keeps the pivot search's stats; a reachable one carries the
     pivot run lifted to the translated machine, in the machine route's
-    witness form.
+    witness form, built without translating the whole program.
     """
     v = _pivot(prog, args)
     if v.outcome == UNREACHABLE:
         return v
-    rm = build_register_machine(prog.proc, prog.mem, prog.adt)
     if v.outcome == REACHABLE:
-        run = lift_pivot_witness(rm, parse_omega(v.witness[0]), value_bound=args.value_bound)
+        run = lift_pivot_witness(prog.proc, prog.mem, prog.adt, parse_omega(v.witness[0]), v.run)
         return replace(v, witness=tuple(format_rm_label(e) for e in run))
-    return _solve_rm(rm, args)
+    return _rm_route(prog, args)
 
 
 def _need_program(obj, what: str) -> Program:

@@ -13,14 +13,17 @@ and extends it when a provider finishes (``PivotState``).  The rules are
 written once, over that prefix (``_pivot_rules``), and the search kernel
 ``verdict.explore`` runs them both for the search (``pivot_reach``) and,
 through ``verdict.follow_labels``, for the replay of a witness by its
-printed labels (``replay_pivot``).  The literal all-omega rules and
-search that this engine is validated against live in the test suite.
+printed labels (``pivot_run``).  A label carries the index of the process
+transition it takes, which the lift to the translated machine reads; the
+reachable verdict keeps the labels of its witness's replay.  The literal
+all-omega rules and search that this engine is validated against live in
+the test suite.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .adt import AdtSpec, AdtValue, step_unchecked, trivial_spec, value_pruner
 from .model import Instruction, MemorySpec, Message, ProcessDescription
@@ -43,8 +46,12 @@ class PivotError(ValueError):
 
 @dataclass(frozen=True)
 class PivotLabel:
+    """A pivot step: its rule, its instruction, and the index in the
+    process's delta of the transition it takes (not printed)."""
+
     rule: str  # skip | write1 | write2 | read1 | read2 | read3 | fence | op
     instr: Instruction
+    k: int | None = field(default=None, compare=False)
 
     def __str__(self) -> str:
         return f"{self.rule}: {self.instr}"
@@ -87,52 +94,52 @@ def _pivot_rules(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec):
     """
     var_index = {x: i for i, x in enumerate(mem.variables)}
     by_state: dict[str, list] = {q: [] for q in proc.states}
-    for q, instr, q2 in proc.delta:
-        by_state[q].append((instr, q2))
+    for k, (q, instr, q2) in enumerate(proc.delta):
+        by_state[q].append((k, instr, q2))
 
     def successors(s: PivotState) -> list[tuple[PivotLabel, PivotState]]:
         phi_l_max = max(s.phi_l, default=0)
         rank = {m: i + 1 for i, m in enumerate(s.prefix)}
         out: list[tuple[PivotLabel, PivotState]] = []
-        for instr, q2 in by_state[s.state]:
+        for k, instr, q2 in by_state[s.state]:
             # skip, read1 and read2 only move the provider to q2
             moved = PivotState(q2, s.value, s.lw, s.phi_e, s.phi_l, s.prefix)
             if instr.kind == "skip":
-                out.append((PivotLabel("skip", instr), moved))
+                out.append((PivotLabel("skip", instr, k), moved))
             elif instr.kind == "wr":
                 m = (instr.var, instr.val)
                 i = var_index[instr.var]
                 if m in rank:
                     phl = max(phi_l_max, rank[m])
-                    out.append((PivotLabel("write1", instr),
+                    out.append((PivotLabel("write1", instr, k),
                                 PivotState(q2, s.value, _replace(s.lw, i, instr.val),
                                            s.phi_e, _replace(s.phi_l, i, phl), s.prefix)))
                 else:
-                    out.append((PivotLabel("write2", instr),
+                    out.append((PivotLabel("write2", instr, k),
                                 _fresh_provider(proc, mem, adt, s.prefix + (m,))))
             elif instr.kind == "rd":
                 m = (instr.var, instr.val)
                 i = var_index[instr.var]
                 if s.lw[i] == instr.val:
-                    out.append((PivotLabel("read1", instr), moved))
+                    out.append((PivotLabel("read1", instr, k), moved))
                 if instr.val == 0 and s.lw[i] is None:
                     # the first message on x; one beyond the prefix also lies
                     # beyond phi_e, which never reaches the progress pointer
                     vr = min((r for mm, r in rank.items() if mm[0] == instr.var),
                              default=None)
                     if vr is None or vr > s.phi_e:
-                        out.append((PivotLabel("read2", instr), moved))
+                        out.append((PivotLabel("read2", instr, k), moved))
                 if m in rank:
                     phe = max(s.phi_e, s.phi_l[i], rank[m])
-                    out.append((PivotLabel("read3", instr),
+                    out.append((PivotLabel("read3", instr, k),
                                 PivotState(q2, s.value, s.lw, phe, s.phi_l, s.prefix)))
             elif instr.kind == "mf":
-                out.append((PivotLabel("fence", instr),
+                out.append((PivotLabel("fence", instr, k),
                             PivotState(q2, s.value, s.lw,
                                        max(s.phi_e, phi_l_max), s.phi_l, s.prefix)))
             elif instr.kind == "op":
                 if (v2 := step_unchecked(adt, s.value, instr.op)) is not None:
-                    out.append((PivotLabel("op", instr),
+                    out.append((PivotLabel("op", instr, k),
                                 PivotState(q2, v2, s.lw, s.phi_e, s.phi_l, s.prefix)))
         return out
 
@@ -174,7 +181,8 @@ def pivot_reach(
     only consults ranks below the progress pointer, so a branch carries the
     provided prefix of omega instead of a full guessed sequence; a finished
     provider extends the prefix with its pivot.  A reachable witness is
-    replayed with replay_pivot before it is returned.
+    replayed with pivot_run before it is returned, and the verdict keeps
+    the labels of that replay as its run.
 
     A search that pruned values is followed by a data-free one with the
     budget left, every op a skip under the trivial type.  Data operations
@@ -197,26 +205,27 @@ def pivot_reach(
         explored, iterations = explored + free_r.explored, iterations + free_r.explored + 1
         if free_r.outcome == CLOSED:
             r = free_r
-    witness = None
+    witness = run = None
     if r.outcome == REACHED:
         witness = (format_omega(r.final.prefix),) + tuple(str(l) for l in r.path)
         try:
-            replay_pivot(proc, mem, adt, witness, require_final=final)
+            run, _ = pivot_run(proc, mem, adt, witness, require_final=final)
         except PivotError as e:
             raise WitnessError(f"pivot witness does not replay: {e}") from e
     return r.verdict(Stats(explored, iterations, int((time.monotonic() - t0) * 1000)),
-                     witness)
+                     witness, run)
 
 
-def replay_pivot(
+def pivot_run(
     proc: ProcessDescription,
     mem: MemorySpec,
     adt: AdtSpec,
     witness: tuple[str, ...],
     require_final: str | None = None,
-) -> PivotState:
-    """Replay a pivot witness, its omega line and then one printed label per
-    step, under the pivot rules; returns the final state.
+) -> tuple[tuple[PivotLabel, ...], PivotState]:
+    """A run of the pivot rules that a pivot witness, its omega line and
+    then one printed label per step, describes: its labels, each with its
+    transition index, and its final state.
 
     The run is found with follow_labels, and a handover counts only when
     the provided prefix stays a prefix of the witness's omega.  With
@@ -231,8 +240,21 @@ def replay_pivot(
         return [(label, s2) for label, s2 in rules(s)
                 if s2.prefix == omega[:len(s2.prefix)]]
 
-    final = follow_labels(_fresh_provider(proc, mem, adt, ()), successors, witness[1:],
-                          lambda s: require_final is None or s.state == require_final)
-    if final is None:
+    run = follow_labels(_fresh_provider(proc, mem, adt, ()), successors, witness[1:],
+                        lambda s: require_final is None or s.state == require_final)
+    if run is None:
         raise PivotError("witness does not replay under the pivot rules")
-    return final
+    return run
+
+
+def replay_pivot(
+    proc: ProcessDescription,
+    mem: MemorySpec,
+    adt: AdtSpec,
+    witness: tuple[str, ...],
+    require_final: str | None = None,
+) -> PivotState:
+    """Replay a pivot witness under the pivot rules (see pivot_run); returns
+    the final state.  The benchmark's correctness check and the tests call
+    it; pivot_reach calls pivot_run, which also returns the labels."""
+    return pivot_run(proc, mem, adt, witness, require_final)[1]

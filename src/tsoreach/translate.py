@@ -3,7 +3,7 @@
 build_register_machine   pivot semantics of a TSO program, as one register
                          machine over the same data type
 lift_pivot_witness       a pivot run to the process target, as a run of that
-                         machine to its target
+                         machine to its target, built gadget by gadget
 build_tso_from_rm        a register machine, as a parameterized TSO program
                          (simulator / scheduler / verifier roles)
 encode_intersection      PDA-and-FSAs language intersection emptiness, as a
@@ -17,12 +17,20 @@ encode_coverability_to_rm
 
 The translated machines are built from two gadget shapes: _path, a chain
 of steps through fresh states, and _max_update, the diamond a := max(a, b)
-that every pointer update of the pivot rules is.
+that every pointer update of the pivot rules is.  The pivot machine is
+the rank guess (one chain per message, _guess_chain), the pointer
+initializer (_ptrinit_chain) and one gadget per process transition
+(_gadget), which holds one branch of edges per pivot rule that can take
+the transition.  Interior states are named by their chain or transition
+and their step, so a piece comes out the same whether it is built alone
+or within the whole machine: the lift builds only the pieces a pivot run
+uses and follows them, with no search over the machine.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .adt import (
     RESET,
@@ -32,12 +40,12 @@ from .adt import (
     PetriTransition,
     marking_add,
     mk_marking,
-    value_pruner,
 )
 from .automata import CoverabilityInstance, FiniteAutomaton, PushdownAutomaton
 from .model import (
     MemorySpec,
     ModelError,
+    ProcEdge,
     ProcessDescription,
     Program,
     RegisterMachine,
@@ -45,27 +53,26 @@ from .model import (
     _Gensym,
     rd,
     read,
-    replay_rm,
     rm_step,
     skip,
     wr,
     write,
 )
 from .model import Instruction, Message, RegisterAction
-from .verdict import REACHED, WitnessError, explore
+from .verdict import WitnessError
 
 
 def _rank_register(m: Message) -> str:
     return f"rk_{m[0]}_{m[1]}"
 
 
-def _path(edges: list[RmEdge], gs: _Gensym, src: str, steps, dst: str | None = None) -> str:
-    """Append steps in a row from src through fresh states, the last one
+def _path(edges: list[RmEdge], fresh, src: str, steps, dst: str | None = None) -> str:
+    """Append steps in a row from src through fresh() states, the last one
     into dst (a fresh state when None), and return that last state.  A step
     is one action, or a tuple of actions that become parallel edges."""
     last = len(steps) - 1
     for i, step in enumerate(steps):
-        nxt = dst if dst and i == last else gs.fresh()
+        nxt = dst if dst and i == last else fresh()
         if isinstance(step, tuple):
             for act in step:
                 edges.append((src, act, nxt))
@@ -75,12 +82,12 @@ def _path(edges: list[RmEdge], gs: _Gensym, src: str, steps, dst: str | None = N
     return src
 
 
-def _max_update(edges: list[RmEdge], gs: _Gensym, act, src: str, a: str, b: str,
+def _max_update(edges: list[RmEdge], fresh, act, src: str, a: str, b: str,
                 dst: str | None = None) -> str:
-    """Append a := max(a, b) from src to dst (a fresh state when None) and
+    """Append a := max(a, b) from src to dst (a fresh() state when None) and
     return dst: ckge a b straight there, or ckl a b and then set a b through
     a fresh branch state, allocated first.  act builds the actions."""
-    branch, join = gs.fresh(), dst or gs.fresh()
+    branch, join = fresh(), dst or fresh()
     edges += [(src, act("ckge", a, b), join), (src, act("ckl", a, b), branch),
               (branch, act("set", a, b), join)]
     return join
@@ -88,6 +95,103 @@ def _max_update(edges: list[RmEdge], gs: _Gensym, act, src: str, a: str, b: str,
 
 # ---------------------------------------------------------------------------
 # TSO program -> register machine (the pivot simulation)
+
+
+def _names(tag: str):
+    """The interior state names of one piece: tag_1, tag_2, ... in the
+    order they are allocated."""
+    return map(f"{tag}_{{}}".format, itertools.count(1)).__next__
+
+
+def _guess_chain(j: int, m: Message, act) -> list[RmEdge]:
+    """Rank m, the j-th message of the memory, next: guess -> guessj_1 ->
+    guessj_2 -> guess."""
+    edges: list[RmEdge] = []
+    r = _rank_register(m)
+    _path(edges, _names(f"guess{j}"), "guess",
+          [act("cke", r, 0), act("set", r, "rknxt"), act("inc", "rknxt")], "guess")
+    return edges
+
+
+def _ptrinit_chain(variables: tuple[str, ...], act, dst: str) -> list[RmEdge]:
+    """The pointer initializer, from ptrinit to dst: reset every pointer
+    except the progress pointer, advance the progress pointer, and hand a
+    fresh data value to the next provider."""
+    edges: list[RmEdge] = []
+    resets = [act("set", reg, 0) for reg in
+              ("phe", *(f"phl_{x}" for x in variables), "phlmax",
+               *(f"lw_{x}" for x in variables))]
+    _path(edges, _names("ptrinit"), "ptrinit", [*resets, act("inc", "php"), AdtOp(RESET)], dst)
+    return edges
+
+
+def _gadget(k: int, transition: ProcEdge, domain: range, act) -> dict[str, list[RmEdge]]:
+    """The edges that simulate process transition k, one branch per pivot
+    rule that can take it, in build order; interior states are tk_1, tk_2,
+    ...  act builds the actions."""
+    q, instr, q2 = transition
+    src, dst = f"s_{q}", f"s_{q2}"
+    fresh = _names(f"t{k}")
+    if instr.kind == "skip":
+        return {"skip": [(src, act("skp"), dst)]}
+    if instr.kind == "op":
+        return {"op": [(src, instr.op, dst)]}
+    if instr.kind == "mf":
+        fence: list[RmEdge] = []
+        _max_update(fence, fresh, act, src, "phe", "phlmax", dst)
+        return {"fence": fence}
+    x, d = instr.var, instr.val
+    r, lw, phl = _rank_register((x, d)), f"lw_{x}", f"phl_{x}"
+    if instr.kind == "wr":
+        # write2, the provider's own pivot: hand over to the next provider;
+        # write1, an already provided message: record the own write
+        write1: list[RmEdge] = []
+        u = _path(write1, fresh, src,
+                  [act("ckge", r, 1), act("ckl", r, "php"), act("set", lw, d + 1)])
+        u = _max_update(write1, fresh, act, u, "phlmax", r)
+        write1.append((u, act("set", phl, "phlmax"), dst))
+        return {"write2": [(src, act("cke", r, "php"), "ptrinit")], "write1": write1}
+    # read1, the own last write; read3, a message some earlier provider
+    # propagated
+    read3: list[RmEdge] = []
+    v = _path(read3, fresh, src, [act("ckge", r, 1), act("ckl", r, "php")])
+    v = _max_update(read3, fresh, act, v, "phe", phl)
+    _max_update(read3, fresh, act, v, "phe", r, dst)
+    branches = {"read1": [(src, act("cke", lw, d + 1), dst)], "read3": read3}
+    if d == 0:
+        # read2, the initial value: no own write, and no message on x
+        # ranked at or below the external pointer
+        checks = [(act("cke", rk, 0), act("ckg", rk, "phe"))
+                  for rk in (_rank_register((x, d2)) for d2 in domain)]
+        branches["read2"] = []
+        _path(branches["read2"], fresh, src, [act("cke", lw, 0), *checks], dst)
+    return branches
+
+
+def _pivot_machine(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec,
+                   edges: list[RmEdge]) -> RegisterMachine:
+    """The machine of the given pivot-simulation edges: every register,
+    the fixed states, the process states, and the interior states in the
+    order they first occur."""
+    registers = (
+        tuple(f"lw_{x}" for x in mem.variables)
+        + tuple(f"phl_{x}" for x in mem.variables)
+        + tuple(_rank_register(m) for m in mem.messages())
+        + ("phe", "phlmax", "php", "rknxt")
+    )
+    states = dict.fromkeys(["boot", "guess", "ptrinit", *(f"s_{q}" for q in proc.states)])
+    for q, _, q2 in edges:
+        states[q] = states[q2] = None
+    return RegisterMachine(
+        name=f"{proc.name}_pivot",
+        states=tuple(states),
+        q_init="boot",
+        q_target=f"s_{proc.q_final}",
+        registers=registers,
+        bound=len(mem.messages()) + 1,
+        adt=adt,
+        delta=tuple(edges),
+    )
 
 
 def build_register_machine(
@@ -102,144 +206,89 @@ def build_register_machine(
     Conventions: rank 0 means "not in the update sequence" (such messages
     can be neither written nor read from memory); last-write registers store
     memory value d as d+1 so 0 means "no own write yet".  The rank
-    initializer guesses the update sequence, the pointer initializer starts
-    each new provider (including a data-type reset, since a provider is a
-    fresh process).  Equal actions are one object within one build, and only
-    within it, so the machine decodes each of them once.
+    initializer guesses the update sequence: it repeatedly picks an unranked
+    message, gives it the next rank, and nondeterministically stops into
+    the first provider.  The pointer initializer starts each new provider
+    (including a data-type reset, since a provider is a fresh process).
+    Then comes one gadget per process transition.  Equal actions are one
+    object within one build, and only within it, so the machine decodes
+    each of them once.
     """
-    messages = mem.messages()
-    n_msgs = len(messages)
-    bound = n_msgs + 1
-
-    lw = {x: f"lw_{x}" for x in mem.variables}
-    phl = {x: f"phl_{x}" for x in mem.variables}
-    rk = {m: _rank_register(m) for m in messages}
-    phe, phlmax, php, rknxt = "phe", "phlmax", "php", "rknxt"
-    registers = (
-        tuple(lw[x] for x in mem.variables)
-        + tuple(phl[x] for x in mem.variables)
-        + tuple(rk[m] for m in messages)
-        + (phe, phlmax, php, rknxt)
-    )
-
-    s = {q: f"s_{q}" for q in proc.states}
-    gs = _Gensym(list(s.values()) + ["boot", "guess", "ptrinit"])
-    edges: list[RmEdge] = []
-    _act = functools.cache(RegisterAction)  # one object per distinct action
-
-    # rank initializer: repeatedly pick an unranked message, give it the
-    # next rank, and nondeterministically stop into the first provider
-    edges.append(("boot", _act("set", rknxt, 1), "guess"))
-    for m in messages:
-        _path(edges, gs, "guess",
-              [_act("cke", rk[m], 0), _act("set", rk[m], rknxt), _act("inc", rknxt)], "guess")
-    edges.append(("guess", _act("set", php, 1), s[proc.q_init]))
-
-    # pointer initializer: reset every pointer except the progress pointer,
-    # advance the progress pointer, and hand a fresh data value to the
-    # next provider
-    resets = [_act("set", reg, 0) for reg in (phe, *phl.values(), phlmax, *lw.values())]
-    _path(edges, gs, "ptrinit", [*resets, _act("inc", php), AdtOp(RESET)], s[proc.q_init])
-
-    # the simulator: one gadget per process transition
-    for q, instr, q2 in proc.delta:
-        src, dst = s[q], s[q2]
-        if instr.kind == "skip":
-            edges.append((src, _act("skp"), dst))
-        elif instr.kind == "op":
-            edges.append((src, instr.op, dst))
-        elif instr.kind == "mf":
-            _max_update(edges, gs, _act, src, phe, phlmax, dst)
-        elif instr.kind == "wr":
-            x, d = instr.var, instr.val
-            r = rk[(x, d)]
-            # the provider's own pivot: hand over to the next provider
-            edges.append((src, _act("cke", r, php), "ptrinit"))
-            # an already provided message: record the own write
-            u = _path(edges, gs, src,
-                      [_act("ckge", r, 1), _act("ckl", r, php), _act("set", lw[x], d + 1)])
-            u = _max_update(edges, gs, _act, u, phlmax, r)
-            edges.append((u, _act("set", phl[x], phlmax), dst))
-        elif instr.kind == "rd":
-            x, d = instr.var, instr.val
-            r = rk[(x, d)]
-            # read own last write
-            edges.append((src, _act("cke", lw[x], d + 1), dst))
-            # read a message some earlier provider propagated
-            v = _path(edges, gs, src, [_act("ckge", r, 1), _act("ckl", r, php)])
-            v = _max_update(edges, gs, _act, v, phe, phl[x])
-            _max_update(edges, gs, _act, v, phe, r, dst)
-            if d == 0:
-                # read the initial value: no own write, and no message on x
-                # ranked at or below the external pointer
-                checks = [(_act("cke", rk[(x, d2)], 0), _act("ckg", rk[(x, d2)], phe))
-                          for d2 in mem.domain]
-                _path(edges, gs, src, [_act("cke", lw[x], 0), *checks], dst)
-
-    states = ["boot", "guess", "ptrinit"] + [s[q] for q in proc.states]
-    states += sorted({q for e in edges for q in (e[0], e[2])} - set(states))
-    return RegisterMachine(
-        name=f"{proc.name}_pivot",
-        states=tuple(states),
-        q_init="boot",
-        q_target=s[proc.q_final],
-        registers=registers,
-        bound=bound,
-        adt=adt,
-        delta=tuple(edges),
-    )
+    act = functools.cache(RegisterAction)  # one object per distinct action
+    s_init = f"s_{proc.q_init}"
+    edges: list[RmEdge] = [("boot", act("set", "rknxt", 1), "guess")]
+    for j, m in enumerate(mem.messages()):
+        edges += _guess_chain(j, m, act)
+    edges.append(("guess", act("set", "php", 1), s_init))
+    edges += _ptrinit_chain(mem.variables, act, s_init)
+    for k, transition in enumerate(proc.delta):
+        for branch in _gadget(k, transition, mem.domain, act).values():
+            edges += branch
+    return _pivot_machine(proc, mem, adt, edges)
 
 
 def lift_pivot_witness(
-    rm: RegisterMachine,
+    proc: ProcessDescription,
+    mem: MemorySpec,
+    adt: AdtSpec,
     omega: tuple[Message, ...],
-    value_bound: int | None = None,
+    labels,
 ) -> tuple[RmEdge, ...]:
-    """A run of rm = build_register_machine(proc, mem, adt) to its target,
-    given that the pivot search reaches the process target providing the
-    messages of omega in that order.
+    """A run of build_register_machine(proc, mem, adt) to its target that
+    simulates a pivot run to the process target, given its update sequence
+    omega and its labels, each with its transition index (the run of a
+    reachable pivot_reach verdict), built without the whole machine.
 
-    The run's guess phase ranks the messages of omega in order, then sets
-    the progress pointer to 1.  The rank registers never change after
-    that, so a breadth-first search over rm_step from there, with values
-    above value_bound pruned as in the pivot search, only has to find a
-    pivot run for this one update sequence.  With the ranks fixed and the
-    values bounded that space is finite and holds the run that simulates
-    the pivot run, so the search needs no budget.  The whole run is
-    replayed with replay_rm before it is returned; a search that ends
-    without the target, or a run that does not replay to it, raises
-    WitnessError.
+    The run ranks the messages of omega in order, sets the progress
+    pointer to 1, and then takes, for each pivot step, the branch of its
+    transition's gadget that simulates its rule; a write2 step goes on
+    through the pointer initializer to the next provider.  Inside a branch
+    the registers pick each side of a max-update diamond, and they mirror
+    the pivot state's pointers (lw_x = d + 1, phl_x, phe, phlmax = max
+    phl, php = |prefix| + 1).
+
+    Only the guess chains of omega, the pointer initializer and the
+    gadgets of the transitions the run takes are built, and the run is
+    walked once under rm_step on the machine of the branches it may take,
+    each step restricted to its own.  A step with no enabled edge, or a
+    run that ends away from the target, raises WitnessError.  Every edge
+    is an edge of the whole machine, named as there.
     """
-    def edge_from(q: str, act=None) -> RmEdge:
-        # the guess-phase edges from q, or the one among them carrying act
-        for edge, _ in rm.edges_from(q):
-            if act is None or edge[1] == act:
-                return edge
-        raise WitnessError(f"no guess-phase edge from {q}")
-
-    run = [edge_from(rm.q_init)]  # set rknxt 1
-    for m in omega:
-        check = edge_from("guess", RegisterAction("cke", _rank_register(m), 0))
-        give = edge_from(check[2])
-        run += [check, give, edge_from(give[2])]
-    run.append(edge_from("guess", RegisterAction("set", "php", 1)))
-    try:
-        start = replay_rm(rm, run)
-    except ModelError as e:
-        raise WitnessError(f"guess phase does not replay: {e}") from e
-    target = rm.q_target
-    r = explore(start, functools.partial(rm_step, rm), lambda c: c.state == target,
-                prune=value_pruner(rm.adt, value_bound))
-    if r.outcome != REACHED:
-        raise WitnessError("the machine does not reach its target under the ranks "
-                           "of the pivot witness")
-    run += r.path
-    try:
-        final = replay_rm(rm, run).state
-    except ModelError as e:
-        raise WitnessError(f"lifted witness does not replay: {e}") from e
-    if final != target:
-        raise WitnessError(f"lifted witness ends in {final}, not the target")
+    act = functools.cache(RegisterAction)
+    s_init = f"s_{proc.q_init}"
+    messages = mem.messages()
+    # the run in segments: the edges a segment may take, and its last state
+    segments = [([("boot", act("set", "rknxt", 1), "guess")], "guess")]
+    segments += [(_guess_chain(messages.index(m), m, act), "guess") for m in omega]
+    segments.append(([("guess", act("set", "php", 1), s_init)], s_init))
+    ptrinit = _ptrinit_chain(mem.variables, act, s_init)
+    gadgets: dict[int, dict[str, list[RmEdge]]] = {}
+    for label in labels:
+        k = label.k
+        if k not in gadgets:
+            gadgets[k] = _gadget(k, proc.delta[k], mem.domain, act)
+        branch = gadgets[k][label.rule]
+        if label.rule == "write2":
+            segments.append((branch + ptrinit, s_init))
+        else:
+            segments.append((branch, f"s_{proc.delta[k][2]}"))
+    rm = _pivot_machine(proc, mem, adt,
+                        list({id(e): e for seg, _ in segments for e in seg}.values()))
+    c = rm.initial_configuration()
+    run = []
+    for allowed, last in segments:
+        ids = {id(e) for e in allowed}
+        while True:
+            step = next(((e, c2) for e, c2 in rm_step(rm, c) if id(e) in ids), None)
+            if step is None:
+                raise WitnessError(f"lifted witness: no edge of the pivot step enabled "
+                                   f"at {c.state}")
+            run.append(step[0])
+            c = step[1]
+            if c.state == last:
+                break
+    if c.state != rm.q_target:
+        raise WitnessError(f"lifted witness ends in {c.state}, not the target")
     return tuple(run)
 
 
@@ -346,7 +395,7 @@ def encode_intersection(
     # initialize the state registers with the numbered initial states
     inits = [write(r_k, pda_num[pda.initial])]
     inits += [write(r_f[i], fsa_nums[i][f.initial]) for i, f in enumerate(fsas)]
-    _path(edges, gs, "boot", inits, "loop")
+    _path(edges, gs.fresh, "boot", inits, "loop")
 
     # guess the next input letter
     for a in pda.alphabet:
@@ -362,12 +411,12 @@ def encode_intersection(
             chain.append(AdtOp("pop", gamma))
         chain += [AdtOp("push", g) for g in w]
         chain.append(write(r_k, pda_num[q2]))
-        _path(edges, gs, "stage0", chain, stage_target(0))
+        _path(edges, gs.fresh, "stage0", chain, stage_target(0))
 
     # one move of each FSA on the same letter
     for i, fsa in enumerate(fsas):
         for p, a, p2 in fsa.transitions:
-            _path(edges, gs, stages[i + 1],
+            _path(edges, gs.fresh, stages[i + 1],
                   [read(r_f[i], fsa_nums[i][p]), read(r_s, sigma[a]),
                    write(r_f[i], fsa_nums[i][p2])],
                   stage_target(i + 1))

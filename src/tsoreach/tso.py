@@ -20,12 +20,14 @@ It keeps the local moves of each (id, memory) the first time it asks for
 them, with only the moves whose new buffer and value are within the
 bounds; the numbering and this memo serve every n of the call and nothing
 outlives it.  The processes are identical, so the search keys a
-configuration by its multiset of ids and the memory (the symmetry
-reduction of Emerson and Sistla, "Symmetry and model checking", FMSD
-1996).  It expands one process per group of equal ids: the steps of a
-later copy are index permutations of the first copy's, which come earlier
-in the successor list and have the same key, so the kernel would skip them
-as already seen.  Since no step it would have recorded is lost,
+configuration by its multiset of ids, the ids sorted, and the memory (the
+symmetry reduction of Emerson and Sistla, "Symmetry and model checking",
+FMSD 1996).  A configuration carries its key, and a step, which replaces
+one id, derives its key from its parent's without sorting.  The search
+expands one process per group of equal ids: the steps of a later copy are
+index permutations of the first copy's, which come earlier in the
+successor list and have the same key, so the kernel would skip them as
+already seen.  Since no step it would have recorded is lost,
 ``explored``, the witness and the report are those of expanding every
 process.  Configurations are not sorted, so successors come in process
 order and the witness names the indices of the run that replay follows.
@@ -35,7 +37,9 @@ Replay expands every process, because a valid witness may step any copy.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .adt import AdtOp, AdtSpec, AdtValue, step_unchecked, value_size
@@ -230,11 +234,21 @@ def bounded_reach(
     def successors(cfg):
         # one representative per group of identical processes: the steps of
         # a later copy are index permutations of the first copy's steps,
-        # which come earlier in the list and share their key
-        pids, memory = cfg
-        return [((i, label), (pids[:i] + (pid2,) + pids[i + 1:], memory2))
-                for i, pid in enumerate(pids) if pids.index(pid) == i
-                for label, pid2, memory2 in moves(pid, memory)]
+        # which come earlier in the list and share their key.  A step
+        # replaces one id, so the successor's sorted ids are the parent's
+        # without one copy of it, with the new id inserted by bisection
+        pids, (ranked, memory) = cfg
+        out = []
+        for i, pid in enumerate(pids):
+            if pids.index(pid) != i:
+                continue
+            j = ranked.index(pid)
+            rest = ranked[:j] + ranked[j + 1:]
+            for label, pid2, memory2 in moves(pid, memory):
+                j = bisect_right(rest, pid2)
+                out.append(((i, label), (pids[:i] + (pid2,) + pids[i + 1:],
+                                         (rest[:j] + (pid2,) + rest[j:], memory2))))
+        return out
 
     initial_over = value_size(adt, adt.initial_value()) > size_max
     start = intern((proc.q_init, adt.initial_value(), ()))
@@ -243,10 +257,9 @@ def bounded_reach(
     for n in range(1, bounds.n_max + 1):
         if initial_over and n > 1:
             continue
-        r = explore(((start,) * n, memory0), successors,
+        r = explore(((start,) * n, ((start,) * n, memory0)), successors,
                     lambda cfg: not final_ids.isdisjoint(cfg[0]),
-                    key=lambda cfg: (tuple(sorted(cfg[0])), cfg[1]),
-                    max_depth=bounds.step_max)
+                    key=itemgetter(1), max_depth=bounds.step_max)
         explored += r.explored
         if r.outcome == REACHED:
             witness = tuple(str(TsoLabel(i, *label)) for i, label in r.path)
@@ -280,10 +293,10 @@ def replay_tso(
     require_final set, only completions where some process sits in that
     state count.
     """
-    final = follow_labels(
+    run = follow_labels(
         initial_configuration(proc, mem, adt, n), _tso_rules(proc, mem, adt),
         tuple(map(str, labels)),
         lambda cfg: require_final is None or require_final in cfg.states)
-    if final is None:
+    if run is None:
         raise ValueError("witness does not replay under the TSO rules")
-    return final
+    return run[1]

@@ -36,13 +36,17 @@ class Verdict:
 
     witness holds printable labels and is present exactly when reachable;
     closed records whether the exploration provably covered the whole
-    space (always true for the exact backends).
+    space (always true for the exact backends).  run, which is never
+    printed, holds the witness's steps as the labels of the rules that
+    replayed it, when the search keeps them (pivot_reach does, for check's
+    lift).
     """
 
     outcome: str
     witness: tuple[str, ...] | None = None
     stats: Stats = field(default_factory=Stats)
     closed: bool = True
+    run: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         assert (self.outcome == REACHABLE) == (self.witness is not None)
@@ -100,11 +104,13 @@ class Search:
     explored: int
     depth: int
 
-    def verdict(self, stats: Stats, witness: tuple[str, ...] | None = None) -> Verdict:
-        """reached is reachable with the witness, closed is unreachable, and a
-        search stopped by a limit or by pruning is inconclusive."""
+    def verdict(self, stats: Stats, witness: tuple[str, ...] | None = None,
+                run: tuple | None = None) -> Verdict:
+        """reached is reachable with the witness and its run, closed is
+        unreachable, and a search stopped by a limit or by pruning is
+        inconclusive."""
         if self.outcome == REACHED:
-            return Verdict(REACHABLE, witness=witness, stats=stats)
+            return Verdict(REACHABLE, witness=witness, stats=stats, run=run)
         if self.outcome == CLOSED:
             return Verdict(UNREACHABLE, stats=stats)
         return Verdict(INCONCLUSIVE, stats=stats, closed=False)
@@ -161,8 +167,9 @@ def explore(init, successors, is_target, budget=None, prune=None, key=None,
 
 
 def follow_labels(init, successors, lines, is_final):
-    """The last state of a run from init whose labels print as lines, one
-    per step, and that ends where is_final holds; None when there is none.
+    """A run from init whose labels print as lines, one per step, and that
+    ends where is_final holds, as the pair (its labels, its last state);
+    None when there is none.
 
     explore searches over (state, steps done) and keeps a successor only
     when its label prints as the next line.  More than one successor can
@@ -173,8 +180,8 @@ def follow_labels(init, successors, lines, is_final):
         s, i = node
         if i == len(lines):
             return []
-        return [(None, (s2, i + 1)) for label, s2 in successors(s)
+        return [(label, (s2, i + 1)) for label, s2 in successors(s)
                 if str(label) == lines[i]]
 
     r = explore((init, 0), step, lambda node: node[1] == len(lines) and is_final(node[0]))
-    return r.final[0] if r.outcome == REACHED else None
+    return (r.path, r.final[0]) if r.outcome == REACHED else None

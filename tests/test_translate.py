@@ -25,6 +25,7 @@ from tsoreach.model import (
     skp,
     write,
 )
+from tsoreach import translate
 from tsoreach.pivot import parse_omega, pivot_reach
 from tsoreach.solvers import solve_counter, solve_finite, solve_stack
 from tsoreach.translate import (
@@ -287,7 +288,12 @@ def test_translated_edges_from_equals_the_eager_reference(seed):
     assert_edges_match_reference(rm, assignments)
 
 
-def test_lift_decodes_only_the_states_it_reaches():
+def test_lift_decodes_only_the_states_it_reaches(monkeypatch):
+    # the lift walks the machine of the pieces it builds; keep that machine
+    machines = []
+    pivot_machine = translate._pivot_machine
+    monkeypatch.setattr(translate, "_pivot_machine",
+                        lambda *args: machines.append(pivot_machine(*args)) or machines[-1])
     lifted = 0
     for seed in range(30):
         mem, adt, proc = _gen_program(seed)
@@ -295,10 +301,12 @@ def test_lift_decodes_only_the_states_it_reaches():
         if v.outcome != REACHABLE:
             continue
         rm = build_register_machine(proc, mem, adt)
-        assert lift_pivot_witness(rm, parse_omega(v.witness[0])) is not None
+        run = lift_pivot_witness(proc, mem, adt, parse_omega(v.witness[0]), v.run)
+        assert run is not None
         # a state's edges are kept as a tuple once decoded
-        decoded = [q for q, edges in rm._edges.items() if isinstance(edges, tuple)]
+        decoded = [q for q, edges in machines[-1]._edges.items() if isinstance(edges, tuple)]
         assert 0 < len(decoded) < len(rm.states)
+        assert set(decoded) == {q for q, _, _ in run}
         lifted += 1
     assert lifted >= 5
 
