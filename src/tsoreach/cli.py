@@ -9,10 +9,11 @@ each gen --kind, takes only the flags it reads; any other flag is a usage
 error.
 
 check decides a program with the lazy pivot search first: a closed search
-is an exact unreachable, and a reached target is lifted to a run of the
-translated register machine, replayed before it is printed.  When the
-pivot search is inconclusive, under an explicit --backend, and on machine
-inputs, check translates the program and solves the machine.
+is an exact unreachable, and the search path to a reached target is lifted
+to a run of the translated register machine, whose walk replays it before
+it is printed.  When the pivot search is inconclusive, under an explicit
+--backend, and on machine inputs, check translates the program and solves
+the machine.
 
 Exit codes: 0 reachable, 1 unreachable, 2 inconclusive, 3 input error,
 4 usage error, 5 crosscheck disagreement, 6 internal error (a fault of the
@@ -33,7 +34,7 @@ from . import dsl, gen
 from .adt import AdtError
 from .automata import CoverabilityInstance
 from .model import ModelError, Program, lower_tier2_to_tier1, lower_tier3_to_tier2
-from .pivot import parse_omega, pivot_reach
+from .pivot import parse_omega, pivot_reach, pivot_search
 from .solvers import BACKENDS, format_rm_label, solve_auto
 from .translate import (
     build_register_machine,
@@ -231,10 +232,12 @@ def _check_program(prog, args) -> Verdict:
     """The pivot search, with the machine route when it is inconclusive.
 
     The verdict keeps the pivot search's stats; a reachable one carries the
-    pivot run lifted to the translated machine, in the machine route's
-    witness form, built without translating the whole program.
+    search path lifted to the translated machine, in the machine route's
+    witness form, built without translating the whole program.  The lift's
+    walk replays that witness, so the pivot witness is not replayed too.
     """
-    v = _pivot(prog, args)
+    v = pivot_search(prog.proc, prog.mem, prog.adt,
+                     value_bound=args.value_bound, budget=args.budget)
     if v.outcome == UNREACHABLE:
         return v
     if v.outcome == REACHABLE:

@@ -24,8 +24,9 @@ edges by source state.  The machine decodes a state's outgoing edges when a
 search first asks for them (``RegisterMachine.edges_from``), each distinct
 action object once, and keeps them, so no step rescans the machine and
 unreached states are never decoded.
-``_decode_action`` is the one definition of the register semantics;
-``rm_step`` and the solvers read the decoded edges.
+``_decode_action`` is the one definition of the register semantics, and
+``fire`` the one step over decoded edges: ``rm_step`` applies it to a
+machine's, and check's lift to the gadget branches it decodes itself.
 """
 
 from __future__ import annotations
@@ -279,16 +280,8 @@ class RegisterMachine:
         instance."""
         edges = self._edges.get(q, ())
         if type(edges) is list:
-            steps = self._steps
-            decoded = []
-            for edge in edges:
-                act = edge[1]
-                if isinstance(act, AdtOp):
-                    step = None
-                elif (step := steps.get(id(act))) is None:
-                    step = steps[id(act)] = _decode_action(act, self.register_indices, self.bound)
-                decoded.append((edge, step))
-            edges = self._edges[q] = tuple(decoded)
+            edges = self._edges[q] = decode_edges(edges, self._steps,
+                                                  self.register_indices, self.bound)
         return edges
 
 
@@ -351,13 +344,37 @@ def _decode_action(act: RegisterAction, idx: dict[str, int], bound: int) -> Acti
     return lambda regs: regs[:i] + (regs[i] - 1,) + regs[i + 1 :] if regs[i] > 0 else None
 
 
+def decode_edges(edges, steps: dict, idx: dict[str, int],
+                 bound: int) -> tuple[tuple[RmEdge, ActionStep | None], ...]:
+    """edges, each with its decoded action (None for a data-type
+    operation).  steps holds the actions decoded so far by id, so each
+    distinct action object is decoded once; the caller keeps every such
+    action alive while steps lives."""
+    decoded = []
+    for edge in edges:
+        act = edge[1]
+        if isinstance(act, AdtOp):
+            step = None
+        elif (step := steps.get(id(act))) is None:
+            step = steps[id(act)] = _decode_action(act, idx, bound)
+        decoded.append((edge, step))
+    return tuple(decoded)
+
+
 def rm_step(rm: RegisterMachine, c: RmConfiguration) -> list[tuple[RmEdge, RmConfiguration]]:
     """All enabled transitions from c; disabled ones are simply absent."""
+    return fire(rm.edges_from(c.state), rm.adt, c)
+
+
+def fire(edges, adt: AdtSpec, c: RmConfiguration) -> list[tuple[RmEdge, RmConfiguration]]:
+    """The enabled ones of c's outgoing edges, given in edges_from's form
+    (each with its decoded action, None for a data-type operation), with
+    their successors under the data type adt."""
     out: list[tuple[RmEdge, RmConfiguration]] = []
     regs, value = c.regs, c.value
-    for edge, step in rm.edges_from(c.state):
+    for edge, step in edges:
         if step is None:
-            if (v2 := step_unchecked(rm.adt, value, edge[1])) is not None:
+            if (v2 := step_unchecked(adt, value, edge[1])) is not None:
                 out.append((edge, RmConfiguration(edge[2], regs, v2)))
             continue
         regs2 = step(regs)

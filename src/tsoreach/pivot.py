@@ -11,13 +11,18 @@ Only the already-provided prefix of omega (ranks below the progress
 pointer) is ever consulted by a rule, so a state carries just that prefix
 and extends it when a provider finishes (``PivotState``).  The rules are
 written once, over that prefix (``_pivot_rules``), and the search kernel
-``verdict.explore`` runs them both for the search (``pivot_reach``) and,
+``verdict.explore`` runs them both for the search (``pivot_search``) and,
 through ``verdict.follow_labels``, for the replay of a witness by its
-printed labels (``pivot_run``).  A label carries the index of the process
-transition it takes, which the lift to the translated machine reads; the
-reachable verdict keeps the labels of its witness's replay.  The literal
-all-omega rules and search that this engine is validated against live in
-the test suite.
+printed labels (``replay_pivot``).  A label carries the index of the
+process transition it takes, which the lift to the translated machine
+reads; the reachable verdict keeps the search path as its run.
+
+``pivot_reach``, which the ``pivot`` and ``crosscheck`` commands call, is
+the search followed by the replay of its witness.  ``check`` calls
+``pivot_search`` alone and lifts the search path; the lift's walk of the
+translated machine's gadgets is the replay of the witness ``check``
+prints.  The literal all-omega rules and search that this engine is
+validated against live in the test suite.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .model import Instruction, MemorySpec, Message, ProcessDescription
 from .verdict import (
     CLOSED,
     DEFAULT_BUDGET,
+    DEFAULT_VALUE_BOUND,
     PRUNED,
     REACHED,
     Stats,
@@ -167,22 +173,23 @@ def parse_omega(line: str) -> tuple[Message, ...]:
         raise PivotError(f"malformed omega line: {line!r}") from e
 
 
-def pivot_reach(
+def pivot_search(
     proc: ProcessDescription,
     mem: MemorySpec,
     adt: AdtSpec,
-    value_bound: int | None = None,
+    value_bound: int | None = DEFAULT_VALUE_BOUND,
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
-    """Decide pivot reachability of the process target state.
+    """Decide pivot reachability of the process target state, without
+    replaying the witness; a reachable verdict's run is the search path,
+    whose labels carry their transition indices.
 
-    Exact unless data values were pruned (value_bound) or the budget ran
-    out, in which case the verdict degrades to inconclusive.  Every rule
-    only consults ranks below the progress pointer, so a branch carries the
-    provided prefix of omega instead of a full guessed sequence; a finished
-    provider extends the prefix with its pivot.  A reachable witness is
-    replayed with pivot_run before it is returned, and the verdict keeps
-    the labels of that replay as its run.
+    Exact unless data values were pruned (value_bound; None prunes none)
+    or the budget ran out, in which case the verdict degrades to
+    inconclusive.  Every rule only consults ranks below the progress
+    pointer, so a branch carries the provided prefix of omega instead of a
+    full guessed sequence; a finished provider extends the prefix with its
+    pivot.
 
     A search that pruned values is followed by a data-free one with the
     budget left, every op a skip under the trivial type.  Data operations
@@ -205,27 +212,40 @@ def pivot_reach(
         explored, iterations = explored + free_r.explored, iterations + free_r.explored + 1
         if free_r.outcome == CLOSED:
             r = free_r
-    witness = run = None
+    witness = None
     if r.outcome == REACHED:
         witness = (format_omega(r.final.prefix),) + tuple(str(l) for l in r.path)
+    return r.verdict(Stats(explored, iterations, int((time.monotonic() - t0) * 1000)),
+                     witness, r.path)
+
+
+def pivot_reach(
+    proc: ProcessDescription,
+    mem: MemorySpec,
+    adt: AdtSpec,
+    value_bound: int | None = DEFAULT_VALUE_BOUND,
+    budget: int = DEFAULT_BUDGET,
+) -> Verdict:
+    """pivot_search, with a reachable witness replayed by replay_pivot
+    before it is returned."""
+    v = pivot_search(proc, mem, adt, value_bound, budget)
+    if v.witness is not None:
         try:
-            run, _ = pivot_run(proc, mem, adt, witness, require_final=final)
+            replay_pivot(proc, mem, adt, v.witness, require_final=proc.q_final)
         except PivotError as e:
             raise WitnessError(f"pivot witness does not replay: {e}") from e
-    return r.verdict(Stats(explored, iterations, int((time.monotonic() - t0) * 1000)),
-                     witness, run)
+    return v
 
 
-def pivot_run(
+def replay_pivot(
     proc: ProcessDescription,
     mem: MemorySpec,
     adt: AdtSpec,
     witness: tuple[str, ...],
     require_final: str | None = None,
-) -> tuple[tuple[PivotLabel, ...], PivotState]:
-    """A run of the pivot rules that a pivot witness, its omega line and
-    then one printed label per step, describes: its labels, each with its
-    transition index, and its final state.
+) -> PivotState:
+    """Replay a pivot witness, its omega line and then one printed label per
+    step, under the pivot rules; returns the final state.
 
     The run is found with follow_labels, and a handover counts only when
     the provided prefix stays a prefix of the witness's omega.  With
@@ -240,21 +260,10 @@ def pivot_run(
         return [(label, s2) for label, s2 in rules(s)
                 if s2.prefix == omega[:len(s2.prefix)]]
 
-    run = follow_labels(_fresh_provider(proc, mem, adt, ()), successors, witness[1:],
-                        lambda s: require_final is None or s.state == require_final)
-    if run is None:
+    final = follow_labels(_fresh_provider(proc, mem, adt, ()), successors, witness[1:],
+                          lambda s: require_final is None or s.state == require_final)
+    if final is None:
         raise PivotError("witness does not replay under the pivot rules")
-    return run
+    return final
 
 
-def replay_pivot(
-    proc: ProcessDescription,
-    mem: MemorySpec,
-    adt: AdtSpec,
-    witness: tuple[str, ...],
-    require_final: str | None = None,
-) -> PivotState:
-    """Replay a pivot witness under the pivot rules (see pivot_run); returns
-    the final state.  The benchmark's correctness check and the tests call
-    it; pivot_reach calls pivot_run, which also returns the labels."""
-    return pivot_run(proc, mem, adt, witness, require_final)[1]

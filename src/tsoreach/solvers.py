@@ -36,6 +36,7 @@ from .adt import (
     wqo_leq,
 )
 from .coverability import BackwardResult, backward_reach
+from .dsl import print_action
 from .model import (
     ModelError,
     RegisterMachine,
@@ -64,8 +65,6 @@ pre_star = post_star
 
 
 def format_rm_label(edge: RmEdge) -> str:
-    from .dsl import print_action
-
     q, act, q2 = edge
     return f"{q} -> {q2} : {print_action(act)}"
 

@@ -49,11 +49,13 @@ from .model import (
     ProcessDescription,
     Program,
     RegisterMachine,
+    RmConfiguration,
     RmEdge,
     _Gensym,
+    decode_edges,
+    fire,
     rd,
     read,
-    rm_step,
     skip,
     wr,
     write,
@@ -168,29 +170,13 @@ def _gadget(k: int, transition: ProcEdge, domain: range, act) -> dict[str, list[
     return branches
 
 
-def _pivot_machine(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec,
-                   edges: list[RmEdge]) -> RegisterMachine:
-    """The machine of the given pivot-simulation edges: every register,
-    the fixed states, the process states, and the interior states in the
-    order they first occur."""
-    registers = (
+def _pivot_registers(mem: MemorySpec) -> tuple[str, ...]:
+    """The registers of the pivot machine, in order."""
+    return (
         tuple(f"lw_{x}" for x in mem.variables)
         + tuple(f"phl_{x}" for x in mem.variables)
         + tuple(_rank_register(m) for m in mem.messages())
         + ("phe", "phlmax", "php", "rknxt")
-    )
-    states = dict.fromkeys(["boot", "guess", "ptrinit", *(f"s_{q}" for q in proc.states)])
-    for q, _, q2 in edges:
-        states[q] = states[q2] = None
-    return RegisterMachine(
-        name=f"{proc.name}_pivot",
-        states=tuple(states),
-        q_init="boot",
-        q_target=f"s_{proc.q_final}",
-        registers=registers,
-        bound=len(mem.messages()) + 1,
-        adt=adt,
-        delta=tuple(edges),
     )
 
 
@@ -224,7 +210,21 @@ def build_register_machine(
     for k, transition in enumerate(proc.delta):
         for branch in _gadget(k, transition, mem.domain, act).values():
             edges += branch
-    return _pivot_machine(proc, mem, adt, edges)
+    # the fixed states, the process states, then the interior states in the
+    # order they first occur
+    states = dict.fromkeys(["boot", "guess", "ptrinit", *(f"s_{q}" for q in proc.states)])
+    for q, _, q2 in edges:
+        states[q] = states[q2] = None
+    return RegisterMachine(
+        name=f"{proc.name}_pivot",
+        states=tuple(states),
+        q_init="boot",
+        q_target=f"s_{proc.q_final}",
+        registers=_pivot_registers(mem),
+        bound=len(mem.messages()) + 1,
+        adt=adt,
+        delta=tuple(edges),
+    )
 
 
 def lift_pivot_witness(
@@ -237,7 +237,7 @@ def lift_pivot_witness(
     """A run of build_register_machine(proc, mem, adt) to its target that
     simulates a pivot run to the process target, given its update sequence
     omega and its labels, each with its transition index (the run of a
-    reachable pivot_reach verdict), built without the whole machine.
+    reachable pivot_search verdict), built without the whole machine.
 
     The run ranks the messages of omega in order, sets the progress
     pointer to 1, and then takes, for each pivot step, the branch of its
@@ -248,46 +248,66 @@ def lift_pivot_witness(
     phl, php = |prefix| + 1).
 
     Only the guess chains of omega, the pointer initializer and the
-    gadgets of the transitions the run takes are built, and the run is
-    walked once under rm_step on the machine of the branches it may take,
-    each step restricted to its own.  A step with no enabled edge, or a
-    run that ends away from the target, raises WitnessError.  Every edge
-    is an edge of the whole machine, named as there.
+    branches of the transitions the run takes are built, each once, and
+    the run is walked once under model.fire, each step restricted to its
+    own piece.  A piece's edges from a state are decoded, with the
+    machine's registers and bound, when the walk first leaves that state
+    in it, each distinct action once.  This walk is the replay of the
+    lifted run: a step with no enabled edge, or a run that ends away from
+    the target, raises WitnessError.  Every edge is an edge of the whole
+    machine, named as there.
     """
     act = functools.cache(RegisterAction)
-    s_init = f"s_{proc.q_init}"
     messages = mem.messages()
-    # the run in segments: the edges a segment may take, and its last state
-    segments = [([("boot", act("set", "rknxt", 1), "guess")], "guess")]
-    segments += [(_guess_chain(messages.index(m), m, act), "guess") for m in omega]
-    segments.append(([("guess", act("set", "php", 1), s_init)], s_init))
-    ptrinit = _ptrinit_chain(mem.variables, act, s_init)
+    idx = {r: i for i, r in enumerate(_pivot_registers(mem))}
+    bound = len(messages) + 1
+    steps: dict = {}  # decoded actions by id; act's cache keeps them alive
+
+    def piece(edges: list[RmEdge]) -> dict[str, list[RmEdge]]:
+        """edges by source state; the walk decodes a state's on its first
+        visit, as edges_from does"""
+        by_state: dict[str, list[RmEdge]] = {}
+        for e in edges:
+            by_state.setdefault(e[0], []).append(e)
+        return by_state
+
+    s_init = f"s_{proc.q_init}"
+    # the run in segments: the piece a segment walks, and its last state
+    segments = [(piece([("boot", act("set", "rknxt", 1), "guess")]), "guess")]
+    segments += [(piece(_guess_chain(messages.index(m), m, act)), "guess") for m in omega]
+    segments.append((piece([("guess", act("set", "php", 1), s_init)]), s_init))
+    ptrinit = None  # built at the first write2 step
     gadgets: dict[int, dict[str, list[RmEdge]]] = {}
+    branches: dict[tuple[int, str], dict[str, list[RmEdge]]] = {}
     for label in labels:
-        k = label.k
-        if k not in gadgets:
-            gadgets[k] = _gadget(k, proc.delta[k], mem.domain, act)
-        branch = gadgets[k][label.rule]
-        if label.rule == "write2":
-            segments.append((branch + ptrinit, s_init))
+        k, rule = label.k, label.rule
+        if (k, rule) not in branches:
+            if k not in gadgets:
+                gadgets[k] = _gadget(k, proc.delta[k], mem.domain, act)
+            if rule not in gadgets[k]:
+                raise WitnessError(f"lifted witness: transition {k} has no {rule} branch")
+            branches[k, rule] = piece(gadgets[k][rule])
+        if rule == "write2":
+            ptrinit = ptrinit or (piece(_ptrinit_chain(mem.variables, act, s_init)), s_init)
+            segments += [(branches[k, rule], "ptrinit"), ptrinit]
         else:
-            segments.append((branch, f"s_{proc.delta[k][2]}"))
-    rm = _pivot_machine(proc, mem, adt,
-                        list({id(e): e for seg, _ in segments for e in seg}.values()))
-    c = rm.initial_configuration()
+            segments.append((branches[k, rule], f"s_{proc.delta[k][2]}"))
+    c = RmConfiguration("boot", (0,) * len(idx), adt.initial_value())
     run = []
-    for allowed, last in segments:
-        ids = {id(e) for e in allowed}
+    for edges, last in segments:
         while True:
-            step = next(((e, c2) for e, c2 in rm_step(rm, c) if id(e) in ids), None)
-            if step is None:
+            es = edges.get(c.state, ())
+            if type(es) is list:
+                es = edges[c.state] = decode_edges(es, steps, idx, bound)
+            step = fire(es, adt, c)
+            if not step:
                 raise WitnessError(f"lifted witness: no edge of the pivot step enabled "
                                    f"at {c.state}")
-            run.append(step[0])
-            c = step[1]
+            edge, c = step[0]
+            run.append(edge)
             if c.state == last:
                 break
-    if c.state != rm.q_target:
+    if c.state != f"s_{proc.q_final}":
         raise WitnessError(f"lifted witness ends in {c.state}, not the target")
     return tuple(run)
 

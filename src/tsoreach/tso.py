@@ -293,10 +293,10 @@ def replay_tso(
     require_final set, only completions where some process sits in that
     state count.
     """
-    run = follow_labels(
+    final = follow_labels(
         initial_configuration(proc, mem, adt, n), _tso_rules(proc, mem, adt),
         tuple(map(str, labels)),
         lambda cfg: require_final is None or require_final in cfg.states)
-    if run is None:
+    if final is None:
         raise ValueError("witness does not replay under the TSO rules")
-    return run[1]
+    return final

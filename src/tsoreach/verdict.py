@@ -37,9 +37,9 @@ class Verdict:
     witness holds printable labels and is present exactly when reachable;
     closed records whether the exploration provably covered the whole
     space (always true for the exact backends).  run, which is never
-    printed, holds the witness's steps as the labels of the rules that
-    replayed it, when the search keeps them (pivot_reach does, for check's
-    lift).
+    printed, holds the witness's steps as the labels of the rules the
+    search took, when the search keeps them (the pivot search does, for
+    check's lift).
     """
 
     outcome: str
@@ -167,9 +167,8 @@ def explore(init, successors, is_target, budget=None, prune=None, key=None,
 
 
 def follow_labels(init, successors, lines, is_final):
-    """A run from init whose labels print as lines, one per step, and that
-    ends where is_final holds, as the pair (its labels, its last state);
-    None when there is none.
+    """The last state of a run from init whose labels print as lines, one
+    per step, and that ends where is_final holds; None when there is none.
 
     explore searches over (state, steps done) and keeps a successor only
     when its label prints as the next line.  More than one successor can
@@ -180,8 +179,8 @@ def follow_labels(init, successors, lines, is_final):
         s, i = node
         if i == len(lines):
             return []
-        return [(label, (s2, i + 1)) for label, s2 in successors(s)
+        return [(None, (s2, i + 1)) for label, s2 in successors(s)
                 if str(label) == lines[i]]
 
     r = explore((init, 0), step, lambda node: node[1] == len(lines) and is_final(node[0]))
-    return (r.path, r.final[0]) if r.outcome == REACHED else None
+    return r.final[0] if r.outcome == REACHED else None

@@ -1,6 +1,6 @@
 """check on a program: the pivot search first, the machine route otherwise.
 
-check decides a program with pivot_reach and lifts a reachable pivot run
+check decides a program with pivot_search and lifts a reachable search path
 to the translated register machine; an inconclusive pivot search, an
 explicit --backend and crosscheck go through translate + solve_auto.  The
 seeded campaign below compares the two routes on random programs of every

@@ -191,7 +191,7 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch
         raise ZeroDivisionError("boom")
 
     # check decides this program with the pivot search, its first solver call
-    monkeypatch.setattr(tsoreach.cli, "pivot_reach", boom)
+    monkeypatch.setattr(tsoreach.cli, "pivot_search", boom)
     code, out, err = _run(capsys, "check", _write(tmp_path, "p.tso", HANDSHAKE))
     assert (code, out) == (6, "")
     assert err.startswith("internal error: ZeroDivisionError: boom")

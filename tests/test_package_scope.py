@@ -35,9 +35,6 @@ ALLOWED = {
         "the inner helper of encode_rm_to_coverability_labelled",
     "translate._fresh_prefix":
         "called only by encode_rm_to_coverability_labelled",
-    "pivot.replay_pivot":
-        "perfbench/run.py replays pivot witnesses with it; pivot_reach calls "
-        "pivot_run, which also returns the labels check lifts",
     "pds.RulesOnDemand.rules":
         "read only by perfbench/tracing.py's pds.rules counter",
     "coverability.backward_reach.snapshot":

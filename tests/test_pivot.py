@@ -17,7 +17,8 @@ from helpers import (
 from tsoreach.adt import trivial_spec
 from tsoreach.gen import random_program
 from tsoreach.model import MemorySpec, ProcessDescription, rd, wr
-from tsoreach.pivot import PivotError, parse_omega, pivot_reach, replay_pivot
+from tsoreach.cli import main
+from tsoreach.pivot import PivotError, parse_omega, pivot_reach, pivot_search, replay_pivot
 from tsoreach.tso import OracleBounds, bounded_reach
 
 
@@ -267,6 +268,18 @@ trans q4 -> qf : op inc
     prog = parse_program(text)
     v = pivot_reach(prog.proc, prog.mem, prog.adt, value_bound=3)
     assert v.outcome == "inconclusive" and not v.closed
+
+
+def test_the_default_value_bound_closes_a_stack_program(tmp_path, capsys):
+    # gen --kind program --adt "stack alphabet a,b" --seed 17 pushes without
+    # bound; with no value bound the search grew past 2 GB at budget 50,000
+    path = tmp_path / "p.tso"
+    assert main(["gen", "--kind", "program", "--adt", "stack alphabet a,b", "--seed", "17",
+                 "--out", str(path)]) == 0
+    prog = parse_program(path.read_text())
+    for search in (pivot_reach, pivot_search):
+        v = search(prog.proc, prog.mem, prog.adt, budget=50_000)
+        assert (v.outcome, v.stats.explored) == ("unreachable", 18)
 
 
 def test_trivial_adt_never_inconclusive():

@@ -25,7 +25,7 @@ from tsoreach.model import (
     skp,
     write,
 )
-from tsoreach import translate
+from tsoreach import model, translate
 from tsoreach.pivot import parse_omega, pivot_reach
 from tsoreach.solvers import solve_counter, solve_finite, solve_stack
 from tsoreach.translate import (
@@ -289,11 +289,16 @@ def test_translated_edges_from_equals_the_eager_reference(seed):
 
 
 def test_lift_decodes_only_the_states_it_reaches(monkeypatch):
-    # the lift walks the machine of the pieces it builds; keep that machine
-    machines = []
-    pivot_machine = translate._pivot_machine
-    monkeypatch.setattr(translate, "_pivot_machine",
-                        lambda *args: machines.append(pivot_machine(*args)) or machines[-1])
+    # the lift builds no machine: it decodes a piece's edges from a state
+    # when its walk first leaves that state, each distinct action once,
+    # with the whole machine's registers and bound
+    pieces, decoded = [], []
+    decode_edges, decode_action = translate.decode_edges, model._decode_action
+    monkeypatch.setattr(translate, "decode_edges",
+                        lambda edges, *args: pieces.append(edges) or decode_edges(edges, *args))
+    monkeypatch.setattr(model, "_decode_action",
+                        lambda act, idx, bound: decoded.append((act, idx, bound))
+                        or decode_action(act, idx, bound))
     lifted = 0
     for seed in range(30):
         mem, adt, proc = _gen_program(seed)
@@ -301,12 +306,25 @@ def test_lift_decodes_only_the_states_it_reaches(monkeypatch):
         if v.outcome != REACHABLE:
             continue
         rm = build_register_machine(proc, mem, adt)
+        pieces.clear()
+        decoded.clear()
         run = lift_pivot_witness(proc, mem, adt, parse_omega(v.witness[0]), v.run)
-        assert run is not None
-        # a state's edges are kept as a tuple once decoded
-        decoded = [q for q, edges in machines[-1]._edges.items() if isinstance(edges, tuple)]
-        assert 0 < len(decoded) < len(rm.states)
-        assert set(decoded) == {q for q, _, _ in run}
+        # each call decodes one state's edges in a piece, and the states
+        # decoded are exactly the sources of the run's edges
+        sources = [{q for q, _, _ in edges} for edges in pieces]
+        assert all(len(qs) == 1 for qs in sources)
+        visited = {q for q, _, _ in run}
+        assert set().union(*sources) == visited
+        assert 0 < len(visited) < len(rm.states)
+        # the decoded actions are exactly those of the decoded edges, each
+        # once, and those are edges of the whole machine
+        acts = [act for act, _, _ in decoded]
+        assert len(acts) == len(set(acts))
+        assert set(acts) == {act for edges in pieces for _, act, _ in edges
+                             if isinstance(act, RegisterAction)}
+        assert {e for edges in pieces for e in edges} <= set(rm.delta)
+        assert all(idx == rm.register_indices and bound == rm.bound
+                   for _, idx, bound in decoded)
         lifted += 1
     assert lifted >= 5
 
