@@ -8,12 +8,13 @@ operation is a partial function: a step gives the one successor value, or
 None when the operation is disabled at that value.  An operation the
 instance does not admit is an AdtError, never a disabled step.
 
-Each kind is declared once, as a row of KINDS; AdtSpec's checks,
-op_universe and the DSL's adt line parser and printer all read it.
+Each kind is declared once, as a row of KINDS (see Kind).  AdtSpec's
+checks, op_universe, the DSL's adt line parser and printer, the value
+functions and the solvers' routing read it; none branches on a kind name.
 
 A stack is the level-1 nested stack, and the ho-counters are nested stacks
 over the one symbol COUNTER_SYMBOL with renamed operations, so the four
-NESTED_KINDS share one initial value, well-formedness check, step and size.
+nested kinds share one initial value, step and size.
 
 Every kind additionally supports the distinguished operation ``reset``,
 which jumps back to the initial value.  It is used by the translation to
@@ -24,40 +25,21 @@ data-type value.
 from __future__ import annotations
 
 import functools
+import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # A marking is a canonical multiset over place names: sorted, zero-free.
 Marking = tuple[tuple[str, int], ...]
 
 AdtValue = object  # int | tuple | Marking depending on the kind
 
-# kind -> (the parameters its declaration names, in order; the names of its
-# push, pop and emptiness test).  A counter's push and pop name no symbol.
-KINDS = {
-    "trivial": ((), ()),
-    "counter": ((), ("inc", "dec", "iszero")),
-    "weak-counter": ((), ("inc", "dec")),
-    "stack": (("alphabet",), ("push", "pop", "isempty")),
-    "ho-stack": (("level", "alphabet"), ("push", "pop", "isempty")),
-    "ho-counter": (("level",), ("inc", "dec", "iszero")),
-    "ho-weak-counter": (("level",), ("inc", "dec")),
-    "multi-stack": (("count", "alphabet"), ("push", "pop", "isempty")),
-    "petri": ((), ()),
-}
-
-WELL_STRUCTURED_KINDS = ("trivial", "counter", "weak-counter", "petri")
-
-# Kinds the generic backward (WSTS) solver accepts.  The strict counter is
-# excluded: iszero is enabled at 0 but at no larger value, so the step
-# relation is not monotone w.r.t. numeric order.
-MONOTONE_KINDS = ("trivial", "weak-counter", "petri")
-
 RESET = "reset"
 
-# The kinds whose values nest: the level-k operations add "k" to a name,
-# and the ho-counters push and pop COUNTER_SYMBOL.
-NESTED_KINDS = ("stack", "ho-stack", "ho-counter", "ho-weak-counter")
+# The nested kinds' level-k operations add "k" to a name, and the
+# ho-counters push and pop COUNTER_SYMBOL.
 COUNTER_SYMBOL = "a"
 _STACK_NAMES = dict(zip(("inc", "dec", "iszero", "inck", "deck", "iszerok"),
                         ("push", "pop", "isempty", "pushk", "popk", "isemptyk")))
@@ -179,28 +161,17 @@ class AdtSpec:
             raise AdtError(f"level must be <= {MAX_LEVEL}")
         if "count" in params and self.count < 1:
             raise AdtError(f"{self.kind} count must be >= 1")
-        if self.kind == "petri":
-            declared = set(self.places)
-            for t in self.transitions:
-                for p, _ in t.inputs + t.outputs:
-                    if p not in declared:
-                        raise AdtError(f"transition {t.name} uses undeclared place {p}")
-            for p, _ in self.initial_marking:
+        declared = set(self.places)
+        for t in self.transitions:
+            for p, _ in t.inputs + t.outputs:
                 if p not in declared:
-                    raise AdtError(f"initial marking uses undeclared place {p}")
+                    raise AdtError(f"transition {t.name} uses undeclared place {p}")
+        for p, _ in self.initial_marking:
+            if p not in declared:
+                raise AdtError(f"initial marking uses undeclared place {p}")
 
     def initial_value(self) -> AdtValue:
-        if self.kind == "trivial":
-            return ()
-        if self.kind in ("counter", "weak-counter"):
-            return 0
-        if self.kind in NESTED_KINDS:
-            return _ho_initial(self.level)
-        if self.kind == "multi-stack":
-            return ((),) * self.count
-        if self.kind == "petri":
-            return self.initial_marking
-        raise AdtError(self.kind)
+        return KINDS[self.kind].initial(self)
 
     def net_transition(self, name: str) -> PetriTransition:
         t = self._transition_map.get(name)
@@ -218,7 +189,7 @@ class AdtSpec:
     # built once per instance, on first use
     @functools.cached_property
     def _ops(self) -> tuple[AdtOp, ...]:
-        params, names = KINDS[self.kind]
+        params, names = KINDS[self.kind][:2]
         ops: list[AdtOp] = []
         if names:
             push, pop, *tests = names
@@ -289,7 +260,115 @@ def _ho_step(v: tuple, level: int, name: str, arg: str | int) -> tuple | None:
     return None if inner is None else v[:-1] + (inner,)
 
 
+def _ho_size(v: tuple, level: int) -> int:
+    # symbols plus nested sub-stacks, so that bounded size means finitely
+    # many values (symbol count alone admits unboundedly many empty nests)
+    if level == 1:
+        return len(v)
+    return len(v) + sum(_ho_size(e, level - 1) for e in v)
+
+
+def _counter_step(spec: AdtSpec, v: int, op: AdtOp) -> int | None:
+    if op.name == "inc":
+        return v + 1
+    if op.name == "dec":
+        return v - 1 if v > 0 else None
+    return v if v == 0 else None  # iszero
+
+
 _MULTI_INDEX = re.compile(r"^(push|pop|isempty)(\d+)$")
+
+
+def _multi_step(spec: AdtSpec, v: tuple, op: AdtOp) -> tuple | None:
+    m = _MULTI_INDEX.match(op.name)
+    verb, i = m.group(1), int(m.group(2))
+    # ordered discipline: popping stack i needs stacks 1..i-1 empty
+    if verb == "pop" and any(v[: i - 1]):
+        return None
+    stack = _ho_step(v[i - 1], 1, verb, op.arg)
+    return None if stack is None else v[: i - 1] + (stack,) + v[i:]
+
+
+def _petri_step(spec: AdtSpec, v: Marking, op: AdtOp) -> Marking | None:
+    t = spec.net_transition(op.name)
+    after_inputs = marking_sub(v, t.inputs)
+    if after_inputs is None:
+        return None
+    return marking_add(after_inputs, t.outputs)
+
+
+def _counter_pre(spec: AdtSpec, op: AdtOp, v: int) -> int | None:
+    if op.name == "inc":
+        return max(v - 1, 0)
+    if op.name == "dec":
+        return v + 1
+    return 0 if v == 0 else None  # iszero
+
+
+def marking_pre_upward(t: PetriTransition, m: Marking) -> Marking:
+    """Minimal marking whose t-successor covers m: max(m - outputs, 0) + inputs."""
+    return marking_add(marking_sub_clamped(m, t.outputs), t.inputs)
+
+
+class Order(NamedTuple):
+    """A well-quasi-ordering: leq(v1, v2), the least value, and pre(spec,
+    op, v), the minimal u from which op, other than reset, reaches some
+    value >= v, or None when none does; no pre when reset is the only op."""
+
+    leq: Callable[[AdtValue, AdtValue], bool]
+    least: AdtValue
+    pre: Callable[[AdtSpec, AdtOp, AdtValue], AdtValue | None] | None
+
+
+class Kind(NamedTuple):
+    """A row of KINDS: how one data-type kind is declared and behaves.
+
+    params and names are the declaration's parameters, in order, and the
+    names of push, pop and the emptiness test (a counter's name no symbol).
+    initial(spec) is the initial value; step(spec, v, op) the successor
+    under an op other than reset, None when disabled (no step when reset is
+    the only op); size(spec, v) what bounded searches prune on.  backend is
+    the --backend auto picks.  monotone: every op is monotone for order, the
+    well-quasi-ordering if any, so backward coverability is exact (Abdulla,
+    Cerans, Jonsson and Tsay, LICS 1996); iszero, enabled at 0 only, is not.
+    """
+
+    params: tuple[str, ...]
+    names: tuple[str, ...]
+    initial: Callable[[AdtSpec], AdtValue]
+    step: Callable[[AdtSpec, AdtValue, AdtOp], AdtValue | None] | None
+    size: Callable[[AdtSpec, AdtValue], int]
+    backend: str = "bounded"
+    monotone: bool = False
+    order: Order | None = None
+
+
+_NESTED = (lambda spec: _ho_initial(spec.level),
+           lambda spec, v, op: _ho_step(v, spec.level, *stack_op(op)),
+           lambda spec, v: _ho_size(v, spec.level))
+_COUNTER = (lambda spec: 0, _counter_step, lambda spec, v: v)
+_COUNTER_ORDER = Order(operator.le, 0, _counter_pre)
+_PETRI_ORDER = Order(marking_leq, (), lambda spec, op, m: marking_pre_upward(
+    spec.net_transition(op.name), m))
+
+KINDS = {
+    "trivial": Kind((), (), lambda spec: (), None, lambda spec, v: 0,
+                    backend="finite", monotone=True, order=Order(operator.eq, (), None)),
+    "counter": Kind((), ("inc", "dec", "iszero"), *_COUNTER,
+                    backend="counter", order=_COUNTER_ORDER),
+    "weak-counter": Kind((), ("inc", "dec"), *_COUNTER,
+                         backend="counter", monotone=True, order=_COUNTER_ORDER),
+    "stack": Kind(("alphabet",), ("push", "pop", "isempty"), *_NESTED, backend="stack"),
+    "ho-stack": Kind(("level", "alphabet"), ("push", "pop", "isempty"), *_NESTED),
+    "ho-counter": Kind(("level",), ("inc", "dec", "iszero"), *_NESTED),
+    "ho-weak-counter": Kind(("level",), ("inc", "dec"), *_NESTED),
+    "multi-stack": Kind(("count", "alphabet"), ("push", "pop", "isempty"),
+                        lambda spec: ((),) * spec.count, _multi_step,
+                        lambda spec, v: sum(len(s) for s in v)),
+    "petri": Kind((), (), lambda spec: spec.initial_marking, _petri_step,
+                  lambda spec, v: marking_total(v),
+                  backend="petri", monotone=True, order=_PETRI_ORDER),
+}
 
 
 def step_unchecked(spec: AdtSpec, v: AdtValue, op: AdtOp) -> AdtValue | None:
@@ -301,52 +380,12 @@ def step_unchecked(spec: AdtSpec, v: AdtValue, op: AdtOp) -> AdtValue | None:
     """
     if op.name == RESET:
         return spec.initial_value()
-    kind = spec.kind
-
-    if kind in ("counter", "weak-counter"):
-        if op.name == "inc":
-            return v + 1
-        if op.name == "dec":
-            return v - 1 if v > 0 else None
-        if op.name == "iszero":
-            return v if v == 0 else None
-
-    if kind in NESTED_KINDS:
-        return _ho_step(v, spec.level, *stack_op(op))
-
-    if kind == "multi-stack":
-        m = _MULTI_INDEX.match(op.name)
-        verb, i = m.group(1), int(m.group(2))
-        # ordered discipline: popping stack i needs stacks 1..i-1 empty
-        if verb == "pop" and any(v[: i - 1]):
-            return None
-        stack = _ho_step(v[i - 1], 1, verb, op.arg)
-        return None if stack is None else v[: i - 1] + (stack,) + v[i:]
-
-    if kind == "petri":
-        t = spec.net_transition(op.name)
-        after_inputs = marking_sub(v, t.inputs)
-        if after_inputs is None:
-            return None
-        return marking_add(after_inputs, t.outputs)
-
-    raise AdtError(f"no step relation for kind {kind}")
+    return KINDS[spec.kind].step(spec, v, op)
 
 
 def value_size(spec: AdtSpec, v: AdtValue) -> int:
     """Size measure used by bounded exploration to prune large values."""
-    kind = spec.kind
-    if kind == "trivial":
-        return 0
-    if kind in ("counter", "weak-counter"):
-        return v
-    if kind in NESTED_KINDS:
-        return _ho_size(v, spec.level)
-    if kind == "multi-stack":
-        return sum(len(s) for s in v)
-    if kind == "petri":
-        return marking_total(v)
-    raise AdtError(kind)
+    return KINDS[spec.kind].size(spec, v)
 
 
 def value_pruner(spec: AdtSpec, bound: int | None):
@@ -356,67 +395,31 @@ def value_pruner(spec: AdtSpec, bound: int | None):
     return None if bound is None else prune
 
 
-def _ho_size(v: tuple, level: int) -> int:
-    # symbols plus nested sub-stacks, so that bounded size means finitely
-    # many values (symbol count alone admits unboundedly many empty nests)
-    if level == 1:
-        return len(v)
-    return len(v) + sum(_ho_size(e, level - 1) for e in v)
-
-
-# ---------------------------------------------------------------------------
-# Well-quasi-ordering machinery for well-structured kinds
+def _order(spec: AdtSpec) -> Order:
+    order = KINDS[spec.kind].order
+    if order is None:
+        raise UnsupportedOrderError(f"no well-quasi-ordering for kind {spec.kind}")
+    return order
 
 
 def wqo_leq(spec: AdtSpec, v1: AdtValue, v2: AdtValue) -> bool:
     """Decidable WQO on values: numeric order for counters, componentwise
     order for markings, equality for the trivial type."""
-    if spec.kind in ("counter", "weak-counter"):
-        return v1 <= v2
-    if spec.kind == "petri":
-        return marking_leq(v1, v2)
-    if spec.kind == "trivial":
-        return v1 == v2
-    raise UnsupportedOrderError(f"no well-quasi-ordering for kind {spec.kind}")
+    return _order(spec).leq(v1, v2)
 
 
 def min_value(spec: AdtSpec) -> AdtValue:
     """Bottom of the WQO (the least element of the value space)."""
-    if spec.kind in ("counter", "weak-counter"):
-        return 0
-    if spec.kind == "petri":
-        return ()
-    if spec.kind == "trivial":
-        return ()
-    raise UnsupportedOrderError(f"no well-quasi-ordering for kind {spec.kind}")
-
-
-def marking_pre_upward(t: PetriTransition, m: Marking) -> Marking:
-    """Minimal marking whose t-successor covers m: max(m - outputs, 0) + inputs."""
-    return marking_add(marking_sub_clamped(m, t.outputs), t.inputs)
+    return _order(spec).least
 
 
 def pre_upward_element(spec: AdtSpec, op: AdtOp, v: AdtValue) -> AdtValue | None:
     """The minimal element of { u | exists u' >= v with u -op-> u' }, or None
-    when that set is empty; on the well-structured kinds it has at most one."""
+    when that set is empty; on the ordered kinds it has at most one."""
     spec.validate_op(op)
-    if spec.kind not in WELL_STRUCTURED_KINDS:
-        raise UnsupportedOrderError(
-            f"minimal predecessor bases unsupported for kind {spec.kind}"
-        )
-
+    order = KINDS[spec.kind].order
+    if order is None:
+        raise UnsupportedOrderError(f"minimal predecessor bases unsupported for kind {spec.kind}")
     if op.name == RESET:
-        return min_value(spec) if wqo_leq(spec, v, spec.initial_value()) else None
-
-    if spec.kind in ("counter", "weak-counter"):
-        if op.name == "inc":
-            return max(v - 1, 0)
-        if op.name == "dec":
-            return v + 1
-        if op.name == "iszero":
-            return 0 if v == 0 else None
-
-    if spec.kind == "petri":
-        return marking_pre_upward(spec.net_transition(op.name), v)
-
-    raise AdtError(f"cannot compute predecessors of {op} for {spec.kind}")
+        return order.least if order.leq(v, spec.initial_value()) else None
+    return order.pre(spec, op, v)

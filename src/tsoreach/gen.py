@@ -21,10 +21,8 @@ from .model import (
 
 
 def _pick_op(rng: random.Random, adt: AdtSpec) -> AdtOp | None:
-    ops = [op for op in adt.op_universe() if op.name != "reset"]
-    if not ops:
-        return None
-    return rng.choice(ops)
+    ops = adt.op_universe()[:-1]  # every operation but reset, which is last
+    return rng.choice(ops) if ops else None
 
 
 def random_program(

@@ -5,7 +5,7 @@ solve_stack       post*-saturation over the control closure, for stacks and
                   for counters (a stack over one symbol)
 solve_counter     solve_stack on a counter or weak-counter machine
 solve_petri       backward coverability over the control closure
-solve_wsts        the same search, for any monotone well-structured type
+solve_wsts        the same search, for any kind whose operations are monotone
 explore_bounded   value-size-bounded search for the remaining types
 
 _control_closure is the one place that flattens registers: it builds the
@@ -26,7 +26,7 @@ import functools
 import time
 
 from .adt import (
-    MONOTONE_KINDS,
+    KINDS,
     RESET,
     AdtOp,
     min_value,
@@ -170,8 +170,7 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     inconclusive.  A reachable witness is replayed under rm_step before it
     is returned.
     """
-    counter = rm.adt.kind in ("counter", "weak-counter")
-    if rm.adt.kind != "stack" and not counter:
+    if KINDS[rm.adt.kind].backend not in ("stack", "counter"):
         raise ModelError("solve_stack needs a stack or counter machine")
     t0 = time.monotonic()
     init, controls, edges_from = _control_closure(rm, budget)
@@ -232,7 +231,7 @@ def solve_counter(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     The counter is a stack over one symbol, which solve_stack decides.
     """
-    if rm.adt.kind not in ("counter", "weak-counter"):
+    if KINDS[rm.adt.kind].backend != "counter":
         raise ModelError("solve_counter needs a counter or weak-counter machine")
     return solve_stack(rm, budget=budget)
 
@@ -306,7 +305,7 @@ def solve_petri(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     in the search, is inconclusive.  A reachable witness is a run of rm,
     replayed under rm_step before it is returned.
     """
-    if rm.adt.kind != "petri":
+    if KINDS[rm.adt.kind].backend != "petri":
         raise ModelError("solve_petri needs a petri machine")
     return _cover_verdict(rm, budget, "petri")
 
@@ -316,7 +315,7 @@ def solve_wsts(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     The strict counter is rejected: iszero breaks monotonicity.
     """
-    if rm.adt.kind not in MONOTONE_KINDS:
+    if not KINDS[rm.adt.kind].monotone:
         raise ModelError(
             f"solve_wsts needs a monotone well-structured data type, not {rm.adt.kind}"
         )
@@ -336,19 +335,14 @@ def solve_auto(
     value_bound: int = DEFAULT_VALUE_BOUND,
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
-    """Route the machine to the backend matching its data type.
+    """Route the machine to the backend its data type's row of KINDS names.
 
-    Every backend interprets all tiers directly, so a witness is always a
-    run of rm itself.
+    Each backend is called through its module-level name, the one
+    perfbench/tracing.py patches.  Every backend interprets all tiers
+    directly, so a witness is always a run of rm itself.
     """
     if backend == "auto":
-        backend = {
-            "trivial": "finite",
-            "counter": "counter",
-            "weak-counter": "counter",
-            "stack": "stack",
-            "petri": "petri",
-        }.get(rm.adt.kind, "bounded")
+        backend = KINDS[rm.adt.kind].backend
     if backend == "finite":
         return solve_finite(rm, budget=budget)
     if backend == "counter":

@@ -27,7 +27,6 @@ from functools import cached_property
 
 from tsoreach.adt import (
     COUNTER_SYMBOL,
-    NESTED_KINDS,
     RESET,
     AdtError,
     AdtOp,
@@ -1268,7 +1267,7 @@ def check_value(spec: AdtSpec, v: AdtValue) -> None:
         ok = v == ()
     elif kind in ("counter", "weak-counter"):
         ok = isinstance(v, int) and v >= 0
-    elif kind in NESTED_KINDS:
+    elif kind in ("stack", "ho-stack", "ho-counter", "ho-weak-counter"):
         ok = _check_ho(v, spec.level, effective_alphabet(spec))
     elif kind == "multi-stack":
         ok = (isinstance(v, tuple) and len(v) == spec.count

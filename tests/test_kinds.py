@@ -1,11 +1,13 @@
 """The table of data-type kinds, adt.KINDS: each row drives the adt line's
-parser and printer, the spec's parameter checks and the operation set."""
+parser and printer, the spec's parameter checks, the operation set and the
+backends that accept the kind's machines."""
 
 import pytest
 
-from tsoreach import dsl
+from tsoreach import dsl, solvers
 from tsoreach.adt import KINDS, AdtSpec, PetriTransition
 from tsoreach.dsl import DslError, parse_adt_line, print_adt
+from tsoreach.model import ModelError, RegisterMachine
 
 # one spec per kind, naming every parameter of its row, with its operations
 # in op_universe order: gen draws from that order
@@ -32,7 +34,7 @@ SPECS = {
               ["t", "u", "reset"]),
 }
 
-PARAMS = [(kind, p) for kind, (params, _) in KINDS.items() for p in params]
+PARAMS = [(kind, p) for kind, row in KINDS.items() for p in row.params]
 
 
 def _declaration(kind: str) -> list[str]:
@@ -86,8 +88,8 @@ def test_dsl_docstring_lists_the_table():
     block = dsl.__doc__.split("    KIND ", 1)[1].split("\n\n", 1)[0]
     alternatives = [" ".join(alt.split()) for alt in block.split("|")]
     want = [" ".join([kind.replace("-", ""),
-                      *(f"{p} {'NAMES' if p == 'alphabet' else 'N'}" for p in params)])
-            for kind, (params, _) in KINDS.items()]
+                      *(f"{p} {'NAMES' if p == 'alphabet' else 'N'}" for p in row.params)])
+            for kind, row in KINDS.items()]
     assert alternatives[:-1] == want[:-1]
     assert alternatives[-1].startswith("petri places NAMES")
 
@@ -99,7 +101,7 @@ def test_token_that_names_no_parameter(kind):
         f"line 1: adt {word} has no parameter 'extra'")
 
 
-@pytest.mark.parametrize("kind", [k for k, (params, _) in KINDS.items() if len(params) == 2])
+@pytest.mark.parametrize("kind", [k for k, row in KINDS.items() if len(row.params) == 2])
 def test_parameters_out_of_order(kind):
     word, *toks = _declaration(kind)
     first, second = KINDS[kind][0]
@@ -107,3 +109,84 @@ def test_parameters_out_of_order(kind):
     order = f"{first} ... {second} ..."
     assert _error(" ".join([word, *toks[i:], *toks[:i]])) == (
         f"line 1: adt {word} parameters out of order: want '{order}'")
+
+
+# kind -> the solve_* functions solve_auto calls on it, in order
+AUTO = {
+    "trivial": ["solve_finite"],
+    "counter": ["solve_counter", "solve_stack"],
+    "weak-counter": ["solve_counter", "solve_stack"],
+    "stack": ["solve_stack"],
+    "ho-stack": ["explore_bounded"],
+    "ho-counter": ["explore_bounded"],
+    "ho-weak-counter": ["explore_bounded"],
+    "multi-stack": ["explore_bounded"],
+    "petri": ["solve_petri"],
+}
+
+# --backend -> the kinds it accepts
+ACCEPTS = {
+    "finite": ["trivial", "counter", "weak-counter", "stack", "ho-stack", "ho-counter",
+               "ho-weak-counter", "multi-stack", "petri"],
+    "counter": ["counter", "weak-counter"],
+    "stack": ["counter", "weak-counter", "stack"],
+    "petri": ["petri"],
+    "wsts": ["trivial", "weak-counter", "petri"],
+    "bounded": ["trivial", "counter", "weak-counter", "stack", "ho-stack", "ho-counter",
+                "ho-weak-counter", "multi-stack", "petri"],
+}
+
+# --backend -> how it rejects the other kinds
+REJECTS = {
+    "counter": "solve_counter needs a counter or weak-counter machine",
+    "stack": "solve_stack needs a stack or counter machine",
+    "petri": "solve_petri needs a petri machine",
+    "wsts": "solve_wsts needs a monotone well-structured data type, not {kind}",
+}
+
+SOLVERS = ["solve_finite", "solve_counter", "solve_stack", "solve_petri", "solve_wsts",
+           "explore_bounded"]
+
+
+def _one_edge(kind: str) -> RegisterMachine:
+    """A machine whose one edge, into the target, is kind's first operation."""
+    spec = SPECS[kind][0]
+    return RegisterMachine("M", ("a", "t"), "a", "t", (), 0, spec,
+                           (("a", spec.op_universe()[0], "t"),))
+
+
+def test_the_backend_table_names_every_backend():
+    assert ["auto", *ACCEPTS] == list(solvers.BACKENDS)
+
+
+@pytest.mark.parametrize("backend", solvers.BACKENDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_backend_accepts_or_rejects_the_kind(kind, backend):
+    rm = _one_edge(kind)
+    if backend == "auto" or kind in ACCEPTS[backend]:
+        # the net of SPECS starts with no token, so its transition t never
+        # fires; every other first operation is enabled at the initial value
+        want = "unreachable" if kind == "petri" else "reachable"
+        assert solvers.solve_auto(rm, backend=backend).outcome == want
+    else:
+        with pytest.raises(ModelError) as e:
+            solvers.solve_auto(rm, backend=backend)
+        assert str(e.value) == REJECTS[backend].format(kind=kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_auto_routes_the_kind(kind, monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(solvers, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in SOLVERS:
+        monkeypatch.setattr(solvers, name, spy(name))
+    solvers.solve_auto(_one_edge(kind))
+    assert calls == AUTO[kind]
