@@ -153,14 +153,22 @@ class AdtSpec:
         params = KINDS[self.kind][0]
         if "alphabet" in params and not self.alphabet:
             raise AdtError(f"{self.kind} requires a nonempty alphabet")
+        if "alphabet" not in params and self.alphabet:
+            raise AdtError(f"{self.kind} takes no alphabet")
         if "level" not in params and self.level != 1:
             raise AdtError(f"{self.kind} level must be 1")
         if self.level < 1:
             raise AdtError("level must be >= 1")
         if self.level > MAX_LEVEL:
             raise AdtError(f"level must be <= {MAX_LEVEL}")
-        if "count" in params and self.count < 1:
+        if "count" not in params and self.count != 1:
+            raise AdtError(f"{self.kind} count must be 1")
+        if self.count < 1:
             raise AdtError(f"{self.kind} count must be >= 1")
+        # a net is petri's declaration, written in its own syntax, not a
+        # parameter of its row
+        if self.kind != "petri" and (self.places or self.transitions or self.initial_marking):
+            raise AdtError(f"{self.kind} takes no places, transitions or initial marking")
         declared = set(self.places)
         for t in self.transitions:
             for p, _ in t.inputs + t.outputs:
@@ -395,31 +403,21 @@ def value_pruner(spec: AdtSpec, bound: int | None):
     return None if bound is None else prune
 
 
-def _order(spec: AdtSpec) -> Order:
+def wqo(spec: AdtSpec) -> Order:
+    """The well-quasi-ordering of spec's values: numeric order for
+    counters, componentwise order for markings, equality for the trivial
+    type."""
     order = KINDS[spec.kind].order
     if order is None:
         raise UnsupportedOrderError(f"no well-quasi-ordering for kind {spec.kind}")
     return order
 
 
-def wqo_leq(spec: AdtSpec, v1: AdtValue, v2: AdtValue) -> bool:
-    """Decidable WQO on values: numeric order for counters, componentwise
-    order for markings, equality for the trivial type."""
-    return _order(spec).leq(v1, v2)
-
-
-def min_value(spec: AdtSpec) -> AdtValue:
-    """Bottom of the WQO (the least element of the value space)."""
-    return _order(spec).least
-
-
 def pre_upward_element(spec: AdtSpec, op: AdtOp, v: AdtValue) -> AdtValue | None:
     """The minimal element of { u | exists u' >= v with u -op-> u' }, or None
     when that set is empty; on the ordered kinds it has at most one."""
     spec.validate_op(op)
-    order = KINDS[spec.kind].order
-    if order is None:
-        raise UnsupportedOrderError(f"minimal predecessor bases unsupported for kind {spec.kind}")
+    order = wqo(spec)
     if op.name == RESET:
         return order.least if order.leq(v, spec.initial_value()) else None
     return order.pre(spec, op, v)

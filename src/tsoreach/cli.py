@@ -18,17 +18,19 @@ the machine.
 Exit codes: 0 reachable, 1 unreachable, 2 inconclusive, 3 input error,
 4 usage error, 5 crosscheck disagreement, 6 internal error (a fault of the
 program, such as a witness that fails its replay; no verdict is printed).
-main reports every input and usage error as one 'error: ...' line, apart
-from argparse's own usage errors, which the parser prints.
+main reports every input and usage error as one 'error: ...' line; an
+argv the parser rejects gets the usage line first, and its error line names
+the parser that rejects it ('tsoreach: error: ...').
 """
 
 from __future__ import annotations
 
-import argparse
 import random
+import re
 import sys
 import traceback
 from dataclasses import replace
+from types import SimpleNamespace
 
 from . import dsl, gen
 from .adt import AdtError
@@ -56,24 +58,12 @@ class _UsageError(Exception):
     """A flag value or combination that the command does not accept."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse's default exit code collides with
-        self.print_usage(sys.stderr)  # the inconclusive verdict
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+class _ArgvError(_UsageError):
+    """An argv the parser of sub rejects, None for the top level."""
 
-
-class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter,
-                     argparse.RawDescriptionHelpFormatter):
-    pass
-
-
-class _Given(argparse.Action):
-    """Stores the value and records the flag in args.given, default or not."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = (*getattr(namespace, "given", ()), self.option_strings[0])
+    def __init__(self, sub: str | None, message: str):
+        super().__init__(message)
+        self.sub = sub
 
 
 # gen --kind -> the flags it reads besides --kind and --out; intersection
@@ -87,8 +77,8 @@ _GEN_KINDS = {
     "intersection": "--fixture --automata",
 }
 
-# every flag with its argparse settings; a subcommand takes only the flags
-# its handler reads
+# every flag: its value's type and choices, its default or that it is
+# required, and its help; a subcommand takes only the flags its handler reads
 _FLAGS = {
     "--adt": dict(default=None, metavar="DECL",
                   help="override the declared adt, e.g. 'counter'"),
@@ -150,24 +140,226 @@ _LEAST = (("--n-max", 1), ("--steps", 1), ("--buffer", 1), ("--budget", 1),
           ("--states", 1), ("--vars", 1), ("--value-bound", 0), ("--regs", 0), ("--bound", 0))
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="tsoreach", description=__doc__,
-                formatter_class=_HelpFormatter)
-    sub = p.add_subparsers(dest="subcommand", required=True,
-                           parser_class=_Parser)
-    for name, (help_, flags) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_, formatter_class=_HelpFormatter)
-        if name != "gen":
-            sp.add_argument("input", help="input file (DSL text)")
-        given = {"action": _Given} if name == "gen" else {}
-        for flag in flags.split():
-            sp.add_argument(flag, **_FLAGS[flag], **given)
-    return p
+# the option strings of each parser, None for the top level, in the order
+# an ambiguous prefix lists its matches
+_HELP = ("-h", "--help")
+_OPTIONS = {None: _HELP, **{name: _HELP + tuple(flags.split())
+                            for name, (_, flags) in _SUBCOMMANDS.items()}}
+# a negative number is a value, not an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_WIDTH = 79  # columns of the help text
+
+
+def _prog(sub: str | None) -> str:
+    return "tsoreach" if sub is None else f"tsoreach {sub}"
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _option(arg: str, sub: str | None):
+    """None when arg is a value; else (option, the text after '=' or after
+    '-h', or None), with option None for one the parser does not take.
+
+    A long option may be given by a unique prefix; a prefix of several is a
+    usage error.  A negative number, or an arg with a space that names no
+    option, is a value.
+    """
+    options = _OPTIONS[sub]
+    if not arg.startswith("-"):
+        return None
+    if arg in options:
+        return arg, None
+    if len(arg) == 1:
+        return None
+    name, eq, value = arg.partition("=")
+    if eq and name in options:
+        return name, value
+    if arg[1] == "-":
+        matches = [(o, value if eq else None) for o in options if o.startswith(name)]
+    else:
+        matches = [(o, arg[2:]) for o in options if o == arg[:2]]
+    if len(matches) > 1:
+        raise _ArgvError(sub, f"ambiguous option: {arg} could match "
+                              f"{', '.join(o for o, _ in matches)}")
+    if matches:
+        return matches[0]
+    return None if _NEGATIVE.match(arg) or " " in arg else (None, None)
+
+
+def _print_help(sub: str | None, option: str, value: str | None):
+    """Print the help of sub's parser and exit 0; '-hh' is -h twice, and
+    any other value given to -h or --help is a usage error."""
+    while value is not None:
+        if option == "--help" or value[:1] != "h":
+            raise _ArgvError(sub, f"argument -h/--help: ignored explicit argument {value!r}")
+        value = value[1:] or None
+    print(_help_text(sub))
+    raise SystemExit(0)
+
+
+def _value(sub: str, flag: str, text: str):
+    spec = _FLAGS[flag]
+    value = text
+    if "type" in spec:
+        try:
+            value = spec["type"](text)
+        except ValueError:
+            raise _ArgvError(sub, f"argument {flag}: invalid int value: {text!r}") from None
+    choices = spec.get("choices")
+    if choices is not None and value not in choices:
+        raise _ArgvError(sub, f"argument {flag}: invalid choice: {value!r} "
+                              f"(choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def _parse_sub(sub: str, argv: list[str]):
+    """The attributes sub's argv sets and the args it leaves unread.
+
+    The input is the first value no flag takes; one '--' before or after
+    it is dropped, and every arg after the first '--' is a value.  A flag
+    given twice keeps its last value; gen records each flag it is given.
+    """
+    readings = []  # per arg: _option's reading, or "--" for the first '--'
+    for k, arg in enumerate(argv):
+        if arg == "--":
+            readings += ["--"] + [None] * (len(argv) - k - 1)
+            break
+        readings.append(_option(arg, sub))
+    flags = _SUBCOMMANDS[sub][1].split()
+    attrs = {"subcommand": sub, **{_dest(f): _FLAGS[f].get("default") for f in flags}}
+    need_input = sub != "gen"
+    given, unread = [], []
+    i, n = 0, len(argv)
+    while i < n:
+        reading = readings[i]
+        if isinstance(reading, tuple):
+            option, value = reading
+            i += 1
+            if option is None:
+                unread.append(argv[i - 1])
+                continue
+            if option in _HELP:
+                _print_help(sub, option, value)
+            if value is None:
+                if i == n or readings[i] is not None:
+                    raise _ArgvError(sub, f"argument {option}: expected one argument")
+                value = argv[i]
+                i += 1
+            attrs[_dest(option)] = _value(sub, option, value)
+            given.append(option)
+        elif need_input and (j := i + (reading == "--")) < n:
+            attrs["input"] = argv[j]
+            need_input = False
+            i = j + 1 + (j + 1 < n and readings[j + 1] == "--")
+        else:
+            unread.append(argv[i])
+            i += 1
+    if need_input:
+        raise _ArgvError(sub, "the following arguments are required: input")
+    if sub == "gen":
+        if "--kind" not in given:
+            raise _ArgvError(sub, "the following arguments are required: --kind")
+        attrs["given"] = tuple(given)
+    return attrs, unread
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The subcommand, its input and its flags' values, each flag's default
+    when it is not given, read from argv by _SUBCOMMANDS and _FLAGS.
+
+    Before the subcommand only -h is taken.  A rejected argv raises
+    _ArgvError; -h or --help prints the help of the parser that reads it
+    and raises SystemExit(0).  The tests check this reading against the
+    reference parser in tests/helpers.py.
+    """
+    i, unread = 0, []
+    while i < len(argv) and argv[i] != "--" and (reading := _option(argv[i], None)):
+        if reading[0] is not None:
+            _print_help(None, *reading)
+        unread.append(argv[i])
+        i += 1
+    if argv[i:] in ([], ["--"]):
+        raise _ArgvError(None, "the following arguments are required: subcommand")
+    sub = argv[i]
+    if sub not in _SUBCOMMANDS:
+        raise _ArgvError(None, f"argument subcommand: invalid choice: {sub!r} "
+                               f"(choose from {', '.join(map(repr, _SUBCOMMANDS))})")
+    attrs, sub_unread = _parse_sub(sub, argv[i + 1:])
+    unread += sub_unread
+    if unread:
+        raise _ArgvError(None, f"unrecognized arguments: {' '.join(unread)}")
+    return SimpleNamespace(**attrs)
+
+
+def _wrap(first: str, words, indent: int) -> str:
+    """first followed by words, wrapped at _WIDTH columns; each later line
+    starts with indent spaces."""
+    lines = [[]]
+    room = _WIDTH - len(first) + 1
+    for word in words:
+        if lines[-1] and len(word) + 1 > room:
+            lines.append([])
+            room = _WIDTH - indent + 1
+        lines[-1].append(word)
+        room -= len(word) + 1
+    return "\n".join([first + " ".join(lines[0])]
+                     + [" " * indent + " ".join(line) for line in lines[1:]])
+
+
+def _entry(head: str, text: str) -> str:
+    """A help entry: head from column 2, text wrapped from column 24."""
+    if len(head) > 20:
+        return f"  {head}\n" + _wrap(" " * 24, text.split(), 24)
+    return _wrap(f"  {head:<22}", text.split(), 24)
+
+
+def _flag_usage(flag: str) -> str:
+    spec = _FLAGS[flag]
+    choices = spec.get("choices")
+    metavar = spec.get("metavar") or (
+        "{" + ",".join(map(str, choices)) + "}" if choices else _dest(flag).upper())
+    return f"{flag} {metavar}"
+
+
+def _usage(sub: str | None) -> str:
+    if sub is None:
+        parts = ["[-h]", "{" + ",".join(_SUBCOMMANDS) + "}", "..."]
+    else:
+        parts = ["[-h]"]
+        for flag in _SUBCOMMANDS[sub][1].split():
+            usage = _flag_usage(flag)
+            parts.append(usage if _FLAGS[flag].get("required") else f"[{usage}]")
+        parts += [] if sub == "gen" else ["input"]
+    first = f"usage: {_prog(sub)} "
+    return _wrap(first, parts, len(first))
+
+
+def _help_text(sub: str | None) -> str:
+    """The help of sub's parser, None for the top level: usage, what it
+    does, then every option with its default."""
+    if sub is None:
+        what = __doc__.strip()
+        args = [_entry(name, help_) for name, (help_, _) in _SUBCOMMANDS.items()]
+        title = "subcommands"
+    else:
+        what = _wrap("", _SUBCOMMANDS[sub][0].split(), 0)
+        args = [] if sub == "gen" else [_entry("input", "input file (DSL text)")]
+        title = "positional arguments"
+    options = [_entry("-h, --help", "show this help message and exit")]
+    for flag in _OPTIONS[sub][2:]:
+        spec = _FLAGS[flag]
+        text = spec.get("help", "")
+        text += " (required)" if spec.get("required") else f" (default: {spec['default']})"
+        options.append(_entry(_flag_usage(flag), text))
+    args = [f"{title}:", *args, ""] if args else []
+    return "\n".join([_usage(sub), "", what, "", *args, "options:", *options])
 
 
 def _check_ranges(args) -> None:
     for flag, least in _LEAST:
-        value = getattr(args, flag[2:].replace("-", "_"), None)
+        value = getattr(args, _dest(flag), None)
         if value is not None and value < least:
             raise _UsageError(f"{flag} must be {'positive' if least else '>= 0'}")
 
@@ -371,19 +563,14 @@ _HANDLERS = {
 }
 
 
-# built by the first main call of a process and reused by every later one;
-# importing the module builds nothing
-_PARSER: _Parser | None = None
-
-
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
-    args = _PARSER.parse_args(argv)
     try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         _check_ranges(args)
         return _HANDLERS[args.subcommand](args)
+    except _ArgvError as e:
+        print(_usage(e.sub), f"{_prog(e.sub)}: error: {e}", sep="\n", file=sys.stderr)
+        return EXIT_USAGE
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

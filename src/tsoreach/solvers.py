@@ -29,11 +29,10 @@ from .adt import (
     KINDS,
     RESET,
     AdtOp,
-    min_value,
     pre_upward_element,
     stack_op,
     value_pruner,
-    wqo_leq,
+    wqo,
 )
 from .coverability import BackwardResult, backward_reach
 from .dsl import print_action
@@ -273,13 +272,13 @@ def _backward_cover(
                 out.append((edge, (control, v)))
         return out
 
-    bottom = min_value(spec)
+    leq, bottom, _ = wqo(spec)
     v_init = spec.initial_value()
     return backward_reach(
         targets=[(c, bottom) for c in controls if c[0] == rm.q_target],
         preds=preds,
-        leq=lambda e1, e2: e1[0] == e2[0] and wqo_leq(spec, e1[1], e2[1]),
-        covers_initial=lambda e: e[0] == init and wqo_leq(spec, e[1], v_init),
+        leq=lambda e1, e2: e1[0] == e2[0] and leq(e1[1], e2[1]),
+        covers_initial=lambda e: e[0] == init and leq(e[1], v_init),
         record_history=record_history,
         max_explored=budget,
         bucket_key=lambda e: e[0],

@@ -11,20 +11,24 @@ rule built up front, the full-omega pivot views, single steps of the TSO
 rules and of a register action, and the oracle search without its
 symmetry reduction, the checked data-type step, parsers that accept one
 kind of file, the line loop the program and machine reader is checked
-against, the automata printer and the net encoding without its labels)
-exist only for tests and so live here rather than in the package.
+against, the automata printer, the net encoding without its labels, the
+well-quasi-order test and the argparse parser the command line is checked
+against) exist only for tests and so live here rather than in the package.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import itertools
+import sys
 import time
 from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
+from tsoreach import cli
 from tsoreach.adt import (
     COUNTER_SYMBOL,
     RESET,
@@ -42,7 +46,7 @@ from tsoreach.adt import (
     step_unchecked,
     trivial_spec,
     value_size,
-    wqo_leq,
+    wqo,
 )
 from tsoreach.automata import CoverabilityInstance
 from tsoreach.coverability import BackwardResult, backward_reach
@@ -841,6 +845,11 @@ class UpwardBasis:
         return any(wqo_leq(spec, b, v) for b in self.elements)
 
 
+def wqo_leq(spec: AdtSpec, v1: AdtValue, v2: AdtValue) -> bool:
+    """v1 <= v2 in the well-quasi-ordering of spec's values."""
+    return wqo(spec).leq(v1, v2)
+
+
 def minimize(spec: AdtSpec, elements) -> list:
     """Drop elements dominated by another (keep one copy of equals)."""
     elems = sorted(set(elements), key=repr)
@@ -1505,3 +1514,48 @@ def print_automata(pdas, fsas) -> str:
 
 def encode_rm_to_coverability(rm: RegisterMachine) -> CoverabilityInstance:
     return encode_rm_to_coverability_labelled(rm)[0]
+
+
+# ---------------------------------------------------------------------------
+# The command line as argparse reads it, the reference cli._parse is checked
+# against: one subparser per row of cli._SUBCOMMANDS, gen recording each flag
+# it is given in args.given
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's default exit code collides with
+        self.print_usage(sys.stderr)  # the inconclusive verdict
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(cli.EXIT_USAGE)
+
+    def _get_values(self, action, arg_strings):
+        # '--flag=--' gives the flag the value '--'; argparse before 3.13
+        # drops that '--' as the end of the options and stores an empty list
+        values = super()._get_values(action, list(arg_strings))
+        if action.option_strings and values == []:
+            return super()._get_values(action, ["--", *arg_strings])
+        return values
+
+
+class _Given(argparse.Action):
+    """Stores the value and records the flag in args.given, default or not."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*getattr(namespace, "given", ()), self.option_strings[0])
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    p = _ReferenceParser(prog="tsoreach", description=cli.__doc__,
+                         formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = p.add_subparsers(dest="subcommand", required=True,
+                           parser_class=_ReferenceParser)
+    for name, (help_, flags) in cli._SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_,
+                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        if name != "gen":
+            sp.add_argument("input", help="input file (DSL text)")
+        given = {"action": _Given} if name == "gen" else {}
+        for flag in flags.split():
+            sp.add_argument(flag, **cli._FLAGS[flag], **given)
+    return p

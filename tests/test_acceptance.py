@@ -19,8 +19,9 @@ from helpers import (
     petri_backward_history,
     petri_net_reference,
     rm_reachable_brute,
+    wqo_leq,
 )
-from tsoreach.adt import AdtSpec, wqo_leq
+from tsoreach.adt import AdtSpec
 from tsoreach.dsl import parse_action
 from tsoreach.gen import (
     intersection_fixtures,

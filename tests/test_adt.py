@@ -12,6 +12,7 @@ from helpers import (
     enumerate_values,
     minimize,
     pre_min_upward,
+    wqo_leq,
 )
 from tsoreach.adt import (
     AdtError,
@@ -23,7 +24,6 @@ from tsoreach.adt import (
     step_unchecked,
     trivial_spec,
     value_size,
-    wqo_leq,
 )
 
 COUNTER = AdtSpec(kind="counter")

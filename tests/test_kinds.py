@@ -2,10 +2,12 @@
 parser and printer, the spec's parameter checks, the operation set and the
 backends that accept the kind's machines."""
 
+import dataclasses
+
 import pytest
 
 from tsoreach import dsl, solvers
-from tsoreach.adt import KINDS, AdtSpec, PetriTransition
+from tsoreach.adt import KINDS, AdtError, AdtSpec, PetriTransition
 from tsoreach.dsl import DslError, parse_adt_line, print_adt
 from tsoreach.model import ModelError, RegisterMachine
 
@@ -109,6 +111,21 @@ def test_parameters_out_of_order(kind):
     order = f"{first} ... {second} ..."
     assert _error(" ".join([word, *toks[i:], *toks[:i]])) == (
         f"line 1: adt {word} parameters out of order: want '{order}'")
+
+
+# a value of every field a spec may carry besides its kind; the last three
+# declare a net, which only petri takes
+FIELDS = {"alphabet": ("a",), "level": 2, "count": 2, "places": ("p",),
+          "transitions": (PetriTransition("t", (), ()),), "initial_marking": (("p", 1),)}
+FOREIGN = [(kind, field) for kind, row in KINDS.items() for field in FIELDS
+           if field not in row.params and (kind != "petri" or field in ("alphabet", "level", "count"))]
+
+
+@pytest.mark.parametrize("kind, field", FOREIGN)
+def test_a_field_the_row_does_not_name_is_rejected(kind, field):
+    # a net's fields would otherwise add its transitions to op_universe
+    with pytest.raises(AdtError, match=f"^{kind} (takes no|{field} must be 1$)"):
+        dataclasses.replace(SPECS[kind][0], **{field: FIELDS[field]})
 
 
 # kind -> the solve_* functions solve_auto calls on it, in order

@@ -2,8 +2,8 @@
 
 The test runs ``cli.main`` in-process under ``sys.setprofile`` over fixed
 inputs that reach every subcommand, every ``--backend``, every ``gen``
-kind and tiers 1-3, plus one malformed file and one usage error.  Every
-function defined in ``src/tsoreach/*.py`` must be called, except for the
+kind and tiers 1-3, plus one malformed file, one usage error and one -h.
+Every function defined in ``src/tsoreach/*.py`` must be called, except for the
 entries of ``ALLOWED``, each with its reason.  A test-only oracle or entry
 point belongs in ``tests/helpers.py`` instead.
 
@@ -171,6 +171,7 @@ def _runs(d: Path):
     yield ["translate", f("low.tso")], OK
     yield ["check", f("bad.tso")], (3,)
     yield ["check", f("p.tso"), "--no-such-flag"], (4,)
+    yield ["check", "-h"], OK
 
 
 def _functions():
@@ -218,9 +219,7 @@ def _called(runs):
     return {(os.path.realpath(filename), line) for filename, line in seen}, codes
 
 
-def test_every_package_function_runs_under_the_cli(tmp_path, monkeypatch):
-    # main builds its parser once per process; build it under the profile
-    monkeypatch.setattr(cli, "_PARSER", None)
+def test_every_package_function_runs_under_the_cli(tmp_path):
     for name, text in INPUTS.items():
         (tmp_path / name).write_text(text)
     runs = list(_runs(tmp_path))

@@ -17,8 +17,9 @@ from helpers import (
     solve_counter_cutoff,
     stack_pds_reference,
     wsts_backward_history,
+    wqo_leq,
 )
-from tsoreach.adt import AdtOp, AdtSpec, trivial_spec, wqo_leq
+from tsoreach.adt import AdtOp, AdtSpec, trivial_spec
 from tsoreach.gen import (
     random_counter_machine,
     random_machine,
