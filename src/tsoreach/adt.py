@@ -58,8 +58,7 @@ class UnsupportedOrderError(AdtError):
     """The kind carries no well-quasi-ordering."""
 
 
-@dataclass(frozen=True)
-class AdtOp:
+class AdtOp(NamedTuple):
     """A data-type operation: a symbolic name plus an optional finite argument."""
 
     name: str

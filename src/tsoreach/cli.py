@@ -40,7 +40,7 @@ from . import dsl, gen
 from .adt import AdtError
 from .automata import CoverabilityInstance
 from .model import ModelError, Program, lower_tier2_to_tier1, lower_tier3_to_tier2
-from .pivot import parse_omega, pivot_reach, pivot_search
+from .pivot import pivot_reach, pivot_search
 from .solvers import BACKENDS, format_rm_label, solve_auto
 from .translate import (
     build_register_machine,
@@ -50,7 +50,7 @@ from .translate import (
     lift_pivot_witness,
 )
 from .tso import OracleBounds, bounded_reach
-from .verdict import DEFAULT_BUDGET, DEFAULT_VALUE_BOUND, REACHABLE, UNREACHABLE, Verdict
+from .verdict import CLOSED, DEFAULT_BUDGET, DEFAULT_VALUE_BOUND, REACHED, Verdict
 
 EXIT_INPUT_ERROR = 3
 EXIT_USAGE = 4
@@ -312,18 +312,17 @@ def _check_program(prog, args) -> Verdict:
     """The pivot search, with the machine route when it is inconclusive.
 
     The verdict keeps the pivot search's stats; a reachable one carries the
-    search path lifted to the translated machine, in the machine route's
-    witness form, built without translating the whole program.  The lift's
-    walk replays that witness, so the pivot witness is not replayed too.
+    search's final prefix and path lifted to the translated machine, in
+    the machine route's witness form, built without translating the whole
+    program.  The lift's walk replays that witness, so no pivot witness is
+    printed or replayed.
     """
-    v = pivot_search(prog.proc, prog.mem, prog.adt,
-                     value_bound=args.value_bound, budget=args.budget)
-    if v.outcome == UNREACHABLE:
-        return v
-    if v.outcome == REACHABLE:
-        run = lift_pivot_witness(prog.proc, prog.mem, prog.adt, parse_omega(v.witness[0]), v.run)
-        return replace(v, witness=tuple(format_rm_label(e) for e in run))
-    return _rm_route(prog, args)
+    r, stats = pivot_search(prog.proc, prog.mem, prog.adt,
+                            value_bound=args.value_bound, budget=args.budget)
+    if r.outcome == REACHED:
+        run = lift_pivot_witness(prog.proc, prog.mem, prog.adt, r.final.prefix, r.path)
+        return r.verdict(stats, tuple(map(format_rm_label, run)))
+    return r.verdict(stats) if r.outcome == CLOSED else _rm_route(prog, args)
 
 
 def _need_program(obj, what: str) -> Program:

@@ -34,7 +34,7 @@ a cover line before any process or machine line as a cover file.  Lines
 end where str.splitlines ends them: a file with a line end other than a
 newline (a carriage return, a form feed, U+2028 ...) is read as its lines
 joined by newlines.  Each distinct instruction or action text is parsed
-once, and equal texts share one object.
+once.
 
 A second adt, memory, registers or cover line is an error.  Every error
 names its line, if it has one; an error the data type or model finds

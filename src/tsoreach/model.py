@@ -18,12 +18,14 @@ domain through ``_decode_action``: each action becomes read/write paths,
 one per assignment of the registers it reads that the action enables, so
 the register semantics is written once and lowering adds no registers.
 
-A machine's constructor makes one pass over its transitions: it checks
-each edge's endpoints and each distinct action object once, and groups the
-edges by source state.  The machine decodes a state's outgoing edges when a
-search first asks for them (``RegisterMachine.edges_from``), each distinct
-action object once, and keeps them, so no step rescans the machine and
-unreached states are never decoded.
+Instructions, register actions and data-type operations are named
+tuples, so equal actions are equal values wherever they were built.  A
+machine's constructor makes one pass over its transitions: it checks each
+edge's endpoints and each distinct action once, and groups the edges by
+source state.  The machine decodes a state's outgoing edges when a search
+first asks for them (``RegisterMachine.edges_from``), each distinct action
+once, and keeps them, so no step rescans the machine and unreached states
+are never decoded.
 ``_decode_action`` is the one definition of the register semantics, and
 ``fire`` the one step over decoded edges: ``rm_step`` applies it to a
 machine's, and check's lift to the gadget branches it decodes itself.
@@ -71,8 +73,7 @@ class MemorySpec:
         return tuple((x, d) for x in self.variables for d in self.domain)
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     """A process instruction: rd(x,d), wr(x,d), skip, mf, or a data op."""
 
     kind: str  # rd | wr | skip | mf | op
@@ -126,12 +127,12 @@ class ProcessDescription:
 
 def validate_program(mem: MemorySpec, adt: AdtSpec, proc: ProcessDescription) -> None:
     """Cross-checks instruction payloads against memory and data type; an
-    instruction object shared by several edges is checked once, at the first."""
-    checked: set[int] = set()
+    instruction on several edges is checked once, at the first."""
+    checked: set[Instruction] = set()
     for k, (q, instr, q2) in enumerate(proc.delta):
-        if id(instr) in checked:
+        if instr in checked:
             continue
-        checked.add(id(instr))
+        checked.add(instr)
         if instr.kind in ("rd", "wr"):
             if instr.var not in mem.variables:
                 raise ModelError(f"undeclared variable {instr.var} in {q}->{q2}", k)
@@ -175,8 +176,7 @@ ACTION_SHAPES = {
 }
 
 
-@dataclass(frozen=True)
-class RegisterAction:
+class RegisterAction(NamedTuple):
     """One action of the register machine; operands are registers or values."""
 
     kind: str  # a key of ACTION_SHAPES
@@ -233,15 +233,15 @@ class RegisterMachine:
             raise ModelError("initial/target state undeclared")
         if self.bound < 0:
             raise ModelError("register bound must be >= 0")
-        checked: set[int] = set()
+        checked: set[RegisterAction | AdtOp] = set()
         for k, edge in enumerate(self.delta):
             q, act, q2 = edge
             if q not in by_state or q2 not in by_state:
                 raise ModelError(f"transition endpoint undeclared: {q} -> {q2}", k)
             by_state[q].append(edge)
-            if id(act) in checked:
+            if act in checked:
                 continue
-            checked.add(id(act))
+            checked.add(act)
             if isinstance(act, AdtOp):
                 _validate_op(self.adt, act, k)
                 continue
@@ -251,8 +251,7 @@ class RegisterMachine:
                 if isinstance(operand, int) and not 0 <= operand <= self.bound:
                     raise ModelError(f"literal {operand} outside 0..{self.bound}", k)
         # a state's edges, as a list until edges_from decodes them, and the
-        # decoded actions by id: delta holds every action decoded there, so
-        # no other object takes the id of one while the machine lives
+        # decoded actions
         object.__setattr__(self, "_edges", by_state)
         object.__setattr__(self, "_steps", {})
 
@@ -276,8 +275,7 @@ class RegisterMachine:
     def edges_from(self, q: str) -> tuple[tuple[RmEdge, ActionStep | None], ...]:
         """q's outgoing edges in delta order, each with its decoded action
         (None for a data-type operation).  They are decoded the first time q
-        is asked for, each distinct action object once, and kept on the
-        instance."""
+        is asked for, each distinct action once, and kept on the instance."""
         edges = self._edges.get(q, ())
         if type(edges) is list:
             edges = self._edges[q] = decode_edges(edges, self._steps,
@@ -347,16 +345,15 @@ def _decode_action(act: RegisterAction, idx: dict[str, int], bound: int) -> Acti
 def decode_edges(edges, steps: dict, idx: dict[str, int],
                  bound: int) -> tuple[tuple[RmEdge, ActionStep | None], ...]:
     """edges, each with its decoded action (None for a data-type
-    operation).  steps holds the actions decoded so far by id, so each
-    distinct action object is decoded once; the caller keeps every such
-    action alive while steps lives."""
+    operation).  steps maps each action decoded so far to its step, so
+    each distinct action is decoded once."""
     decoded = []
     for edge in edges:
         act = edge[1]
         if isinstance(act, AdtOp):
             step = None
-        elif (step := steps.get(id(act))) is None:
-            step = steps[id(act)] = _decode_action(act, idx, bound)
+        elif (step := steps.get(act)) is None:
+            step = steps[act] = _decode_action(act, idx, bound)
         decoded.append((edge, step))
     return tuple(decoded)
 

@@ -15,14 +15,16 @@ written once, over that prefix (``_pivot_rules``), and the search kernel
 through ``verdict.follow_labels``, for the replay of a witness by its
 printed labels (``replay_pivot``).  A label carries the index of the
 process transition it takes, which the lift to the translated machine
-reads; the reachable verdict keeps the search path as its run.
+reads.
 
-``pivot_reach``, which the ``pivot`` and ``crosscheck`` commands call, is
-the search followed by the replay of its witness.  ``check`` calls
-``pivot_search`` alone and lifts the search path; the lift's walk of the
-translated machine's gadgets is the replay of the witness ``check``
-prints.  The literal all-omega rules and search that this engine is
-validated against live in the test suite.
+``pivot_search`` returns the search that decided and its stats.
+``pivot_reach``, which the ``pivot`` and ``crosscheck`` commands call,
+makes the verdict: it prints the witness, the omega line and the labels,
+and replays it.  ``check`` calls ``pivot_search`` alone and lifts the
+search's final prefix and path; the lift's walk of the translated
+machine's gadgets is the replay of the witness ``check`` prints.  The
+literal all-omega rules and search that this engine is validated against
+live in the test suite.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .verdict import (
     DEFAULT_VALUE_BOUND,
     PRUNED,
     REACHED,
+    Search,
     Stats,
     Verdict,
     WitnessError,
@@ -179,10 +182,11 @@ def pivot_search(
     adt: AdtSpec,
     value_bound: int | None = DEFAULT_VALUE_BOUND,
     budget: int = DEFAULT_BUDGET,
-) -> Verdict:
-    """Decide pivot reachability of the process target state, without
-    replaying the witness; a reachable verdict's run is the search path,
-    whose labels carry their transition indices.
+) -> tuple[Search, Stats]:
+    """Decide pivot reachability of the process target state: the search
+    that decided, and the stats of the call.  A search that reached the
+    target ends in a state whose prefix is the update sequence omega, and
+    its path is the run's labels, which carry their transition indices.
 
     Exact unless data values were pruned (value_bound; None prunes none)
     or the budget ran out, in which case the verdict degrades to
@@ -212,11 +216,7 @@ def pivot_search(
         explored, iterations = explored + free_r.explored, iterations + free_r.explored + 1
         if free_r.outcome == CLOSED:
             r = free_r
-    witness = None
-    if r.outcome == REACHED:
-        witness = (format_omega(r.final.prefix),) + tuple(str(l) for l in r.path)
-    return r.verdict(Stats(explored, iterations, int((time.monotonic() - t0) * 1000)),
-                     witness, r.path)
+    return r, Stats(explored, iterations, int((time.monotonic() - t0) * 1000))
 
 
 def pivot_reach(
@@ -226,15 +226,18 @@ def pivot_reach(
     value_bound: int | None = DEFAULT_VALUE_BOUND,
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
-    """pivot_search, with a reachable witness replayed by replay_pivot
-    before it is returned."""
-    v = pivot_search(proc, mem, adt, value_bound, budget)
-    if v.witness is not None:
+    """The verdict of pivot_search, with a reachable witness, the omega
+    line and then one label per step, replayed by replay_pivot before it
+    is returned."""
+    r, stats = pivot_search(proc, mem, adt, value_bound, budget)
+    witness = None
+    if r.outcome == REACHED:
+        witness = (format_omega(r.final.prefix),) + tuple(map(str, r.path))
         try:
-            replay_pivot(proc, mem, adt, v.witness, require_final=proc.q_final)
+            replay_pivot(proc, mem, adt, witness, require_final=proc.q_final)
         except PivotError as e:
             raise WitnessError(f"pivot witness does not replay: {e}") from e
-    return v
+    return r.verdict(stats, witness)
 
 
 def replay_pivot(

@@ -29,7 +29,6 @@ uses and follows them, with no search over the machine.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from .adt import (
@@ -63,6 +62,8 @@ from .model import (
 from .model import Instruction, Message, RegisterAction
 from .verdict import WitnessError
 
+act = RegisterAction  # builds the actions of the pivot machine's pieces
+
 
 def _rank_register(m: Message) -> str:
     return f"rk_{m[0]}_{m[1]}"
@@ -71,24 +72,21 @@ def _rank_register(m: Message) -> str:
 def _path(edges: list[RmEdge], fresh, src: str, steps, dst: str | None = None) -> str:
     """Append steps in a row from src through fresh() states, the last one
     into dst (a fresh state when None), and return that last state.  A step
-    is one action, or a tuple of actions that become parallel edges."""
+    is one action, or a list of actions that become parallel edges."""
     last = len(steps) - 1
     for i, step in enumerate(steps):
         nxt = dst if dst and i == last else fresh()
-        if isinstance(step, tuple):
-            for act in step:
-                edges.append((src, act, nxt))
-        else:
-            edges.append((src, step, nxt))
+        for a in step if isinstance(step, list) else [step]:
+            edges.append((src, a, nxt))
         src = nxt
     return src
 
 
-def _max_update(edges: list[RmEdge], fresh, act, src: str, a: str, b: str,
+def _max_update(edges: list[RmEdge], fresh, src: str, a: str, b: str,
                 dst: str | None = None) -> str:
     """Append a := max(a, b) from src to dst (a fresh() state when None) and
     return dst: ckge a b straight there, or ckl a b and then set a b through
-    a fresh branch state, allocated first.  act builds the actions."""
+    a fresh branch state, allocated first."""
     branch, join = fresh(), dst or fresh()
     edges += [(src, act("ckge", a, b), join), (src, act("ckl", a, b), branch),
               (branch, act("set", a, b), join)]
@@ -105,7 +103,7 @@ def _names(tag: str):
     return map(f"{tag}_{{}}".format, itertools.count(1)).__next__
 
 
-def _guess_chain(j: int, m: Message, act) -> list[RmEdge]:
+def _guess_chain(j: int, m: Message) -> list[RmEdge]:
     """Rank m, the j-th message of the memory, next: guess -> guessj_1 ->
     guessj_2 -> guess."""
     edges: list[RmEdge] = []
@@ -115,7 +113,7 @@ def _guess_chain(j: int, m: Message, act) -> list[RmEdge]:
     return edges
 
 
-def _ptrinit_chain(variables: tuple[str, ...], act, dst: str) -> list[RmEdge]:
+def _ptrinit_chain(variables: tuple[str, ...], dst: str) -> list[RmEdge]:
     """The pointer initializer, from ptrinit to dst: reset every pointer
     except the progress pointer, advance the progress pointer, and hand a
     fresh data value to the next provider."""
@@ -127,10 +125,10 @@ def _ptrinit_chain(variables: tuple[str, ...], act, dst: str) -> list[RmEdge]:
     return edges
 
 
-def _gadget(k: int, transition: ProcEdge, domain: range, act) -> dict[str, list[RmEdge]]:
+def _gadget(k: int, transition: ProcEdge, domain: range) -> dict[str, list[RmEdge]]:
     """The edges that simulate process transition k, one branch per pivot
     rule that can take it, in build order; interior states are tk_1, tk_2,
-    ...  act builds the actions."""
+    ..."""
     q, instr, q2 = transition
     src, dst = f"s_{q}", f"s_{q2}"
     fresh = _names(f"t{k}")
@@ -140,7 +138,7 @@ def _gadget(k: int, transition: ProcEdge, domain: range, act) -> dict[str, list[
         return {"op": [(src, instr.op, dst)]}
     if instr.kind == "mf":
         fence: list[RmEdge] = []
-        _max_update(fence, fresh, act, src, "phe", "phlmax", dst)
+        _max_update(fence, fresh, src, "phe", "phlmax", dst)
         return {"fence": fence}
     x, d = instr.var, instr.val
     r, lw, phl = _rank_register((x, d)), f"lw_{x}", f"phl_{x}"
@@ -150,20 +148,20 @@ def _gadget(k: int, transition: ProcEdge, domain: range, act) -> dict[str, list[
         write1: list[RmEdge] = []
         u = _path(write1, fresh, src,
                   [act("ckge", r, 1), act("ckl", r, "php"), act("set", lw, d + 1)])
-        u = _max_update(write1, fresh, act, u, "phlmax", r)
+        u = _max_update(write1, fresh, u, "phlmax", r)
         write1.append((u, act("set", phl, "phlmax"), dst))
         return {"write2": [(src, act("cke", r, "php"), "ptrinit")], "write1": write1}
     # read1, the own last write; read3, a message some earlier provider
     # propagated
     read3: list[RmEdge] = []
     v = _path(read3, fresh, src, [act("ckge", r, 1), act("ckl", r, "php")])
-    v = _max_update(read3, fresh, act, v, "phe", phl)
-    _max_update(read3, fresh, act, v, "phe", r, dst)
+    v = _max_update(read3, fresh, v, "phe", phl)
+    _max_update(read3, fresh, v, "phe", r, dst)
     branches = {"read1": [(src, act("cke", lw, d + 1), dst)], "read3": read3}
     if d == 0:
         # read2, the initial value: no own write, and no message on x
         # ranked at or below the external pointer
-        checks = [(act("cke", rk, 0), act("ckg", rk, "phe"))
+        checks = [[act("cke", rk, 0), act("ckg", rk, "phe")]
                   for rk in (_rank_register((x, d2)) for d2 in domain)]
         branches["read2"] = []
         _path(branches["read2"], fresh, src, [act("cke", lw, 0), *checks], dst)
@@ -196,19 +194,16 @@ def build_register_machine(
     message, gives it the next rank, and nondeterministically stops into
     the first provider.  The pointer initializer starts each new provider
     (including a data-type reset, since a provider is a fresh process).
-    Then comes one gadget per process transition.  Equal actions are one
-    object within one build, and only within it, so the machine decodes
-    each of them once.
+    Then comes one gadget per process transition.
     """
-    act = functools.cache(RegisterAction)  # one object per distinct action
     s_init = f"s_{proc.q_init}"
     edges: list[RmEdge] = [("boot", act("set", "rknxt", 1), "guess")]
     for j, m in enumerate(mem.messages()):
-        edges += _guess_chain(j, m, act)
+        edges += _guess_chain(j, m)
     edges.append(("guess", act("set", "php", 1), s_init))
-    edges += _ptrinit_chain(mem.variables, act, s_init)
+    edges += _ptrinit_chain(mem.variables, s_init)
     for k, transition in enumerate(proc.delta):
-        for branch in _gadget(k, transition, mem.domain, act).values():
+        for branch in _gadget(k, transition, mem.domain).values():
             edges += branch
     # the fixed states, the process states, then the interior states in the
     # order they first occur
@@ -236,8 +231,9 @@ def lift_pivot_witness(
 ) -> tuple[RmEdge, ...]:
     """A run of build_register_machine(proc, mem, adt) to its target that
     simulates a pivot run to the process target, given its update sequence
-    omega and its labels, each with its transition index (the run of a
-    reachable pivot_search verdict), built without the whole machine.
+    omega and its labels, each with its transition index (the final prefix
+    and the path of a pivot_search that reached the target), built without
+    the whole machine.
 
     The run ranks the messages of omega in order, sets the progress
     pointer to 1, and then takes, for each pivot step, the branch of its
@@ -248,58 +244,42 @@ def lift_pivot_witness(
     phl, php = |prefix| + 1).
 
     Only the guess chains of omega, the pointer initializer and the
-    branches of the transitions the run takes are built, each once, and
-    the run is walked once under model.fire, each step restricted to its
-    own piece.  A piece's edges from a state are decoded, with the
-    machine's registers and bound, when the walk first leaves that state
-    in it, each distinct action once.  This walk is the replay of the
-    lifted run: a step with no enabled edge, or a run that ends away from
-    the target, raises WitnessError.  Every edge is an edge of the whole
-    machine, named as there.
+    gadgets of the transitions the run takes are built, each once, and the
+    run is walked once under model.fire.  Each step fires the edges of its
+    own piece that leave the walk's state, decoded with the machine's
+    registers and bound; each distinct action is decoded once per lift.
+    This walk is the replay of the lifted run: a step with no enabled
+    edge, or a run that ends away from the target, raises WitnessError.
+    Every edge is an edge of the whole machine, named as there.
     """
-    act = functools.cache(RegisterAction)
     messages = mem.messages()
     idx = {r: i for i, r in enumerate(_pivot_registers(mem))}
     bound = len(messages) + 1
-    steps: dict = {}  # decoded actions by id; act's cache keeps them alive
-
-    def piece(edges: list[RmEdge]) -> dict[str, list[RmEdge]]:
-        """edges by source state; the walk decodes a state's on its first
-        visit, as edges_from does"""
-        by_state: dict[str, list[RmEdge]] = {}
-        for e in edges:
-            by_state.setdefault(e[0], []).append(e)
-        return by_state
-
     s_init = f"s_{proc.q_init}"
     # the run in segments: the piece a segment walks, and its last state
-    segments = [(piece([("boot", act("set", "rknxt", 1), "guess")]), "guess")]
-    segments += [(piece(_guess_chain(messages.index(m), m, act)), "guess") for m in omega]
-    segments.append((piece([("guess", act("set", "php", 1), s_init)]), s_init))
+    segments = [([("boot", act("set", "rknxt", 1), "guess")], "guess")]
+    segments += [(_guess_chain(messages.index(m), m), "guess") for m in omega]
+    segments.append(([("guess", act("set", "php", 1), s_init)], s_init))
     ptrinit = None  # built at the first write2 step
     gadgets: dict[int, dict[str, list[RmEdge]]] = {}
-    branches: dict[tuple[int, str], dict[str, list[RmEdge]]] = {}
     for label in labels:
         k, rule = label.k, label.rule
-        if (k, rule) not in branches:
-            if k not in gadgets:
-                gadgets[k] = _gadget(k, proc.delta[k], mem.domain, act)
-            if rule not in gadgets[k]:
-                raise WitnessError(f"lifted witness: transition {k} has no {rule} branch")
-            branches[k, rule] = piece(gadgets[k][rule])
+        if k not in gadgets:
+            gadgets[k] = _gadget(k, proc.delta[k], mem.domain)
+        if rule not in gadgets[k]:
+            raise WitnessError(f"lifted witness: transition {k} has no {rule} branch")
         if rule == "write2":
-            ptrinit = ptrinit or (piece(_ptrinit_chain(mem.variables, act, s_init)), s_init)
-            segments += [(branches[k, rule], "ptrinit"), ptrinit]
+            ptrinit = ptrinit or (_ptrinit_chain(mem.variables, s_init), s_init)
+            segments += [(gadgets[k][rule], "ptrinit"), ptrinit]
         else:
-            segments.append((branches[k, rule], f"s_{proc.delta[k][2]}"))
+            segments.append((gadgets[k][rule], f"s_{proc.delta[k][2]}"))
     c = RmConfiguration("boot", (0,) * len(idx), adt.initial_value())
+    steps: dict = {}  # each action decoded so far, to its step
     run = []
     for edges, last in segments:
         while True:
-            es = edges.get(c.state, ())
-            if type(es) is list:
-                es = edges[c.state] = decode_edges(es, steps, idx, bound)
-            step = fire(es, adt, c)
+            step = fire(decode_edges([e for e in edges if e[0] == c.state], steps, idx, bound),
+                        adt, c)
             if not step:
                 raise WitnessError(f"lifted witness: no edge of the pivot step enabled "
                                    f"at {c.state}")

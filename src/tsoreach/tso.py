@@ -120,15 +120,14 @@ def _local_moves(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec):
     """The six rule families of one program, indexed once: a function from
     one process's state, value and buffer and the memory to that process's
     moves, in ``delta`` order with the memory update last.  A move is its
-    label without a process index, as the tuple (kind, var, val, op) of the
-    instruction or the update, the process's new (state, value, buffer)
-    and the new memory.  A step
-    changes only the process that takes it and the memory, so nothing else
-    of the configuration enters."""
+    label without a process index, the instruction or the tuple (kind,
+    var, val, op) of the update, the process's new (state, value, buffer)
+    and the new memory.  A step changes only the process that takes it and
+    the memory, so nothing else of the configuration enters."""
     var_index = {x: i for i, x in enumerate(mem.variables)}
     by_state: dict[str, list] = {q: [] for q in proc.states}
     for q, instr, q2 in proc.delta:
-        by_state[q].append(((instr.kind, instr.var, instr.val, instr.op), q2))
+        by_state[q].append((instr, q2))
 
     def moves(state: str, value: AdtValue, buf: tuple[Message, ...],
               memory: tuple[int, ...]) -> list:

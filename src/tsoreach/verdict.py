@@ -36,17 +36,13 @@ class Verdict:
 
     witness holds printable labels and is present exactly when reachable;
     closed records whether the exploration provably covered the whole
-    space (always true for the exact backends).  run, which is never
-    printed, holds the witness's steps as the labels of the rules the
-    search took, when the search keeps them (the pivot search does, for
-    check's lift).
+    space (always true for the exact backends).
     """
 
     outcome: str
     witness: tuple[str, ...] | None = None
     stats: Stats = field(default_factory=Stats)
     closed: bool = True
-    run: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         assert (self.outcome == REACHABLE) == (self.witness is not None)
@@ -104,13 +100,11 @@ class Search:
     explored: int
     depth: int
 
-    def verdict(self, stats: Stats, witness: tuple[str, ...] | None = None,
-                run: tuple | None = None) -> Verdict:
-        """reached is reachable with the witness and its run, closed is
-        unreachable, and a search stopped by a limit or by pruning is
-        inconclusive."""
+    def verdict(self, stats: Stats, witness: tuple[str, ...] | None = None) -> Verdict:
+        """reached is reachable with the witness, closed is unreachable, and
+        a search stopped by a limit or by pruning is inconclusive."""
         if self.outcome == REACHED:
-            return Verdict(REACHABLE, witness=witness, stats=stats, run=run)
+            return Verdict(REACHABLE, witness=witness, stats=stats)
         if self.outcome == CLOSED:
             return Verdict(UNREACHABLE, stats=stats)
         return Verdict(INCONCLUSIVE, stats=stats, closed=False)

@@ -17,7 +17,7 @@ from tsoreach.cli import main
 from tsoreach.dsl import Program, parse_adt_line, print_program
 from tsoreach.gen import random_program
 from tsoreach.model import replay_rm
-from tsoreach.pivot import pivot_reach
+from tsoreach.pivot import pivot_search
 from tsoreach.solvers import format_rm_label, solve_auto
 from tsoreach.translate import build_register_machine, lift_pivot_witness
 from tsoreach.verdict import WitnessError
@@ -123,7 +123,7 @@ def test_check_prints_the_pivot_stats_and_a_machine_witness(tmp_path, capsys):
 
 def test_lift_rejects_ranks_under_which_the_target_is_unreachable():
     prog = parse_program(HANDSHAKE)
-    labels = pivot_reach(prog.proc, prog.mem, prog.adt).run
+    labels = pivot_search(prog.proc, prog.mem, prog.adt)[0].path
     assert len(lift_pivot_witness(prog.proc, prog.mem, prog.adt, (("x", 1),), labels)) > 5
     # without x=1 in the update sequence no provider can read it
     with pytest.raises(WitnessError):

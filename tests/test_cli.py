@@ -10,6 +10,7 @@ import pytest
 import tsoreach
 import tsoreach.cli
 import tsoreach.pivot
+import tsoreach.solvers
 import tsoreach.tso
 from helpers import parse_program
 from tsoreach.adt import MAX_LEVEL
@@ -18,7 +19,8 @@ from tsoreach.dsl import print_machine
 from tsoreach.gen import random_stack_machine
 from tsoreach.pivot import pivot_reach
 from tsoreach.tso import bounded_reach
-from tsoreach.verdict import REACHED, WitnessError
+from tsoreach.model import ModelError
+from tsoreach.verdict import REACHED, UNREACHABLE, Verdict, WitnessError
 
 HANDSHAKE = """\
 memory vars x domain 0..1
@@ -194,6 +196,23 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch
     code, out, err = _run(capsys, "check", _write(tmp_path, "p.tso", HANDSHAKE))
     assert (code, out) == (6, "")
     assert err.startswith("internal error: ZeroDivisionError: boom")
+
+
+def test_a_stack_witness_that_fails_replay_is_an_internal_error(tmp_path, capsys,
+                                                               monkeypatch):
+    def replay_rm(rm, labels):
+        raise ModelError("witness step not enabled: canned")
+
+    path = _write(tmp_path, "m.tso", "adt stack alphabet a\nmachine M\nregisters - bound 0\n"
+                  "state q0 init\nstate q1\nstate qt target\n"
+                  "trans q0 -> q1 : op push a\ntrans q1 -> qt : op pop a\n")
+    assert _run(capsys, "check", path, "--format", "lines")[0] == 0
+    monkeypatch.setattr(tsoreach.solvers, "replay_rm", replay_rm)
+    code, out, err = _run(capsys, "check", path, "--format", "lines")
+    assert (code, out) == (6, "")
+    assert err.startswith("internal error: WitnessError: stack witness does not replay: "
+                          "witness step not enabled: canned\n")
+    assert "verdict: " not in err
 
 
 def test_lines_format_is_deterministic_and_millis_free(tmp_path, capsys):
@@ -390,6 +409,29 @@ def test_crosscheck_agreement(tmp_path, capsys):
     path2 = _write(tmp_path, "u.tso", NO_WRITER)
     code2, out2, _ = _run(capsys, "crosscheck", path2)
     assert code2 == 1  # agreed unreachable
+
+
+@pytest.mark.parametrize("canned,flags,problems", [
+    (("pivot_reach",), (), ["oracle found a witness but pivot says unreachable",
+                            "pivot says unreachable but check says reachable"]),
+    (("_rm_route",), (), ["oracle found a witness but check says unreachable",
+                          "pivot says reachable but check says unreachable"]),
+    (("pivot_reach", "_rm_route"), (), ["oracle found a witness but pivot says unreachable",
+                                        "oracle found a witness but check says unreachable"]),
+    # an oracle of one step finds no witness
+    (("_rm_route",), ("--steps", "1"), ["pivot says reachable but check says unreachable"]),
+])
+def test_crosscheck_reports_each_disagreement(tmp_path, capsys, monkeypatch, canned, flags,
+                                              problems):
+    # HANDSHAKE is reachable: the replaced pipelines say unreachable
+    for name in canned:
+        monkeypatch.setattr(tsoreach.cli, name, lambda *args, **kwargs: Verdict(UNREACHABLE))
+    code, out, _ = _run(capsys, "crosscheck", _write(tmp_path, "p.tso", HANDSHAKE), *flags)
+    assert code == 5
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("disagreement: ")] == [
+        f"disagreement: {p}" for p in problems]
+    assert lines[0] == f"oracle: {'inconclusive' if flags else 'reachable'}"
 
 
 def test_crosscheck_seeded_programs(tmp_path, capsys):

@@ -15,7 +15,6 @@ check never replays the pivot witness, while pivot and crosscheck do.
 
 from __future__ import annotations
 
-import functools
 import importlib.util
 import random
 import sys
@@ -27,9 +26,9 @@ import pytest
 from tsoreach import cli, dsl, pivot, translate
 from tsoreach.cli import main
 from tsoreach.model import RegisterAction, RmConfiguration, fire, replay_rm, rm_step
-from tsoreach.pivot import format_omega, parse_omega, pivot_reach, pivot_search
+from tsoreach.pivot import pivot_search
 from tsoreach.translate import build_register_machine, lift_pivot_witness
-from tsoreach.verdict import DEFAULT_VALUE_BOUND, REACHABLE, WitnessError
+from tsoreach.verdict import DEFAULT_VALUE_BOUND, REACHED, WitnessError
 
 SUITE = Path(__file__).resolve().parents[1] / "perfbench" / "suite.py"
 BUDGET = 50_000
@@ -91,13 +90,13 @@ def _lift_and_check(name, prog, built) -> bool:
     against the whole machine; whether there was one to lift.  built
     collects the transition index of each gadget built."""
     proc, mem, adt = prog.proc, prog.mem, prog.adt
-    v = pivot_search(proc, mem, adt, value_bound=DEFAULT_VALUE_BOUND, budget=BUDGET)
-    if v.outcome != REACHABLE:
+    r, _ = pivot_search(proc, mem, adt, value_bound=DEFAULT_VALUE_BOUND, budget=BUDGET)
+    if r.outcome != REACHED:
         return False
     rm = build_register_machine(proc, mem, adt)
     built.clear()
-    run = lift_pivot_witness(proc, mem, adt, parse_omega(v.witness[0]), v.run)
-    assert sorted(built) == sorted({label.k for label in v.run}), name
+    run = lift_pivot_witness(proc, mem, adt, r.final.prefix, r.path)
+    assert sorted(built) == sorted({label.k for label in r.path}), name
     assert set(run) <= set(rm.delta), name
     assert replay_rm(rm, run).state == rm.q_target, name
     return True
@@ -122,17 +121,17 @@ def test_a_witness_whose_omega_lacks_a_message_is_rejected():
     tampered = read = 0
     for name, text in _suite_programs():
         prog = dsl.parse_input(text)
-        v = pivot_reach(prog.proc, prog.mem, prog.adt, value_bound=DEFAULT_VALUE_BOUND,
-                        budget=BUDGET)
-        if v.outcome != REACHABLE:
+        r, _ = pivot_search(prog.proc, prog.mem, prog.adt, value_bound=DEFAULT_VALUE_BOUND,
+                            budget=BUDGET)
+        if r.outcome != REACHED:
             continue
-        omega = parse_omega(v.witness[0])
+        omega = r.final.prefix
         for m in omega:
             without = tuple(m2 for m2 in omega if m2 != m)
             with pytest.raises(WitnessError):
-                lift_pivot_witness(prog.proc, prog.mem, prog.adt, without, v.run)
+                lift_pivot_witness(prog.proc, prog.mem, prog.adt, without, r.path)
             tampered += 1
-            read += f"read3: rd {m[0]} {m[1]}" in v.witness
+            read += f"read3: rd {m[0]} {m[1]}" in map(str, r.path)
     assert tampered >= 70 and read >= 2, (tampered, read)
 
 
@@ -140,15 +139,14 @@ def test_the_machine_is_the_ordered_concatenation_of_its_pieces():
     for name, text in _suite_programs():
         prog = dsl.parse_input(text)
         proc, mem = prog.proc, prog.mem
-        act = functools.cache(RegisterAction)
         s_init = f"s_{proc.q_init}"
-        pieces = [("boot", act("set", "rknxt", 1), "guess")]
+        pieces = [("boot", RegisterAction("set", "rknxt", 1), "guess")]
         for j, m in enumerate(mem.messages()):
-            pieces += translate._guess_chain(j, m, act)
-        pieces.append(("guess", act("set", "php", 1), s_init))
-        pieces += translate._ptrinit_chain(mem.variables, act, s_init)
+            pieces += translate._guess_chain(j, m)
+        pieces.append(("guess", RegisterAction("set", "php", 1), s_init))
+        pieces += translate._ptrinit_chain(mem.variables, s_init)
         for k, transition in enumerate(proc.delta):
-            for branch in translate._gadget(k, transition, mem.domain, act).values():
+            for branch in translate._gadget(k, transition, mem.domain).values():
                 pieces += branch
         assert build_register_machine(proc, mem, prog.adt).delta == tuple(pieces), name
 
@@ -180,11 +178,11 @@ def test_a_tampered_search_path_does_not_lift():
     kinds = {"rule": 0, "k": 0, "dropped": 0}
     for name, text in _suite_programs():
         prog = dsl.parse_input(text)
-        v = pivot_search(prog.proc, prog.mem, prog.adt, budget=BUDGET)
-        if v.outcome != REACHABLE:
+        r, _ = pivot_search(prog.proc, prog.mem, prog.adt, budget=BUDGET)
+        if r.outcome != REACHED:
             continue
-        omega = parse_omega(v.witness[0])
-        for what, run in _tampered_runs(prog, v.run):
+        omega = r.final.prefix
+        for what, run in _tampered_runs(prog, r.path):
             with pytest.raises(WitnessError):
                 lift_pivot_witness(prog.proc, prog.mem, prog.adt, omega, run)
             kinds[what] += 1
@@ -197,11 +195,11 @@ def test_check_on_a_tampered_search_path_is_an_internal_error(tmp_path, capsys, 
     path = tmp_path / "p.tso"
     path.write_text(HANDSHAKE_TWICE)
     prog = dsl.parse_input(HANDSHAKE_TWICE)
-    real = pivot_search(prog.proc, prog.mem, prog.adt)
-    omega = parse_omega(real.witness[0])
-    variants = {"omega": replace(real, witness=(format_omega(omega[1:]),) + real.witness[1:])}
-    for what, run in _tampered_runs(prog, real.run):
-        variants.setdefault(what, replace(real, run=run))
+    real, stats = pivot_search(prog.proc, prog.mem, prog.adt)
+    final = real.final
+    variants = {"omega": (replace(real, final=replace(final, prefix=final.prefix[1:])), stats)}
+    for what, run in _tampered_runs(prog, real.path):
+        variants.setdefault(what, (replace(real, path=run), stats))
     assert list(variants) == ["omega", "rule", "k", "dropped"]
     for what, v in variants.items():
         monkeypatch.setattr(cli, "pivot_search", lambda *args, v=v, **kwargs: v)

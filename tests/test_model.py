@@ -382,10 +382,11 @@ def test_edges_from_a_state_without_edges_and_the_target():
 
 
 def test_equal_actions_of_a_machine_decode_once():
-    act = write("r", 1)
-    rm = mk(["q0", "q1"], [("q0", act, "q1"), ("q1", act, "q0"), ("q1", write("r", 1), "q1")])
+    act, again = write("r", 1), write("r", 1)
+    assert act == again and act is not again
+    rm = mk(["q0", "q1"], [("q0", act, "q1"), ("q1", act, "q0"), ("q1", again, "q1")])
     (_, step0), = rm.edges_from("q0")
     (_, step1), (_, step2) = rm.edges_from("q1")
-    assert step0 is step1  # one object, decoded once
-    assert step2 is not step1 and step2((0,)) == step1((0,))
+    assert step0 is step1 is step2  # equal actions, decoded once
+    assert step2((0,)) == (1,)
     assert rm.edges_from("q1") is rm.edges_from("q1")

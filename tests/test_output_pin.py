@@ -7,12 +7,16 @@ the data types trivial, counter, stack and petri at seeds 0-199 (with
 print/parse round trip.  A change to how an action kind is drawn,
 parsed, printed or lowered moves the digest.  The benchmark's suite
 digests in ``perfbench/expected`` pin only tier-1 draws.
+
+Run as a script (``PYTHONPATH=src python tests/test_output_pin.py``) it
+prints the count and the digest, and exits 1 when they differ from the pin.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import sys
 
 from tsoreach.adt import AdtSpec, trivial_spec
 from tsoreach.dsl import parse_adt_line, parse_input, print_machine
@@ -57,4 +61,6 @@ def test_generator_lowering_and_round_trip_outputs_are_pinned():
 
 
 if __name__ == "__main__":
-    print(*digest())
+    n, h = digest()
+    print(n, h)
+    sys.exit(0 if (n, h) == (9600, DIGEST) else 1)

@@ -277,8 +277,8 @@ def test_the_default_value_bound_closes_a_stack_program(tmp_path, capsys):
     assert main(["gen", "--kind", "program", "--adt", "stack alphabet a,b", "--seed", "17",
                  "--out", str(path)]) == 0
     prog = parse_program(path.read_text())
-    for search in (pivot_reach, pivot_search):
-        v = search(prog.proc, prog.mem, prog.adt, budget=50_000)
+    r, stats = pivot_search(prog.proc, prog.mem, prog.adt, budget=50_000)
+    for v in (pivot_reach(prog.proc, prog.mem, prog.adt, budget=50_000), r.verdict(stats)):
         assert (v.outcome, v.stats.explored) == ("unreachable", 18)
 
 

@@ -26,7 +26,7 @@ from tsoreach.model import (
     write,
 )
 from tsoreach import model, translate
-from tsoreach.pivot import parse_omega, pivot_reach
+from tsoreach.pivot import pivot_reach, pivot_search
 from tsoreach.solvers import solve_counter, solve_finite, solve_stack
 from tsoreach.translate import (
     build_register_machine,
@@ -36,7 +36,7 @@ from tsoreach.translate import (
     encode_rm_to_coverability_labelled,
     lift_pivot_witness,
 )
-from tsoreach.verdict import REACHABLE
+from tsoreach.verdict import REACHED
 
 
 def test_register_set_and_domain_formulas():
@@ -289,9 +289,9 @@ def test_translated_edges_from_equals_the_eager_reference(seed):
 
 
 def test_lift_decodes_only_the_states_it_reaches(monkeypatch):
-    # the lift builds no machine: it decodes a piece's edges from a state
-    # when its walk first leaves that state, each distinct action once,
-    # with the whole machine's registers and bound
+    # the lift builds no machine: each step of its walk decodes the
+    # piece's edges from the walk's state, each distinct action once per
+    # lift, with the whole machine's registers and bound
     pieces, decoded = [], []
     decode_edges, decode_action = translate.decode_edges, model._decode_action
     monkeypatch.setattr(translate, "decode_edges",
@@ -302,13 +302,13 @@ def test_lift_decodes_only_the_states_it_reaches(monkeypatch):
     lifted = 0
     for seed in range(30):
         mem, adt, proc = _gen_program(seed)
-        v = pivot_reach(proc, mem, adt)
-        if v.outcome != REACHABLE:
+        r, _ = pivot_search(proc, mem, adt)
+        if r.outcome != REACHED:
             continue
         rm = build_register_machine(proc, mem, adt)
         pieces.clear()
         decoded.clear()
-        run = lift_pivot_witness(proc, mem, adt, parse_omega(v.witness[0]), v.run)
+        run = lift_pivot_witness(proc, mem, adt, r.final.prefix, r.path)
         # each call decodes one state's edges in a piece, and the states
         # decoded are exactly the sources of the run's edges
         sources = [{q for q, _, _ in edges} for edges in pieces]
@@ -329,11 +329,8 @@ def test_lift_decodes_only_the_states_it_reaches(monkeypatch):
     assert lifted >= 5
 
 
-def test_equal_actions_are_one_object_within_a_build_only():
-    mem, adt, proc = _gen_program(3)
-    rm = build_register_machine(proc, mem, adt)
-    acts = [act for _, act, _ in rm.delta if isinstance(act, RegisterAction)]
-    assert len({id(act) for act in acts}) == len(set(acts)) < len(acts)
-    again = build_register_machine(proc, mem, adt)
-    assert again == rm
-    assert not {id(act) for act in acts} & {id(act) for _, act, _ in again.delta}
+def test_a_path_step_is_one_edge_or_a_list_of_parallel_edges():
+    edges = []
+    a, b, c = skp(), read("r", 0), read("r", 1)
+    assert translate._path(edges, translate._names("p"), "s", [a, [b, c], a], "t") == "t"
+    assert edges == [("s", a, "p_1"), ("p_1", b, "p_2"), ("p_1", c, "p_2"), ("p_2", a, "t")]
