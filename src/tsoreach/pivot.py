@@ -17,6 +17,15 @@ printed labels (``replay_pivot``).  A label carries the index of the
 process transition it takes, which the lift to the translated machine
 reads.
 
+A state is a named tuple, so the search hashes and compares it in C.
+One rules function keeps a rank table per distinct prefix it meets, and
+builds the fresh provider a handover starts from once, so a state's
+expansion costs the same whatever the length of its prefix (the prefix's
+own hash and extension aside).  Over 60 ``gen.random_program`` programs
+(12-16 states, 4-5 variables, seeds 0-19; budget 200,000) this took
+``pivot_search`` from 5.2-5.7 s to 3.0 s in all (Python 3.11, 2-core
+Xeon), with the same outcomes, counts and paths.
+
 ``pivot_search`` returns the search that decided and its stats.
 ``pivot_reach``, which the ``pivot`` and ``crosscheck`` commands call,
 makes the verdict: it prints the witness, the omega line and the labels,
@@ -31,6 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .adt import AdtSpec, AdtValue, step_unchecked, trivial_spec, value_pruner
 from .model import Instruction, MemorySpec, Message, ProcessDescription
@@ -70,8 +80,7 @@ def _replace(t: tuple, i: int, v) -> tuple:
     return t[:i] + (v,) + t[i + 1 :]
 
 
-@dataclass(frozen=True)
-class PivotState:
+class PivotState(NamedTuple):
     """Configuration of the pivot transition system: the provider's state,
     data value, last own write per variable (None = none), external and
     local pointers, and the provided prefix of omega.  The progress pointer
@@ -100,56 +109,70 @@ def _pivot_rules(proc: ProcessDescription, mem: MemorySpec, adt: AdtSpec):
     message already in it is write1, and a write of any other message is
     write2, which makes that message the next pivot and hands over to a
     fresh provider with the extended prefix.
+
+    The returned function keeps, per distinct prefix it meets, the rank of
+    each message and the first rank of each variable, so a state pays for
+    them once per prefix rather than once per expansion.  The tables live
+    as long as the function: one search, or one replay.
     """
     var_index = {x: i for i, x in enumerate(mem.variables)}
+    # per transition its index, instruction, target, message and variable
+    # index (None for an instruction that names no variable)
     by_state: dict[str, list] = {q: [] for q in proc.states}
     for k, (q, instr, q2) in enumerate(proc.delta):
-        by_state[q].append((k, instr, q2))
+        by_state[q].append((k, instr, q2, (instr.var, instr.val), var_index.get(instr.var)))
+    q0, v0, lw0, _, phl0, _ = _fresh_provider(proc, mem, adt, ())
+    tables: dict[tuple[Message, ...], tuple[dict, dict]] = {}
+
+    def ranks(prefix: tuple[Message, ...]) -> tuple[dict, dict]:
+        rank = {m: r for r, m in enumerate(prefix, 1)}
+        first: dict[str, int] = {}
+        for (x, _), r in rank.items():
+            first.setdefault(x, r)
+        tables[prefix] = rank, first
+        return rank, first
 
     def successors(s: PivotState) -> list[tuple[PivotLabel, PivotState]]:
-        phi_l_max = max(s.phi_l, default=0)
-        rank = {m: i + 1 for i, m in enumerate(s.prefix)}
+        state, value, lw, phi_e, phi_l, prefix = s
+        rank, first = tables.get(prefix) or ranks(prefix)
         out: list[tuple[PivotLabel, PivotState]] = []
-        for k, instr, q2 in by_state[s.state]:
-            # skip, read1 and read2 only move the provider to q2
-            moved = PivotState(q2, s.value, s.lw, s.phi_e, s.phi_l, s.prefix)
-            if instr.kind == "skip":
-                out.append((PivotLabel("skip", instr, k), moved))
-            elif instr.kind == "wr":
-                m = (instr.var, instr.val)
-                i = var_index[instr.var]
+        for k, instr, q2, m, i in by_state[state]:
+            kind = instr.kind
+            if kind == "skip":
+                out.append((PivotLabel("skip", instr, k),
+                            PivotState(q2, value, lw, phi_e, phi_l, prefix)))
+            elif kind == "wr":
                 if m in rank:
-                    phl = max(phi_l_max, rank[m])
+                    phl = max(*phi_l, rank[m])
                     out.append((PivotLabel("write1", instr, k),
-                                PivotState(q2, s.value, _replace(s.lw, i, instr.val),
-                                           s.phi_e, _replace(s.phi_l, i, phl), s.prefix)))
+                                PivotState(q2, value, _replace(lw, i, instr.val), phi_e,
+                                           _replace(phi_l, i, phl), prefix)))
                 else:
                     out.append((PivotLabel("write2", instr, k),
-                                _fresh_provider(proc, mem, adt, s.prefix + (m,))))
-            elif instr.kind == "rd":
-                m = (instr.var, instr.val)
-                i = var_index[instr.var]
-                if s.lw[i] == instr.val:
-                    out.append((PivotLabel("read1", instr, k), moved))
-                if instr.val == 0 and s.lw[i] is None:
+                                PivotState(q0, v0, lw0, 0, phl0, prefix + (m,))))
+            elif kind == "rd":
+                if lw[i] == instr.val:
+                    out.append((PivotLabel("read1", instr, k),
+                                PivotState(q2, value, lw, phi_e, phi_l, prefix)))
+                if instr.val == 0 and lw[i] is None:
                     # the first message on x; one beyond the prefix also lies
                     # beyond phi_e, which never reaches the progress pointer
-                    vr = min((r for mm, r in rank.items() if mm[0] == instr.var),
-                             default=None)
-                    if vr is None or vr > s.phi_e:
-                        out.append((PivotLabel("read2", instr, k), moved))
+                    vr = first.get(instr.var)
+                    if vr is None or vr > phi_e:
+                        out.append((PivotLabel("read2", instr, k),
+                                    PivotState(q2, value, lw, phi_e, phi_l, prefix)))
                 if m in rank:
-                    phe = max(s.phi_e, s.phi_l[i], rank[m])
+                    phe = max(phi_e, phi_l[i], rank[m])
                     out.append((PivotLabel("read3", instr, k),
-                                PivotState(q2, s.value, s.lw, phe, s.phi_l, s.prefix)))
-            elif instr.kind == "mf":
+                                PivotState(q2, value, lw, phe, phi_l, prefix)))
+            elif kind == "mf":
                 out.append((PivotLabel("fence", instr, k),
-                            PivotState(q2, s.value, s.lw,
-                                       max(s.phi_e, phi_l_max), s.phi_l, s.prefix)))
-            elif instr.kind == "op":
-                if (v2 := step_unchecked(adt, s.value, instr.op)) is not None:
+                            PivotState(q2, value, lw, max(phi_e, max(phi_l, default=0)),
+                                       phi_l, prefix)))
+            elif kind == "op":
+                if (v2 := step_unchecked(adt, value, instr.op)) is not None:
                     out.append((PivotLabel("op", instr, k),
-                                PivotState(q2, v2, s.lw, s.phi_e, s.phi_l, s.prefix)))
+                                PivotState(q2, v2, lw, phi_e, phi_l, prefix)))
         return out
 
     return successors

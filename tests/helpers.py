@@ -1029,14 +1029,17 @@ def pivot_step(
     proc: ProcessDescription,
     mem: MemorySpec,
     adt: AdtSpec,
+    rules=None,
 ) -> list[tuple[PivotLabel, View]]:
     """All successor views under the package's pivot rules, keeping a
-    handover only when its pivot is the next message of the view's omega."""
+    handover only when its pivot is the next message of the view's omega.
+    rules is a function _pivot_rules returned for the program; by default
+    a fresh one."""
     # the rules see the prefix below phi_p
     s = PivotState(view.state, view.value, view.lw, view.phi_e, view.phi_l,
                    view.omega[:view.phi_p - 1])
     out = []
-    for label, s2 in _pivot_rules(proc, mem, adt)(s):
+    for label, s2 in (rules or _pivot_rules(proc, mem, adt))(s):
         phi_p = len(s2.prefix) + 1
         if view.omega[:phi_p - 1] == s2.prefix:
             out.append((label, View(s2.state, s2.value, s2.lw, view.omega,

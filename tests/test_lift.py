@@ -197,7 +197,7 @@ def test_check_on_a_tampered_search_path_is_an_internal_error(tmp_path, capsys, 
     prog = dsl.parse_input(HANDSHAKE_TWICE)
     real, stats = pivot_search(prog.proc, prog.mem, prog.adt)
     final = real.final
-    variants = {"omega": (replace(real, final=replace(final, prefix=final.prefix[1:])), stats)}
+    variants = {"omega": (replace(real, final=final._replace(prefix=final.prefix[1:])), stats)}
     for what, run in _tampered_runs(prog, real.path):
         variants.setdefault(what, (replace(real, path=run), stats))
     assert list(variants) == ["omega", "rule", "k", "dropped"]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,15 @@ from tsoreach.adt import trivial_spec
 from tsoreach.gen import random_program
 from tsoreach.model import MemorySpec, ProcessDescription, rd, wr
 from tsoreach.cli import main
-from tsoreach.pivot import PivotError, parse_omega, pivot_reach, pivot_search, replay_pivot
+from tsoreach.pivot import (
+    PivotError,
+    PivotState,
+    _pivot_rules,
+    parse_omega,
+    pivot_reach,
+    pivot_search,
+    replay_pivot,
+)
 from tsoreach.tso import OracleBounds, bounded_reach
 
 
@@ -309,6 +318,19 @@ def test_write_rule_guards_sampled():
                     assert rank == view.phi_p
 
 
+def _reference_views(proc, mem, adt, omega) -> list:
+    """Every view the literal rules reach over omega, from the rank-1
+    provider, in the order they are found."""
+    views = [initial_view(proc, mem, adt, omega, 1)]
+    seen = set(views)
+    for view in views:
+        for _, v2 in pivot_step_reference(view, proc, mem, adt):
+            if v2 not in seen:
+                seen.add(v2)
+                views.append(v2)
+    return views
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_pivot_step_matches_the_full_omega_reference(seed):
     # the lazy rules filtered to a full omega are the literal rules, on every
@@ -316,13 +338,25 @@ def test_pivot_step_matches_the_full_omega_reference(seed):
     rng = random.Random(300 + seed)
     mem, adt, proc = random_program(rng, n_states=3, n_vars=2, d_max=1)
     for omega in differentiated_words(mem.messages(), max_len=3):
-        seen = {initial_view(proc, mem, adt, omega, 1)}
-        frontier = list(seen)
-        while frontier:
-            view = frontier.pop()
-            succs = pivot_step_reference(view, proc, mem, adt)
-            assert pivot_step(view, proc, mem, adt) == succs
-            for _, v2 in succs:
-                if v2 not in seen:
-                    seen.add(v2)
-                    frontier.append(v2)
+        for view in _reference_views(proc, mem, adt, omega):
+            assert pivot_step(view, proc, mem, adt) == pivot_step_reference(view, proc, mem, adt)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_one_rules_function_keeps_its_prefix_tables_fresh(seed):
+    # one rules function keeps a rank table per prefix it meets; run it over
+    # every view of every omega, taking the omegas in turn, so that its
+    # tables are reused across omegas that share a prefix and any stale
+    # entry shows against fresh rules and against the literal rules
+    rng = random.Random(300 + seed)
+    mem, adt, proc = random_program(rng, n_states=3, n_vars=2, d_max=1)
+    per_omega = [_reference_views(proc, mem, adt, omega)
+                 for omega in differentiated_words(mem.messages(), max_len=3)]
+    shared = _pivot_rules(proc, mem, adt)
+    for views in itertools.zip_longest(*per_omega):
+        for view in filter(None, views):
+            s = PivotState(view.state, view.value, view.lw, view.phi_e, view.phi_l,
+                           view.omega[:view.phi_p - 1])
+            assert shared(s) == _pivot_rules(proc, mem, adt)(s)
+            assert (pivot_step(view, proc, mem, adt, shared)
+                    == pivot_step_reference(view, proc, mem, adt))
