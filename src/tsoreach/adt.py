@@ -168,8 +168,14 @@ class AdtSpec:
         # parameter of its row
         if self.kind != "petri" and (self.places or self.transitions or self.initial_marking):
             raise AdtError(f"{self.kind} takes no places, transitions or initial marking")
-        declared = set(self.places)
+        declared, named = set(self.places), set()
         for t in self.transitions:
+            # an op names its transition, and reset is the data type's own op
+            if t.name == RESET:
+                raise AdtError(f"a net transition cannot be named {RESET}")
+            if t.name in named:
+                raise AdtError(f"net transition {t.name} is declared twice")
+            named.add(t.name)
             for p, _ in t.inputs + t.outputs:
                 if p not in declared:
                     raise AdtError(f"transition {t.name} uses undeclared place {p}")
@@ -396,10 +402,12 @@ def value_size(spec: AdtSpec, v: AdtValue) -> int:
 
 
 def value_pruner(spec: AdtSpec, bound: int | None):
-    """explore's prune test for a value larger than bound; None for no bound."""
+    """explore's prune test for a value larger than bound; None for no
+    bound, and for a kind with no step, whose only op, reset, keeps every
+    value the initial one."""
     def prune(c) -> bool:
         return value_size(spec, c.value) > bound
-    return None if bound is None else prune
+    return None if bound is None or KINDS[spec.kind].step is None else prune
 
 
 def wqo(spec: AdtSpec) -> Order:

@@ -50,7 +50,7 @@ from .translate import (
     lift_pivot_witness,
 )
 from .tso import OracleBounds, bounded_reach
-from .verdict import CLOSED, DEFAULT_BUDGET, DEFAULT_VALUE_BOUND, REACHED, Verdict
+from .verdict import CLOSED, DEFAULT_BUDGET, DEFAULT_VALUE_BOUND, REACHED, Verdict, conclude
 
 EXIT_INPUT_ERROR = 3
 EXIT_USAGE = 4
@@ -321,8 +321,8 @@ def _check_program(prog, args) -> Verdict:
                             value_bound=args.value_bound, budget=args.budget)
     if r.outcome == REACHED:
         run = lift_pivot_witness(prog.proc, prog.mem, prog.adt, r.final.prefix, r.path)
-        return r.verdict(stats, tuple(map(format_rm_label, run)))
-    return r.verdict(stats) if r.outcome == CLOSED else _rm_route(prog, args)
+        return conclude(REACHED, stats, tuple(map(format_rm_label, run)))
+    return conclude(CLOSED, stats) if r.outcome == CLOSED else _rm_route(prog, args)
 
 
 def _need_program(obj, what: str) -> Program:

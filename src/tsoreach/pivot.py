@@ -54,6 +54,7 @@ from .verdict import (
     Stats,
     Verdict,
     WitnessError,
+    conclude,
     explore,
     follow_labels,
 )
@@ -260,7 +261,7 @@ def pivot_reach(
             replay_pivot(proc, mem, adt, witness, require_final=proc.q_final)
         except PivotError as e:
             raise WitnessError(f"pivot witness does not replay: {e}") from e
-    return r.verdict(stats, witness)
+    return conclude(r.outcome, stats, witness)
 
 
 def replay_pivot(

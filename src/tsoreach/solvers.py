@@ -17,7 +17,9 @@ fixpoint when no target is reached.  solve_finite and explore_bounded run
 the breadth-first kernel verdict.explore over rm_step.  Every backend
 interprets all instruction tiers directly and replays its reachable
 witness under rm_step to the target before returning it; one that does
-not replay raises WitnessError.
+not replay raises WitnessError.  Each backend hands its stop to
+verdict.conclude; post* and backward coverability stop at budget, reached
+or closed.
 """
 
 from __future__ import annotations
@@ -48,14 +50,15 @@ from .pds import RulesOnDemand, post_star
 # unused here; perfbench/tracing.py patches this name in this module
 from .translate import encode_rm_to_coverability_labelled  # noqa: F401
 from .verdict import (
+    BUDGET,
+    CLOSED,
     DEFAULT_BUDGET,
     DEFAULT_VALUE_BOUND,
-    INCONCLUSIVE,
-    REACHABLE,
-    UNREACHABLE,
+    REACHED,
     Stats,
     Verdict,
     WitnessError,
+    conclude,
     explore,
 )
 
@@ -83,7 +86,8 @@ def _bfs(rm: RegisterMachine, budget: int, bound: int | None = None) -> Verdict:
     """explore over rm_step; stats.iterations is the number of layers expanded.
 
     Configurations whose value is larger than bound are pruned, which is
-    lost coverage: the search can then only end inconclusive.
+    lost coverage: the search can then only end inconclusive, with reason
+    value_bound unless the budget stopped it first.
     """
     t0 = time.monotonic()
     target = rm.q_target
@@ -91,8 +95,8 @@ def _bfs(rm: RegisterMachine, budget: int, bound: int | None = None) -> Verdict:
                 lambda c: c.state == target, budget=budget,
                 prune=value_pruner(rm.adt, bound))
     witness = None if r.path is None else _replayed(rm, r.path, "search")
-    return r.verdict(Stats(r.explored, r.depth, int((time.monotonic() - t0) * 1000)),
-                     witness)
+    return conclude(r.outcome, Stats(r.explored, r.depth, int((time.monotonic() - t0) * 1000)),
+                    witness)
 
 
 def solve_finite(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -166,8 +170,8 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     holds at the end, the initial one included: at the stop for reachable
     verdicts, at the fixpoint for unreachable ones.  budget bounds both the
     closure size and the transitions saturation adds; hitting it is
-    inconclusive.  A reachable witness is replayed under rm_step before it
-    is returned.
+    inconclusive, with reason budget.  A reachable witness is replayed
+    under rm_step before it is returned.
     """
     if KINDS[rm.adt.kind].backend not in ("stack", "counter"):
         raise ModelError("solve_stack needs a stack or counter machine")
@@ -178,11 +182,11 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
         return Stats(len(controls), iterations, int((time.monotonic() - t0) * 1000))
 
     if len(controls) > budget:
-        return Verdict(INCONCLUSIVE, stats=stats(), closed=False)
+        return conclude(BUDGET, stats())
     # edges_from holds every closure control, in an order no string hash sets
     targets = [c for c in edges_from if c[0] == rm.q_target]
     if not targets:
-        return Verdict(UNREACHABLE, stats=stats())
+        return conclude(CLOSED, stats())
     bottom = "_btm"
     while bottom in rm.adt.alphabet:  # a counter pushes only COUNTER_SYMBOL
         bottom += "_"
@@ -216,13 +220,9 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     pds = RulesOnDemand(edges_from, moves_at)
     start = (init, (bottom,))
     result = pre_star(pds, start, targets, budget=budget)
-    iterations = len(result.transitions)
-    if result.exhausted:
-        return Verdict(INCONCLUSIVE, stats=stats(iterations), closed=False)
-    if not result.accepts(*start):
-        return Verdict(UNREACHABLE, stats=stats(iterations))
-    witness = _replayed(rm, result.witness(*start), "stack")
-    return Verdict(REACHABLE, witness=witness, stats=stats(iterations))
+    stop = BUDGET if result.exhausted else REACHED if result.accepts(*start) else CLOSED
+    witness = _replayed(rm, result.witness(*start), "stack") if stop == REACHED else None
+    return conclude(stop, stats(len(result.transitions)), witness)
 
 
 def solve_counter(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -286,11 +286,8 @@ def _cover_verdict(rm: RegisterMachine, budget: int, what: str) -> Verdict:
     t0 = time.monotonic()
     res = _backward_cover(rm, budget)
     stats = Stats(res.explored, res.iterations, int((time.monotonic() - t0) * 1000))
-    if res.exhausted:
-        return Verdict(INCONCLUSIVE, stats=stats, closed=False)
-    if not res.coverable:
-        return Verdict(UNREACHABLE, stats=stats)
-    return Verdict(REACHABLE, witness=_replayed(rm, res.chain, what), stats=stats)
+    stop = BUDGET if res.exhausted else REACHED if res.coverable else CLOSED
+    return conclude(stop, stats, _replayed(rm, res.chain, what) if stop == REACHED else None)
 
 
 def solve_petri(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -298,8 +295,8 @@ def solve_petri(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     stats.explored counts the predecessors generated and stats.iterations
     the basis elements expanded.  Exceeding the budget, in the closure or
-    in the search, is inconclusive.  A reachable witness is a run of rm,
-    replayed under rm_step before it is returned.
+    in the search, is inconclusive, with reason budget.  A reachable
+    witness is a run of rm, replayed under rm_step before it is returned.
     """
     if KINDS[rm.adt.kind].backend != "petri":
         raise ModelError("solve_petri needs a petri machine")

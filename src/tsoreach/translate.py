@@ -316,7 +316,7 @@ def build_tso_from_rm(rm: RegisterMachine) -> Program:
         d_max=max(rm.bound, 1),
     )
     sim = {q: f"sim_{q}" for q in rm.states}
-    states = ["start"] + [sim[q] for q in rm.states] + ["sim_wait", "final", "sch0", "sch1"]
+    states = ["start"] + [sim[q] for q in rm.states] + ["wait", "final", "sch0", "sch1"]
     ver = [f"ver{i}" for i in range(len(rm.registers) + 2)]
     states += ver
 
@@ -338,8 +338,8 @@ def build_tso_from_rm(rm: RegisterMachine) -> Program:
             raise ModelError(act.kind)
         delta.append((sim[q], instr, sim[q2]))
     delta += [
-        (sim[rm.q_target], rd("xs", 0), "sim_wait"),
-        ("sim_wait", rd("xc", 1), "final"),
+        (sim[rm.q_target], rd("xs", 0), "wait"),
+        ("wait", rd("xc", 1), "final"),
         ("sch0", wr("xs", 1), "sch1"),
         ("ver0", rd("xs", 1), "ver1"),
     ]

@@ -4,7 +4,7 @@ Each process owns a FIFO store buffer: writes enqueue on the left, memory
 updates dequeue on the right.  Reads consult the buffer first (most recent
 pending write on the variable) and fall back to memory.  This module is a
 bounded-exploration oracle: it can only find witnesses or report
-not-found-within-bounds, never prove unreachability.
+not-found-within-bounds (stop ``bounds``), never prove unreachability.
 
 The six rule families are written once, as the local step of one process
 (``_local_moves``): a process's moves depend only on its own state, data
@@ -45,13 +45,13 @@ from typing import NamedTuple
 from .adt import AdtOp, AdtSpec, AdtValue, step_unchecked, value_size
 from .model import MemorySpec, Message, ProcessDescription
 from .verdict import (
+    BOUNDS,
     DEFAULT_VALUE_BOUND,
-    INCONCLUSIVE,
-    REACHABLE,
     REACHED,
     Stats,
     Verdict,
     WitnessError,
+    conclude,
     explore,
     follow_labels,
 )
@@ -192,9 +192,10 @@ def bounded_reach(
 ) -> Verdict:
     """Breadth-first search of the concrete semantics within the bounds.
 
-    The verdict is reachable-with-witness or inconclusive; it never claims
-    unreachability because the bounds truncate the space.  A witness is
-    replayed with replay_tso before it is returned.
+    The stop is always bounds, because the bounds truncate the space: the
+    verdict is reachable with a witness or inconclusive with reason
+    bounds, never unreachable and never closed.  A witness is replayed
+    with replay_tso before it is returned.
     """
     t0 = time.monotonic()
     local = _local_moves(proc, mem, adt)
@@ -253,6 +254,7 @@ def bounded_reach(
     start = intern((proc.q_init, adt.initial_value(), ()))
     memory0 = (0,) * len(mem.variables)
     explored = 0
+    witness = None
     for n in range(1, bounds.n_max + 1):
         if initial_over and n > 1:
             continue
@@ -266,16 +268,8 @@ def bounded_reach(
                 replay_tso(proc, mem, adt, n, witness, require_final=final)
             except ValueError as e:
                 raise WitnessError(f"oracle witness does not replay: {e}") from e
-            return Verdict(
-                REACHABLE, witness=witness,
-                stats=Stats(explored, n, int((time.monotonic() - t0) * 1000)),
-                closed=False,
-            )
-    return Verdict(
-        INCONCLUSIVE,
-        stats=Stats(explored, bounds.n_max, int((time.monotonic() - t0) * 1000)),
-        closed=False,
-    )
+            break
+    return conclude(BOUNDS, Stats(explored, n, int((time.monotonic() - t0) * 1000)), witness)
 
 
 def replay_tso(

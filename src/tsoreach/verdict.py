@@ -1,7 +1,12 @@
 """Verdicts, the default resource limits, and the breadth-first search
 kernel.  The kernel serves the searches of the oracle, the pivot semantics
 and the solvers, and, through follow_labels, the replays of oracle and
-pivot witnesses by their printed labels."""
+pivot witnesses by their printed labels.
+
+conclude makes every verdict from how its search stopped: one of the
+kernel's stops (see Search), or bounds, the oracle's, which is reachable
+with a witness and otherwise inconclusive.  An inconclusive report names
+the limit on a reason line: budget, value_bound (for pruned) or bounds."""
 
 from __future__ import annotations
 
@@ -10,6 +15,18 @@ from dataclasses import dataclass, field
 REACHABLE = "reachable"
 UNREACHABLE = "unreachable"
 INCONCLUSIVE = "inconclusive"
+
+# how a search stopped
+REACHED = "reached"
+CLOSED = "closed"
+BUDGET = "budget"
+PRUNED = "pruned"
+BOUNDS = "bounds"
+
+# each stop's outcomes, and the limit an inconclusive report names for it
+_OUTCOMES = {REACHED: (REACHABLE,), CLOSED: (UNREACHABLE,), BUDGET: (INCONCLUSIVE,),
+             PRUNED: (INCONCLUSIVE,), BOUNDS: (REACHABLE, INCONCLUSIVE)}
+_REASONS = {BUDGET: "budget", PRUNED: "value_bound", BOUNDS: "bounds"}
 
 # the one default of each limit, for the library and the CLI alike
 DEFAULT_BUDGET = 1_000_000  # explored states
@@ -32,20 +49,25 @@ class Stats:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a reachability query.
+    """Outcome of a reachability query, as conclude makes it.
 
-    witness holds printable labels and is present exactly when reachable;
-    closed records whether the exploration provably covered the whole
-    space (always true for the exact backends).
+    stop is how the search stopped, and agrees with the outcome; witness
+    holds printable labels and is present exactly when reachable.
     """
 
     outcome: str
+    stop: str
     witness: tuple[str, ...] | None = None
     stats: Stats = field(default_factory=Stats)
-    closed: bool = True
 
     def __post_init__(self) -> None:
         assert (self.outcome == REACHABLE) == (self.witness is not None)
+        assert self.outcome in _OUTCOMES[self.stop]
+
+    @property
+    def closed(self) -> bool:
+        """True when no limit stopped the search."""
+        return self.stop in (REACHED, CLOSED)
 
     @property
     def conclusive(self) -> bool:
@@ -58,6 +80,8 @@ class Verdict:
         """The verdict as text, for reading, or as lines, one 'key: value'
         per line with no timing, for comparing runs byte for byte."""
         lines = [f"verdict: {self.outcome}"]
+        if self.outcome == INCONCLUSIVE:
+            lines.append(f"reason: {_REASONS[self.stop]}")
         s = self.stats
         if fmt == "lines":
             lines += [f"witness: {step}" for step in self.witness or ()]
@@ -71,13 +95,15 @@ class Verdict:
         return "\n".join(lines) + "\n"
 
 
+def conclude(stop: str, stats: Stats, witness: tuple[str, ...] | None = None) -> Verdict:
+    """Reachable with the printed witness, unreachable when the search
+    closed, and otherwise inconclusive."""
+    outcome = REACHABLE if witness is not None else {CLOSED: UNREACHABLE}.get(stop, INCONCLUSIVE)
+    return Verdict(outcome, stop, witness, stats)
+
+
 # ---------------------------------------------------------------------------
 # Breadth-first search kernel
-
-REACHED = "reached"
-BUDGET = "budget"
-PRUNED = "pruned"
-CLOSED = "closed"
 
 
 @dataclass(frozen=True)
@@ -99,15 +125,6 @@ class Search:
     final: object
     explored: int
     depth: int
-
-    def verdict(self, stats: Stats, witness: tuple[str, ...] | None = None) -> Verdict:
-        """reached is reachable with the witness, closed is unreachable, and
-        a search stopped by a limit or by pruning is inconclusive."""
-        if self.outcome == REACHED:
-            return Verdict(REACHABLE, witness=witness, stats=stats)
-        if self.outcome == CLOSED:
-            return Verdict(UNREACHABLE, stats=stats)
-        return Verdict(INCONCLUSIVE, stats=stats, closed=False)
 
 
 def explore(init, successors, is_target, budget=None, prune=None, key=None,

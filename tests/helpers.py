@@ -102,14 +102,15 @@ from tsoreach.tso import (
     replay_tso,
 )
 from tsoreach.verdict import (
+    BOUNDS,
     BUDGET,
-    INCONCLUSIVE,
-    REACHABLE,
+    CLOSED,
+    PRUNED,
     REACHED,
-    UNREACHABLE,
     Stats,
     Verdict,
     WitnessError,
+    conclude,
     explore,
 )
 
@@ -258,17 +259,6 @@ def net_coverable_forward(transitions, initial, target, token_bound: int):
         return all(md.get(p, 0) >= c for p, c in t)
 
     return any(geq(m, target) for m in markings), closed
-
-
-def enumerate_small_counter_values(bound: int):
-    return list(range(bound + 1))
-
-
-def product_assignments(registers, bound):
-    return [
-        dict(zip(registers, vals))
-        for vals in itertools.product(range(bound + 1), repeat=len(registers))
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -665,10 +655,10 @@ def solve_counter_cutoff(
                 prune=lambda c: c.value > effective)
     stats = Stats(r.explored, r.depth)
     if r.outcome == REACHED:
-        return Verdict(REACHABLE, witness=_replayed(rm, r.path, "cutoff"), stats=stats)
+        return conclude(REACHED, stats, _replayed(rm, r.path, "cutoff"))
     if r.outcome == BUDGET or effective < bound:
-        return Verdict(INCONCLUSIVE, stats=stats, closed=False)
-    return Verdict(UNREACHABLE, stats=stats)
+        return conclude(BUDGET if r.outcome == BUDGET else PRUNED, stats)
+    return conclude(CLOSED, stats)
 
 
 def binarize_counter(rm: RegisterMachine, bound: int) -> RegisterMachine:
@@ -931,11 +921,11 @@ def petri_net_reference(rm: RegisterMachine, budget: int | None = None) -> Verdi
     res, labelmap = petri_net_backward(low, budget)
     stats = Stats(res.explored, res.iterations, 0)
     if res.exhausted:
-        return Verdict(INCONCLUSIVE, stats=stats, closed=False)
+        return conclude(BUDGET, stats)
     if not res.coverable:
-        return Verdict(UNREACHABLE, stats=stats)
+        return conclude(CLOSED, stats)
     witness = _replayed(low, [labelmap[name] for name in res.chain], "petri net")
-    return Verdict(REACHABLE, witness=witness, stats=stats)
+    return conclude(REACHED, stats, witness)
 
 
 def backward_bases(search) -> list:
@@ -1147,8 +1137,7 @@ def pivot_reach_enumerated(
         parents: dict = {v0: None}
         frontier = [v0]
         if proc.q_final == v0.state:
-            return Verdict(REACHABLE, witness=(format_omega(omega),),
-                           stats=Stats(explored, iterations, 0))
+            return conclude(REACHED, Stats(explored, iterations, 0), (format_omega(omega),))
         while frontier:
             next_frontier = []
             for view in frontier:
@@ -1161,8 +1150,7 @@ def pivot_reach_enumerated(
                     parents[v2] = (view, label)
                     explored += 1
                     if explored >= budget:
-                        return Verdict(INCONCLUSIVE,
-                                       stats=Stats(explored, iterations, 0), closed=False)
+                        return conclude(BUDGET, Stats(explored, iterations, 0))
                     if v2.state == proc.q_final:
                         labels = []
                         k = v2
@@ -1171,17 +1159,12 @@ def pivot_reach_enumerated(
                             labels.append(lab)
                         labels.reverse()
                         millis = int((time.monotonic() - t0) * 1000)
-                        return Verdict(REACHABLE,
-                                       witness=(format_omega(omega),)
-                                       + tuple(str(l) for l in labels),
-                                       stats=Stats(explored, iterations, millis))
+                        return conclude(REACHED, Stats(explored, iterations, millis),
+                                        (format_omega(omega),) + tuple(str(l) for l in labels))
                     next_frontier.append(v2)
             frontier = next_frontier
     millis = int((time.monotonic() - t0) * 1000)
-    if pruned:
-        return Verdict(INCONCLUSIVE, stats=Stats(explored, iterations, millis),
-                       closed=False)
-    return Verdict(UNREACHABLE, stats=Stats(explored, iterations, millis))
+    return conclude(PRUNED if pruned else CLOSED, Stats(explored, iterations, millis))
 
 
 # ---------------------------------------------------------------------------
@@ -1243,16 +1226,9 @@ def bounded_reach_unreduced(
                 replay_tso(proc, mem, adt, n, witness, require_final=final)
             except ValueError as e:
                 raise WitnessError(f"oracle witness does not replay: {e}") from e
-            return Verdict(
-                REACHABLE, witness=witness,
-                stats=Stats(explored, n, int((time.monotonic() - t0) * 1000)),
-                closed=False,
-            )
-    return Verdict(
-        INCONCLUSIVE,
-        stats=Stats(explored, bounds.n_max, int((time.monotonic() - t0) * 1000)),
-        closed=False,
-    )
+            return conclude(BOUNDS, Stats(explored, n, int((time.monotonic() - t0) * 1000)),
+                            witness)
+    return conclude(BOUNDS, Stats(explored, bounds.n_max, int((time.monotonic() - t0) * 1000)))
 
 
 # ---------------------------------------------------------------------------

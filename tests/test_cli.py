@@ -20,7 +20,7 @@ from tsoreach.gen import random_stack_machine
 from tsoreach.pivot import pivot_reach
 from tsoreach.tso import bounded_reach
 from tsoreach.model import ModelError
-from tsoreach.verdict import REACHED, UNREACHABLE, Verdict, WitnessError
+from tsoreach.verdict import CLOSED, REACHED, Stats, WitnessError, conclude
 
 HANDSHAKE = """\
 memory vars x domain 0..1
@@ -425,7 +425,7 @@ def test_crosscheck_reports_each_disagreement(tmp_path, capsys, monkeypatch, can
                                               problems):
     # HANDSHAKE is reachable: the replaced pipelines say unreachable
     for name in canned:
-        monkeypatch.setattr(tsoreach.cli, name, lambda *args, **kwargs: Verdict(UNREACHABLE))
+        monkeypatch.setattr(tsoreach.cli, name, lambda *args, **kwargs: conclude(CLOSED, Stats()))
     code, out, _ = _run(capsys, "crosscheck", _write(tmp_path, "p.tso", HANDSHAKE), *flags)
     assert code == 5
     lines = out.splitlines()

@@ -102,9 +102,9 @@ def test_backend_for_another_data_type(tmp_path, capsys, backend, error):
 
 @pytest.mark.parametrize("budget, code, verdict", [
     # the closure is over budget: nothing is searched
-    ("1", 2, "verdict: inconclusive\nexplored: 2\niterations: 0\nclosed: 0\n"),
+    ("1", 2, "verdict: inconclusive\nreason: budget\nexplored: 2\niterations: 0\nclosed: 0\n"),
     # the closure fits and the search stops on the budget
-    ("2", 2, "verdict: inconclusive\nexplored: 3\niterations: 3\nclosed: 0\n"),
+    ("2", 2, "verdict: inconclusive\nreason: budget\nexplored: 3\niterations: 3\nclosed: 0\n"),
     ("8", 0, "verdict: reachable\n" + "witness: a -> a : op t\n" * 4
              + "witness: a -> b : op v\nexplored: 8\niterations: 5\nclosed: 1\n"),
 ])

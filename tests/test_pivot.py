@@ -29,6 +29,7 @@ from tsoreach.pivot import (
     replay_pivot,
 )
 from tsoreach.tso import OracleBounds, bounded_reach
+from tsoreach.verdict import conclude
 
 
 def _proc(delta, states=("q0", "q1", "qf"), vars_=("x",), d_max=1):
@@ -287,7 +288,7 @@ def test_the_default_value_bound_closes_a_stack_program(tmp_path, capsys):
                  "--out", str(path)]) == 0
     prog = parse_program(path.read_text())
     r, stats = pivot_search(prog.proc, prog.mem, prog.adt, budget=50_000)
-    for v in (pivot_reach(prog.proc, prog.mem, prog.adt, budget=50_000), r.verdict(stats)):
+    for v in (pivot_reach(prog.proc, prog.mem, prog.adt, budget=50_000), conclude(r.outcome, stats)):
         assert (v.outcome, v.stats.explored) == ("unreachable", 18)
 
 

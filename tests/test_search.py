@@ -4,12 +4,10 @@ the verdict reports."""
 from tsoreach.verdict import (
     BUDGET,
     CLOSED,
-    INCONCLUSIVE,
     PRUNED,
-    REACHABLE,
     REACHED,
     Stats,
-    Verdict,
+    conclude,
     explore,
 )
 
@@ -95,12 +93,13 @@ def test_states_with_one_key_are_expanded_once():
 
 
 def test_report_formats():
-    v = Verdict(REACHABLE, witness=("a -> b", "b -> c"), stats=Stats(5, 2, 17))
+    v = conclude(REACHED, Stats(5, 2, 17), ("a -> b", "b -> c"))
     assert v.report("text") == ("verdict: reachable\nwitness:\n  a -> b\n  b -> c\n"
                                 "stats:\n  explored: 5\n  iterations: 2\n  millis: 17\n")
     assert v.report("lines") == ("verdict: reachable\nwitness: a -> b\nwitness: b -> c\n"
                                  "explored: 5\niterations: 2\nclosed: 1\n")
-    u = Verdict(INCONCLUSIVE, stats=Stats(3, 0, 1), closed=False)
-    assert u.report("text") == ("verdict: inconclusive\nstats:\n  explored: 3\n"
+    u = conclude(BUDGET, Stats(3, 0, 1))
+    assert u.report("text") == ("verdict: inconclusive\nreason: budget\nstats:\n  explored: 3\n"
                                 "  iterations: 0\n  millis: 1\n")
-    assert u.report("lines") == "verdict: inconclusive\nexplored: 3\niterations: 0\nclosed: 0\n"
+    assert u.report("lines") == ("verdict: inconclusive\nreason: budget\nexplored: 3\n"
+                                 "iterations: 0\nclosed: 0\n")

@@ -26,6 +26,7 @@ from tsoreach.model import (
     write,
 )
 from tsoreach import model, translate
+from tsoreach.cli import main
 from tsoreach.pivot import pivot_reach, pivot_search
 from tsoreach.solvers import solve_counter, solve_finite, solve_stack
 from tsoreach.translate import (
@@ -143,6 +144,20 @@ def test_reverse_reduction_zero_registers():
     kinds = [(e[1].kind, e[1].var) for e in ver_edges]
     assert kinds == [("rd", "xs"), ("wr", "xc")]
     assert pivot_reach(gen.proc, gen.mem, gen.adt).outcome == "reachable"
+
+
+def test_reverse_reduction_of_a_state_named_wait(tmp_path, capsys):
+    # the simulator's copy of wait stays apart from the state that waits for
+    # the verifier, so the unreachable target stays unreachable
+    machine = tmp_path / "m.tso"
+    machine.write_text("machine M\nregisters - bound 0\nstate a init\nstate wait\n"
+                       "state b target\ntrans a -> wait : skp\n")
+    translated = tmp_path / "t.tso"
+    assert main(["check", str(machine)]) == 1
+    assert main(["translate", str(machine), "--out", str(translated)]) == 0
+    assert main(["check", str(translated)]) == 1
+    assert main(["crosscheck", str(translated)]) == 1
+    capsys.readouterr()
 
 
 def test_reverse_reduction_rejects_higher_tiers():
