@@ -2,9 +2,11 @@
 
 Works on upward-closed sets represented by finite antichain bases.
 Starting from the target basis, minimal predecessors are added with
-subsumption until either an element below some initial configuration
-appears (coverable, with a provenance chain for witness replay) or the
-basis stabilizes (not coverable; termination is guaranteed by the WQO).
+subsumption until an element below some initial configuration appears
+(the stop is reached, with a provenance chain for witness replay), the
+basis stabilizes (closed: not coverable; termination is guaranteed by the
+WQO) or the budget runs out (budget).  These are the stops of
+verdict.explore, which verdict.conclude reads as they are.
 
 Callers can hand in a bucket key under which comparable elements always
 share a bucket (e.g. the control location of a product state); both the
@@ -17,16 +19,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from .verdict import BUDGET, CLOSED, REACHED
+
 
 @dataclass
 class BackwardResult:
-    coverable: bool
-    # labels from an initial-covering element forward to the target basis
+    # reached, closed or budget
+    stop: str = CLOSED
+    # when reached, the labels from an initial-covering element forward to
+    # the target basis
     chain: tuple = ()
     iterations: int = 0
     explored: int = 0
-    # the search gave up on its budget before stabilizing
-    exhausted: bool = False
     # the antichain basis when the search stopped
     basis: set = field(default_factory=set)
 
@@ -50,7 +54,7 @@ def backward_reach(
                      incomparable under leq
     """
     key = bucket_key if bucket_key is not None else (lambda e: None)
-    result = BackwardResult(coverable=False)
+    result = BackwardResult()
     buckets: dict = {}
     members = result.basis
     prov: dict = {}
@@ -82,15 +86,14 @@ def backward_reach(
         if insert(e, None):
             worklist.append(e)
             if covers_initial(e):
-                result.coverable = True
-                result.chain = chain_for(e)
+                result.stop, result.chain = REACHED, chain_for(e)
                 return result
 
     while worklist:
         e = worklist.popleft()
         result.iterations += 1
         if max_explored is not None and result.explored > max_explored:
-            result.exhausted = True
+            result.stop = BUDGET
             return result
         if e not in members:  # subsumed since it was queued
             continue
@@ -98,8 +101,7 @@ def backward_reach(
             result.explored += 1
             if insert(e2, (label, e)):
                 if covers_initial(e2):
-                    result.coverable = True
-                    result.chain = chain_for(e2)
+                    result.stop, result.chain = REACHED, chain_for(e2)
                     return result
                 worklist.append(e2)
     return result

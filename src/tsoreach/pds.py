@@ -32,13 +32,15 @@ Only intermediate states gain transitions during saturation, so the
 (m, b, q) transitions skip the worklist and are combined at once with the
 epsilon transitions already entering m.
 
-Saturation stops at the first transition that leaves a target control,
-on a symbol or by epsilon: the automaton then accepts a configuration
-(target, w) that the start reaches.  A start whose control is a target is
-reached with an empty run.  Without a stop it runs to the fixpoint, which
-accepts exactly the reachable configurations.  A budget bounds the
-transitions saturation adds, not the moves it asks for; a result cut short
-by it is marked exhausted and proves nothing.
+The result names how saturation stopped in the words of verdict.explore,
+so verdict.conclude reads it as it is.  It is reached at the first
+transition that leaves a target control, on a symbol or by epsilon: the
+automaton then accepts a configuration (target, w) that the start
+reaches.  A start whose control is a target is reached with an empty run.
+It is closed at the fixpoint, which accepts exactly the reachable
+configurations.  It is budget when saturation would add more transitions
+than its budget, which bounds the transitions, not the moves it asks for;
+such a result proves nothing.
 
 Every transition records how it was first derived: the move and the
 transition it came from, or the two transitions an epsilon combined.  A
@@ -57,7 +59,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
 
-from .verdict import REACHED, explore
+from .verdict import BUDGET, CLOSED, REACHED, explore
 
 
 @dataclass(frozen=True)
@@ -97,12 +99,9 @@ class RulesOnDemand:
                      for tag, p2, push in moves)
 
 
-class _Reached(Exception):
-    """A transition leaves a target control."""
-
-
-class _OutOfBudget(Exception):
-    """Saturation would add more transitions than its budget."""
+class _Stop(Exception):
+    """Saturation stops early: args are (reached, the transition that
+    leaves a target control) or (budget, None)."""
 
 
 EPS = None  # the label of an epsilon transition
@@ -110,7 +109,7 @@ EPS = None  # the label of an epsilon transition
 
 @dataclass
 class PostStarResult:
-    """The saturated automaton, and the stop if a target was reached.
+    """The saturated automaton, and how saturation stopped.
 
     States are ints: the controls from 0 up, in the order saturation reached
     them, and the other states negative.  transitions maps each transition
@@ -122,22 +121,11 @@ class PostStarResult:
     non-control state.
     """
 
-    start: tuple
     transitions: dict
     out: dict
     final: int  # the accepting state
-    found: bool  # a target control was reached
-    last: tuple | None  # the stopping transition; None for a target start
-    exhausted: bool = False  # the budget ended saturation early
-
-    def _check_start(self, control, word) -> None:
-        if (control, tuple(word)) != self.start:
-            raise ValueError("post* answers only for its start configuration")
-
-    def accepts(self, control, word) -> bool:
-        """Whether the start configuration (control, word) reaches a target."""
-        self._check_start(control, word)
-        return self.found
+    stop: str  # reached, closed or budget
+    last: tuple | None = None  # the transition that left a target control, if any
 
     def _path_to_final(self, state) -> list:
         """Transitions from a non-control state to the accepting state."""
@@ -147,10 +135,9 @@ class PostStarResult:
             raise AssertionError("dead end in the post* automaton")
         return list(r.path)
 
-    def witness(self, control, word):
+    def witness(self):
         """The tags of a run from the start configuration to a target."""
-        self._check_start(control, word)
-        if not self.found:
+        if self.stop != REACHED:
             raise ValueError("no target reached")
         if self.last is None:
             return []
@@ -179,8 +166,8 @@ def post_star(pds, start, targets, budget: int | None = None) -> PostStarResult:
 
     pds has controls and moves(p, gamma), as RulesOnDemand does; saturation
     asks it for the moves of each (control, symbol) pair it reaches, once.
-    budget bounds the transitions saturation adds; past it the result is
-    marked exhausted.
+    budget bounds the transitions saturation adds; past it saturation stops
+    at budget.
     """
     control, word = start
     word = tuple(word)
@@ -209,9 +196,6 @@ def post_star(pds, start, targets, budget: int | None = None) -> PostStarResult:
     out: dict = {}  # non-control state -> transitions leaving it
     eps_into: dict = {}  # state -> controls with an epsilon into it, taken
     worklist: deque = deque()
-    last = None
-    exhausted = False
-    found = control in targets
     # the start word: control -w0-> s1 -w1-> ... -> final
     s = next(others)
     start_t = (intern(control), word[0], s)
@@ -223,20 +207,21 @@ def post_star(pds, start, targets, budget: int | None = None) -> PostStarResult:
         out[s] = [t]
         s = t[2]
     final = s
+    if control in targets:
+        return PostStarResult(why, out, final, REACHED)
     added = 0
 
     def add(t, move, sources) -> None:
-        nonlocal added, last
+        nonlocal added
         if t in why:
             return
         added += 1
         if budget is not None and added > budget:
-            raise _OutOfBudget
+            raise _Stop(BUDGET, None)
         why[t] = (move, sources)
         if t[0] >= 0:
             if is_target[t[0]]:
-                last = t
-                raise _Reached
+                raise _Stop(REACHED, t)
             worklist.append(t)
             return
         # a transition leaving an intermediate state: combine it now
@@ -244,8 +229,9 @@ def post_star(pds, start, targets, budget: int | None = None) -> PostStarResult:
         for p in eps_into.get(t[0], ()):
             add((p, t[1], t[2]), None, ((p, EPS, t[0]), t))
 
+    stop, last = CLOSED, None
     try:
-        while worklist and not found:
+        while worklist:
             t = worklist.popleft()
             p, g, q = t
             if g is EPS:
@@ -272,11 +258,9 @@ def post_star(pds, start, targets, budget: int | None = None) -> PostStarResult:
                 else:
                     add((m, push[1], q), move, (t,))
                     add((p2, push[0], m), move, ())
-    except _Reached:
-        found = True
-    except _OutOfBudget:
-        exhausted = True
-    return PostStarResult((control, word), why, out, final, found, last, exhausted)
+    except _Stop as e:
+        stop, last = e.args
+    return PostStarResult(why, out, final, stop, last)
 
 
 # perfbench/tracing.py still names the result class this way

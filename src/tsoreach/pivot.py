@@ -39,7 +39,7 @@ live in the test suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 from .adt import AdtSpec, AdtValue, step_unchecked, trivial_spec, value_pruner
@@ -64,14 +64,13 @@ class PivotError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PivotLabel:
+class PivotLabel(NamedTuple):
     """A pivot step: its rule, its instruction, and the index in the
     process's delta of the transition it takes (not printed)."""
 
     rule: str  # skip | write1 | write2 | read1 | read2 | read3 | fence | op
     instr: Instruction
-    k: int | None = field(default=None, compare=False)
+    k: int
 
     def __str__(self) -> str:
         return f"{self.rule}: {self.instr}"

@@ -18,8 +18,8 @@ the breadth-first kernel verdict.explore over rm_step.  Every backend
 interprets all instruction tiers directly and replays its reachable
 witness under rm_step to the target before returning it; one that does
 not replay raises WitnessError.  Each backend hands its stop to
-verdict.conclude; post* and backward coverability stop at budget, reached
-or closed.
+verdict.conclude as its search names it: post* and backward coverability
+end in the kernel's own stops, reached, closed or budget.
 """
 
 from __future__ import annotations
@@ -217,12 +217,10 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
                 raise ModelError(f"unexpected stack op {act}")
         return moves
 
-    pds = RulesOnDemand(edges_from, moves_at)
-    start = (init, (bottom,))
-    result = pre_star(pds, start, targets, budget=budget)
-    stop = BUDGET if result.exhausted else REACHED if result.accepts(*start) else CLOSED
-    witness = _replayed(rm, result.witness(*start), "stack") if stop == REACHED else None
-    return conclude(stop, stats(len(result.transitions)), witness)
+    result = pre_star(RulesOnDemand(edges_from, moves_at), (init, (bottom,)), targets,
+                      budget=budget)
+    witness = _replayed(rm, result.witness(), "stack") if result.stop == REACHED else None
+    return conclude(result.stop, stats(len(result.transitions)), witness)
 
 
 def solve_counter(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -248,13 +246,13 @@ def _backward_cover(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Backwa
     controls at q_target with the least value.  An edge into a control
     contributes, for a data-type operation, the minimal predecessors of the
     value, and for a register action the same value.  Elements compare only
-    within one control.  A closure of more than budget controls is
-    exhausted before the search starts, with explored its size.
+    within one control.  A closure of more than budget controls stops at
+    budget before the search starts, with explored its size.
     """
     spec = rm.adt
     init, controls, edges_from = _control_closure(rm, budget)
     if len(controls) > budget:
-        return BackwardResult(coverable=False, explored=len(controls), exhausted=True)
+        return BackwardResult(BUDGET, explored=len(controls))
     into: dict = {}
     for control, outs in edges_from.items():
         for edge, control2 in outs:
@@ -286,8 +284,8 @@ def _cover_verdict(rm: RegisterMachine, budget: int, what: str) -> Verdict:
     t0 = time.monotonic()
     res = _backward_cover(rm, budget)
     stats = Stats(res.explored, res.iterations, int((time.monotonic() - t0) * 1000))
-    stop = BUDGET if res.exhausted else REACHED if res.coverable else CLOSED
-    return conclude(stop, stats, _replayed(rm, res.chain, what) if stop == REACHED else None)
+    return conclude(res.stop, stats,
+                    _replayed(rm, res.chain, what) if res.stop == REACHED else None)
 
 
 def solve_petri(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:

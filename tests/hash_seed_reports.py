@@ -4,20 +4,24 @@ For both suites (seeds 1 and 2) of every workload in
 ``perfbench/workloads.json``, each instance goes through each of its
 workload's commands with ``--format lines``: 1,400 reports in all.  The
 reports are made twice, in child processes under PYTHONHASHSEED 0 and 1,
-and compared byte for byte.
+and compared byte for byte, and then with DIGEST, the sha256 of the
+reports as the DIR form prints them, header lines included.  A change
+that alters a report on purpose updates DIGEST.
 
     python tests/hash_seed_reports.py        compare the two hash seeds
     python tests/hash_seed_reports.py DIR    print every report of this
                                              process, writing the instance
                                              files to DIR
 
-Exit 1 when the reports differ or there are not 1,400 of them.  Only the
+Exit 1 when the reports differ, there are not 1,400 of them, or their
+sha256 is not DIGEST.  Only the
 standard library and tsoreach are imported, so no test runner is needed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -29,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 REPORTS = 1400
+DIGEST = "5506486885963fb6824e0320ec33790fe702a98b31bfb5ccec148b99ca293aa6"
 
 
 def print_reports(workdir: Path) -> int:
@@ -70,7 +75,11 @@ def compare() -> int:
         i, (a, b) = next((i, p) for i, p in enumerate(lines, 1) if p[0] != p[1])
         print(f"the reports differ under hash seeds 0 and 1, first at line {i}: {a!r} {b!r}")
         return 1
-    print(f"every one of {REPORTS} reports is the same under hash seeds 0 and 1")
+    digest = hashlib.sha256(texts["0"].encode()).hexdigest()
+    if digest != DIGEST:
+        print(f"the reports' sha256 is {digest}, not the pinned {DIGEST}")
+        return 1
+    print(f"every one of {REPORTS} reports is the same under hash seeds 0 and 1, sha256 {DIGEST}")
     return 0
 
 

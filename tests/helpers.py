@@ -919,13 +919,10 @@ def petri_net_reference(rm: RegisterMachine, budget: int | None = None) -> Verdi
     """
     low = lower_tier2_to_tier1(lower_tier3_to_tier2(rm)) if rm.tier() > 1 else rm
     res, labelmap = petri_net_backward(low, budget)
-    stats = Stats(res.explored, res.iterations, 0)
-    if res.exhausted:
-        return conclude(BUDGET, stats)
-    if not res.coverable:
-        return conclude(CLOSED, stats)
-    witness = _replayed(low, [labelmap[name] for name in res.chain], "petri net")
-    return conclude(REACHED, stats, witness)
+    witness = None
+    if res.stop == REACHED:
+        witness = _replayed(low, [labelmap[name] for name in res.chain], "petri net")
+    return conclude(res.stop, Stats(res.explored, res.iterations, 0), witness)
 
 
 def backward_bases(search) -> list:
@@ -936,7 +933,7 @@ def backward_bases(search) -> list:
     for budget in itertools.count():
         res = search(budget)
         bases.append(res.basis)
-        if not res.exhausted:
+        if res.stop != BUDGET:
             return bases
 
 
@@ -1056,11 +1053,11 @@ def pivot_step_reference(
     seq = UpdateSequence(view.omega)
     var_index = {x: i for i, x in enumerate(mem.variables)}
     out: list[tuple[PivotLabel, View]] = []
-    for q, instr, q2 in proc.delta:
+    for k, (q, instr, q2) in enumerate(proc.delta):
         if q != view.state:
             continue
         if instr.kind == "skip":
-            out.append((PivotLabel("skip", instr),
+            out.append((PivotLabel("skip", instr, k),
                         View(q2, view.value, view.lw, view.omega,
                              view.phi_e, view.phi_l, view.phi_p)))
         elif instr.kind == "wr":
@@ -1070,40 +1067,40 @@ def pivot_step_reference(
                 continue  # a pivot missing from omega: the write is disabled
             if rank < view.phi_p:
                 phl = max(view.phi_l_max, rank)
-                out.append((PivotLabel("write1", instr),
+                out.append((PivotLabel("write1", instr, k),
                             View(q2, view.value,
                                  _replace(view.lw, i, instr.val), view.omega,
                                  view.phi_e, _replace(view.phi_l, i, phl),
                                  view.phi_p)))
             elif rank == view.phi_p:
-                out.append((PivotLabel("write2", instr),
+                out.append((PivotLabel("write2", instr, k),
                             initial_view(proc, mem, adt, view.omega, view.phi_p + 1)))
         elif instr.kind == "rd":
             i = var_index[instr.var]
             if view.lw[i] == instr.val:
-                out.append((PivotLabel("read1", instr),
+                out.append((PivotLabel("read1", instr, k),
                             View(q2, view.value, view.lw, view.omega,
                                  view.phi_e, view.phi_l, view.phi_p)))
             if instr.val == 0 and view.lw[i] is None:
                 vr = _var_rank(view.omega, instr.var)
                 if vr is None or vr > view.phi_e:
-                    out.append((PivotLabel("read2", instr),
+                    out.append((PivotLabel("read2", instr, k),
                                 View(q2, view.value, view.lw, view.omega,
                                      view.phi_e, view.phi_l, view.phi_p)))
             rank = seq.pos((instr.var, instr.val))
             if rank is not None and rank < view.phi_p:
                 phe = max(view.phi_e, view.phi_l[i], rank)
-                out.append((PivotLabel("read3", instr),
+                out.append((PivotLabel("read3", instr, k),
                             View(q2, view.value, view.lw, view.omega,
                                  phe, view.phi_l, view.phi_p)))
         elif instr.kind == "mf":
-            out.append((PivotLabel("fence", instr),
+            out.append((PivotLabel("fence", instr, k),
                         View(q2, view.value, view.lw, view.omega,
                              max(view.phi_e, view.phi_l_max), view.phi_l,
                              view.phi_p)))
         elif instr.kind == "op":
             if (v2 := step_unchecked(adt, view.value, instr.op)) is not None:
-                out.append((PivotLabel("op", instr),
+                out.append((PivotLabel("op", instr, k),
                             View(q2, v2, view.lw, view.omega,
                                  view.phi_e, view.phi_l, view.phi_p)))
     return out

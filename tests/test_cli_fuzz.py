@@ -2,13 +2,15 @@
 does not document.
 
 Seeded mutations of ``gen`` output (programs over several data types,
-machines of tiers 1-3, stack machines, counter machines and nets) run under
+machines of tiers 1-3, stack machines, counter machines and nets), and a
+smaller campaign over mutations of the malformed-input corpus, run under
 every file subcommand with small limits: ``check`` under each
 ``--backend``, ``pivot``, ``oracle``, ``crosscheck``, ``translate`` and
 ``lower``.  The argv that ``test_cli_argv``'s campaign draws and
 ``cli._parse`` accepts run through ``cli.main`` on a small program.  Every
 exit is one of 0-4, 5 only from ``crosscheck``, and never 6, an internal
-error.
+error.  A mutant that the reference reader ``helpers.parse_input_reference``
+rejects exits 3 under every file subcommand: it never gets a verdict.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import io
 import random
 from collections import Counter
 
+from helpers import parse_input_reference
 from test_cli_argv import random_argv
-from test_dsl_scan import mutate
+from test_dsl_scan import CORPUS, mutate
 from tsoreach import cli
 from tsoreach.solvers import BACKENDS
 
@@ -60,6 +63,28 @@ def _documented(code: int, command: str) -> bool:
         code == cli.EXIT_DISAGREEMENT and command == "crosscheck")
 
 
+def _campaign(path, bases, rng, mutants):
+    """Run mutants of bases under every command; return the exit codes
+    counted, how many runs had a mutant the reference reader rejects, and
+    the runs that exit undocumented or, on such a mutant, other than 3."""
+    codes, rejected, bad = Counter(), 0, []
+    for k in range(mutants):
+        text = mutate(rng, rng.choice(bases))
+        path.write_text(text, encoding="utf-8")
+        try:  # the text as the command line reads it, line ends translated
+            parse_input_reference(path.read_text(encoding="utf-8"))
+            valid = True
+        except ValueError:  # DslError, AdtError, ModelError, or an oversized int
+            valid = False
+        for command, *flags in COMMANDS:
+            code = _main([command, str(path), *flags])
+            codes[code] += 1
+            rejected += not valid
+            if not _documented(code, command) or (not valid and code != cli.EXIT_INPUT_ERROR):
+                bad.append(f"mutant {k} {command} {flags}: exit {code}: {text!r}")
+    return codes, rejected, bad
+
+
 def test_mutated_files_exit_with_documented_codes(tmp_path):
     bases = []
     for source in SOURCES:
@@ -67,19 +92,17 @@ def test_mutated_files_exit_with_documented_codes(tmp_path):
             out = tmp_path / "base.tso"
             assert _main(["gen", *source, "--seed", seed, "--out", str(out)]) == 0
             bases.append(out.read_text(encoding="utf-8"))
-    rng = random.Random(29)
-    path = tmp_path / "mutant.tso"
-    codes, bad = Counter(), []
-    for k in range(400):
-        text = mutate(rng, rng.choice(bases))
-        path.write_text(text, encoding="utf-8")
-        for command, *flags in COMMANDS:
-            code = _main([command, str(path), *flags])
-            codes[code] += 1
-            if not _documented(code, command):
-                bad.append(f"mutant {k} {command} {flags}: exit {code}: {text!r}")
+    codes, rejected, bad = _campaign(tmp_path / "mutant.tso", bases, random.Random(29), 400)
     assert bad == []
     assert codes[0] + codes[1] > 500 and codes[2] > 150 and codes[3] > 1000, codes
+    assert rejected > 2000, rejected
+
+
+def test_mutated_corpus_files_exit_with_documented_codes(tmp_path):
+    bases = [p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.tso"))]
+    codes, rejected, bad = _campaign(tmp_path / "mutant.tso", bases, random.Random(31), 300)
+    assert bad == []
+    assert rejected > 3000, (codes, rejected)
 
 
 def test_accepted_campaign_argv_exit_with_documented_codes(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 from helpers import backward_bases
 from tsoreach.coverability import backward_reach
+from tsoreach.verdict import BUDGET, CLOSED, REACHED
 
 
 def _counter_system(target_value, initial=0):
@@ -20,7 +21,7 @@ def _counter_system(target_value, initial=0):
 
 def test_counter_coverable_and_chain_order():
     res = backward_reach(**_counter_system(3))
-    assert res.coverable
+    assert res.stop == REACHED
     # chain fires forward from the initial value up to the target basis
     assert list(res.chain) == ["inc", "inc", "inc"]
     for basis in backward_bases(lambda budget: backward_reach(**_counter_system(3),
@@ -32,7 +33,7 @@ def test_counter_coverable_and_chain_order():
 
 def test_target_already_covered():
     res = backward_reach(**_counter_system(0))
-    assert res.coverable and res.chain == ()
+    assert res.stop == REACHED and res.chain == ()
 
 
 def test_not_coverable_fixpoint():
@@ -46,7 +47,7 @@ def test_not_coverable_fixpoint():
         leq=lambda a, b: a <= b,
         covers_initial=lambda v: v == 0,
     )
-    assert not res.coverable
+    assert res.stop == CLOSED and res.chain == ()
     # the basis stabilizes at the minimum
     assert res.basis == {2}
 
@@ -64,5 +65,13 @@ def test_subsumption_prunes_dominated_elements():
         leq=lambda a, b: a <= b,
         covers_initial=lambda v: v == 0,
     )
-    assert res.coverable
+    assert res.stop == REACHED
     assert 7 not in seen  # dominated target never expanded
+
+
+def test_budget_stops_before_the_basis_stabilizes():
+    # the target 3 needs three inc steps back to the initial value 0
+    full = backward_reach(**_counter_system(3))
+    assert full.stop == REACHED
+    res = backward_reach(**_counter_system(3), max_explored=1)
+    assert res.stop == BUDGET and res.chain == ()

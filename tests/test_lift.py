@@ -167,10 +167,10 @@ def _tampered_runs(prog, run):
     path is needed, so dropping any of them breaks the run."""
     delta = prog.proc.delta
     for i, label in enumerate(run):
-        yield "rule", run[:i] + (replace(label, rule=SWAPPED[label.rule]),) + run[i + 1:]
+        yield "rule", run[:i] + (label._replace(rule=SWAPPED[label.rule]),) + run[i + 1:]
         other = next((k for k, (q, _, _) in enumerate(delta) if q != delta[label.k][0]), None)
         if other is not None:
-            yield "k", run[:i] + (replace(label, k=other),) + run[i + 1:]
+            yield "k", run[:i] + (label._replace(k=other),) + run[i + 1:]
         yield "dropped", run[:i] + run[i + 1:]
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import PushdownSystem, pre_star, pre_star_fixpoint
 from tsoreach.pds import PdsRule, post_star
+from tsoreach.verdict import BUDGET, CLOSED, REACHED
 
 
 def _pds(rules, controls=("p", "q", "t"), alphabet=("a", "b", "_btm")):
@@ -209,16 +210,15 @@ def test_post_star_matches_pre_star_fixpoint(seed, n_controls, max_rules):
     forward, fwd_closed = _forward_reachable_controls(pds, *init, depth_bound=7)
     for target in pds.controls:
         res = post_star(pds, init, [target])
-        assert not res.exhausted
-        reached = res.accepts(*init)
-        assert reached == _fixpoint_accepts(pds, target, *init)
+        reached = res.stop == REACHED
+        assert res.stop == (REACHED if _fixpoint_accepts(pds, target, *init) else CLOSED)
         if fwd_closed:
             assert reached == (target in forward)
         if reached:
-            assert _replay(pds, init, res.witness(*init))[0] == target
+            assert _replay(pds, init, res.witness())[0] == target
         else:
             with pytest.raises(ValueError):
-                res.witness(*init)
+                res.witness()
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -228,9 +228,9 @@ def test_post_star_multi_symbol_start(seed):
         init = ("p0", word)
         for target in pds.controls:
             res = post_star(pds, init, [target])
-            assert res.accepts(*init) == pre_star(pds, [target]).accepts(*init)
-            if res.accepts(*init):
-                assert _replay(pds, init, res.witness(*init))[0] == target
+            assert res.stop == (REACHED if pre_star(pds, [target]).accepts(*init) else CLOSED)
+            if res.stop == REACHED:
+                assert _replay(pds, init, res.witness())[0] == target
 
 
 def test_post_star_growing_stack():
@@ -241,13 +241,10 @@ def test_post_star_growing_stack():
     )
     pds = _pds(rules)
     res = post_star(pds, ("p", ("a", "_btm")), ["t"])
-    assert res.witness("p", ("a", "_btm")) == ["push", "pop", "pop", "done"]
+    assert res.witness() == ["push", "pop", "pop", "done"]
     start = ("q", ("a", "a", "_btm"))
-    assert post_star(pds, start, ["t"]).witness(*start) == ["pop", "pop", "done"]
-    assert not post_star(pds, ("q", ("b", "_btm")), ["t"]).accepts("q", ("b", "_btm"))
-    # an answer is only for the start configuration
-    with pytest.raises(ValueError):
-        res.accepts("q", ("a", "_btm"))
+    assert post_star(pds, start, ["t"]).witness() == ["pop", "pop", "done"]
+    assert post_star(pds, ("q", ("b", "_btm")), ["t"]).stop == CLOSED
 
 
 def test_post_star_pop_inherits_later_transitions():
@@ -263,8 +260,8 @@ def test_post_star_pop_inherits_later_transitions():
     pds = _pds(rules, controls=("p", "p2", "p3", "p5", "t"))
     start = ("p", ("_btm",))
     res = post_star(pds, start, ["t"])
-    assert res.witness(*start) == [0, 1, 2, 3, 1, 4]
-    assert _replay(pds, start, res.witness(*start))[0] == "t"
+    assert res.witness() == [0, 1, 2, 3, 1, 4]
+    assert _replay(pds, start, res.witness())[0] == "t"
 
 
 def test_post_star_keeps_pushes_of_different_symbols_apart():
@@ -277,14 +274,14 @@ def test_post_star_keeps_pushes_of_different_symbols_apart():
         PdsRule("r", "b", "t", ("b",)),
     ]
     pds = _pds(rules, controls=("p", "q", "r", "t"))
-    assert not post_star(pds, ("p", ("_btm",)), ["t"]).accepts("p", ("_btm",))
-    assert post_star(pds, ("p", ("_btm",)), ["r"]).accepts("p", ("_btm",))
+    assert post_star(pds, ("p", ("_btm",)), ["t"]).stop == CLOSED
+    assert post_star(pds, ("p", ("_btm",)), ["r"]).stop == REACHED
 
 
 def test_post_star_start_is_a_target():
     res = post_star(_pds([PdsRule("t", "a", "p", ())]), ("t", ("a", "_btm")), ["t", "q"])
-    assert res.accepts("t", ("a", "_btm"))
-    assert res.witness("t", ("a", "_btm")) == []
+    assert res.stop == REACHED
+    assert res.witness() == []
     assert len(res.transitions) == 2  # the start word's own
 
 
@@ -292,21 +289,23 @@ def test_post_star_stops_on_an_epsilon_from_a_target():
     # the target is only ever entered by a pop that empties the stack
     rules = [PdsRule("p", "_btm", "t", (), tag="drop")]
     res = post_star(_pds(rules), ("p", ("_btm",)), ["t"])
-    assert res.accepts("p", ("_btm",))
-    assert res.witness("p", ("_btm",)) == ["drop"]
+    assert res.stop == REACHED
+    assert res.witness() == ["drop"]
 
 
-def test_post_star_budget_marks_exhausted():
+def test_post_star_budget_stops_at_budget():
     rules = [
         PdsRule("p", "_btm", "q", ("a", "_btm"), tag="push_a"),
         PdsRule("q", "a", "t", (), tag="pop_a"),
     ]
     full = post_star(_pds(rules), ("p", ("_btm",)), ["t"])
-    assert full.accepts("p", ("_btm",)) and not full.exhausted
-    assert full.witness("p", ("_btm",)) == ["push_a", "pop_a"]
+    assert full.stop == REACHED
+    assert full.witness() == ["push_a", "pop_a"]
     cut = post_star(_pds(rules), ("p", ("_btm",)), ["t"], budget=1)
-    assert cut.exhausted and not cut.accepts("p", ("_btm",))
+    assert cut.stop == BUDGET
     assert len(cut.transitions) == 2  # the start transition and one added
+    with pytest.raises(ValueError):
+        cut.witness()
 
 
 def test_post_star_rejects_bad_starts():
@@ -331,9 +330,8 @@ def test_post_star_witness_terminates_on_recursive_rules():
             start = ("p", word)
             for target, last in [("t", 2), ("q", 3)]:
                 res = post_star(pds, start, [target])
-                trace = res.witness(*start)
+                trace = res.witness()
                 assert trace[-1] == last
                 assert _replay(pds, start, trace)[0] == target
     # with no target the saturation reaches its fixpoint and stops
-    res = post_star(pds, ("p", ("a", "_btm")), [])
-    assert not res.accepts("p", ("a", "_btm")) and not res.exhausted
+    assert post_star(pds, ("p", ("a", "_btm")), []).stop == CLOSED

@@ -36,6 +36,7 @@ from tsoreach.model import (
 )
 from tsoreach.solvers import (
     DEFAULT_BUDGET,
+    _backward_cover,
     _control_closure,
     explore_bounded,
     format_rm_label,
@@ -50,7 +51,7 @@ from tsoreach.pds import PostStarResult, post_star
 from tsoreach.translate import encode_coverability_to_rm
 from tsoreach.cli import main
 from tsoreach.dsl import parse_action, print_machine
-from tsoreach.verdict import WitnessError
+from tsoreach.verdict import BUDGET, REACHED, WitnessError
 
 
 def _parse_witness_labels(rm, witness):
@@ -361,7 +362,7 @@ def test_solve_stack_640_states_matches_pre_star(monkeypatch, seed, outcome):
         eager, eager_start, eager_targets = stack_pds_reference(rm)
         assert (eager_start, eager_targets) == (start, targets)
         ref = pre_star(eager, eager_targets, stop=start, budget=budget)
-        seen.append((res.accepts(*start), ref.accepts(*start)))
+        seen.append((res.stop == REACHED, ref.accepts(*start)))
         return res
 
     monkeypatch.setattr(solvers, "pre_star", both)
@@ -414,11 +415,11 @@ def test_solve_stack_matches_post_star_on_the_eager_rules(cases):
             assert (v.outcome, v.stats.iterations) == ("unreachable", 0)
             continue
         ref = post_star(pds, start, targets, budget=DEFAULT_BUDGET)
-        assert not ref.exhausted
+        assert ref.stop != BUDGET
         assert v.stats.iterations == len(ref.transitions)
-        assert v.outcome == ("reachable" if ref.accepts(*start) else "unreachable")
+        assert v.stop == ref.stop
         if v.outcome == "reachable":
-            assert v.witness == tuple(format_rm_label(l) for l in ref.witness(*start))
+            assert v.witness == tuple(format_rm_label(l) for l in ref.witness())
             _assert_witness_replays(rm, v)
     assert "reachable" in outcomes
     assert cases == "repeated-reset" or "unreachable" in outcomes
@@ -449,7 +450,7 @@ def test_solve_stack_builds_only_the_rules_post_star_reaches(monkeypatch):
 
 def test_solve_stack_rejects_a_witness_that_fails_replay(tmp_path, capsys, monkeypatch):
     rm = random_stack_machine(random.Random(1), 40)
-    monkeypatch.setattr(PostStarResult, "witness", lambda self, control, word: [])
+    monkeypatch.setattr(PostStarResult, "witness", lambda self: [])
     with pytest.raises(WitnessError):
         solve_stack(rm)
     path = tmp_path / "stack.rm"
@@ -696,7 +697,6 @@ def test_backend_witness_that_fails_replay_is_an_internal_error(
 
     import tsoreach.solvers as solvers
     from tsoreach.dsl import parse_coverability
-    from tsoreach.verdict import REACHED
 
     if backend == "petri":
         rm = encode_coverability_to_rm(parse_coverability(_PETRI_COVER))
@@ -721,8 +721,8 @@ def test_backend_witness_that_fails_replay_is_an_internal_error(
         res.chain = res.chain[:-1]
         return res
 
-    def witness(self, control, word):
-        return real_witness(self, control, word)[:-1]
+    def witness(self):
+        return real_witness(self)[:-1]
 
     monkeypatch.setattr(solvers, "explore", explore)
     monkeypatch.setattr(solvers, "backward_reach", backward_reach)
@@ -744,6 +744,8 @@ def test_wsts_closure_size_limit_is_the_budget(tmp_path, capsys):
     )
     n = len(_control_closure(rm)[1])
     assert n == 9
+    res = _backward_cover(rm, budget=n - 1)
+    assert (res.stop, res.explored, res.iterations) == (BUDGET, n, 0)
     small = solve_wsts(rm, budget=n - 1)
     assert (small.outcome, small.closed) == ("inconclusive", False)
     assert small.stats.iterations == 0  # gave up before searching
