@@ -50,6 +50,9 @@ def backward_reach(
                      of up(e) under the transition labelled label
     leq(a, b)        the well-quasi-ordering
     covers_initial(e) whether some initial configuration lies in up(e)
+    max_explored     optional; the search stops at budget rather than
+                     record one predecessor more, so explored never
+                     exceeds it
     bucket_key(e)    optional; elements with different keys must be
                      incomparable under leq
     """
@@ -92,12 +95,12 @@ def backward_reach(
     while worklist:
         e = worklist.popleft()
         result.iterations += 1
-        if max_explored is not None and result.explored > max_explored:
-            result.stop = BUDGET
-            return result
         if e not in members:  # subsumed since it was queued
             continue
         for label, e2 in sorted(preds(e), key=repr):
+            if result.explored == max_explored:
+                result.stop = BUDGET
+                return result
             result.explored += 1
             if insert(e2, (label, e)):
                 if covers_initial(e2):

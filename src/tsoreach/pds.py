@@ -2,18 +2,21 @@
 
 Configurations are (control, stack word) with the topmost symbol leftmost.
 post_star decides whether a run from one start configuration reaches a
-target control, whatever the stack.  It saturates a finite automaton that
-accepts configurations reachable from the start, beginning with the
-automaton that accepts only the start: the algorithm of Esparza, Hansel,
-Rossmanith and Schwoon, "Efficient algorithms for model checking pushdown
-systems" (CAV 2000; Schwoon's 2002 thesis, Algorithm 2).
+target control, whatever the stack.  The targets are a predicate on
+controls, not a set: a system whose moves are built on demand lists no
+controls up front.  post_star saturates a finite automaton that accepts
+configurations reachable from the start, beginning with the automaton
+that accepts only the start: the algorithm of Esparza, Hansel, Rossmanith
+and Schwoon, "Efficient algorithms for model checking pushdown systems"
+(CAV 2000; Schwoon's 2002 thesis, Algorithm 2).
 
 post* asks a system for its moves one (control, symbol) pair at a time,
 when it first takes a transition leaving that control on that symbol, and
 keeps the answer.  A move is (tag, p2, push): the rule (p, gamma) -> (p2,
 push).  RulesOnDemand builds the moves of a pair from a function when
 asked, so the rules of controls and symbols the start never reaches are
-never built.
+never built, and neither are those controls, when the function builds
+them on demand too.
 
 Automaton states are ints, numbered as saturation discovers them: the
 controls from 0 up, and below 0 one state after each start-word symbol
@@ -78,11 +81,9 @@ class RulesOnDemand:
     """A pushdown system whose moves at (p, gamma) are built when asked.
 
     moves_at(p, gamma) returns the moves (tag, p2, push) at that pair, each
-    push at most two symbols.  controls holds the controls a start or a
-    target may name; moves may lead to further controls.
+    push at most two symbols.
     """
 
-    controls: object
     moves_at: object
     built: dict = field(default_factory=dict)  # (p, gamma) -> its moves
 
@@ -161,25 +162,23 @@ class PostStarResult:
                 tags.append(move[0])
 
 
-def post_star(pds, start, targets, budget: int | None = None) -> PostStarResult:
-    """Saturate forwards from start = (control, word) until a target is left.
+def post_star(pds, start, is_target, budget: int | None = None) -> PostStarResult:
+    """Saturate forwards from start = (control, word) until a transition
+    leaves a control where is_target holds.
 
-    pds has controls and moves(p, gamma), as RulesOnDemand does; saturation
-    asks it for the moves of each (control, symbol) pair it reaches, once.
-    budget bounds the transitions saturation adds; past it saturation stops
-    at budget.
+    pds has moves(p, gamma), as RulesOnDemand does; saturation asks it for
+    the moves of each (control, symbol) pair it reaches, once, and calls
+    is_target once on each control it reaches.  budget bounds the
+    transitions saturation adds; past it saturation stops at budget.
     """
     control, word = start
     word = tuple(word)
     if not word:
         raise ValueError("the start configuration needs a nonempty stack")
-    targets = set(targets)
-    if control not in pds.controls or not all(c in pds.controls for c in targets):
-        raise ValueError("start and targets must be controls of the system")
 
     ids: dict = {}  # control -> state
     names: list = []  # state -> control, for the control states
-    is_target: list = []
+    target: list = []  # state -> whether its control is a target
     others = count(-1, -1)  # the intermediate and start-word states
 
     def intern(c) -> int:
@@ -187,7 +186,7 @@ def post_star(pds, start, targets, budget: int | None = None) -> PostStarResult:
         if s is None:
             s = ids[c] = len(names)
             names.append(c)
-            is_target.append(c in targets)
+            target.append(is_target(c))
         return s
 
     by_head: dict = {}  # (state, gamma) -> [(move, p2, push, intermediate state)]
@@ -207,7 +206,7 @@ def post_star(pds, start, targets, budget: int | None = None) -> PostStarResult:
         out[s] = [t]
         s = t[2]
     final = s
-    if control in targets:
+    if target[start_t[0]]:
         return PostStarResult(why, out, final, REACHED)
     added = 0
 
@@ -220,7 +219,7 @@ def post_star(pds, start, targets, budget: int | None = None) -> PostStarResult:
             raise _Stop(BUDGET, None)
         why[t] = (move, sources)
         if t[0] >= 0:
-            if is_target[t[0]]:
+            if target[t[0]]:
                 raise _Stop(REACHED, t)
             worklist.append(t)
             return

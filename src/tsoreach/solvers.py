@@ -1,25 +1,33 @@
 """Reachability backends for register machines, one per data-type family.
 
 solve_finite      explicit search; exact when the value space stays finite
-solve_stack       post*-saturation over the control closure, for stacks and
-                  for counters (a stack over one symbol)
+solve_stack       post*-saturation over the controls, built on demand, for
+                  stacks and for counters (a stack over one symbol)
 solve_counter     solve_stack on a counter or weak-counter machine
 solve_petri       backward coverability over the control closure
 solve_wsts        the same search, for any kind whose operations are monotone
 explore_bounded   value-size-bounded search for the remaining types
 
-_control_closure is the one place that flattens registers: it builds the
-finite control, (state, registers) pairs with their edges, that post* and
-backward coverability both read.  post* saturates forwards from the
-initial configuration and stops at a target control, so solve_stack's
-stats.iterations is the automaton's transitions at that stop, or at the
-fixpoint when no target is reached.  solve_finite and explore_bounded run
-the breadth-first kernel verdict.explore over rm_step.  Every backend
-interprets all instruction tiers directly and replays its reachable
-witness under rm_step to the target before returning it; one that does
-not replay raises WitnessError.  Each backend hands its stop to
-verdict.conclude as its search names it: post* and backward coverability
-end in the kernel's own stops, reached, closed or budget.
+_ControlEdges is the one place that flattens registers: it builds the
+edges of a control, a (state, registers) pair, the first time the control
+is looked up.  solve_stack first runs a pre-search over the controls that
+stops at the first control at the target state, or closes without one;
+post* then builds the edges of each further control when saturation
+first reaches it, and takes its targets as a predicate (the control's
+state is q_target), since no list of controls is made up front.  So
+solve_stack's stats.explored is the number of controls whose edges were
+built, its stats.iterations the automaton's transitions when post*
+stopped at a target control or at the fixpoint, and its budget bounds
+both the controls the pre-search records and the transitions post* adds.
+Backward coverability needs each control's predecessors, so it reads the
+whole forward closure, _control_closure.  solve_finite and
+explore_bounded run the breadth-first kernel verdict.explore over
+rm_step.  Every backend interprets all instruction tiers directly and
+replays its reachable witness under rm_step to the target before
+returning it; one that does not replay raises WitnessError.  Each backend
+hands its stop to verdict.conclude as its search names it: post* and
+backward coverability end in the kernel's own stops, reached, closed or
+budget.
 """
 
 from __future__ import annotations
@@ -51,7 +59,6 @@ from .pds import RulesOnDemand, post_star
 from .translate import encode_rm_to_coverability_labelled  # noqa: F401
 from .verdict import (
     BUDGET,
-    CLOSED,
     DEFAULT_BUDGET,
     DEFAULT_VALUE_BOUND,
     REACHED,
@@ -117,36 +124,55 @@ def explore_bounded(
 
 
 # ---------------------------------------------------------------------------
-# The control closure, and post*-saturation over it for stacks and counters
+# Controls, their closure, and post*-saturation over them for stacks and
+# counters
+
+
+class _ControlEdges(dict):
+    """Each control's outgoing (edge, control2) pairs, built on first lookup.
+
+    A control is a (state, registers) pair, and init is rm's initial one.
+    Its edges are rm's edges from the state whose register action is
+    enabled, each leading to the control its action makes; data-type
+    operations are treated as free and keep the registers.  This is the one
+    place that flattens registers.  The dict holds the controls looked up
+    so far, in the order they were first looked up.
+    """
+
+    def __init__(self, rm: RegisterMachine) -> None:
+        super().__init__()
+        self.rm = rm
+        self.init = (rm.q_init, (0,) * len(rm.registers))
+
+    def __missing__(self, control):
+        q, regs = control
+        outs = self[control] = []
+        for edge, step in self.rm.edges_from(q):
+            regs2 = regs if step is None else step(regs)
+            if regs2 is not None:
+                outs.append((edge, (edge[2], regs2)))
+        return outs
 
 
 def _control_closure(rm: RegisterMachine, budget: int = DEFAULT_BUDGET):
     """Forward closure of (state, registers), treating data ops as free.
 
-    Returns the initial control, the set of controls and each control's
-    outgoing (edge, control) pairs.  Overapproximates the truly reachable
-    pairs, which is all post* and backward coverability need: the data type
-    decides which of them a run reaches.  The search stops once it has
-    seen more than budget pairs, so a caller finding more than budget
-    controls has no closure.
+    Returns the initial control, the set of controls and the
+    _ControlEdges that holds each control's outgoing (edge, control) pairs.
+    Overapproximates the truly reachable pairs, which is all backward
+    coverability needs: the data type decides which of them a run reaches.
+    The search stops once it has seen more than budget pairs, so a caller
+    finding more than budget controls has no closure.
     """
-    init = (rm.q_init, (0,) * len(rm.registers))
-    seen = {init}
-    queue = [init]
-    edges_from: dict = {}
+    edges_from = _ControlEdges(rm)
+    seen = {edges_from.init}
+    queue = [edges_from.init]
     while queue and len(seen) <= budget:
-        q, regs = queue.pop()
-        outs = []
-        for edge, step in rm.edges_from(q):
-            regs2 = regs if step is None else step(regs)
-            if regs2 is not None:
-                outs.append((edge, (edge[2], regs2)))
-        edges_from[(q, regs)] = outs
-        for _, c in outs:
+        for _, c in edges_from[queue.pop()]:
             if c not in seen:
                 seen.add(c)
                 queue.append(c)
-    return init, seen, edges_from
+    return edges_from.init, seen, edges_from
 
 
 def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -157,46 +183,49 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     the empty stack.  The moves carry the machine's own edges, so a witness
     is a run of rm whatever its data type.
 
-    Registers are flattened into control states by a forward closure, whose
-    size is stats.explored.  post* then saturates forwards from the initial
-    control over the bottom marker and stops at the first transition that
-    leaves a target control.  It asks for the moves of a (control, symbol)
-    pair when it first reaches it, and they are built from that control's
-    closure edges: a register action keeps the symbol, a push puts its
+    Registers are flattened into controls one control at a time, through
+    _ControlEdges, and stats.explored counts the controls whose edges were
+    built.  A pre-search, verdict.explore over the controls with data ops
+    treated as free, first looks for a control at q_target: closed, no run
+    reaches the target, which is unreachable with 0 iterations.  Otherwise
+    post* saturates forwards from the initial control over the bottom
+    marker and stops at the first transition that leaves a target control,
+    one whose state is q_target.  It asks for the moves of a (control,
+    symbol) pair when it first reaches it, and they are built from that
+    control's edges: a register action keeps the symbol, a push puts its
     symbol above it, a pop applies only to its own symbol, isempty only to
-    the bottom marker, and reset moves to a drain control, one per (control,
-    control2) pair, that pops down to the bottom marker and then moves to
-    control2.  stats.iterations counts the automaton transitions post*
-    holds at the end, the initial one included: at the stop for reachable
-    verdicts, at the fixpoint for unreachable ones.  budget bounds both the
-    closure size and the transitions saturation adds; hitting it is
-    inconclusive, with reason budget.  A reachable witness is replayed
-    under rm_step before it is returned.
+    the bottom marker, and reset moves to a drain control, one per
+    (control, control2) pair, that pops down to the bottom marker and then
+    moves to control2.  stats.iterations counts the automaton transitions
+    post* holds at the end, the initial one included: at the stop for
+    reachable verdicts, at the fixpoint for unreachable ones.  budget
+    bounds both the controls the pre-search records and the transitions
+    saturation adds; hitting it is inconclusive, with reason budget.  A
+    reachable witness is replayed under rm_step before it is returned.
     """
     if KINDS[rm.adt.kind].backend not in ("stack", "counter"):
         raise ModelError("solve_stack needs a stack or counter machine")
     t0 = time.monotonic()
-    init, controls, edges_from = _control_closure(rm, budget)
+    edges = _ControlEdges(rm)
+
+    def is_target(control):
+        return control[0] == rm.q_target
 
     def stats(iterations=0):
-        return Stats(len(controls), iterations, int((time.monotonic() - t0) * 1000))
+        return Stats(len(edges), iterations, int((time.monotonic() - t0) * 1000))
 
-    if len(controls) > budget:
-        return conclude(BUDGET, stats())
-    # edges_from holds every closure control, in an order no string hash sets
-    targets = [c for c in edges_from if c[0] == rm.q_target]
-    if not targets:
-        return conclude(CLOSED, stats())
+    pre = explore(edges.init, edges.__getitem__, is_target, budget=budget)
+    if pre.outcome != REACHED:
+        return conclude(pre.outcome, stats())
     bottom = "_btm"
     while bottom in rm.adt.alphabet:  # a counter pushes only COUNTER_SYMBOL
         bottom += "_"
 
     def moves_at(control, g):
-        outs = edges_from.get(control)
-        if outs is None:  # the drain control (control, control2, "reset")
+        if len(control) == 3:  # the drain control (control, control2, "reset")
             return [(None, control[1], (bottom,)) if g == bottom else (None, control, ())]
         moves = []
-        for label, control2 in outs:
+        for label, control2 in edges[control]:
             act = label[1]
             if not isinstance(act, AdtOp):
                 moves.append((label, control2, (g,)))
@@ -217,7 +246,7 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
                 raise ModelError(f"unexpected stack op {act}")
         return moves
 
-    result = pre_star(RulesOnDemand(edges_from, moves_at), (init, (bottom,)), targets,
+    result = pre_star(RulesOnDemand(moves_at), (edges.init, (bottom,)), is_target,
                       budget=budget)
     witness = _replayed(rm, result.witness(), "stack") if result.stop == REACHED else None
     return conclude(result.stop, stats(len(result.transitions)), witness)

@@ -33,7 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 REPORTS = 1400
-DIGEST = "5506486885963fb6824e0320ec33790fe702a98b31bfb5ccec148b99ca293aa6"
+DIGEST = "20b69909623b303ff1d5cf00cf130752639d3a81b9797484ca573a6cb932839c"
 
 
 def print_reports(workdir: Path) -> int:

@@ -576,13 +576,22 @@ def pre_star_fixpoint(pds, targets, sink):
     return trans
 
 
+class TargetControls(tuple):
+    """Target controls listed up front, callable as post_star's predicate."""
+
+    def __call__(self, control) -> bool:
+        return control in self
+
+
 def stack_pds_reference(rm: RegisterMachine):
     """(pds, start, targets): solve_stack's pushdown system, every rule built.
 
     The eager form of the moves solve_stack builds on demand: |alphabet|
     rules for every register-only, push and reset edge of the control
     closure, one per symbol, plus the drain rules of each reset control.
-    post* over it must give solve_stack's verdict, iterations and witness.
+    targets are the closure's controls at the target state, as
+    TargetControls.  post* over it must give solve_stack's verdict,
+    iterations and witness.
     """
     counter = rm.adt.kind in ("counter", "weak-counter")
     init, _, edges_from = _control_closure(rm)
@@ -618,8 +627,17 @@ def stack_pds_reference(rm: RegisterMachine):
                     rules.append(PdsRule(control, g, control2, (g,), label))
     pds = PushdownSystem(controls=tuple(edges_from) + tuple(reset_controls),
                          alphabet=alphabet, rules=tuple(rules))
-    targets = [c for c in edges_from if c[0] == rm.q_target]
+    targets = TargetControls(c for c in edges_from if c[0] == rm.q_target)
     return pds, (init, (bottom,)), targets
+
+
+def stack_pre_search_size(rm: RegisterMachine) -> int:
+    """The controls solve_stack's pre-search records before it meets one at
+    the target state: a breadth-first search over the closure's edges."""
+    init, _, edges_from = _control_closure(rm)
+    r = explore(init, edges_from.__getitem__, lambda c: c[0] == rm.q_target)
+    assert r.outcome == REACHED
+    return r.explored
 
 
 # ---------------------------------------------------------------------------

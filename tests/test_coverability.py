@@ -1,3 +1,5 @@
+import pytest
+
 from helpers import backward_bases
 from tsoreach.coverability import backward_reach
 from tsoreach.verdict import BUDGET, CLOSED, REACHED
@@ -75,3 +77,12 @@ def test_budget_stops_before_the_basis_stabilizes():
     assert full.stop == REACHED
     res = backward_reach(**_counter_system(3), max_explored=1)
     assert res.stop == BUDGET and res.chain == ()
+
+
+@pytest.mark.parametrize("budget", range(4))
+def test_budget_stop_never_reports_more_than_the_budget(budget):
+    # the full search records 6 predecessors, so each of these budgets stops
+    # it, at the predecessor that would be one past the budget
+    assert backward_reach(**_counter_system(3)).explored == 6
+    res = backward_reach(**_counter_system(3), max_explored=budget)
+    assert (res.stop, res.explored, res.chain) == (BUDGET, budget, ())

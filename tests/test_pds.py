@@ -11,6 +11,11 @@ def _pds(rules, controls=("p", "q", "t"), alphabet=("a", "b", "_btm")):
     return PushdownSystem(controls=controls, alphabet=alphabet, rules=tuple(rules))
 
 
+def _among(*targets):
+    """post_star's target predicate for the controls listed."""
+    return lambda c: c in targets
+
+
 def test_rules_validated():
     with pytest.raises(ValueError):
         _pds([PdsRule("p", "a", "nope", ())])
@@ -209,7 +214,7 @@ def test_post_star_matches_pre_star_fixpoint(seed, n_controls, max_rules):
     init = ("p0", ("_btm",))
     forward, fwd_closed = _forward_reachable_controls(pds, *init, depth_bound=7)
     for target in pds.controls:
-        res = post_star(pds, init, [target])
+        res = post_star(pds, init, _among(target))
         reached = res.stop == REACHED
         assert res.stop == (REACHED if _fixpoint_accepts(pds, target, *init) else CLOSED)
         if fwd_closed:
@@ -227,7 +232,7 @@ def test_post_star_multi_symbol_start(seed):
     for word in [("a", "_btm"), ("b", "a", "_btm"), ("a", "b")]:
         init = ("p0", word)
         for target in pds.controls:
-            res = post_star(pds, init, [target])
+            res = post_star(pds, init, _among(target))
             assert res.stop == (REACHED if pre_star(pds, [target]).accepts(*init) else CLOSED)
             if res.stop == REACHED:
                 assert _replay(pds, init, res.witness())[0] == target
@@ -240,11 +245,11 @@ def test_post_star_growing_stack():
         + [PdsRule("q", "a", "q", (), tag="pop"), PdsRule("q", "_btm", "t", ("_btm",), tag="done")]
     )
     pds = _pds(rules)
-    res = post_star(pds, ("p", ("a", "_btm")), ["t"])
+    res = post_star(pds, ("p", ("a", "_btm")), _among("t"))
     assert res.witness() == ["push", "pop", "pop", "done"]
     start = ("q", ("a", "a", "_btm"))
-    assert post_star(pds, start, ["t"]).witness() == ["pop", "pop", "done"]
-    assert post_star(pds, ("q", ("b", "_btm")), ["t"]).stop == CLOSED
+    assert post_star(pds, start, _among("t")).witness() == ["pop", "pop", "done"]
+    assert post_star(pds, ("q", ("b", "_btm")), _among("t")).stop == CLOSED
 
 
 def test_post_star_pop_inherits_later_transitions():
@@ -259,7 +264,7 @@ def test_post_star_pop_inherits_later_transitions():
     ]
     pds = _pds(rules, controls=("p", "p2", "p3", "p5", "t"))
     start = ("p", ("_btm",))
-    res = post_star(pds, start, ["t"])
+    res = post_star(pds, start, _among("t"))
     assert res.witness() == [0, 1, 2, 3, 1, 4]
     assert _replay(pds, start, res.witness())[0] == "t"
 
@@ -274,12 +279,12 @@ def test_post_star_keeps_pushes_of_different_symbols_apart():
         PdsRule("r", "b", "t", ("b",)),
     ]
     pds = _pds(rules, controls=("p", "q", "r", "t"))
-    assert post_star(pds, ("p", ("_btm",)), ["t"]).stop == CLOSED
-    assert post_star(pds, ("p", ("_btm",)), ["r"]).stop == REACHED
+    assert post_star(pds, ("p", ("_btm",)), _among("t")).stop == CLOSED
+    assert post_star(pds, ("p", ("_btm",)), _among("r")).stop == REACHED
 
 
 def test_post_star_start_is_a_target():
-    res = post_star(_pds([PdsRule("t", "a", "p", ())]), ("t", ("a", "_btm")), ["t", "q"])
+    res = post_star(_pds([PdsRule("t", "a", "p", ())]), ("t", ("a", "_btm")), _among("t", "q"))
     assert res.stop == REACHED
     assert res.witness() == []
     assert len(res.transitions) == 2  # the start word's own
@@ -288,7 +293,7 @@ def test_post_star_start_is_a_target():
 def test_post_star_stops_on_an_epsilon_from_a_target():
     # the target is only ever entered by a pop that empties the stack
     rules = [PdsRule("p", "_btm", "t", (), tag="drop")]
-    res = post_star(_pds(rules), ("p", ("_btm",)), ["t"])
+    res = post_star(_pds(rules), ("p", ("_btm",)), _among("t"))
     assert res.stop == REACHED
     assert res.witness() == ["drop"]
 
@@ -298,10 +303,10 @@ def test_post_star_budget_stops_at_budget():
         PdsRule("p", "_btm", "q", ("a", "_btm"), tag="push_a"),
         PdsRule("q", "a", "t", (), tag="pop_a"),
     ]
-    full = post_star(_pds(rules), ("p", ("_btm",)), ["t"])
+    full = post_star(_pds(rules), ("p", ("_btm",)), _among("t"))
     assert full.stop == REACHED
     assert full.witness() == ["push_a", "pop_a"]
-    cut = post_star(_pds(rules), ("p", ("_btm",)), ["t"], budget=1)
+    cut = post_star(_pds(rules), ("p", ("_btm",)), _among("t"), budget=1)
     assert cut.stop == BUDGET
     assert len(cut.transitions) == 2  # the start transition and one added
     with pytest.raises(ValueError):
@@ -310,9 +315,20 @@ def test_post_star_budget_stops_at_budget():
 
 def test_post_star_rejects_bad_starts():
     with pytest.raises(ValueError):
-        post_star(_pds([]), ("p", ()), ["t"])
-    with pytest.raises(ValueError):
-        post_star(_pds([]), ("nope", ("_btm",)), ["t"])
+        post_star(_pds([]), ("p", ()), _among("t"))
+
+
+def test_post_star_asks_the_targets_only_about_controls_it_reaches():
+    # q is never reached, and t only as the stop
+    rules = [PdsRule("p", "_btm", "p", ("a", "_btm")), PdsRule("p", "a", "t", ())]
+    asked = []
+
+    def is_target(c):
+        asked.append(c)
+        return c == "t"
+
+    assert post_star(_pds(rules), ("p", ("_btm",)), is_target).stop == REACHED
+    assert asked == ["p", "t"]
 
 
 def test_post_star_witness_terminates_on_recursive_rules():
@@ -329,9 +345,9 @@ def test_post_star_witness_terminates_on_recursive_rules():
         for word in [("a",) * depth + ("_btm",), ("b",) * depth + ("a", "_btm")]:
             start = ("p", word)
             for target, last in [("t", 2), ("q", 3)]:
-                res = post_star(pds, start, [target])
+                res = post_star(pds, start, _among(target))
                 trace = res.witness()
                 assert trace[-1] == last
                 assert _replay(pds, start, trace)[0] == target
     # with no target the saturation reaches its fixpoint and stops
-    assert post_star(pds, ("p", ("a", "_btm")), []).stop == CLOSED
+    assert post_star(pds, ("p", ("a", "_btm")), _among()).stop == CLOSED

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from helpers import parse_machine, parse_program
+from helpers import parse_machine, parse_program, stack_pre_search_size
 from test_error_paths import PUMP
 from tsoreach.cli import main
 from tsoreach.gen import random_stack_machine
@@ -104,17 +104,17 @@ def test_bounded_bfs_value_bound():
     _assert_reason(explore_bounded(rm, value_bound=2), REACHED, None)
 
 
-def test_stack_closure_and_post_star_budget():
+def test_stack_pre_search_and_post_star_budget():
     rm = random_stack_machine(random.Random(1), 40)
     full = solve_stack(rm)
     _assert_reason(full, REACHED, None)
-    closure = full.stats.explored
-    # the control closure alone outgrows the budget
-    v = solve_stack(rm, budget=closure - 1)
+    reach = stack_pre_search_size(rm)
+    # the pre-search outgrows the budget before it meets a target control
+    v = solve_stack(rm, budget=reach - 1)
     _assert_reason(v, BUDGET, "budget")
     assert v.stats.iterations == 0
-    # the closure fits, saturation does not
-    v = solve_stack(rm, budget=closure)
+    # the pre-search fits, saturation does not
+    v = solve_stack(rm, budget=reach)
     _assert_reason(v, BUDGET, "budget")
     assert 0 < v.stats.iterations < full.stats.iterations
 

@@ -9,6 +9,7 @@ from helpers import (
     encode_rm_to_coverability,
     inc,
     net_coverable_forward,
+    parse_machine,
     parse_program,
     petri_backward_bases,
     petri_net_reference,
@@ -16,6 +17,7 @@ from helpers import (
     rm_reachable_brute,
     solve_counter_cutoff,
     stack_pds_reference,
+    stack_pre_search_size,
     wsts_backward_bases,
     wqo_leq,
 )
@@ -51,7 +53,7 @@ from tsoreach.pds import PostStarResult, post_star
 from tsoreach.translate import encode_coverability_to_rm
 from tsoreach.cli import main
 from tsoreach.dsl import parse_action, print_machine
-from tsoreach.verdict import BUDGET, REACHED, WitnessError
+from tsoreach.verdict import BUDGET, CLOSED, REACHED, WitnessError
 
 
 def _parse_witness_labels(rm, witness):
@@ -329,19 +331,20 @@ def test_solve_stack_budget_is_inconclusive(tmp_path, capsys):
     full = solve_stack(rm)
     assert full.outcome == "reachable"
     _assert_witness_replays(rm, full)
-    closure = full.stats.explored
-    # the control closure alone outgrows the budget
-    v = solve_stack(rm, budget=closure - 1)
+    reach = stack_pre_search_size(rm)
+    # the pre-search outgrows the budget before it meets a target control
+    v = solve_stack(rm, budget=reach - 1)
     assert (v.outcome, v.closed, v.stats.iterations) == ("inconclusive", False, 0)
-    assert v.stats.explored == closure
-    # the closure fits, saturation does not
-    v = solve_stack(rm, budget=closure)
-    assert (v.outcome, v.closed, v.stats.explored) == ("inconclusive", False, closure)
-    assert v.stats.iterations < full.stats.iterations
-    assert solve_auto(rm, budget=closure).outcome == "inconclusive"
+    assert v.stats.explored <= reach
+    # the pre-search fits, saturation does not
+    v = solve_stack(rm, budget=reach)
+    assert (v.outcome, v.closed) == ("inconclusive", False)
+    assert 0 < v.stats.iterations < full.stats.iterations
+    assert v.stats.explored <= full.stats.explored
+    assert solve_auto(rm, budget=reach).outcome == "inconclusive"
     path = tmp_path / "stack.rm"
     path.write_text(print_machine(rm))
-    assert main(["check", str(path), "--budget", str(closure)]) == 2
+    assert main(["check", str(path), "--budget", str(reach)]) == 2
     assert capsys.readouterr().out.startswith("verdict: inconclusive")
     assert main(["check", str(path)]) == 0
 
@@ -357,10 +360,12 @@ def test_solve_stack_640_states_matches_pre_star(monkeypatch, seed, outcome):
     real = solvers.pre_star
     seen = []
 
-    def both(pds, start, targets, budget=None):
-        res = real(pds, start, targets, budget=budget)
+    def both(pds, start, is_target, budget=None):
+        res = real(pds, start, is_target, budget=budget)
         eager, eager_start, eager_targets = stack_pds_reference(rm)
-        assert (eager_start, eager_targets) == (start, targets)
+        assert eager_start == start
+        # the predicate holds exactly on the eager reference's targets
+        assert [c for c in eager.controls if is_target(c)] == list(eager_targets)
         ref = pre_star(eager, eager_targets, stop=start, budget=budget)
         seen.append((res.stop == REACHED, ref.accepts(*start)))
         return res
@@ -423,6 +428,53 @@ def test_solve_stack_matches_post_star_on_the_eager_rules(cases):
             _assert_witness_replays(rm, v)
     assert "reachable" in outcomes
     assert cases == "repeated-reset" or "unreachable" in outcomes
+
+
+@pytest.mark.parametrize("cases", sorted(_REFERENCE_CASES))
+def test_solve_stack_builds_only_closure_controls(monkeypatch, cases):
+    # the controls whose edges solve_stack builds, in its pre-search and in
+    # post*, are controls of the closure built up front
+    import tsoreach.solvers as solvers
+
+    built = []
+
+    class Spy(solvers._ControlEdges):
+        def __init__(self, rm):
+            super().__init__(rm)
+            built.append(self)
+
+    monkeypatch.setattr(solvers, "_ControlEdges", Spy)
+    for rm in _REFERENCE_CASES[cases]():
+        built.clear()
+        v = solve_stack(rm)
+        (edges,) = built
+        assert len(edges) == v.stats.explored
+        assert set(edges) <= _control_closure(rm)[1]
+
+
+GUARDED_TARGET = """\
+adt stack alphabet a
+machine M
+registers r bound 1
+state a init
+state b
+state t target
+trans a -> b : op push a
+trans b -> t : read r 1
+"""
+
+
+def test_solve_stack_closes_without_post_star_when_a_guard_blocks_the_target(monkeypatch):
+    # the target's one edge in reads a value r never holds, so no control
+    # of the closure is at the target and the pre-search alone decides
+    import tsoreach.solvers as solvers
+
+    calls = []
+    monkeypatch.setattr(solvers, "pre_star", lambda *args, **kwargs: calls.append(args))
+    v = solve_stack(parse_machine(GUARDED_TARGET))
+    assert (v.outcome, v.stop, v.stats.explored, v.stats.iterations) == (
+        "unreachable", CLOSED, 2, 0)
+    assert calls == []
 
 
 def test_solve_stack_builds_only_the_rules_post_star_reaches(monkeypatch):
