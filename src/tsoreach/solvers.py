@@ -10,24 +10,18 @@ explore_bounded   value-size-bounded search for the remaining types
 
 _ControlEdges is the one place that flattens registers: it builds the
 edges of a control, a (state, registers) pair, the first time the control
-is looked up.  solve_stack first runs a pre-search over the controls that
-stops at the first control at the target state, or closes without one;
-post* then builds the edges of each further control when saturation
-first reaches it, and takes its targets as a predicate (the control's
-state is q_target), since no list of controls is made up front.  So
-solve_stack's stats.explored is the number of controls whose edges were
-built, its stats.iterations the automaton's transitions when post*
-stopped at a target control or at the fixpoint, and its budget bounds
-both the controls the pre-search records and the transitions post* adds.
-Backward coverability needs each control's predecessors, so it reads the
-whole forward closure, _control_closure.  solve_finite and
-explore_bounded run the breadth-first kernel verdict.explore over
-rm_step.  Every backend interprets all instruction tiers directly and
-replays its reachable witness under rm_step to the target before
-returning it; one that does not replay raises WitnessError.  Each backend
-hands its stop to verdict.conclude as its search names it: post* and
-backward coverability end in the kernel's own stops, reached, closed or
-budget.
+is looked up.  _control_closure is the one loop over the controls.
+solve_stack runs it as a pre-search that stops at the first control at
+the target state, or closes without one; post* then builds the edges of
+each further control when saturation first reaches it.  Backward
+coverability needs each control's predecessors, so it runs the same loop
+with no target, to the whole closure.  solve_finite and explore_bounded
+run the breadth-first kernel verdict.explore over rm_step.  Every backend
+interprets all instruction tiers directly and replays its reachable
+witness under rm_step to the target before returning it; one that does
+not replay raises WitnessError.  Each backend hands its stop to
+verdict.conclude as its search names it: post* and backward coverability
+end in the kernel's own stops, reached, closed or budget.
 """
 
 from __future__ import annotations
@@ -59,6 +53,7 @@ from .pds import RulesOnDemand, post_star
 from .translate import encode_rm_to_coverability_labelled  # noqa: F401
 from .verdict import (
     BUDGET,
+    CLOSED,
     DEFAULT_BUDGET,
     DEFAULT_VALUE_BOUND,
     REACHED,
@@ -154,25 +149,31 @@ class _ControlEdges(dict):
         return outs
 
 
-def _control_closure(rm: RegisterMachine, budget: int = DEFAULT_BUDGET):
+def _control_closure(rm: RegisterMachine, budget: int = DEFAULT_BUDGET,
+                     is_target=lambda control: False):
     """Forward closure of (state, registers), treating data ops as free.
 
-    Returns the initial control, the set of controls and the
-    _ControlEdges that holds each control's outgoing (edge, control) pairs.
-    Overapproximates the truly reachable pairs, which is all backward
+    Returns (stop, edges): stop is reached, budget or closed, and edges the
+    _ControlEdges of the controls expanded.  The walk is verdict.explore's,
+    with the same checks in the same order but no parents.  A closed closure
+    overapproximates the truly reachable pairs, which is all backward
     coverability needs: the data type decides which of them a run reaches.
-    The search stops once it has seen more than budget pairs, so a caller
-    finding more than budget controls has no closure.
     """
-    edges_from = _ControlEdges(rm)
-    seen = {edges_from.init}
-    queue = [edges_from.init]
-    while queue and len(seen) <= budget:
-        for _, c in edges_from[queue.pop()]:
-            if c not in seen:
-                seen.add(c)
-                queue.append(c)
-    return edges_from.init, seen, edges_from
+    edges = _ControlEdges(rm)
+    if is_target(edges.init):
+        return REACHED, edges
+    seen = {edges.init}
+    order = [edges.init]
+    for control in order:  # the list grows as the loop reads it
+        for _, control2 in edges[control]:
+            if control2 not in seen:
+                seen.add(control2)
+                order.append(control2)
+                if is_target(control2):
+                    return REACHED, edges
+                if len(order) > budget:
+                    return BUDGET, edges
+    return CLOSED, edges
 
 
 def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -185,8 +186,8 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     Registers are flattened into controls one control at a time, through
     _ControlEdges, and stats.explored counts the controls whose edges were
-    built.  A pre-search, verdict.explore over the controls with data ops
-    treated as free, first looks for a control at q_target: closed, no run
+    built.  A pre-search, _control_closure (also backward coverability's
+    closure), first looks for a control at q_target: closed, no run
     reaches the target, which is unreachable with 0 iterations.  Otherwise
     post* saturates forwards from the initial control over the bottom
     marker and stops at the first transition that leaves a target control,
@@ -206,7 +207,6 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     if KINDS[rm.adt.kind].backend not in ("stack", "counter"):
         raise ModelError("solve_stack needs a stack or counter machine")
     t0 = time.monotonic()
-    edges = _ControlEdges(rm)
 
     def is_target(control):
         return control[0] == rm.q_target
@@ -214,9 +214,9 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     def stats(iterations=0):
         return Stats(len(edges), iterations, int((time.monotonic() - t0) * 1000))
 
-    pre = explore(edges.init, edges.__getitem__, is_target, budget=budget)
-    if pre.outcome != REACHED:
-        return conclude(pre.outcome, stats())
+    stop, edges = _control_closure(rm, budget, is_target)
+    if stop != REACHED:
+        return conclude(stop, stats())
     bottom = "_btm"
     while bottom in rm.adt.alphabet:  # a counter pushes only COUNTER_SYMBOL
         bottom += "_"
@@ -269,19 +269,19 @@ def solve_counter(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
 def _backward_cover(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> BackwardResult:
     """Backward coverability over (control, value) for a monotone data type.
 
-    The controls are the (state, registers) pairs of _control_closure and
+    The controls are all of _control_closure, run with no predicate, and
     the values are ordered by the data type's well-quasi-ordering (Abdulla,
     Cerans, Jonsson and Tsay, LICS 1996).  The targets are the closure
     controls at q_target with the least value.  An edge into a control
     contributes, for a data-type operation, the minimal predecessors of the
     value, and for a register action the same value.  Elements compare only
-    within one control.  A closure of more than budget controls stops at
-    budget before the search starts, with explored its size.
+    within one control.  A closure that stops at budget stops the search
+    before it starts, with explored the budget, never more.
     """
     spec = rm.adt
-    init, controls, edges_from = _control_closure(rm, budget)
-    if len(controls) > budget:
-        return BackwardResult(BUDGET, explored=len(controls))
+    stop, edges_from = _control_closure(rm, budget)
+    if stop == BUDGET:
+        return BackwardResult(BUDGET, explored=budget)
     into: dict = {}
     for control, outs in edges_from.items():
         for edge, control2 in outs:
@@ -300,10 +300,10 @@ def _backward_cover(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Backwa
     leq, bottom, _ = wqo(spec)
     v_init = spec.initial_value()
     return backward_reach(
-        targets=[(c, bottom) for c in controls if c[0] == rm.q_target],
+        targets=[(c, bottom) for c in edges_from if c[0] == rm.q_target],
         preds=preds,
         leq=lambda e1, e2: e1[0] == e2[0] and leq(e1[1], e2[1]),
-        covers_initial=lambda e: e[0] == init and leq(e[1], v_init),
+        covers_initial=lambda e: e[0] == edges_from.init and leq(e[1], v_init),
         max_explored=budget,
         bucket_key=lambda e: e[0],
     )

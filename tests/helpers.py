@@ -594,7 +594,8 @@ def stack_pds_reference(rm: RegisterMachine):
     iterations and witness.
     """
     counter = rm.adt.kind in ("counter", "weak-counter")
-    init, _, edges_from = _control_closure(rm)
+    _, edges_from = _control_closure(rm)
+    init = edges_from.init
     stack_syms = (COUNTER_SYMBOL,) if counter else rm.adt.alphabet
     bottom = "_btm"
     while bottom in stack_syms:
@@ -634,8 +635,8 @@ def stack_pds_reference(rm: RegisterMachine):
 def stack_pre_search_size(rm: RegisterMachine) -> int:
     """The controls solve_stack's pre-search records before it meets one at
     the target state: a breadth-first search over the closure's edges."""
-    init, _, edges_from = _control_closure(rm)
-    r = explore(init, edges_from.__getitem__, lambda c: c[0] == rm.q_target)
+    _, edges_from = _control_closure(rm)
+    r = explore(edges_from.init, edges_from.__getitem__, lambda c: c[0] == rm.q_target)
     assert r.outcome == REACHED
     return r.explored
 

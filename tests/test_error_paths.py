@@ -102,7 +102,7 @@ def test_backend_for_another_data_type(tmp_path, capsys, backend, error):
 
 @pytest.mark.parametrize("budget, code, verdict", [
     # the closure is over budget: nothing is searched
-    ("1", 2, "verdict: inconclusive\nreason: budget\nexplored: 2\niterations: 0\nclosed: 0\n"),
+    ("1", 2, "verdict: inconclusive\nreason: budget\nexplored: 1\niterations: 0\nclosed: 0\n"),
     # the closure fits and the search stops at the budget, never past it
     ("2", 2, "verdict: inconclusive\nreason: budget\nexplored: 2\niterations: 2\nclosed: 0\n"),
     ("8", 0, "verdict: reachable\n" + "witness: a -> a : op t\n" * 4

@@ -207,3 +207,16 @@ def test_auto_routes_the_kind(kind, monkeypatch):
         monkeypatch.setattr(solvers, name, spy(name))
     solvers.solve_auto(_one_edge(kind))
     assert calls == AUTO[kind]
+
+
+@pytest.mark.parametrize("backend, kind", [
+    (backend, kind) for backend in ("auto", "stack", "counter", "wsts", "petri")
+    for kind in KINDS if backend == "auto" or kind in ACCEPTS[backend]])
+def test_initial_state_at_the_target(backend, kind):
+    # a run of no steps reaches the target: an empty witness, nothing explored
+    spec, ops = SPECS[kind]
+    rm = dsl.parse_input(f"{print_adt(spec)}\nmachine M\nregisters r bound 1\n"
+                         f"state a init target\nstate b\ntrans a -> b : op {ops[0]}\n"
+                         "trans b -> a : write r 1\n")
+    v = solvers.solve_auto(rm, backend=backend)
+    assert (v.outcome, v.witness, v.stats.explored) == ("reachable", (), 0)

@@ -336,7 +336,7 @@ def test_register_semantics_agree(rng, bound, n_regs):
             assert ([] if got is None else [got]) == expected
 
     # the machines carry no data-type operations: every edge is a register edge
-    _, _, edges_from = _control_closure(rm)
+    _, edges_from = _control_closure(rm)
     for (q, regs), outs in edges_from.items():
         c = RmConfiguration(q, regs, rm.adt.initial_value())
         assert outs == [(edge, (c2.state, c2.regs)) for edge, c2 in rm_step(rm, c)]

@@ -129,7 +129,7 @@ def test_backward_coverability_closure_and_search_budget():
     # budget 1: the two-control closure is over budget, nothing is searched
     v = solve_petri(rm, budget=1)
     _assert_reason(v, BUDGET, "budget")
-    assert (v.stats.explored, v.stats.iterations) == (2, 0)
+    assert (v.stats.explored, v.stats.iterations) == (1, 0)
     # budget 2: the closure fits and the backward search stops on the budget
     v = solve_petri(rm, budget=2)
     _assert_reason(v, BUDGET, "budget")

@@ -38,6 +38,7 @@ from tsoreach.model import (
 )
 from tsoreach.solvers import (
     DEFAULT_BUDGET,
+    _ControlEdges,
     _backward_cover,
     _control_closure,
     explore_bounded,
@@ -53,7 +54,7 @@ from tsoreach.pds import PostStarResult, post_star
 from tsoreach.translate import encode_coverability_to_rm
 from tsoreach.cli import main
 from tsoreach.dsl import parse_action, print_machine
-from tsoreach.verdict import BUDGET, CLOSED, REACHED, WitnessError
+from tsoreach.verdict import BUDGET, CLOSED, REACHED, WitnessError, explore
 
 
 def _parse_witness_labels(rm, witness):
@@ -449,7 +450,34 @@ def test_solve_stack_builds_only_closure_controls(monkeypatch, cases):
         v = solve_stack(rm)
         (edges,) = built
         assert len(edges) == v.stats.explored
-        assert set(edges) <= _control_closure(rm)[1]
+        assert set(edges) <= set(_control_closure(rm)[1])
+
+
+def _explore_controls(rm, is_target, budget=None):
+    """verdict.explore over a fresh _ControlEdges: (the edges, the Search)."""
+    edges = _ControlEdges(rm)
+    return edges, explore(edges.init, edges.__getitem__, is_target, budget=budget)
+
+
+@pytest.mark.parametrize("cases", sorted(_REFERENCE_CASES))
+def test_control_closure_walks_as_the_kernel(cases):
+    # at every budget up to one past explore's count, the closure stops as
+    # explore over the same edges does and expands the same controls in the
+    # same order, which every explored: line of solve_stack depends on; with
+    # no target, the whole closure is explore's too
+    for rm in _REFERENCE_CASES[cases]():
+        def is_target(control):
+            return control[0] == rm.q_target
+
+        count = _explore_controls(rm, is_target)[1].explored
+        for budget in range(1, count + 2):
+            kernel, r = _explore_controls(rm, is_target, budget)
+            stop, edges = _control_closure(rm, budget, is_target)
+            assert (stop, list(edges)) == (r.outcome, list(kernel))
+        kernel, r = _explore_controls(rm, lambda control: False)
+        stop, edges = _control_closure(rm)
+        assert (stop, list(edges)) == (r.outcome, list(kernel))
+        assert stop == CLOSED
 
 
 GUARDED_TARGET = """\
@@ -492,7 +520,8 @@ def test_solve_stack_builds_only_the_rules_post_star_reaches(monkeypatch):
     monkeypatch.setattr(solvers, "pre_star", spy)
     rm = random_stack_machine(random.Random(0), 640)
     assert solve_stack(rm).outcome == "unreachable"
-    init, _, edges_from = _control_closure(rm)
+    _, edges_from = _control_closure(rm)
+    init = edges_from.init
     (pds,) = systems
     assert list(pds.built) == [(init, "_btm")]
     # one rule per edge and stack symbol, the bottom marker included
@@ -797,7 +826,7 @@ def test_wsts_closure_size_limit_is_the_budget(tmp_path, capsys):
     n = len(_control_closure(rm)[1])
     assert n == 9
     res = _backward_cover(rm, budget=n - 1)
-    assert (res.stop, res.explored, res.iterations) == (BUDGET, n, 0)
+    assert (res.stop, res.explored, res.iterations) == (BUDGET, n - 1, 0)
     small = solve_wsts(rm, budget=n - 1)
     assert (small.outcome, small.closed) == ("inconclusive", False)
     assert small.stats.iterations == 0  # gave up before searching
