@@ -27,8 +27,9 @@ first asks for them (``RegisterMachine.edges_from``), each distinct action
 once, and keeps them, so no step rescans the machine and unreached states
 are never decoded.
 ``_decode_action`` is the one definition of the register semantics, and
-``fire`` the one step over decoded edges: ``rm_step`` applies it to a
-machine's, and check's lift to the gadget branches it decodes itself.
+``fire`` the one step over decoded edges: ``rm_step`` applies it to all
+of a state's edges, ``replay_rm`` to a witness's own edge, and check's
+lift to the gadget branches it decodes itself.
 """
 
 from __future__ import annotations
@@ -381,17 +382,20 @@ def fire(edges, adt: AdtSpec, c: RmConfiguration) -> list[tuple[RmEdge, RmConfig
 
 
 def replay_rm(rm: RegisterMachine, labels) -> RmConfiguration:
-    """Replay a witness (a sequence of delta triples) under rm_step.
+    """Replay a witness (a sequence of delta triples) under rm_step's
+    semantics: each triple fires its own edge from the current state, the
+    first copy of it if delta repeats it, and no other edge.
 
     Raises ModelError if any step is not enabled; returns the final
     configuration on success.
     """
     c = rm.initial_configuration()
     for label in labels:
-        successors = [c2 for lab, c2 in rm_step(rm, c) if lab == label]
+        own = [e for e in rm.edges_from(c.state) if e[0] == label][:1]
+        successors = fire(own, rm.adt, c)
         if not successors:
             raise ModelError(f"witness step not enabled: {label}")
-        c = successors[0]
+        c = successors[0][1]
     return c
 
 

@@ -33,7 +33,10 @@ An epsilon transition (p, eps, q) makes p inherit every transition
 leaving q, those present when it is taken and those added to q later.
 Only intermediate states gain transitions during saturation, so the
 (m, b, q) transitions skip the worklist and are combined at once with the
-epsilon transitions already entering m.
+epsilon transitions already entering m.  post_star adds every transition
+inline in its one loop, with no recursion, so it holds no reference cycle:
+its automaton is freed as soon as the result is dropped, without the
+cyclic garbage collector.
 
 The result names how saturation stopped in the words of verdict.explore,
 so verdict.conclude reads it as it is.  It is reached at the first
@@ -58,6 +61,7 @@ the unwinding ends, at the start word's own transitions.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
@@ -98,11 +102,6 @@ class RulesOnDemand:
         return tuple(PdsRule(p, g, p2, push, tag)
                      for (p, g), moves in self.built.items()
                      for tag, p2, push in moves)
-
-
-class _Stop(Exception):
-    """Saturation stops early: args are (reached, the transition that
-    leaves a target control) or (budget, None)."""
 
 
 EPS = None  # the label of an epsilon transition
@@ -189,7 +188,9 @@ def post_star(pds, start, is_target, budget: int | None = None) -> PostStarResul
             target.append(is_target(c))
         return s
 
-    by_head: dict = {}  # (state, gamma) -> [(move, p2, push, intermediate state)]
+    # (state, gamma) -> [(move, s2, a, to)]: the move adds (s2, a, q) for a
+    # transition (state, gamma, q), or (s2, a, to) if to is not None
+    by_head: dict = {}
     mids: dict = {}  # (p2, push[0]) -> intermediate state
     why: dict = {}  # transition -> its first derivation
     out: dict = {}  # non-control state -> transitions leaving it
@@ -205,61 +206,69 @@ def post_star(pds, start, is_target, budget: int | None = None) -> PostStarResul
         why[t] = (None, ())
         out[s] = [t]
         s = t[2]
-    final = s
+    stopped = functools.partial(PostStarResult, why, out, s)
     if target[start_t[0]]:
-        return PostStarResult(why, out, final, REACHED)
-    added = 0
+        return stopped(REACHED)
+    # saturation stops at budget rather than add a transition past this many
+    limit = len(why) + budget if budget is not None else float("inf")
 
-    def add(t, move, sources) -> None:
-        nonlocal added
-        if t in why:
-            return
-        added += 1
-        if budget is not None and added > budget:
-            raise _Stop(BUDGET, None)
-        why[t] = (move, sources)
-        if t[0] >= 0:
-            if target[t[0]]:
-                raise _Stop(REACHED, t)
-            worklist.append(t)
-            return
-        # a transition leaving an intermediate state: combine it now
-        out.setdefault(t[0], []).append(t)
-        for p in eps_into.get(t[0], ()):
-            add((p, t[1], t[2]), None, ((p, EPS, t[0]), t))
-
-    stop, last = CLOSED, None
-    try:
-        while worklist:
-            t = worklist.popleft()
-            p, g, q = t
-            if g is EPS:
-                eps_into.setdefault(q, []).append(p)
-                for t2 in out.get(q, ()):
-                    add((p, t2[1], t2[2]), None, (t, t2))
+    # Every transition goes in here, inline: one leaving a control is checked
+    # against the targets and queued, one leaving an intermediate state is
+    # combined at once with the epsilon transitions into that state
+    while worklist:
+        t = worklist.popleft()
+        p, g, q = t
+        if g is EPS:
+            eps_into.setdefault(q, []).append(p)
+            for t2 in out.get(q, ()):
+                t3 = (p, t2[1], t2[2])
+                if t3 not in why:
+                    if len(why) >= limit:
+                        return stopped(BUDGET)
+                    why[t3] = (None, (t, t2))
+                    if target[p]:
+                        return stopped(REACHED, t3)
+                    worklist.append(t3)
+            continue
+        moves = by_head.get((p, g))
+        if moves is None:
+            moves = by_head[(p, g)] = []
+            for move in pds.moves(names[p], g):
+                p2, push = intern(move[1]), move[2]
+                if len(push) < 2:
+                    moves.append((move, p2, push[0] if push else EPS, None))
+                    continue
+                m = mids.get((p2, push[0]))
+                if m is None:
+                    m = mids[(p2, push[0])] = next(others)
+                moves.append((move, m, push[1], None))
+                moves.append((move, p2, push[0], m))
+        for move, s2, a, to in moves:
+            if to is None:
+                t2, sources = (s2, a, q), (t,)
+            else:  # a push's transition into its intermediate state
+                t2, sources = (s2, a, to), ()
+            if t2 in why:
                 continue
-            moves = by_head.get((p, g))
-            if moves is None:
-                moves = by_head[(p, g)] = []
-                for move in pds.moves(names[p], g):
-                    p2, push = intern(move[1]), move[2]
-                    m = None
-                    if len(push) == 2:
-                        m = mids.get((p2, push[0]))
-                        if m is None:
-                            m = mids[(p2, push[0])] = next(others)
-                    moves.append((move, p2, push, m))
-            for move, p2, push, m in moves:
-                if not push:
-                    add((p2, EPS, q), move, (t,))
-                elif m is None:
-                    add((p2, push[0], q), move, (t,))
-                else:
-                    add((m, push[1], q), move, (t,))
-                    add((p2, push[0], m), move, ())
-    except _Stop as e:
-        stop, last = e.args
-    return PostStarResult(why, out, final, stop, last)
+            if len(why) >= limit:
+                return stopped(BUDGET)
+            why[t2] = (move, sources)
+            if s2 >= 0:
+                if target[s2]:
+                    return stopped(REACHED, t2)
+                worklist.append(t2)
+                continue
+            out.setdefault(s2, []).append(t2)
+            for p3 in eps_into.get(s2, ()):
+                t3 = (p3, a, q)
+                if t3 not in why:
+                    if len(why) >= limit:
+                        return stopped(BUDGET)
+                    why[t3] = (None, ((p3, EPS, s2), t2))
+                    if target[p3]:
+                        return stopped(REACHED, t3)
+                    worklist.append(t3)
+    return stopped(CLOSED)
 
 
 # perfbench/tracing.py still names the result class this way

@@ -221,20 +221,23 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     while bottom in rm.adt.alphabet:  # a counter pushes only COUNTER_SYMBOL
         bottom += "_"
 
+    ops: dict = {}  # each action met -> its stack op, or (None, None)
+
     def moves_at(control, g):
         if len(control) == 3:  # the drain control (control, control2, "reset")
             return [(None, control[1], (bottom,)) if g == bottom else (None, control, ())]
         moves = []
         for label, control2 in edges[control]:
             act = label[1]
-            if not isinstance(act, AdtOp):
+            op = ops.get(act)
+            if op is None:
+                op = ops[act] = stack_op(act) if isinstance(act, AdtOp) else (None, None)
+            name, arg = op
+            if name is None:  # a register action
                 moves.append((label, control2, (g,)))
-                continue
-            if act.name == RESET:
+            elif name == RESET:
                 moves.append((label, (control, control2, "reset"), (g,)))
-                continue
-            name, arg = stack_op(act)
-            if name == "push":
+            elif name == "push":
                 moves.append((label, control2, (arg, g)))
             elif name == "pop":
                 if g == arg:

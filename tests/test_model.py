@@ -125,6 +125,14 @@ def test_validation_errors_name_the_first_edge_at_fault():
     with pytest.raises(ModelError, match="^literal 9 outside 0..2$") as e:
         mk(["q0", "q1"], delta[:2] + delta[4:], adt=stack)
     assert e.value.edge == 2
+    # an undeclared state is named when it comes before the first bad action,
+    # and not when it comes after it
+    with pytest.raises(ModelError, match="^transition endpoint undeclared: q1 -> q9$") as e:
+        mk(["q0", "q1"], delta[:1] + [("q1", skp(), "q9")] + delta[2:], adt=stack)
+    assert e.value.edge == 1
+    with pytest.raises(ModelError, match="^operation 'inc' not valid for adt stack$") as e:
+        mk(["q0", "q1"], delta + [("q9", skp(), "q0")], adt=stack)
+    assert e.value.edge == 2
     with pytest.raises(ModelError, match="^duplicate register names$") as e:
         mk(["q0", "q1"], delta, regs=("r", "r"), adt=stack)
     assert e.value.edge is None
@@ -306,6 +314,29 @@ def test_replay_rm_rejects_disabled_steps():
     with pytest.raises(ModelError):
         replay_rm(rm, [rm.delta[0]])
 
+
+
+def test_replay_rm_fires_only_the_witness_edge(monkeypatch):
+    # q0's data-type edge is not the witness's, so its operation is never
+    # stepped; the repeated edge replays as its first copy; a triple of
+    # another state is not enabled
+    import tsoreach.model as model
+
+    edges = [("q0", AdtOp("inc"), "q1"), ("q0", write("r", 1), "q1"),
+             ("q0", write("r", 1), "q1"), ("q1", AdtOp("inc"), "q2")]
+    rm = mk(["q0", "q1", "q2"], edges, adt=AdtSpec(kind="counter"))
+    stepped = []
+    real = model.step_unchecked
+
+    def spy(adt, value, op):
+        stepped.append(op)
+        return real(adt, value, op)
+
+    monkeypatch.setattr(model, "step_unchecked", spy)
+    c = replay_rm(rm, [edges[2], edges[3]])
+    assert (c.state, c.regs, stepped) == ("q2", (1,), [AdtOp("inc")])
+    with pytest.raises(ModelError, match=r"^witness step not enabled: \('q1', "):
+        replay_rm(rm, [edges[3]])
 
 @pytest.mark.parametrize("seed", range(6))
 def test_machine_print_parse_roundtrip(seed):

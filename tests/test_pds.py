@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -351,3 +352,30 @@ def test_post_star_witness_terminates_on_recursive_rules():
                 assert _replay(pds, start, trace)[0] == target
     # with no target the saturation reaches its fixpoint and stops
     assert post_star(pds, ("p", ("a", "_btm")), _among()).stop == CLOSED
+
+
+# sha256 over every post* run below: its stop, its last transition and its
+# transitions with their first derivations, in the order they went in
+POST_STAR_DERIVATIONS = "4fe4e449362228b36f6f71770dd96182985083c6c41548893ef9500dd47341e0"
+
+
+def test_post_star_derivations_are_pinned():
+    # the random systems above, from three start words, towards each control
+    # and towards none; the runs with no target again at every budget below
+    # their fixpoint's, so the budget stops are pinned too
+    digest = hashlib.sha256()
+
+    def record(res):
+        digest.update(repr((res.stop, res.last, list(res.transitions.items()))).encode())
+        return res
+
+    for seed, n_controls, max_rules in [(s, 3, 7) for s in range(25)] + [(s, 8, 30) for s in range(25)]:
+        pds = _random_pds(seed, n_controls, max_rules)
+        for word in [("_btm",), ("a", "_btm"), ("b", "a", "_btm")]:
+            start = ("p0", word)
+            for target in pds.controls:
+                record(post_star(pds, start, _among(target)))
+            full = record(post_star(pds, start, _among()))
+            for budget in range(len(full.transitions) - len(word)):
+                record(post_star(pds, start, _among(), budget=budget))
+    assert digest.hexdigest() == POST_STAR_DERIVATIONS

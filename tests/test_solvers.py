@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import hashlib
 import random
 
 import pytest
@@ -452,6 +454,58 @@ def test_solve_stack_builds_only_closure_controls(monkeypatch, cases):
         assert len(edges) == v.stats.explored
         assert set(edges) <= set(_control_closure(rm)[1])
 
+
+# sha256 over every post* run of solve_stack on each set of cases, at the
+# default budget and at half the transitions it holds at the end: the stop,
+# the last transition and the transitions with their first derivations, in
+# the order they went in
+POST_STAR_DERIVATIONS = {
+    "640-states": "14c667c8704bbded2dc556e2f0558cdd327a77df9ce8c1b608a54319d22793ed",
+    "repeated-reset": "ffd2652496df336c9fe0d0ea3753276b9040cf96c492794457ccc9dfb8a01971",
+    "small-counter": "b844e244d55091f1ebb98db6ca99de48fb95d9b66c32bf6ce6027e91d6f89da1",
+    "small-stack": "344995cedf2f0d73cb758f2b1b327b63b343b1cf7cbffa40a292b394774ce7ce",
+}
+
+
+@pytest.mark.parametrize("cases", sorted(_REFERENCE_CASES))
+def test_solve_stack_post_star_derivations_are_pinned(monkeypatch, cases):
+    import tsoreach.solvers as solvers
+
+    real = solvers.pre_star
+    digest = hashlib.sha256()
+
+    def spy(*args, **kwargs):
+        res = real(*args, **kwargs)
+        digest.update(repr((res.stop, res.last, list(res.transitions.items()))).encode())
+        return res
+
+    monkeypatch.setattr(solvers, "pre_star", spy)
+    for rm in _REFERENCE_CASES[cases]():
+        solve_stack(rm, budget=solve_stack(rm).stats.iterations // 2)
+    assert digest.hexdigest() == POST_STAR_DERIVATIONS[cases]
+
+
+
+@pytest.mark.parametrize("seed,n,budget,stop", [
+    (2, 640, DEFAULT_BUDGET, REACHED),
+    (546, 15, DEFAULT_BUDGET, CLOSED),  # the pre-search meets a target control
+    (4, 640, 190, BUDGET),
+])
+def test_solve_stack_leaves_no_cyclic_garbage(seed, n, budget, stop):
+    # post* holds no reference cycle, so what it built is freed when
+    # solve_stack returns, with no help from the cyclic collector
+    rm = random_stack_machine(random.Random(seed), n)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        v = solve_stack(rm, budget=budget)
+        garbage = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert (v.stop, v.stats.iterations > 0) == (stop, True)
+    assert garbage == 0
 
 def _explore_controls(rm, is_target, budget=None):
     """verdict.explore over a fresh _ControlEdges: (the edges, the Search)."""
