@@ -32,6 +32,14 @@ already seen.  Since no step it would have recorded is lost,
 process.  Configurations are not sorted, so successors come in process
 order and the witness names the indices of the run that replay follows.
 Replay expands every process, because a valid witness may step any copy.
+
+Each n starts with a walk that only counts: by layers over keys, with one
+set of seen keys and no parents, labels or process order.  It stops at
+the first target.  Otherwise it counts the keys within ``step_max`` steps,
+which is the kernel's ``explored``, since with no target the kernel
+records each of them exactly once, whatever its order.  So the kernel
+runs only at the n whose walk meets a target, for the witness and the
+count at its stop.
 """
 
 from __future__ import annotations
@@ -47,7 +55,6 @@ from .model import MemorySpec, Message, ProcessDescription
 from .verdict import (
     BOUNDS,
     DEFAULT_VALUE_BOUND,
-    REACHED,
     Stats,
     Verdict,
     WitnessError,
@@ -192,10 +199,12 @@ def bounded_reach(
 ) -> Verdict:
     """Breadth-first search of the concrete semantics within the bounds.
 
-    The stop is always bounds, because the bounds truncate the space: the
-    verdict is reachable with a witness or inconclusive with reason
-    bounds, never unreachable and never closed.  A witness is replayed
-    with replay_tso before it is returned.
+    Each n is first walked by layers; the kernel runs only at the n whose
+    walk meets a target, and every other n adds the walk's count to
+    explored.  The stop is always bounds, because the bounds truncate the
+    space: the verdict is reachable with a witness or inconclusive with
+    reason bounds, never unreachable and never closed.  A witness is
+    replayed with replay_tso before it is returned.
     """
     t0 = time.monotonic()
     local = _local_moves(proc, mem, adt)
@@ -250,6 +259,33 @@ def bounded_reach(
                                          (rest[:j] + (pid2,) + rest[j:], memory2))))
         return out
 
+    def walk(init) -> int | None:
+        # None at the first target, which only a moved process's new id
+        # can be; else the keys within step_max steps, less the initial one
+        if init[0][0] in final_ids:
+            return None
+        seen = {init}
+        layer = [init]
+        for _ in range(bounds.step_max):
+            new = []
+            for ranked, memory in layer:
+                for j, pid in enumerate(ranked):
+                    if j and ranked[j - 1] == pid:
+                        continue
+                    rest = ranked[:j] + ranked[j + 1:]
+                    for _, pid2, memory2 in moves(pid, memory):
+                        if pid2 in final_ids:
+                            return None
+                        k = bisect_right(rest, pid2)
+                        key = (rest[:k] + (pid2,) + rest[k:], memory2)
+                        if key not in seen:
+                            seen.add(key)
+                            new.append(key)
+            if not new:
+                break
+            layer = new
+        return len(seen) - 1
+
     initial_over = value_size(adt, adt.initial_value()) > size_max
     start = intern((proc.q_init, adt.initial_value(), ()))
     memory0 = (0,) * len(mem.variables)
@@ -258,17 +294,20 @@ def bounded_reach(
     for n in range(1, bounds.n_max + 1):
         if initial_over and n > 1:
             continue
-        r = explore(((start,) * n, ((start,) * n, memory0)), successors,
+        init = ((start,) * n, memory0)
+        if (walked := walk(init)) is not None:
+            explored += walked
+            continue
+        r = explore(((start,) * n, init), successors,
                     lambda cfg: not final_ids.isdisjoint(cfg[0]),
                     key=itemgetter(1), max_depth=bounds.step_max)
         explored += r.explored
-        if r.outcome == REACHED:
-            witness = tuple(str(TsoLabel(i, *label)) for i, label in r.path)
-            try:
-                replay_tso(proc, mem, adt, n, witness, require_final=final)
-            except ValueError as e:
-                raise WitnessError(f"oracle witness does not replay: {e}") from e
-            break
+        witness = tuple(str(TsoLabel(i, *label)) for i, label in r.path)
+        try:
+            replay_tso(proc, mem, adt, n, witness, require_final=final)
+        except ValueError as e:
+            raise WitnessError(f"oracle witness does not replay: {e}") from e
+        break
     return conclude(BOUNDS, Stats(explored, n, int((time.monotonic() - t0) * 1000)), witness)
 
 

@@ -16,6 +16,7 @@ from tsoreach.tso import (
     lval,
     rval,
 )
+from tsoreach.verdict import explore
 
 
 def test_lval_picks_most_recent_pending_write():
@@ -229,9 +230,10 @@ def _gen_program(adt_line, seed):
                  id="hostack level 2 alphabet a-value-bound-0"),
 ])
 def test_oracle_report_equals_the_unreduced_search(adt_line, bounds):
-    # the symmetry reduction, the bound check on the moved process only and
-    # the memo of local moves change neither the verdict, nor explored, nor
-    # the witness
+    # the symmetry reduction, the bound check on the moved process only, the
+    # memo of local moves and the counting walk at each process count, with
+    # the kernel only where the walk meets a target, change neither the
+    # verdict, nor explored, nor the witness
     for seed in range(30):
         mem, adt, proc = _gen_program(adt_line, seed)
         assert (bounded_reach(proc, mem, adt, bounds).report("lines")
@@ -274,3 +276,72 @@ def test_the_oracle_steps_data_through_its_module_global(monkeypatch):
     prog = parse_program(COUNTER_INC_ISZERO)
     bounded_reach(prog.proc, prog.mem, prog.adt, OracleBounds(n_max=2))
     assert calls
+
+
+# a target that needs exactly three processes: the first writes x, the
+# second reads it and writes y, the third reads y; the writers are dead ends
+THREE_PROCESSES = (("q0", wr("x", 1), "qw"), ("q0", rd("x", 1), "q1"),
+                   ("q1", wr("y", 1), "qw2"), ("q0", rd("y", 1), "qf"))
+
+
+def _three_processes():
+    return _simple(THREE_PROCESSES, states=("q0", "qw", "q1", "qw2", "qf"), vars_=("x", "y"))
+
+
+def _checked_report(proc, mem, adt, bounds):
+    """bounded_reach's report, after checking it against the unreduced search."""
+    report = bounded_reach(proc, mem, adt, bounds).report("lines")
+    assert report == bounded_reach_unreduced(proc, mem, adt, bounds).report("lines")
+    return report
+
+
+def test_a_target_of_three_processes_is_searched_after_two_counted_ones():
+    proc, mem, adt = _three_processes()
+    assert "verdict: inconclusive\n" in _checked_report(proc, mem, adt, OracleBounds(n_max=2))
+    report = _checked_report(proc, mem, adt, OracleBounds(n_max=3))
+    assert "verdict: reachable\n" in report and "iterations: 3\n" in report
+
+
+@pytest.mark.parametrize("length", [1, 5])
+def test_a_target_exactly_step_max_steps_away(length):
+    # every process walks the chain; the target lies in the last layer
+    states = tuple(f"q{i}" for i in range(length)) + ("qf",)
+    delta = tuple(zip(states, (wr("x", 1), skip()) * length, states[1:]))
+    proc, mem, adt = _simple(delta, states=states)
+    report = _checked_report(proc, mem, adt, OracleBounds(n_max=3, step_max=length))
+    assert "verdict: reachable\n" in report and "iterations: 1\n" in report
+    if length > 1:
+        report = _checked_report(proc, mem, adt, OracleBounds(n_max=3, step_max=length - 1))
+        assert "verdict: inconclusive\n" in report
+
+
+def test_an_initial_state_at_the_target_is_reached_in_no_steps():
+    prog = parse_program("memory vars x domain 0..1\nadt trivial\nprocess P\n"
+                         "state q0 init target\nstate q1\ntrans q0 -> q1 : skip\n")
+    report = _checked_report(prog.proc, prog.mem, prog.adt, OracleBounds())
+    assert report == "verdict: reachable\nexplored: 0\niterations: 1\nclosed: 0\n"
+
+
+def test_a_space_that_closes_before_step_max_is_counted_once():
+    # q0 -> q1 -> q2 and no further: the multisets of n processes over three
+    # states, less the initial one, at n = 1, 2 and 3
+    proc, mem, adt = _simple((("q0", skip(), "q1"), ("q1", skip(), "q2")),
+                             states=("q0", "q1", "q2", "qf"))
+    report = _checked_report(proc, mem, adt, OracleBounds(n_max=3, step_max=12))
+    assert "verdict: inconclusive\n" in report and "explored: 16\n" in report
+
+
+def test_the_kernel_runs_only_at_a_process_count_that_reaches_the_target(monkeypatch):
+    # replay_tso reaches explore through verdict, so replays are not counted
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return explore(*args, **kwargs)
+
+    monkeypatch.setattr(tsoreach.tso, "explore", counting)
+    proc, mem, adt = _simple((("q0", rd("x", 1), "qf"),), states=("q0", "qf"))
+    assert bounded_reach(proc, mem, adt, OracleBounds(n_max=3)).outcome == "inconclusive"
+    assert calls == []
+    assert bounded_reach(*_three_processes(), OracleBounds(n_max=3)).outcome == "reachable"
+    assert len(calls) == 1
