@@ -311,8 +311,9 @@ def _rm_route(prog, args) -> Verdict:
 def _check_program(prog, args) -> Verdict:
     """The pivot search, with the machine route when it is inconclusive.
 
-    The verdict keeps the pivot search's stats; a reachable one carries the
-    search's final prefix and path lifted to the translated machine, in
+    A verdict the pivot search decides keeps its stats, and one from the
+    machine route carries the machine's; a reachable pivot verdict carries
+    the search's final prefix and path lifted to the translated machine, in
     the machine route's witness form, built without translating the whole
     program.  The lift's walk replays that witness, so no pivot witness is
     printed or replayed.

@@ -84,38 +84,30 @@ def _replayed(rm: RegisterMachine, labels, what: str) -> tuple[str, ...]:
     return tuple(format_rm_label(l) for l in labels)
 
 
-def _bfs(rm: RegisterMachine, budget: int, bound: int | None = None) -> Verdict:
+def solve_finite(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Explicit-state search; exact whenever it exhausts the space."""
+    return explore_bounded(rm, None, budget)
+
+
+def explore_bounded(
+    rm: RegisterMachine, value_bound: int | None, budget: int = DEFAULT_BUDGET
+) -> Verdict:
     """explore over rm_step; stats.iterations is the number of layers expanded.
 
-    Configurations whose value is larger than bound are pruned, which is
-    lost coverage: the search can then only end inconclusive, with reason
-    value_bound unless the budget stopped it first.
+    Configurations whose value is larger than value_bound are pruned, which
+    is lost coverage: the search can then only end inconclusive, with reason
+    value_bound unless the budget stopped it first.  Reachable verdicts are
+    exact, and unreachable is only claimed when no value was pruned.  With
+    no bound nothing is pruned.
     """
     t0 = time.monotonic()
     target = rm.q_target
     r = explore(rm.initial_configuration(), functools.partial(rm_step, rm),
                 lambda c: c.state == target, budget=budget,
-                prune=value_pruner(rm.adt, bound))
+                prune=value_pruner(rm.adt, value_bound))
     witness = None if r.path is None else _replayed(rm, r.path, "search")
     return conclude(r.outcome, Stats(r.explored, r.depth, int((time.monotonic() - t0) * 1000)),
                     witness)
-
-
-def solve_finite(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Explicit-state search; exact whenever it exhausts the space."""
-    return _bfs(rm, budget)
-
-
-def explore_bounded(
-    rm: RegisterMachine, value_bound: int, budget: int = DEFAULT_BUDGET
-) -> Verdict:
-    """Sound bounded exploration for any data type.
-
-    Reachable verdicts are exact.  Unreachable is only claimed when no
-    value was pruned (closure proven); otherwise the verdict is
-    inconclusive.
-    """
-    return _bfs(rm, budget, bound=value_bound)
 
 
 # ---------------------------------------------------------------------------

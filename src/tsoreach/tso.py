@@ -19,27 +19,25 @@ configuration is a tuple of process ids, in process order, and the memory.
 It keeps the local moves of each (id, memory) the first time it asks for
 them, with only the moves whose new buffer and value are within the
 bounds; the numbering and this memo serve every n of the call and nothing
-outlives it.  The processes are identical, so the search keys a
-configuration by its multiset of ids, the ids sorted, and the memory (the
-symmetry reduction of Emerson and Sistla, "Symmetry and model checking",
-FMSD 1996).  A configuration carries its key, and a step, which replaces
-one id, derives its key from its parent's without sorting.  The search
-expands one process per group of equal ids: the steps of a later copy are
-index permutations of the first copy's, which come earlier in the
-successor list and have the same key, so the kernel would skip them as
-already seen.  Since no step it would have recorded is lost,
-``explored``, the witness and the report are those of expanding every
-process.  Configurations are not sorted, so successors come in process
-order and the witness names the indices of the run that replay follows.
-Replay expands every process, because a valid witness may step any copy.
+outlives it.  The processes are identical, so a configuration's key is its
+multiset of ids, the ids sorted, and the memory (the symmetry reduction of
+Emerson and Sistla, "Symmetry and model checking", FMSD 1996).
 
 Each n starts with a walk that only counts: by layers over keys, with one
-set of seen keys and no parents, labels or process order.  It stops at
-the first target.  Otherwise it counts the keys within ``step_max`` steps,
-which is the kernel's ``explored``, since with no target the kernel
-records each of them exactly once, whatever its order.  So the kernel
-runs only at the n whose walk meets a target, for the witness and the
-count at its stop.
+set of seen keys and no parents, labels or process order.  The walk alone
+reduces by symmetry: it expands one id per group of equal ids, and a step,
+which replaces one id, derives its key from its parent's by bisection,
+without sorting.  It stops at the first target.  Otherwise it counts the
+keys within ``step_max`` steps, which is the kernel's ``explored``, since
+with no target the kernel records each of them exactly once, whatever its
+order.  So the kernel runs only at the n whose walk meets a target, for
+the witness and the count at its stop.  There it expands every process of
+a configuration of ids in process order, and keys each by its sorted ids.
+The steps of a later copy of an id are index permutations of the first
+copy's, which come earlier in the successor list and have the same key,
+so the kernel records the states, the witness and the count of a search
+that expands one copy per group.  Successors come in process order, so
+the witness names the indices of the run that replay follows.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import NamedTuple
 
 from .adt import AdtOp, AdtSpec, AdtValue, step_unchecked, value_size
@@ -199,18 +196,20 @@ def bounded_reach(
 ) -> Verdict:
     """Breadth-first search of the concrete semantics within the bounds.
 
-    Each n is first walked by layers; the kernel runs only at the n whose
-    walk meets a target, and every other n adds the walk's count to
-    explored.  The stop is always bounds, because the bounds truncate the
-    space: the verdict is reachable with a witness or inconclusive with
-    reason bounds, never unreachable and never closed.  A witness is
-    replayed with replay_tso before it is returned.
+    Each n is first walked by layers over sorted keys, one id per group of
+    equal ids, and an n whose walk meets no target adds the walk's count to
+    explored.  The kernel runs only at the n whose walk meets a target: it
+    expands every process and keys a configuration by its sorted ids.  The
+    stop is always bounds, because the bounds truncate the space: the
+    verdict is reachable with a witness or inconclusive with reason bounds,
+    never unreachable and never closed.  A witness is replayed with
+    replay_tso before it is returned.
     """
     t0 = time.monotonic()
     local = _local_moves(proc, mem, adt)
     buffer_max, size_max = bounds.buffer_max, bounds.adt_size_max
     final = proc.q_final
-    # a search state is (ids, memory): ids[i] numbers process i's (state,
+    # a kernel state is (ids, memory): ids[i] numbers process i's (state,
     # value, buffer) in triples, in process order; the numbering, the
     # final ids and the memo of local moves serve every n of this call
     ids: dict = {}
@@ -241,27 +240,17 @@ def bounded_reach(
         return m
 
     def successors(cfg):
-        # one representative per group of identical processes: the steps of
-        # a later copy are index permutations of the first copy's steps,
-        # which come earlier in the list and share their key.  A step
-        # replaces one id, so the successor's sorted ids are the parent's
-        # without one copy of it, with the new id inserted by bisection
-        pids, (ranked, memory) = cfg
-        out = []
-        for i, pid in enumerate(pids):
-            if pids.index(pid) != i:
-                continue
-            j = ranked.index(pid)
-            rest = ranked[:j] + ranked[j + 1:]
-            for label, pid2, memory2 in moves(pid, memory):
-                j = bisect_right(rest, pid2)
-                out.append(((i, label), (pids[:i] + (pid2,) + pids[i + 1:],
-                                         (rest[:j] + (pid2,) + rest[j:], memory2))))
-        return out
+        pids, memory = cfg
+        return [((i, label), (pids[:i] + (pid2,) + pids[i + 1:], memory2))
+                for i, pid in enumerate(pids) for label, pid2, memory2 in moves(pid, memory)]
 
     def walk(init) -> int | None:
         # None at the first target, which only a moved process's new id
-        # can be; else the keys within step_max steps, less the initial one
+        # can be; else the keys within step_max steps, less the initial one.
+        # A key is (sorted ids, memory).  It expands one id per group of
+        # equal ids, and a step replaces one id, so the successor's key is
+        # the parent's without one copy of it, the new id inserted by
+        # bisection
         if init[0][0] in final_ids:
             return None
         seen = {init}
@@ -298,9 +287,9 @@ def bounded_reach(
         if (walked := walk(init)) is not None:
             explored += walked
             continue
-        r = explore(((start,) * n, init), successors,
-                    lambda cfg: not final_ids.isdisjoint(cfg[0]),
-                    key=itemgetter(1), max_depth=bounds.step_max)
+        r = explore(init, successors, lambda cfg: not final_ids.isdisjoint(cfg[0]),
+                    key=lambda cfg: (tuple(sorted(cfg[0])), cfg[1]),
+                    max_depth=bounds.step_max)
         explored += r.explored
         witness = tuple(str(TsoLabel(i, *label)) for i, label in r.path)
         try:

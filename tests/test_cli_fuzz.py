@@ -10,7 +10,9 @@ every file subcommand with small limits: ``check`` under each
 ``cli._parse`` accepts run through ``cli.main`` on a small program.  Every
 exit is one of 0-4, 5 only from ``crosscheck``, and never 6, an internal
 error.  A mutant that the reference reader ``helpers.parse_input_reference``
-rejects exits 3 under every file subcommand: it never gets a verdict.
+rejects exits 3 under every file subcommand: it never gets a verdict.  The
+two campaigns are also crossed: accepted argv of the file subcommands run
+on such mutants and exit 3, or 4 when a limit is out of range.
 """
 
 from __future__ import annotations
@@ -63,6 +65,15 @@ def _documented(code: int, command: str) -> bool:
         code == cli.EXIT_DISAGREEMENT and command == "crosscheck")
 
 
+def _rejected(path) -> bool:
+    """Whether the reference reader rejects the file."""
+    try:  # the text as the command line reads it, line ends translated
+        parse_input_reference(path.read_text(encoding="utf-8"))
+    except ValueError:  # DslError, AdtError, ModelError, or an oversized int
+        return True
+    return False
+
+
 def _campaign(path, bases, rng, mutants):
     """Run mutants of bases under every command; return the exit codes
     counted, how many runs had a mutant the reference reader rejects, and
@@ -71,11 +82,7 @@ def _campaign(path, bases, rng, mutants):
     for k in range(mutants):
         text = mutate(rng, rng.choice(bases))
         path.write_text(text, encoding="utf-8")
-        try:  # the text as the command line reads it, line ends translated
-            parse_input_reference(path.read_text(encoding="utf-8"))
-            valid = True
-        except ValueError:  # DslError, AdtError, ModelError, or an oversized int
-            valid = False
+        valid = not _rejected(path)
         for command, *flags in COMMANDS:
             code = _main([command, str(path), *flags])
             codes[code] += 1
@@ -126,3 +133,42 @@ def test_accepted_campaign_argv_exit_with_documented_codes(tmp_path, monkeypatch
             bad.append(f"argv {k}: {argv!r}: exit {code}")
     assert bad == []
     assert sum(codes.values()) > 400 and codes[0] > 100 and codes[3] > 20, codes
+
+
+def test_accepted_argv_on_rejected_mutants_exit_3_or_4(tmp_path, monkeypatch):
+    # the two campaigns crossed: each accepted argv of a file subcommand
+    # runs on a fresh mutant that the reference reader rejects, so no
+    # search runs; it exits 4 when a limit is out of range, else 3, and
+    # never prints a verdict
+    monkeypatch.chdir(tmp_path)
+    bases = [p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.tso"))]
+    path = tmp_path / "p.tso"
+    rng = random.Random(37)
+    codes, bad = Counter(), []
+    while sum(codes.values()) < 300:
+        argv = random_argv(rng)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                args = cli._parse(argv)
+            except (cli._ArgvError, SystemExit):  # rejected, or -h
+                continue
+        if args.subcommand == "gen" or args.input != path.name:
+            continue
+        try:
+            cli._check_ranges(args)
+            want = cli.EXIT_INPUT_ERROR
+        except cli._UsageError:
+            want = cli.EXIT_USAGE
+        while True:
+            text = mutate(rng, rng.choice(bases))
+            path.write_text(text, encoding="utf-8")
+            if _rejected(path):
+                break
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        codes[code] += 1
+        if code != want or out.getvalue():
+            bad.append(f"{argv!r} on {text!r}: exit {code}, stdout {out.getvalue()!r}")
+    assert bad == []
+    assert codes[cli.EXIT_INPUT_ERROR] > 150 and codes[cli.EXIT_USAGE] > 10, codes

@@ -128,9 +128,9 @@ def test_a_field_the_row_does_not_name_is_rejected(kind, field):
         dataclasses.replace(SPECS[kind][0], **{field: FIELDS[field]})
 
 
-# kind -> the solve_* functions solve_auto calls on it, in order
+# kind -> the solvers solve_auto calls on it, and those they call, in order
 AUTO = {
-    "trivial": ["solve_finite"],
+    "trivial": ["solve_finite", "explore_bounded"],
     "counter": ["solve_counter", "solve_stack"],
     "weak-counter": ["solve_counter", "solve_stack"],
     "stack": ["solve_stack"],
