@@ -19,9 +19,9 @@ never built, and neither are those controls, when the function builds
 them on demand too.
 
 Automaton states are ints, numbered as saturation discovers them: the
-controls from 0 up, and below 0 one state after each start-word symbol
-(the last one accepting) and one intermediate state per (p2, push[0]) of
-a push move.  No transition ever enters a control.  Each transition
+controls from 0 up, and below 0 the accepting state, which the start
+transition enters, and one intermediate state per (p2, push[0]) of a push
+move.  No transition ever enters a control.  Each transition
 (p, g, q) leaving a control p in the worklist meets the moves at (p, g):
 
 - a pop (p2, ()) adds the epsilon transition (p2, eps, q);
@@ -56,7 +56,7 @@ path is replaced by what it was derived from, and the move, if any, is one
 step of the run, read backwards.  A push transition into an intermediate
 state is unwound together with the transition after it, which names the
 move and the source.  Derivations only mention earlier transitions, so
-the unwinding ends, at the start word's own transitions.
+the unwinding ends, at the start transition.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class PostStarResult:
     States are ints: the controls from 0 up, in the order saturation reached
     them, and the other states negative.  transitions maps each transition
     (state, symbol or EPS, state) to its first derivation (move, sources):
-    (None, ()) for the start word's own, (move, ()) for a push into an
+    (None, ()) for the start transition, (move, ()) for a push into an
     intermediate state, (move, (t,)) for a move applied to t, and (None,
     (eps, t)) for an epsilon combined with the transition after it.  A
     move's first item is its tag.  out lists the transitions leaving each
@@ -146,7 +146,7 @@ class PostStarResult:
         tags = []
         while True:
             move, sources = why[path[0]]
-            if move is None and not sources:  # the start word: done
+            if move is None and not sources:  # the start transition: done
                 tags.reverse()
                 return tags
             if move is None:
@@ -162,23 +162,18 @@ class PostStarResult:
 
 
 def post_star(pds, start, is_target, budget: int | None = None) -> PostStarResult:
-    """Saturate forwards from start = (control, word) until a transition
-    leaves a control where is_target holds.
+    """Saturate forwards from start = (control, symbol), one symbol on the
+    stack, until a transition leaves a control where is_target holds.
 
     pds has moves(p, gamma), as RulesOnDemand does; saturation asks it for
     the moves of each (control, symbol) pair it reaches, once, and calls
     is_target once on each control it reaches.  budget bounds the
     transitions saturation adds; past it saturation stops at budget.
     """
-    control, word = start
-    word = tuple(word)
-    if not word:
-        raise ValueError("the start configuration needs a nonempty stack")
-
     ids: dict = {}  # control -> state
     names: list = []  # state -> control, for the control states
     target: list = []  # state -> whether its control is a target
-    others = count(-1, -1)  # the intermediate and start-word states
+    others = count(-1, -1)  # the accepting and intermediate states
 
     def intern(c) -> int:
         s = ids.get(c)
@@ -196,24 +191,20 @@ def post_star(pds, start, is_target, budget: int | None = None) -> PostStarResul
     out: dict = {}  # non-control state -> transitions leaving it
     eps_into: dict = {}  # state -> controls with an epsilon into it, taken
     worklist: deque = deque()
-    # the start word: control -w0-> s1 -w1-> ... -> final
-    s = next(others)
-    start_t = (intern(control), word[0], s)
+    control, symbol = start
+    final = next(others)
+    start_t = (intern(control), symbol, final)
     why[start_t] = (None, ())
     worklist.append(start_t)
-    for g in word[1:]:
-        t = (s, g, next(others))
-        why[t] = (None, ())
-        out[s] = [t]
-        s = t[2]
-    stopped = functools.partial(PostStarResult, why, out, s)
+    stopped = functools.partial(PostStarResult, why, out, final)
     if target[start_t[0]]:
         return stopped(REACHED)
     # saturation stops at budget rather than add a transition past this many
     limit = len(why) + budget if budget is not None else float("inf")
 
-    # Every transition goes in here, inline: one leaving a control is checked
-    # against the targets and queued, one leaving an intermediate state is
+    # Every transition goes in here, inline: one a move adds leaving a control
+    # is checked against the targets and queued (an epsilon was, so what it
+    # combines into leaves no target), one leaving an intermediate state is
     # combined at once with the epsilon transitions into that state
     while worklist:
         t = worklist.popleft()
@@ -226,8 +217,6 @@ def post_star(pds, start, is_target, budget: int | None = None) -> PostStarResul
                     if len(why) >= limit:
                         return stopped(BUDGET)
                     why[t3] = (None, (t, t2))
-                    if target[p]:
-                        return stopped(REACHED, t3)
                     worklist.append(t3)
             continue
         moves = by_head.get((p, g))
@@ -265,8 +254,6 @@ def post_star(pds, start, is_target, budget: int | None = None) -> PostStarResul
                     if len(why) >= limit:
                         return stopped(BUDGET)
                     why[t3] = (None, ((p3, EPS, s2), t2))
-                    if target[p3]:
-                        return stopped(REACHED, t3)
                     worklist.append(t3)
     return stopped(CLOSED)
 

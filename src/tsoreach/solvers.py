@@ -179,22 +179,22 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     Registers are flattened into controls one control at a time, through
     _ControlEdges, and stats.explored counts the controls whose edges were
     built.  A pre-search, _control_closure (also backward coverability's
-    closure), first looks for a control at q_target: closed, no run
-    reaches the target, which is unreachable with 0 iterations.  Otherwise
-    post* saturates forwards from the initial control over the bottom
-    marker and stops at the first transition that leaves a target control,
-    one whose state is q_target.  It asks for the moves of a (control,
-    symbol) pair when it first reaches it, and they are built from that
-    control's edges: a register action keeps the symbol, a push puts its
-    symbol above it, a pop applies only to its own symbol, isempty only to
-    the bottom marker, and reset moves to a drain control, one per
-    (control, control2) pair, that pops down to the bottom marker and then
-    moves to control2.  stats.iterations counts the automaton transitions
-    post* holds at the end, the initial one included: at the stop for
-    reachable verdicts, at the fixpoint for unreachable ones.  budget
-    bounds both the controls the pre-search records and the transitions
-    saturation adds; hitting it is inconclusive, with reason budget.  A
-    reachable witness is replayed under rm_step before it is returned.
+    closure), first looks for a control at q_target: closed, no run reaches
+    the target, which is unreachable with 0 iterations.  Otherwise post*
+    saturates forwards from the initial control over the bottom marker and
+    stops at the first transition that leaves a target control, one whose
+    state is q_target.  It asks for the moves of a (control, symbol) pair
+    when it first reaches it, and they are built from that control's edges:
+    a register action keeps the symbol, a push puts its symbol above it, a
+    pop applies only to its own symbol, isempty only to the bottom marker,
+    and reset pushes a fresh bottom marker: no move pops it, so the run goes
+    on as from an empty stack.  stats.iterations counts the automaton
+    transitions post* holds at the end, the initial one included: at the
+    stop for reachable verdicts, at the fixpoint for unreachable ones.
+    budget bounds both the controls the pre-search records and the
+    transitions saturation adds; hitting it is inconclusive, with reason
+    budget.  A reachable witness is replayed under rm_step before it is
+    returned.
     """
     if KINDS[rm.adt.kind].backend not in ("stack", "counter"):
         raise ModelError("solve_stack needs a stack or counter machine")
@@ -216,8 +216,6 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
     ops: dict = {}  # each action met -> its stack op, or (None, None)
 
     def moves_at(control, g):
-        if len(control) == 3:  # the drain control (control, control2, "reset")
-            return [(None, control[1], (bottom,)) if g == bottom else (None, control, ())]
         moves = []
         for label, control2 in edges[control]:
             act = label[1]
@@ -227,8 +225,8 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
             name, arg = op
             if name is None:  # a register action
                 moves.append((label, control2, (g,)))
-            elif name == RESET:
-                moves.append((label, (control, control2, "reset"), (g,)))
+            elif name == RESET:  # a fresh bottom marker buries the stack
+                moves.append((label, control2, (bottom, g)))
             elif name == "push":
                 moves.append((label, control2, (arg, g)))
             elif name == "pop":
@@ -241,7 +239,7 @@ def solve_stack(rm: RegisterMachine, budget: int = DEFAULT_BUDGET) -> Verdict:
                 raise ModelError(f"unexpected stack op {act}")
         return moves
 
-    result = pre_star(RulesOnDemand(moves_at), (edges.init, (bottom,)), is_target,
+    result = pre_star(RulesOnDemand(moves_at), (edges.init, bottom), is_target,
                       budget=budget)
     witness = _replayed(rm, result.witness(), "stack") if result.stop == REACHED else None
     return conclude(result.stop, stats(len(result.transitions)), witness)

@@ -588,10 +588,10 @@ def stack_pds_reference(rm: RegisterMachine):
 
     The eager form of the moves solve_stack builds on demand: |alphabet|
     rules for every register-only, push and reset edge of the control
-    closure, one per symbol, plus the drain rules of each reset control.
-    targets are the closure's controls at the target state, as
-    TargetControls.  post* over it must give solve_stack's verdict,
-    iterations and witness.
+    closure, one per symbol; a reset pushes a fresh bottom marker.  start
+    is (init, bottom), and targets are the closure's controls at the target
+    state, as TargetControls.  post* over it must give solve_stack's
+    verdict, iterations and witness.
     """
     counter = rm.adt.kind in ("counter", "weak-counter")
     _, edges_from = _control_closure(rm)
@@ -602,7 +602,6 @@ def stack_pds_reference(rm: RegisterMachine):
         bottom += "_"
     alphabet = stack_syms + (bottom,)
     rules: list[PdsRule] = []
-    reset_controls: dict = {}  # a repeated reset edge drains through one control
     for control, outs in edges_from.items():
         for label, control2 in outs:
             act = label[1]
@@ -615,21 +614,15 @@ def stack_pds_reference(rm: RegisterMachine):
                     rules.append(PdsRule(control, arg, control2, (), label))
                 else:  # isempty
                     rules.append(PdsRule(control, bottom, control2, (bottom,), label))
-            elif isinstance(act, AdtOp):  # reset: drain the whole stack
-                aux = (control, control2, "reset")
-                reset_controls[aux] = None
+            elif isinstance(act, AdtOp):  # reset: bury the stack under a bottom marker
                 for g in alphabet:
-                    rules.append(PdsRule(control, g, aux, (g,), label))
-                for g in stack_syms:
-                    rules.append(PdsRule(aux, g, aux, ()))
-                rules.append(PdsRule(aux, bottom, control2, (bottom,)))
+                    rules.append(PdsRule(control, g, control2, (bottom, g), label))
             else:
                 for g in alphabet:
                     rules.append(PdsRule(control, g, control2, (g,), label))
-    pds = PushdownSystem(controls=tuple(edges_from) + tuple(reset_controls),
-                         alphabet=alphabet, rules=tuple(rules))
+    pds = PushdownSystem(controls=tuple(edges_from), alphabet=alphabet, rules=tuple(rules))
     targets = TargetControls(c for c in edges_from if c[0] == rm.q_target)
-    return pds, (init, (bottom,)), targets
+    return pds, (init, bottom), targets
 
 
 def stack_pre_search_size(rm: RegisterMachine) -> int:

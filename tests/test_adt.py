@@ -118,6 +118,12 @@ def test_kind_mismatch_is_an_error_not_disabled():
         adt_step(STACK, 0, AdtOp("push", "a"))  # malformed value
     with pytest.raises(AdtError):
         adt_step(PETRI, mk_marking({"p": 1}), AdtOp("nosuch"))
+    with pytest.raises(AdtError, match="^unknown net transition: nosuch$"):
+        PETRI.net_transition("nosuch")
+    with pytest.raises(AdtError, match="^unknown ADT kind: queue$"):
+        AdtSpec(kind="queue")
+    with pytest.raises(AdtError, match="^negative token count for place p$"):
+        mk_marking({"p": -1})
 
 
 def _all_specs():

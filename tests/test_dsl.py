@@ -89,6 +89,10 @@ def test_petri_line_details():
     assert spec.transitions[0].inputs == (("p", 2),)
     assert spec.transitions[1].inputs == ()
     assert spec.initial_marking == (("p", 2),)
+    # an empty transition between two separators is skipped
+    assert parse_adt_line(
+        "petri places p,q transitions t: p,p -> q ; ; u: - -> p initial p,p", 1
+    ) == spec
 
 
 def test_machine_roundtrip_and_zero_registers():
@@ -151,6 +155,8 @@ trans u a -> u
     assert pdas[0].transitions[1][4] == ()
     again = parse_automata(print_automata(pdas, fsas))
     assert again == (pdas, fsas)
+    # lines before the first section are ignored
+    assert parse_automata("adt stack alphabet A\n" + text) == (pdas, fsas)
 
 
 def test_coverability_roundtrip():

@@ -22,6 +22,7 @@ from tsoreach.model import (
     RegisterAction,
     RegisterMachine,
     RmConfiguration,
+    _decode_action,
     lower_tier2_to_tier1,
     lower_tier3_to_tier2,
     rd,
@@ -112,6 +113,18 @@ def test_validation_rejects_bad_models():
         mk(["q0", "q1"], [("q0", write("r", 9), "q1")], bound=2)
     with pytest.raises(ModelError):
         MemorySpec(variables=("x", "x"), d_max=1)
+    with pytest.raises(ModelError, match="^initial/target state undeclared$"):
+        mk(["q0"], [], target="nope")
+    with pytest.raises(ModelError, match="^register bound must be >= 0$"):
+        mk(["q0"], [], bound=-1)
+    with pytest.raises(ModelError, match="^initial state q9 undeclared$"):
+        ProcessDescription("P", ("q0",), "q9", "q0", ())
+    with pytest.raises(ModelError, match="^target state q9 undeclared$"):
+        ProcessDescription("P", ("q0",), "q0", "q9", ())
+    with pytest.raises(ModelError, match="^unknown action kind nope$"):
+        RegisterAction("nope", "r").tier
+    with pytest.raises(ModelError, match="^unknown action kind nope$"):
+        _decode_action(RegisterAction("nope", "r"), {"r": 0}, 1)
 
 
 def test_validation_errors_name_the_first_edge_at_fault():

@@ -206,6 +206,19 @@ def _fixpoint_accepts(pds, target, control, word):
     return any(t == (control, word[0], q) for q in (target, sink) for t in ref)
 
 
+def _from_word(pds, control, word):
+    """(pds2, start): pds plus untagged rules at fresh controls that build
+    word on the stack one symbol at a time from the one-symbol start, and
+    then hand over to control; post* over pds2 from start runs as over pds
+    from (control, word), with the same tags in its witness."""
+    chain = [f"_w{i}" for i in range(len(word) - 1)] + [control]
+    rules = [PdsRule(chain[i], word[-1 - i], chain[i + 1], (word[-2 - i], word[-1 - i]))
+             for i in range(len(word) - 1)]
+    pds2 = _pds(pds.rules + tuple(rules), controls=pds.controls + tuple(chain[:-1]),
+                alphabet=pds.alphabet)
+    return pds2, (chain[0], word[-1])
+
+
 @pytest.mark.parametrize(
     "seed,n_controls,max_rules",
     [(s, 3, 7) for s in range(25)] + [(s, 8, 30) for s in range(25)],
@@ -215,7 +228,7 @@ def test_post_star_matches_pre_star_fixpoint(seed, n_controls, max_rules):
     init = ("p0", ("_btm",))
     forward, fwd_closed = _forward_reachable_controls(pds, *init, depth_bound=7)
     for target in pds.controls:
-        res = post_star(pds, init, _among(target))
+        res = post_star(pds, ("p0", "_btm"), _among(target))
         reached = res.stop == REACHED
         assert res.stop == (REACHED if _fixpoint_accepts(pds, target, *init) else CLOSED)
         if fwd_closed:
@@ -232,8 +245,9 @@ def test_post_star_multi_symbol_start(seed):
     pds = _random_pds(seed, 4, 12)
     for word in [("a", "_btm"), ("b", "a", "_btm"), ("a", "b")]:
         init = ("p0", word)
+        pds2, start = _from_word(pds, *init)
         for target in pds.controls:
-            res = post_star(pds, init, _among(target))
+            res = post_star(pds2, start, _among(target))
             assert res.stop == (REACHED if pre_star(pds, [target]).accepts(*init) else CLOSED)
             if res.stop == REACHED:
                 assert _replay(pds, init, res.witness())[0] == target
@@ -246,11 +260,11 @@ def test_post_star_growing_stack():
         + [PdsRule("q", "a", "q", (), tag="pop"), PdsRule("q", "_btm", "t", ("_btm",), tag="done")]
     )
     pds = _pds(rules)
-    res = post_star(pds, ("p", ("a", "_btm")), _among("t"))
+    res = post_star(*_from_word(pds, "p", ("a", "_btm")), _among("t"))
     assert res.witness() == ["push", "pop", "pop", "done"]
-    start = ("q", ("a", "a", "_btm"))
-    assert post_star(pds, start, _among("t")).witness() == ["pop", "pop", "done"]
-    assert post_star(pds, ("q", ("b", "_btm")), _among("t")).stop == CLOSED
+    res = post_star(*_from_word(pds, "q", ("a", "a", "_btm")), _among("t"))
+    assert res.witness() == ["pop", "pop", "done"]
+    assert post_star(*_from_word(pds, "q", ("b", "_btm")), _among("t")).stop == CLOSED
 
 
 def test_post_star_pop_inherits_later_transitions():
@@ -264,10 +278,9 @@ def test_post_star_pop_inherits_later_transitions():
         PdsRule("p3", "b", "t", ("b",), tag=4),
     ]
     pds = _pds(rules, controls=("p", "p2", "p3", "p5", "t"))
-    start = ("p", ("_btm",))
-    res = post_star(pds, start, _among("t"))
+    res = post_star(pds, ("p", "_btm"), _among("t"))
     assert res.witness() == [0, 1, 2, 3, 1, 4]
-    assert _replay(pds, start, res.witness())[0] == "t"
+    assert _replay(pds, ("p", ("_btm",)), res.witness())[0] == "t"
 
 
 def test_post_star_keeps_pushes_of_different_symbols_apart():
@@ -280,21 +293,21 @@ def test_post_star_keeps_pushes_of_different_symbols_apart():
         PdsRule("r", "b", "t", ("b",)),
     ]
     pds = _pds(rules, controls=("p", "q", "r", "t"))
-    assert post_star(pds, ("p", ("_btm",)), _among("t")).stop == CLOSED
-    assert post_star(pds, ("p", ("_btm",)), _among("r")).stop == REACHED
+    assert post_star(pds, ("p", "_btm"), _among("t")).stop == CLOSED
+    assert post_star(pds, ("p", "_btm"), _among("r")).stop == REACHED
 
 
 def test_post_star_start_is_a_target():
-    res = post_star(_pds([PdsRule("t", "a", "p", ())]), ("t", ("a", "_btm")), _among("t", "q"))
+    res = post_star(_pds([PdsRule("t", "a", "p", ())]), ("t", "a"), _among("t", "q"))
     assert res.stop == REACHED
     assert res.witness() == []
-    assert len(res.transitions) == 2  # the start word's own
+    assert len(res.transitions) == 1  # the start transition
 
 
 def test_post_star_stops_on_an_epsilon_from_a_target():
     # the target is only ever entered by a pop that empties the stack
     rules = [PdsRule("p", "_btm", "t", (), tag="drop")]
-    res = post_star(_pds(rules), ("p", ("_btm",)), _among("t"))
+    res = post_star(_pds(rules), ("p", "_btm"), _among("t"))
     assert res.stop == REACHED
     assert res.witness() == ["drop"]
 
@@ -304,19 +317,14 @@ def test_post_star_budget_stops_at_budget():
         PdsRule("p", "_btm", "q", ("a", "_btm"), tag="push_a"),
         PdsRule("q", "a", "t", (), tag="pop_a"),
     ]
-    full = post_star(_pds(rules), ("p", ("_btm",)), _among("t"))
+    full = post_star(_pds(rules), ("p", "_btm"), _among("t"))
     assert full.stop == REACHED
     assert full.witness() == ["push_a", "pop_a"]
-    cut = post_star(_pds(rules), ("p", ("_btm",)), _among("t"), budget=1)
+    cut = post_star(_pds(rules), ("p", "_btm"), _among("t"), budget=1)
     assert cut.stop == BUDGET
     assert len(cut.transitions) == 2  # the start transition and one added
     with pytest.raises(ValueError):
         cut.witness()
-
-
-def test_post_star_rejects_bad_starts():
-    with pytest.raises(ValueError):
-        post_star(_pds([]), ("p", ()), _among("t"))
 
 
 def test_post_star_asks_the_targets_only_about_controls_it_reaches():
@@ -328,7 +336,7 @@ def test_post_star_asks_the_targets_only_about_controls_it_reaches():
         asked.append(c)
         return c == "t"
 
-    assert post_star(_pds(rules), ("p", ("_btm",)), is_target).stop == REACHED
+    assert post_star(_pds(rules), ("p", "_btm"), is_target).stop == REACHED
     assert asked == ["p", "t"]
 
 
@@ -346,23 +354,29 @@ def test_post_star_witness_terminates_on_recursive_rules():
         for word in [("a",) * depth + ("_btm",), ("b",) * depth + ("a", "_btm")]:
             start = ("p", word)
             for target, last in [("t", 2), ("q", 3)]:
-                res = post_star(pds, start, _among(target))
+                res = post_star(*_from_word(pds, *start), _among(target))
                 trace = res.witness()
                 assert trace[-1] == last
                 assert _replay(pds, start, trace)[0] == target
     # with no target the saturation reaches its fixpoint and stops
-    assert post_star(pds, ("p", ("a", "_btm")), _among()).stop == CLOSED
+    assert post_star(*_from_word(pds, "p", ("a", "_btm")), _among()).stop == CLOSED
 
 
-# sha256 over every post* run below: its stop, its last transition and its
-# transitions with their first derivations, in the order they went in
-POST_STAR_DERIVATIONS = "4fe4e449362228b36f6f71770dd96182985083c6c41548893ef9500dd47341e0"
+# sha256 over every post* run below from one start word: its stop, its last
+# transition and its transitions with their first derivations, in the order
+# they went in; a longer word is pushed by _from_word's rules first
+POST_STAR_DERIVATIONS = {
+    "_btm": "3032cf405f9b2dd64504d583702e1086995382c918b60070066cd1e55be52faa",
+    "a,_btm": "3fb01eb2018f99a4225d7fa2fafe1863d4c897b0c958f04a8656e50f17bee678",
+    "b,a,_btm": "85464d815b0f24ee7b9c1144d0a1fa9f4d3972649ca31d83151881b85e335b5e",
+}
 
 
-def test_post_star_derivations_are_pinned():
-    # the random systems above, from three start words, towards each control
-    # and towards none; the runs with no target again at every budget below
-    # their fixpoint's, so the budget stops are pinned too
+@pytest.mark.parametrize("word", sorted(POST_STAR_DERIVATIONS))
+def test_post_star_derivations_are_pinned(word):
+    # the random systems above, towards each control and towards none; the
+    # runs with no target again at every budget below their fixpoint's, so
+    # the budget stops are pinned too
     digest = hashlib.sha256()
 
     def record(res):
@@ -371,11 +385,10 @@ def test_post_star_derivations_are_pinned():
 
     for seed, n_controls, max_rules in [(s, 3, 7) for s in range(25)] + [(s, 8, 30) for s in range(25)]:
         pds = _random_pds(seed, n_controls, max_rules)
-        for word in [("_btm",), ("a", "_btm"), ("b", "a", "_btm")]:
-            start = ("p0", word)
-            for target in pds.controls:
-                record(post_star(pds, start, _among(target)))
-            full = record(post_star(pds, start, _among()))
-            for budget in range(len(full.transitions) - len(word)):
-                record(post_star(pds, start, _among(), budget=budget))
-    assert digest.hexdigest() == POST_STAR_DERIVATIONS
+        pds2, start = _from_word(pds, "p0", tuple(word.split(",")))
+        for target in pds.controls:
+            record(post_star(pds2, start, _among(target)))
+        full = record(post_star(pds2, start, _among()))
+        for budget in range(len(full.transitions) - 1):
+            record(post_star(pds2, start, _among(), budget=budget))
+    assert digest.hexdigest() == POST_STAR_DERIVATIONS[word]

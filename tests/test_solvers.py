@@ -272,48 +272,48 @@ def test_solve_stack_pop_on_empty_unreachable():
     assert solve_stack(rm).outcome == "unreachable"
 
 
-def test_solve_stack_handles_reset():
-    s = AdtSpec(kind="stack", alphabet=("a", "b"))
-    rm = RegisterMachine(
-        "s", ("q0", "q1", "q2", "qt"), "q0", "qt", (), 0, s,
-        (
-            ("q0", AdtOp("push", "a"), "q1"),
-            ("q1", AdtOp("reset"), "q2"),
-            ("q2", AdtOp("isempty"), "qt"),
-        ),
-    )
-    v = solve_stack(rm)
-    assert v.outcome == "reachable"
-    _assert_witness_replays(rm, v)
+# chains of stack or counter operations through a reset: whether each
+# reaches its end
+_RESET_CASES = {
+    "isempty-after-reset": (("up", "reset", "empty"), True),
+    "pop-under-reset": (("up", "reset", "down"), False),  # the buried symbol is never read
+    "push-after-reset": (("up", "reset", "up", "down"), True),
+    "repeated-reset": (("up", "reset reset", "empty"), True),  # one edge, twice
+}
 
 
-def _repeated_reset_machine(kind):
-    # inc or push, then the same reset edge twice, then iszero or isempty
+def _reset_machine(kind, steps):
+    """The chain q0 -> q1 -> ... -> qt, one edge per op named in each step:
+    up is inc or push a, down dec or pop a, empty iszero or isempty."""
     if kind == "counter":
-        s, up, empty = AdtSpec(kind="counter"), AdtOp("inc"), AdtOp("iszero")
+        s = AdtSpec(kind="counter")
+        ops = {"up": AdtOp("inc"), "down": AdtOp("dec"), "empty": AdtOp("iszero")}
     else:
         s = AdtSpec(kind="stack", alphabet=("a",))
-        up, empty = AdtOp("push", "a"), AdtOp("isempty")
-    return RegisterMachine(
-        "s", ("q0", "q1", "q2", "qt"), "q0", "qt", (), 0, s,
-        (
-            ("q0", up, "q1"),
-            ("q1", AdtOp("reset"), "q2"),
-            ("q1", AdtOp("reset"), "q2"),
-            ("q2", empty, "qt"),
-        ),
-    )
+        ops = {"up": AdtOp("push", "a"), "down": AdtOp("pop", "a"), "empty": AdtOp("isempty")}
+    ops["reset"] = AdtOp("reset")
+    states = tuple(f"q{i}" for i in range(len(steps))) + ("qt",)
+    delta = tuple((states[i], ops[name], states[i + 1])
+                  for i, step in enumerate(steps) for name in step.split())
+    return RegisterMachine("s", states, "q0", "qt", (), 0, s, delta)
+
+
+def _reset_machines():
+    for case in sorted(_RESET_CASES):
+        for kind in ("counter", "stack"):
+            yield _reset_machine(kind, _RESET_CASES[case][0])
 
 
 @pytest.mark.parametrize("kind", ["counter", "stack"])
-def test_solve_stack_handles_a_repeated_reset_edge(kind):
-    # both copies of the edge drain through one reset control
-    rm = _repeated_reset_machine(kind)
-    if kind == "counter":
-        assert rm_reachable_brute(rm)
+@pytest.mark.parametrize("case", sorted(_RESET_CASES))
+def test_solve_stack_handles_reset(kind, case):
+    steps, reachable = _RESET_CASES[case]
+    rm = _reset_machine(kind, steps)
+    assert rm_reachable_brute(rm) == reachable
     v = solve_stack(rm)
-    assert v.outcome == "reachable"
-    _assert_witness_replays(rm, v)
+    assert v.outcome == ("reachable" if reachable else "unreachable")
+    if reachable:
+        _assert_witness_replays(rm, v)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -369,8 +369,9 @@ def test_solve_stack_640_states_matches_pre_star(monkeypatch, seed, outcome):
         assert eager_start == start
         # the predicate holds exactly on the eager reference's targets
         assert [c for c in eager.controls if is_target(c)] == list(eager_targets)
-        ref = pre_star(eager, eager_targets, stop=start, budget=budget)
-        seen.append((res.stop == REACHED, ref.accepts(*start)))
+        control, symbol = start
+        ref = pre_star(eager, eager_targets, stop=(control, (symbol,)), budget=budget)
+        seen.append((res.stop == REACHED, ref.accepts(control, (symbol,))))
         return res
 
     monkeypatch.setattr(solvers, "pre_star", both)
@@ -383,7 +384,7 @@ def test_solve_stack_640_states_matches_pre_star(monkeypatch, seed, outcome):
 
 
 def _small_stack_machines():
-    # every fifth machine gets a reset edge, to exercise the drain controls
+    # every fifth machine gets a reset edge, to exercise the reset moves
     for i in range(50):
         rm = random_stack_machine(random.Random(500 + i), 5 + 5 * (i % 4))
         if i % 5 == 0:
@@ -406,7 +407,8 @@ _REFERENCE_CASES = {
     "640-states": lambda: (random_stack_machine(random.Random(s), 640) for s in range(10)),
     "small-stack": _small_stack_machines,
     "small-counter": _small_counter_machines,
-    "repeated-reset": lambda: map(_repeated_reset_machine, ["counter", "stack"]),
+    "repeated-reset": lambda: (_reset_machine(kind, _RESET_CASES["repeated-reset"][0])
+                               for kind in ("counter", "stack")),
 }
 
 
@@ -455,15 +457,38 @@ def test_solve_stack_builds_only_closure_controls(monkeypatch, cases):
         assert set(edges) <= set(_control_closure(rm)[1])
 
 
+@pytest.mark.parametrize("cases", sorted(_REFERENCE_CASES) + ["reset"])
+def test_solve_stack_asks_post_star_only_about_closure_controls(monkeypatch, cases):
+    # every (control, symbol) pair post* asks for the moves of is at a
+    # control of the closure: a reset adds no control of its own
+    import tsoreach.solvers as solvers
+
+    real = solvers.pre_star
+    systems = []
+
+    def spy(pds, *args, **kwargs):
+        systems.append(pds)
+        return real(pds, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "pre_star", spy)
+    machines = _reset_machines() if cases == "reset" else _REFERENCE_CASES[cases]()
+    for rm in machines:
+        systems.clear()
+        solve_stack(rm)
+        closure = set(_control_closure(rm)[1])
+        for pds in systems:
+            assert {control for control, _ in pds.built} <= closure
+
+
 # sha256 over every post* run of solve_stack on each set of cases, at the
 # default budget and at half the transitions it holds at the end: the stop,
 # the last transition and the transitions with their first derivations, in
 # the order they went in
 POST_STAR_DERIVATIONS = {
     "640-states": "14c667c8704bbded2dc556e2f0558cdd327a77df9ce8c1b608a54319d22793ed",
-    "repeated-reset": "ffd2652496df336c9fe0d0ea3753276b9040cf96c492794457ccc9dfb8a01971",
+    "repeated-reset": "9064fe189c2ed073fad105ac81581a59db8ea2e838a4b02a5bd8a9adfadd2d73",
     "small-counter": "b844e244d55091f1ebb98db6ca99de48fb95d9b66c32bf6ce6027e91d6f89da1",
-    "small-stack": "344995cedf2f0d73cb758f2b1b327b63b343b1cf7cbffa40a292b394774ce7ce",
+    "small-stack": "a21becf35437c9d8cc88248fad02ac3f372511779058db1f0007b5e77b3a21dd",
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,8 +9,13 @@ from helpers import (
     net_coverable_forward,
     parse_program,
 )
-from tsoreach.adt import AdtSpec, PetriTransition, mk_marking, trivial_spec
-from tsoreach.automata import CoverabilityInstance
+from tsoreach.adt import AdtOp, AdtSpec, PetriTransition, mk_marking, trivial_spec
+from tsoreach.automata import (
+    AutomatonError,
+    CoverabilityInstance,
+    FiniteAutomaton,
+    PushdownAutomaton,
+)
 from tsoreach.gen import (
     anbnc_pda,
     intersection_fixtures,
@@ -197,11 +203,25 @@ def test_intersection_zero_fsas_is_pda_emptiness():
 
 
 def test_intersection_requires_shared_alphabet():
-    from tsoreach.automata import FiniteAutomaton
-
     fsa = FiniteAutomaton("f", ("u",), "u", ("u",), ("a",), ())
     with pytest.raises(ModelError):
         encode_intersection(anbnc_pda(), (fsa,))
+
+
+@pytest.mark.parametrize("make,error", [
+    (lambda: FiniteAutomaton("f", ("u",), "v", (), ("a",), ()), "^initial state v undeclared$"),
+    (lambda: FiniteAutomaton("f", ("u",), "u", ("v",), ("a",), ()),
+     "^accepting state v undeclared$"),
+    (lambda: PushdownAutomaton("k", ("s",), "v", (), ("a",), ("Z",), ()),
+     "^initial state v undeclared$"),
+    (lambda: PushdownAutomaton("k", ("s",), "s", ("v",), ("a",), ("Z",), ()),
+     "^accepting state v undeclared$"),
+    (lambda: CoverabilityInstance(("p",), (PetriTransition("t", (("q", 1),), ()),), (), ()),
+     "^transition t uses undeclared q$"),
+])
+def test_automata_reject_undeclared_names(make, error):
+    with pytest.raises(AutomatonError, match=error):
+        make()
 
 
 def test_intersection_size_is_linear():
@@ -232,6 +252,22 @@ def test_coverability_place_counts():
     assert len(inst.places) == 4
     assert inst.target == mk_marking({"at_b": 1})
     assert mk_marking(dict(inst.initial)) == mk_marking({"at_a": 1, "reg_r_0": 1})
+    # a net place that starts with a prefix pushes that prefix past it
+    rm = dataclasses.replace(rm, adt=AdtSpec(kind="petri", places=("at_x",)))
+    inst = encode_rm_to_coverability(rm)
+    assert inst.places[:3] == ("at_x", "at__a", "at__b")
+    assert inst.target == mk_marking({"at__b": 1})
+
+
+@pytest.mark.parametrize("adt,act,error", [
+    (trivial_spec(), skp(), "^encode_rm_to_coverability needs a petri data type$"),
+    (AdtSpec(kind="petri"), RegisterAction("inc", "r"), "^lower the machine to tier I first$"),
+    (AdtSpec(kind="petri"), AdtOp("reset"), "^the net encoding has no reset operation$"),
+])
+def test_coverability_encoding_rejects_what_it_cannot_encode(adt, act, error):
+    rm = RegisterMachine("m", ("a", "b"), "a", "b", ("r",), 1, adt, (("a", act, "b"),))
+    with pytest.raises(ModelError, match=error):
+        encode_rm_to_coverability_labelled(rm)
 
 
 def test_coverability_write_expands_per_value():
